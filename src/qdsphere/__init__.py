@@ -9,7 +9,8 @@ from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
                     qd_new, qd_from_p_over_q_squared, lemniscate_qd, cauchy_qd,
                     critical_points, critical_directions, classify_double_pole,
                     order_at_infinity, infinity_chart, local_leading_coefficient,
-                    principal_sqrt, continue_sqrt, measure_density, measure_mass)
+                    principal_sqrt, continue_sqrt, continue_sqrt_along,
+                    measure_density, measure_mass)
 from .tracer import (TraceOptions, TrajectoryRay, Termination,
                      trace_horizontal, trace_vertical, trace_from_critical,
                      phi_length_of, imag_drift_of)
@@ -33,7 +34,8 @@ __all__ = [
     "qd_new", "qd_from_p_over_q_squared", "lemniscate_qd", "cauchy_qd",
     "critical_points", "critical_directions", "classify_double_pole",
     "order_at_infinity", "infinity_chart", "local_leading_coefficient",
-    "principal_sqrt", "continue_sqrt", "measure_density", "measure_mass",
+    "principal_sqrt", "continue_sqrt", "continue_sqrt_along",
+    "measure_density", "measure_mass",
     "TraceOptions", "TrajectoryRay", "Termination",
     "trace_horizontal", "trace_vertical", "trace_from_critical",
     "phi_length_of", "imag_drift_of",

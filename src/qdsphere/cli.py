@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (NoShortTrajectory, QdError, ResidueObstruction, SchemaError)
+from .errors import QdError, ResidueObstruction, SchemaError
 from .criteria import overall_verdict, run_all, CERTIFIED, SUPPORTED
 from .graph import (Pairing, PairingFailure, build_critical_graph,
                     detect_recurrence, pair_zeros_by_short_trajectories,
@@ -24,7 +24,7 @@ from .graph import (Pairing, PairingFailure, build_critical_graph,
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import critical_points, measure_mass, order_at_infinity
-from .specfile import build_qd, parse_input
+from .specfile import build_qd, parse_input, parse_max_steps
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -62,14 +62,17 @@ def _options(qd, spec, args) -> TraceOptions:
     if "max_phi_length" in spec.budgets:
         kw["max_phi_length"] = float(spec.budgets["max_phi_length"])
     if "max_steps" in spec.budgets:
-        kw["max_steps"] = int(spec.budgets["max_steps"])
+        kw["max_steps"] = spec.budgets["max_steps"]
     if "rk_tol" in spec.budgets:
         kw["rk_tol"] = float(spec.budgets["rk_tol"])
     if spec.window is not None:
         kw["window"] = spec.window
     env = os.environ.get("QD_MAX_STEPS")
     if env:
-        kw["max_steps"] = int(env)
+        try:
+            kw["max_steps"] = parse_max_steps(int(env), "QD_MAX_STEPS")
+        except ValueError:
+            raise SchemaError("QD_MAX_STEPS", f"expected a positive integer, got {env!r}") from None
     if getattr(args, "rk_tol", None) is not None:
         kw["rk_tol"] = args.rk_tol
     return TraceOptions.for_qd(qd, **kw)

@@ -18,13 +18,14 @@ import numpy as np
 
 from .errors import EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction, WrongProvenance
 from .graph import Pairing
-from .qdiff import QuadraticDifferential, continue_sqrt, principal_sqrt
-from .tracer import _GL_NODES, _GL_WEIGHTS
+from .qdiff import QuadraticDifferential, principal_sqrt, sqrt_panel_integrals
 
 GAP_REL_TOL = 1e-6
 OBSTACLE_FACTOR = 2.0
 MAX_DETOURS = 16
 ARC_STEP = math.pi / 6
+PANEL_RATIO = 0.4            # leaf panel length over distance to the singular set
+MAX_SPLIT_DEPTH = 26
 
 
 @dataclass
@@ -215,39 +216,41 @@ def _route(start: complex, end: complex, obstacles, cuts, side: int) -> list[com
     raise PathBlocked(f"no route from {start} to {end} after {MAX_DETOURS} detours")
 
 
-def _panel(p, q, a, b, hint, singular, depth):
-    """One adaptively bisected quadrature panel; splits until the panel is
-    short against its distance to the nearest pole or zero."""
-    mid = 0.5 * (a + b)
-    d = min((abs(mid - s) for s in singular), default=math.inf)
-    if abs(b - a) <= 0.4 * d or depth >= 26:
-        half = 0.5 * (b - a)
-        zs = mid + half * _GL_NODES
-        pv = p.eval_array(zs)
-        qv = q.eval_array(zs)
-        seg = 0j
-        for k in range(len(zs)):
-            v = continue_sqrt(complex(pv[k]), hint)
-            hint = v
-            seg += _GL_WEIGHTS[k] * v / complex(qv[k])
-        return seg * half, hint
-    s1, hint = _panel(p, q, a, mid, hint, singular, depth + 1)
-    s2, hint = _panel(p, q, mid, b, hint, singular, depth + 1)
-    return s1 + s2, hint
+def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
+    """Quadrature panels of a polyline, in path order: each segment is
+    bisected until a panel is no longer than PANEL_RATIO times the distance
+    from its midpoint to the nearest pole or zero, or MAX_SPLIT_DEPTH deep.
+    Returns the panel start and end points."""
+    starts, ends = [], []
+    for i in range(len(path) - 1):
+        if path[i] == path[i + 1]:
+            continue
+        stack = [(path[i], path[i + 1], 0)]
+        while stack:
+            a, b, depth = stack.pop()
+            mid = 0.5 * (a + b)
+            d = math.inf
+            for s in singular:
+                e = abs(mid - s)
+                if e < d:
+                    d = e
+            if abs(b - a) <= PANEL_RATIO * d or depth >= MAX_SPLIT_DEPTH:
+                starts.append(a)
+                ends.append(b)
+            else:
+                stack.append((mid, b, depth + 1))
+                stack.append((a, mid, depth + 1))
+    return starts, ends
 
 
 def _integrate(p, q, path: list[complex], seed_hint: complex | None, singular):
     """Gauss-Legendre integral of branch-continued sqrt(p)/q along path.
     Returns (integral, final branch hint)."""
-    hint = seed_hint
-    total = 0j
-    for i in range(len(path) - 1):
-        a, b = path[i], path[i + 1]
-        if a == b:
-            continue
-        seg, hint = _panel(p, q, a, b, hint, singular, 0)
-        total += seg
-    return total, hint
+    a, b = _leaf_panels(path, singular)
+    if not a:
+        return 0j, seed_hint
+    running, hint = sqrt_panel_integrals(a, b, p.eval_array, q.eval_array, seed_hint)
+    return complex(running[-1]), hint
 
 
 def _seed_probe(qd, base: complex, cuts) -> complex:

@@ -155,14 +155,6 @@ class RootCluster:
     radius: float
 
 
-def poly_eval(p: Polynomial, z: complex) -> complex:
-    return p(complex(z))
-
-
-def poly_derivative(p: Polynomial) -> Polynomial:
-    return p.derivative()
-
-
 def _aberth(monic: np.ndarray, tol: float) -> np.ndarray:
     """Simultaneous root iteration on a monic coefficient array (ascending)."""
     n = len(monic) - 1

@@ -13,12 +13,15 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import (
     BranchAmbiguity,
     ConstantRational,
     GuardViolation,
     NotCoprime,
     NotFiniteCritical,
+    PoleOnPath,
     WrongOrder,
     WrongProvenance,
     ZeroPolynomial,
@@ -29,6 +32,12 @@ ROOT_TOL = 1e-8
 ANGULAR_TOL = 1e-9
 GUARD_FACTOR = 1e-3
 DIAM_FLOOR = 10.0
+# numpy's complex abs can differ from cmath's by a few ulps; flip tests closer
+# than this to a tie are left to the sequential rule
+FLIP_TIE_RTOL = 1e-14
+PANEL_BLOCK = 256            # panels evaluated per vectorized block
+
+GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 CIRCULAR = "Circular"
 RADIAL = "Radial"
@@ -340,6 +349,74 @@ def continue_sqrt(v: complex, hint: complex | None) -> complex:
     return s if abs(s - hint) <= abs(s + hint) else -s
 
 
+def continue_sqrt_along(values, hint: complex | None = None) -> np.ndarray:
+    """Branch-continuous square roots of a sequence of values.
+
+    Equal to the sequential loop w_k = continue_sqrt(values[k], w_{k-1})
+    with w_{-1} = hint (None: the first root is principal). Each w_k is the
+    principal root s_k times a sign, and the sign flips exactly where s_k is
+    closer to -s_{k-1} than to s_{k-1}, so it is the running parity of those
+    flips. The first flip test is against the hint itself. A flip test
+    within rounding of a tie, or on a non-finite value, depends on more than
+    the parity, and the whole sequence is then continued by the loop.
+    """
+    v = np.asarray(values, dtype=complex)
+    s = np.sqrt(v + 0.0)
+    if s.size == 0:
+        return s
+    # numpy rounds the root of a pure imaginary value differently from cmath
+    for k in np.flatnonzero(v.real == 0.0):
+        s[k] = principal_sqrt(complex(v[k]))
+    prev = np.empty_like(s)
+    prev[0] = s[0] if hint is None else hint
+    prev[1:] = s[:-1]
+    d_same = np.abs(s - prev)
+    d_flip = np.abs(s + prev)
+    if not np.all(np.abs(d_same - d_flip) > FLIP_TIE_RTOL * (d_same + d_flip)):
+        out = np.empty_like(s)
+        for k, x in enumerate(v.tolist()):
+            hint = out[k] = continue_sqrt(x, hint)
+        return out
+    return np.where(np.cumsum(d_same > d_flip) & 1, -s, s)
+
+
+def sqrt_panel_integrals(a, b, radicand, divisor=None, hint: complex | None = None):
+    """Running 8-node Gauss-Legendre integrals of sqrt(radicand) / divisor
+    over the consecutive panels [a[i], b[i]].
+
+    radicand and divisor map a complex array of nodes to values there (a
+    missing divisor is 1). The square root is branch-continued through the
+    nodes of all panels in order, starting from hint. Panels are evaluated
+    PANEL_BLOCK at a time, the branch and the running sum carried from block
+    to block, so the sums are added in panel order. Returns (running sum at
+    the end of each panel, last square root). Raises PoleOnPath when the
+    divisor vanishes at a node.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    running = np.empty(len(a), dtype=complex)
+    carry = 0j
+    for lo in range(0, len(a), PANEL_BLOCK):
+        hi = min(lo + PANEL_BLOCK, len(a))
+        mid = 0.5 * (a[lo:hi] + b[lo:hi])
+        half = 0.5 * (b[lo:hi] - a[lo:hi])
+        zs = (mid[:, None] + half[:, None] * GL_NODES).ravel()
+        w = continue_sqrt_along(radicand(zs), hint)
+        hint = complex(w[-1])
+        terms = w.reshape(hi - lo, len(GL_NODES)) * GL_WEIGHTS
+        if divisor is not None:
+            dv = divisor(zs)
+            if not np.all(dv):
+                raise PoleOnPath(f"quadrature node {zs[dv == 0][0]} hits a pole")
+            terms /= dv.reshape(terms.shape)
+        seg = terms[:, 0].copy()           # summed node by node, in the loop's order
+        for k in range(1, len(GL_NODES)):
+            seg += terms[:, k]
+        running[lo:hi] = np.cumsum(np.concatenate(([carry], seg * half)))[1:]
+        carry = running[hi - 1]
+    return running, hint
+
+
 def sqrt_phi_step(qd: QuadraticDifferential, z: complex,
                   state: BranchState | None = None) -> tuple[complex, BranchState]:
     """One branch-continuous evaluation of sqrt(phi) at z.
@@ -456,16 +533,11 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
     q = qd.provenance.polys["q"]
     r = qd.provenance.polys["r"]
     disc = q * q - (p * r) * 4.0
-    pts = [complex(z) for z in points]
-    if not pts:
+    pts = np.asarray([complex(z) for z in points], dtype=complex)
+    if not len(pts):
         return []
-    vals = []
-    hint = None
-    for z in pts:
-        w = continue_sqrt(disc(z), hint)
-        hint = w
-        vals.append(w / (2j * math.pi * p(z)))
-    mid = vals[len(vals) // 2]
+    vals = continue_sqrt_along(disc.eval_array(pts)) / (2j * math.pi * p.eval_array(pts))
+    mid = complex(vals[len(vals) // 2])
     sign = None
     for s in (1.0, -1.0):
         v = s * mid
@@ -474,7 +546,7 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
             break
     if sign is None:
         raise BranchAmbiguity(f"midpoint density {mid} is not real under either branch")
-    return [sign * v for v in vals]
+    return (sign * vals).tolist()
 
 
 def measure_mass(qd: QuadraticDifferential, points, max_step: float | None = None) -> float:

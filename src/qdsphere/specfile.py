@@ -8,6 +8,7 @@ coefficient pairs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import DegreeCap, SchemaError
@@ -45,15 +46,23 @@ class InputSpec:
         }
 
 
+def _is_number(v) -> bool:
+    """A finite JSON number; bools are ints to Python but not numbers here."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+
+
+def _is_pair(v) -> bool:
+    return isinstance(v, (list, tuple)) and len(v) == 2 and all(map(_is_number, v))
+
+
 def _poly(form: str, name: str, raw) -> Polynomial:
     where = f"{form}.{name}"
     if not isinstance(raw, list) or not raw:
         raise SchemaError(where, "expected a nonempty list of [re, im] pairs")
     coeffs = []
     for i, pair in enumerate(raw):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(v, (int, float)) for v in pair)):
-            raise SchemaError(f"{where}[{i}]", "expected an [re, im] number pair")
+        if not _is_pair(pair):
+            raise SchemaError(f"{where}[{i}]", "expected an [re, im] pair of finite numbers")
         coeffs.append(complex(pair[0], pair[1]))
     if len(coeffs) - 1 > DEGREE_CAP:
         raise DegreeCap(where, len(coeffs) - 1, DEGREE_CAP)
@@ -94,18 +103,16 @@ def parse_obj(obj) -> InputSpec:
     window = None
     if obj.get("window") is not None:
         w = obj["window"]
-        if (not isinstance(w, list) or len(w) != 4
-                or not all(isinstance(v, (int, float)) for v in w)):
-            raise SchemaError("window", "expected [x0, y0, x1, y1]")
+        if not isinstance(w, list) or len(w) != 4 or not all(map(_is_number, w)):
+            raise SchemaError("window", "expected [x0, y0, x1, y1] of finite numbers")
         if not (w[0] < w[2] and w[1] < w[3]):
             raise SchemaError("window", "expected x0 < x1 and y0 < y1")
         window = tuple(float(v) for v in w)
 
     seeds = []
     for i, s in enumerate(obj.get("seeds", []) or []):
-        if (not isinstance(s, (list, tuple)) or len(s) != 2
-                or not all(isinstance(v, (int, float)) for v in s)):
-            raise SchemaError(f"seeds[{i}]", "expected an [x, y] pair")
+        if not _is_pair(s):
+            raise SchemaError(f"seeds[{i}]", "expected an [x, y] pair of finite numbers")
         seeds.append(complex(s[0], s[1]))
 
     budgets = {}
@@ -115,8 +122,11 @@ def parse_obj(obj) -> InputSpec:
     for key in ("max_phi_length", "max_steps", "rk_tol"):
         if key in raw_budgets:
             v = raw_budgets[key]
-            if not isinstance(v, (int, float)) or v <= 0:
-                raise SchemaError(f"budgets.{key}", "expected a positive number")
+            if key == "max_steps":
+                budgets[key] = parse_max_steps(v, f"budgets.{key}")
+                continue
+            if not _is_number(v) or v <= 0:
+                raise SchemaError(f"budgets.{key}", "expected a positive finite number")
             budgets[key] = v
     unknown = set(raw_budgets) - {"max_phi_length", "max_steps", "rk_tol"}
     if unknown:
@@ -127,6 +137,13 @@ def parse_obj(obj) -> InputSpec:
     if extra_top:
         raise SchemaError("$", f"unknown fields {sorted(extra_top)}")
     return InputSpec(kind, polys, sign, window, seeds, budgets)
+
+
+def parse_max_steps(v, where: str) -> int:
+    """A step budget: a positive integer, not a bool or a float."""
+    if not isinstance(v, int) or isinstance(v, bool) or v <= 0:
+        raise SchemaError(where, f"expected a positive integer, got {v!r}")
+    return v
 
 
 def parse_input(path: str) -> InputSpec:

@@ -18,12 +18,15 @@ import numpy as np
 
 from .errors import DriftExceeded, DirectionIndexError, PoleOnPath, StartTooClose
 from .qdiff import (
+    GL_NODES,
+    GL_WEIGHTS,
     CriticalPoint,
     QuadraticDifferential,
     continue_sqrt,
     critical_directions,
     critical_points,
     principal_sqrt,
+    sqrt_panel_integrals,
 )
 
 SNAP_FACTOR = 1e-6
@@ -52,8 +55,6 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
 @dataclass
@@ -348,13 +349,19 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
         direction_seed=dir0, orientation=orientation,
         work={"accepted_steps": accepted, "rejected_steps": rejected},
     )
+    certify_drift(qd, ray, opts)
+    return ray
+
+
+def certify_drift(qd: QuadraticDifferential, ray: TrajectoryRay, opts: TraceOptions) -> None:
+    """Record the ray's imaginary drift and raise DriftExceeded when it is
+    above the bound for its phi-length and tolerance, or not finite."""
     ray.imag_drift = imag_drift_of(qd, ray)
     allow = DRIFT_PER_100 * max(1.0, ray.phi_length / 100.0) * max(1.0, opts.rk_tol / DEFAULT_RK_TOL)
-    if ray.imag_drift > allow:
+    if not ray.imag_drift <= allow:
         raise DriftExceeded(
             f"imaginary drift {ray.imag_drift:.3e} exceeds {allow:.3e} "
             f"over phi-length {ray.phi_length:.3f}")
-    return ray
 
 
 def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -436,39 +443,24 @@ def phi_length_of(qd: QuadraticDifferential, points) -> float:
             continue
         mid = 0.5 * (a + b)
         half = 0.5 * (b - a)
-        zs = mid + half * _GL_NODES
+        zs = mid + half * GL_NODES
         dv = qd.den.eval_array(zs)
         lim = 1e-13 * den_scale * np.maximum(1.0, np.abs(zs)) ** max(qd.den.degree, 0)
         if np.any(np.abs(dv) <= lim):
             raise PoleOnPath(f"quadrature node on segment {i} hits a pole")
         vals = np.sqrt(np.abs(qd.num.eval_array(zs) / dv))
-        total += float(np.sum(vals * _GL_WEIGHTS)) * abs(half)
+        total += float(np.sum(vals * GL_WEIGHTS)) * abs(half)
     return total
 
 
 def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
     """Max over checkpoints of |Im integral of w dz| along the recorded
     polyline, with w branch-continuous; the correctness certificate."""
-    pts = ray.points
-    if len(pts) < 2:
+    pts = np.asarray(ray.points, dtype=complex)
+    a, b = pts[:-1], pts[1:]
+    moved = a != b
+    if not moved.any():
         return 0.0
-    num, den = qd.num, qd.den
-    hint = complex(ray.sqrt_values[0])
-    acc = 0.0
-    worst = 0.0
-    for i in range(len(pts) - 1):
-        a, b = complex(pts[i]), complex(pts[i + 1])
-        if a == b:
-            continue
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        zs = mid + half * _GL_NODES
-        vals = num.eval_array(zs) / den.eval_array(zs)
-        seg = 0j
-        for k in range(len(zs)):
-            wk = continue_sqrt(complex(vals[k]), hint)
-            hint = wk
-            seg += _GL_WEIGHTS[k] * wk
-        acc += (seg * half).imag
-        worst = max(worst, abs(acc))
-    return worst
+    running, _ = sqrt_panel_integrals(a[moved], b[moved], qd.phi_array,
+                                      hint=complex(ray.sqrt_values[0]))
+    return float(np.max(np.abs(running.imag)))

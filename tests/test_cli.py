@@ -102,6 +102,76 @@ def test_bad_window_rejected(tmp_path, capsys):
     assert run(["criteria", write_spec(tmp_path, spec)]) == 1
 
 
+def _rejected(tmp_path, capsys, spec, field):
+    # json.dumps writes NaN and Infinity literals, which json.load accepts
+    assert run(["criteria", write_spec(tmp_path, spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}") and "Traceback" not in err
+
+
+def test_nan_coefficient_rejected(tmp_path, capsys):
+    spec = {"format_version": 1,
+            "general": {"numerator": [[math.nan, 0.0]], "denominator": [[1.0, 0.0]]}}
+    _rejected(tmp_path, capsys, spec, "general.numerator[0]")
+
+
+def test_infinite_coefficient_rejected(tmp_path, capsys):
+    spec = {"format_version": 1,
+            "p_over_q_squared": {"p": [[1.0, 0.0], [0.0, math.inf]], "q": [[1.0, 0.0]]}}
+    _rejected(tmp_path, capsys, spec, "p_over_q_squared.p[1]")
+
+
+def test_bool_coefficient_rejected(tmp_path, capsys):
+    spec = {"format_version": 1,
+            "general": {"numerator": [[True, False]], "denominator": [[1.0, 0.0]]}}
+    _rejected(tmp_path, capsys, spec, "general.numerator[0]")
+
+
+def test_nonfinite_window_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, window=[-math.inf, -2.0, 2.0, 2.0])
+    _rejected(tmp_path, capsys, spec, "window")
+
+
+def test_bool_window_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, window=[False, False, True, True])
+    _rejected(tmp_path, capsys, spec, "window")
+
+
+def test_nonfinite_seed_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, seeds=[[1.0, math.nan]])
+    _rejected(tmp_path, capsys, spec, "seeds[0]")
+
+
+def test_bool_seed_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, seeds=[[True, 0.0]])
+    _rejected(tmp_path, capsys, spec, "seeds[0]")
+
+
+def test_nonfinite_budget_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, budgets={"max_phi_length": math.inf})
+    _rejected(tmp_path, capsys, spec, "budgets.max_phi_length")
+
+
+def test_bool_budget_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, budgets={"rk_tol": True})
+    _rejected(tmp_path, capsys, spec, "budgets.rk_tol")
+
+
+def test_fractional_max_steps_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, budgets={"max_steps": 2.5})
+    _rejected(tmp_path, capsys, spec, "budgets.max_steps")
+
+
+def test_float_max_steps_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, budgets={"max_steps": 1e300})
+    _rejected(tmp_path, capsys, spec, "budgets.max_steps")
+
+
+def test_non_integer_env_max_steps_rejected(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("QD_MAX_STEPS", "abc")
+    _rejected(tmp_path, capsys, SEGMENT, "QD_MAX_STEPS")
+
+
 # ---------------------------------------------------------------- analyze
 
 

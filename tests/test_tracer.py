@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdsphere.errors import PoleOnPath, StartTooClose
+from qdsphere.errors import DriftExceeded, PoleOnPath, StartTooClose
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import critical_points, qd_from_p_over_q_squared, qd_new
 from qdsphere.tracer import (
@@ -11,6 +11,7 @@ from qdsphere.tracer import (
     ESCAPED_WINDOW,
     HIT_CRITICAL,
     TraceOptions,
+    certify_drift,
     imag_drift_of,
     phi_length_of,
     trace_from_critical,
@@ -44,6 +45,16 @@ def test_circle_imag_drift_tiny():
     qd = circle_qd()
     ray = trace_horizontal(qd, 1.0)
     assert imag_drift_of(qd, ray) < 1e-7
+
+
+def test_drift_gate_fails_closed_on_nan_point():
+    qd = circle_qd()
+    ray = trace_horizontal(qd, 1.0)
+    ray.points = ray.points.copy()
+    ray.points[len(ray.points) // 2] = complex(math.nan, 0.0)
+    assert math.isnan(imag_drift_of(qd, ray))
+    with pytest.raises(DriftExceeded):
+        certify_drift(qd, ray, TraceOptions.for_qd(qd))
 
 
 def test_radial_trajectories_escape():
