@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -24,7 +25,7 @@ from .graph import (Pairing, PairingFailure, build_critical_graph,
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import critical_points, measure_mass, order_at_infinity
-from .specfile import build_qd, parse_input, parse_max_steps
+from .specfile import build_qd, parse_input, parse_max_steps, parse_window
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -404,6 +405,20 @@ def _window_arg(text: str):
     return tuple(parts)
 
 
+def _check_flags(args) -> None:
+    """Reject flag values that parse but that no command can use."""
+    if args.command == "render":
+        if args.window is not None:
+            parse_window(args.window, "--window")
+        if args.grid < 0:
+            raise SchemaError("--grid", f"expected a non-negative integer, got {args.grid}")
+    elif args.command == "level" and args.grid < 2:
+        raise SchemaError("--grid", f"expected an integer of at least 2, got {args.grid}")
+    elif args.command == "lemniscate" and args.level is not None \
+            and not (math.isfinite(args.level) and args.level > 0.0):
+        raise SchemaError("--level", f"expected a positive finite number, got {args.level}")
+
+
 def make_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="qdsphere")
     top.add_argument("--version", action="version", version=__version__)
@@ -448,6 +463,7 @@ def make_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
+        _check_flags(args)
         spec = parse_input(args.input)
         if args.command == "analyze":
             spec.seeds.extend(args.seed)

@@ -22,41 +22,43 @@ def marching_squares(xs, ys, field, level) -> list[np.ndarray]:
     ys = np.asarray(ys, dtype=float)
     f = np.asarray(field, dtype=float)
     ny, nx = f.shape
+    # 4-bit corner code of every cell, corners bottom-left, bottom-right,
+    # top-right, top-left; cells with a non-finite corner get code 0
+    ok = np.isfinite(f)
+    ok = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
+    above = f >= level
+    code = (above[:-1, :-1] | above[:-1, 1:] << 1
+            | above[1:, 1:] << 2 | above[1:, :-1] << 3) * ok
     segs = []          # (edge_key_a, point_a, edge_key_b, point_b)
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            v = (f[iy, ix], f[iy, ix + 1], f[iy + 1, ix + 1], f[iy + 1, ix])
-            if not all(np.isfinite(c) for c in v):
-                continue
-            mask = sum(1 << k for k in range(4) if v[k] >= level)
-            if mask in (0, 15):
-                continue
-            x0, x1 = xs[ix], xs[ix + 1]
-            y0, y1 = ys[iy], ys[iy + 1]
-            # edge crossings: bottom, right, top, left
-            pts = {}
-            if (mask & 1) != (mask >> 1 & 1):
-                pts["b"] = (("h", ix, iy), _interp(x0, y0, v[0], x1, y0, v[1], level))
-            if (mask >> 1 & 1) != (mask >> 2 & 1):
-                pts["r"] = (("v", ix + 1, iy), _interp(x1, y0, v[1], x1, y1, v[2], level))
-            if (mask >> 3 & 1) != (mask >> 2 & 1):
-                pts["t"] = (("h", ix, iy + 1), _interp(x0, y1, v[3], x1, y1, v[2], level))
-            if (mask & 1) != (mask >> 3 & 1):
-                pts["l"] = (("v", ix, iy), _interp(x0, y0, v[0], x0, y1, v[3], level))
-            ks = sorted(pts.keys())
-            if len(ks) == 2:
-                a, b = pts[ks[0]], pts[ks[1]]
+    iys, ixs = np.nonzero((code != 0) & (code != 15))
+    for iy, ix, mask in zip(iys.tolist(), ixs.tolist(), code[iys, ixs].tolist()):
+        v = (f[iy, ix], f[iy, ix + 1], f[iy + 1, ix + 1], f[iy + 1, ix])
+        x0, x1 = xs[ix], xs[ix + 1]
+        y0, y1 = ys[iy], ys[iy + 1]
+        # edge crossings: bottom, right, top, left
+        pts = {}
+        if (mask & 1) != (mask >> 1 & 1):
+            pts["b"] = (("h", ix, iy), _interp(x0, y0, v[0], x1, y0, v[1], level))
+        if (mask >> 1 & 1) != (mask >> 2 & 1):
+            pts["r"] = (("v", ix + 1, iy), _interp(x1, y0, v[1], x1, y1, v[2], level))
+        if (mask >> 3 & 1) != (mask >> 2 & 1):
+            pts["t"] = (("h", ix, iy + 1), _interp(x0, y1, v[3], x1, y1, v[2], level))
+        if (mask & 1) != (mask >> 3 & 1):
+            pts["l"] = (("v", ix, iy), _interp(x0, y0, v[0], x0, y1, v[3], level))
+        ks = sorted(pts.keys())
+        if len(ks) == 2:
+            a, b = pts[ks[0]], pts[ks[1]]
+            segs.append((a[0], a[1], b[0], b[1]))
+        elif len(ks) == 4:
+            # saddle: split by the cell-center value
+            center = 0.25 * sum(v)
+            if (center >= level) == bool(mask & 1):
+                pairs = (("b", "r"), ("t", "l"))
+            else:
+                pairs = (("b", "l"), ("t", "r"))
+            for ka, kb in pairs:
+                a, b = pts[ka], pts[kb]
                 segs.append((a[0], a[1], b[0], b[1]))
-            elif len(ks) == 4:
-                # saddle: split by the cell-center value
-                center = 0.25 * sum(v)
-                if (center >= level) == bool(mask & 1):
-                    pairs = (("b", "r"), ("t", "l"))
-                else:
-                    pairs = (("b", "l"), ("t", "r"))
-                for ka, kb in pairs:
-                    a, b = pts[ka], pts[kb]
-                    segs.append((a[0], a[1], b[0], b[1]))
     return _chain(segs)
 
 

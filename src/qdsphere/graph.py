@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WrongProvenance
+from .geom import crossing_counts
 from .qdiff import (
     CriticalPoint,
     QuadraticDifferential,
@@ -354,26 +355,4 @@ def _count_crossings(path: np.ndarray, transversal: np.ndarray,
     ty0, ty1 = transversal.imag.min(), transversal.imag.max()
     keep &= (np.minimum(A.real, B.real) <= tx1) & (np.maximum(A.real, B.real) >= tx0)
     keep &= (np.minimum(A.imag, B.imag) <= ty1) & (np.maximum(A.imag, B.imag) >= ty0)
-    A, B = A[keep], B[keep]
-    if len(A) == 0:
-        return 0
-    C, D = transversal[:-1], transversal[1:]
-
-    def cross(o, a, b):
-        return ((a.real - o.real) * (b.imag - o.imag)
-                - (a.imag - o.imag) * (b.real - o.real))
-
-    total = 0
-    chunk = 2048
-    for s in range(0, len(A), chunk):
-        a = A[s:s + chunk][:, None]
-        b = B[s:s + chunk][:, None]
-        c = C[None, :]
-        d = D[None, :]
-        d1 = cross(c, d, a)
-        d2 = cross(c, d, b)
-        d3 = cross(a, b, c)
-        d4 = cross(a, b, d)
-        proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
-        total += int(np.count_nonzero(proper))
-    return total
+    return int(crossing_counts(A[keep], B[keep], transversal).sum())

@@ -68,13 +68,13 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
     levels = [float(abs(p(z) / q(z))) for z in finite_cps]
 
     opts = TraceOptions.for_qd(qd)
-    opts.max_phi_length *= STREBEL_BUDGET_FACTOR
     x0, y0, x1, y1 = opts.window
     # sample inside the default window but trace in a wider one: a closed
     # lemniscate through an edge sample can bulge past the sampling box
     cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
     hw, hh = 4.0 * (x1 - cx), 4.0 * (y1 - cy)
-    opts.window = (cx - hw, cy - hh, cx + hw, cy + hh)
+    opts = opts.replace(max_phi_length=opts.max_phi_length * STREBEL_BUDGET_FACTOR,
+                        window=(cx - hw, cy - hh, cx + hw, cy + hh))
     rng = np.random.default_rng(seed)
     guards = [(c.location, qd.guard_radius(c.location))
               for c in qd.zeros + qd.poles]
@@ -119,7 +119,7 @@ def _cross_check(p, q, polylines, window, n):
     longest = max(polylines, key=len)
     idx = np.linspace(0, len(longest) - 2, CROSS_CHECK_POINTS).astype(int)
     opts = TraceOptions.for_qd(qd)
-    opts.max_phi_length = min(opts.max_phi_length, 40.0)
+    opts = opts.replace(max_phi_length=min(opts.max_phi_length, 40.0))
     for i in idx:
         z0 = complex(longest[i])
         ray = trace_horizontal(qd, z0, opts=opts)

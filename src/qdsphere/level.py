@@ -13,10 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction, WrongProvenance
+from .geom import crossing_counts, proper_crossings
 from .graph import Pairing
 from .qdiff import QuadraticDifferential, principal_sqrt, sqrt_panel_integrals
 
@@ -95,18 +97,6 @@ def _route_obstacles(qd: QuadraticDifferential) -> list[tuple[complex, float, st
     return obs
 
 
-def _cross(o, a, b):
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-
-def _proper_crossing(a, b, c, d) -> bool:
-    d1 = _cross(c, d, a)
-    d2 = _cross(c, d, b)
-    d3 = _cross(a, b, c)
-    d4 = _cross(a, b, d)
-    return d1 * d2 < 0.0 and d3 * d4 < 0.0
-
-
 def _segment_circle_hit(a: complex, b: complex, c: complex, r: float):
     """Smallest t in (0,1) where segment a->b enters the disk |z-c|<r."""
     d = b - a
@@ -150,70 +140,66 @@ def _route(start: complex, end: complex, obstacles, cuts, side: int) -> list[com
     """Polyline from start to end avoiding pole disks and cut crossings.
 
     Pole disks are rounded on the side given by `side`; cut ends are rounded
-    with the unique sweep that does not cross the cut itself.
+    with the unique sweep that does not cross the cut itself. Segments are
+    fixed in path order, one detour at a time.
     """
     path = [start, end]
+    i = 0   # segments before i are clear, and a detour at i leaves them as they are
     for _ in range(MAX_DETOURS):
-        fixed = False
-        for i in range(len(path) - 1):
-            a, b = path[i], path[i + 1]
-            # earliest obstacle-disk entry on this segment
-            best = None
-            for c, r, mode in obstacles:
-                if abs(a - c) <= r or abs(b - c) <= r:
-                    continue  # endpoints tangent-close: treat as passable
-                hit = _segment_circle_hit(a, b, c, r)
-                if hit is not None and (best is None or hit[0] < best[0]):
-                    best = (hit[0], hit[1], c, r, mode)
-            if best is not None:
-                t1, t2, c, r, mode = best
-                p1 = a + t1 * (b - a)
-                p2 = a + t2 * (b - a)
-                ccw = side > 0 if mode == "side" else True
-                pts = _arc(c, r, cmath.phase(p1 - c), cmath.phase(p2 - c), ccw=ccw)
-                path[i + 1:i + 1] = pts
-                fixed = True
-                break
-            # cut crossings: round the nearest end of the slit
-            hit_cut = None
-            for poly in cuts:
-                for j in range(len(poly) - 1):
-                    c0, c1 = complex(poly[j]), complex(poly[j + 1])
-                    if _proper_crossing(a, b, c0, c1):
-                        num_t = _cross(c0, c1, a)
-                        den_t = _cross(c0, c1, a) - _cross(c0, c1, b)
-                        t = num_t / den_t if den_t != 0 else 0.5
-                        x = a + t * (b - a)
-                        if hit_cut is None or t < hit_cut[0]:
-                            hit_cut = (t, x, poly)
-            if hit_cut is not None:
-                _t, x, poly = hit_cut
-                e0, e1 = complex(poly[0]), complex(poly[-1])
-                e, nb = (e0, complex(poly[1])) if abs(x - e0) <= abs(x - e1) \
-                    else (e1, complex(poly[-2]))
-                r = max(abs(x - e) * 1.5, 1e-12)
-                # round the slit end outside any obstacle disk sitting on it
-                for c, ro, _mode in obstacles:
-                    if abs(c - e) < ro:
-                        r = max(r, 1.25 * ro)
-                th1 = cmath.phase(a - e)
-                th2 = cmath.phase(b - e)
-                thc = cmath.phase(nb - e)   # direction the slit leaves e
-                ccw_pts = _arc(e, r, th1, th2, True)
-                cw_pts = _arc(e, r, th1, th2, False)
-                # pick the sweep whose angular range avoids the slit direction
-                def hits_slit(ccw):
-                    lo, hi = (th1, th2) if ccw else (th2, th1)
-                    span = (hi - lo) % (2 * math.pi)
-                    rel = (thc - lo) % (2 * math.pi)
-                    return rel <= span
-                pts = cw_pts if hits_slit(True) else ccw_pts
-                path[i + 1:i + 1] = pts
-                fixed = True
-                break
-        if not fixed:
+        while i < len(path) - 1 and not _detour(path, i, obstacles, cuts, side):
+            i += 1
+        if i == len(path) - 1:
             return path
     raise PathBlocked(f"no route from {start} to {end} after {MAX_DETOURS} detours")
+
+
+def _detour(path: list[complex], i: int, obstacles, cuts, side: int) -> bool:
+    """Insert a detour after path[i] around the first obstacle disk or cut
+    that the segment path[i] -> path[i + 1] runs into; False when it is clear."""
+    a, b = path[i], path[i + 1]
+    # earliest obstacle-disk entry on this segment
+    best = None
+    for c, r, mode in obstacles:
+        if abs(a - c) <= r or abs(b - c) <= r:
+            continue  # endpoints tangent-close: treat as passable
+        hit = _segment_circle_hit(a, b, c, r)
+        if hit is not None and (best is None or hit[0] < best[0]):
+            best = (hit[0], hit[1], c, r, mode)
+    if best is not None:
+        t1, t2, c, r, mode = best
+        p1 = a + t1 * (b - a)
+        p2 = a + t2 * (b - a)
+        ccw = side > 0 if mode == "side" else True
+        path[i + 1:i + 1] = _arc(c, r, cmath.phase(p1 - c), cmath.phase(p2 - c), ccw=ccw)
+        return True
+    # cut crossings: round the nearest end of the slit; on equal t the
+    # first crossing in cut and segment order wins
+    hit_cut = None
+    for poly in cuts:
+        for t in proper_crossings(a, b, poly):
+            t = float(t)
+            if hit_cut is None or t < hit_cut[0]:
+                hit_cut = (t, poly)
+    if hit_cut is None:
+        return False
+    t, poly = hit_cut
+    x = a + t * (b - a)
+    e0, e1 = complex(poly[0]), complex(poly[-1])
+    e, nb = (e0, complex(poly[1])) if abs(x - e0) <= abs(x - e1) \
+        else (e1, complex(poly[-2]))
+    r = max(abs(x - e) * 1.5, 1e-12)
+    # round the slit end outside any obstacle disk sitting on it
+    for c, ro, _mode in obstacles:
+        if abs(c - e) < ro:
+            r = max(r, 1.25 * ro)
+    th1 = cmath.phase(a - e)
+    th2 = cmath.phase(b - e)
+    thc = cmath.phase(nb - e)   # direction the slit leaves e
+    # pick the sweep whose angular range avoids the slit direction
+    span = (th2 - th1) % (2 * math.pi)
+    ccw_hits_slit = (thc - th1) % (2 * math.pi) <= span
+    path[i + 1:i + 1] = _arc(e, r, th1, th2, not ccw_hits_slit)
+    return True
 
 
 def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
@@ -273,24 +259,41 @@ def _seed_probe(qd, base: complex, cuts) -> complex:
     return base + r0 * cmath.exp(1j * best)
 
 
-def _level_eval(qd, p, q, base, cuts, pole_obs, route_obs, z: complex):
+class _LevelSetup:
+    """What every sample of one level evaluation shares: the integrand, the
+    obstacles, the singular set and the seed probe near the base, with the
+    base -> probe leg integrated once, on first use."""
+
+    def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
+        self.p, self.q = _pq_of(qd)
+        self.base = base
+        self.cuts = cuts
+        self.pole_obs = _obstacles(qd)
+        self.route_obs = _route_obstacles(qd)
+        self.singular = [c.location for c in qd.poles] + [c.location for c in qd.zeros]
+        # target-independent first leg: the branch seed must not depend on z,
+        # or targets on opposite sides of a cut get opposite global signs
+        self.probe = _seed_probe(qd, base, cuts)
+
+    @cached_property
+    def leg(self) -> tuple[complex, complex]:
+        """Integral over base -> probe and the branch hint at the probe."""
+        return _integrate(self.p, self.q, [self.base, self.probe], None, self.singular)
+
+
+def _level_eval(s: _LevelSetup, z: complex):
     """Level value at z plus the two-path disagreement of the imaginary part."""
     z = complex(z)
-    for c, r in pole_obs:
+    for c, r in s.pole_obs:
         if abs(z - c) < r:
             raise GuardViolation(f"{z} lies inside the pole neighborhood of {c}")
-    if z == base:
+    if z == s.base:
         return 0.0, 0.0
-    singular = [c.location for c in qd.poles] + [c.location for c in qd.zeros]
-    # target-independent first leg: the branch seed must not depend on z,
-    # or targets on opposite sides of a cut get opposite global signs
-    probe = _seed_probe(qd, base, cuts)
-    first = [base, probe]
-    leg, hint0 = _integrate(p, q, first, None, singular)
+    leg, hint0 = s.leg
     vals = []
     for side in (1, -1):
-        path = _route(probe, z, route_obs, cuts, side)
-        seg, _ = _integrate(p, q, path, hint0, singular)
+        path = _route(s.probe, z, s.route_obs, s.cuts, side)
+        seg, _ = _integrate(s.p, s.q, path, hint0, s.singular)
         vals.append((leg + seg).imag)
     gap = abs(vals[0] - vals[1])
     return vals[0], gap
@@ -304,11 +307,8 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     well defined. A PairingFailure or None pairing is accepted with no
     cuts, which is the diagnostic mode for exactly that situation.
     """
-    p, q = _pq_of(qd)
-    base = _base_point(qd, pairing)
-    cuts = _cuts_of(qd, pairing)
-    val, gap = _level_eval(qd, p, q, base, cuts, _obstacles(qd),
-                           _route_obstacles(qd), z)
+    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(qd, pairing))
+    val, gap = _level_eval(setup, z)
     if gap > GAP_REL_TOL * (1.0 + abs(val)):
         raise ResidueObstruction(
             f"level function path-dependent at {z}: two-path gap {gap:.6e}",
@@ -320,11 +320,7 @@ def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField
     """Sample level_function on an n x n grid; pole neighborhoods masked."""
     x0, y0, x1, y1 = (float(v) for v in window)
     n = int(n)
-    p, q = _pq_of(qd)
-    base = _base_point(qd, pairing)
-    cuts = _cuts_of(qd, pairing)
-    pole_obs = _obstacles(qd)
-    route_obs = _route_obstacles(qd)
+    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(qd, pairing))
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     grid = np.zeros((n, n), dtype=float)
@@ -332,16 +328,16 @@ def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
             z = complex(x, y)
-            if any(abs(z - c) < r for c, r in pole_obs):
+            if any(abs(z - c) < r for c, r in setup.pole_obs):
                 mask[iy, ix] = True
                 continue
-            val, gap = _level_eval(qd, p, q, base, cuts, pole_obs, route_obs, z)
+            val, gap = _level_eval(setup, z)
             if gap > GAP_REL_TOL * (1.0 + abs(val)):
                 raise ResidueObstruction(
                     f"level grid path-dependent at {z}: gap {gap:.6e}",
                     gap=gap, at=z)
             grid[iy, ix] = val
-    return LevelField(base, cuts, grid, (x0, y0, x1, y1), mask, n)
+    return LevelField(setup.base, setup.cuts, grid, (x0, y0, x1, y1), mask, n)
 
 
 def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> VerificationReport:
@@ -355,9 +351,7 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
     """
     if not rays:
         raise EmptyLevel("verification needs at least one ray")
-    p, q = _pq_of(qd)
-    pole_obs = _obstacles(qd)
-    route_obs = _route_obstacles(qd)
+    setup = _LevelSetup(qd, field.base_point, field.cuts)
 
     ray_stats = []
     ok_ii = True
@@ -368,10 +362,9 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
         vals = []
         for z in pts[take]:
             z = complex(z)
-            if any(abs(z - c) < r for c, r in pole_obs):
+            if any(abs(z - c) < r for c, r in setup.pole_obs):
                 continue
-            v, _gap = _level_eval(qd, p, q, field.base_point, field.cuts,
-                                  pole_obs, route_obs, z)
+            v, _gap = _level_eval(setup, z)
             vals.append(v)
         if len(vals) < 2:
             ok_ii = False
@@ -403,18 +396,22 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
     hy = (y1 - y0) / max(n - 1, 1)
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
+    zs = np.empty((n, n), dtype=complex)
+    zs.real, zs.imag = xs[None, :], ys[:, None]
+    # neighbour pairs split by a cut: along x from (iy, ix), along y from (iy, ix)
+    cut_x = _crosses_cut(zs[:, :-1], zs[:, 1:], field.cuts)
+    cut_y = _crosses_cut(zs[:-1, :], zs[1:, :], field.cuts)
+    p, q = setup.p, setup.q
     worst = 0.0
     for iy in range(n):
         for ix in range(n):
             if m[iy, ix]:
                 continue
             za = complex(xs[ix], ys[iy])
-            for jy, jx, h in ((iy, ix + 1, hx), (iy + 1, ix, hy)):
-                if jy >= n or jx >= n or m[jy, jx]:
+            for jy, jx, h, split in ((iy, ix + 1, hx, cut_x), (iy + 1, ix, hy, cut_y)):
+                if jy >= n or jx >= n or m[jy, jx] or split[iy, ix]:
                     continue
                 zb = complex(xs[jx], ys[jy])
-                if any(_crosses_cut(za, zb, cut) for cut in field.cuts):
-                    continue
                 ga = abs(principal_sqrt(p(za)) / q(za))
                 gb = abs(principal_sqrt(p(zb)) / q(zb))
                 bound = 4.0 * h * max(ga, gb)
@@ -429,8 +426,10 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
          "continuity_worst_ratio": worst})
 
 
-def _crosses_cut(a: complex, b: complex, cut) -> bool:
-    for j in range(len(cut) - 1):
-        if _proper_crossing(a, b, complex(cut[j]), complex(cut[j + 1])):
-            return True
-    return False
+def _crosses_cut(a: np.ndarray, b: np.ndarray, cuts) -> np.ndarray:
+    """Whether each segment a -> b (arrays of one shape) properly crosses
+    some cut."""
+    hit = np.zeros(a.size, dtype=bool)
+    for cut in cuts:
+        hit |= crossing_counts(a.ravel(), b.ravel(), cut) > 0
+    return hit.reshape(a.shape)

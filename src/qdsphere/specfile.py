@@ -102,12 +102,7 @@ def parse_obj(obj) -> InputSpec:
 
     window = None
     if obj.get("window") is not None:
-        w = obj["window"]
-        if not isinstance(w, list) or len(w) != 4 or not all(map(_is_number, w)):
-            raise SchemaError("window", "expected [x0, y0, x1, y1] of finite numbers")
-        if not (w[0] < w[2] and w[1] < w[3]):
-            raise SchemaError("window", "expected x0 < x1 and y0 < y1")
-        window = tuple(float(v) for v in w)
+        window = parse_window(obj["window"], "window")
 
     seeds = []
     for i, s in enumerate(obj.get("seeds", []) or []):
@@ -137,6 +132,15 @@ def parse_obj(obj) -> InputSpec:
     if extra_top:
         raise SchemaError("$", f"unknown fields {sorted(extra_top)}")
     return InputSpec(kind, polys, sign, window, seeds, budgets)
+
+
+def parse_window(w, where: str) -> tuple:
+    """A window [x0, y0, x1, y1] of finite numbers with x0 < x1 and y0 < y1."""
+    if not isinstance(w, (list, tuple)) or len(w) != 4 or not all(map(_is_number, w)):
+        raise SchemaError(where, "expected [x0, y0, x1, y1] of finite numbers")
+    if not (w[0] < w[2] and w[1] < w[3]):
+        raise SchemaError(where, "expected x0 < x1 and y0 < y1")
+    return tuple(float(v) for v in w)
 
 
 def parse_max_steps(v, where: str) -> int:

@@ -11,6 +11,7 @@ over a critical point nor wind phi by more than a fraction of a turn.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -57,7 +58,7 @@ _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-@dataclass
+@dataclass(frozen=True)
 class TraceOptions:
     max_phi_length: float
     window: tuple[float, float, float, float]
@@ -91,10 +92,7 @@ class TraceOptions:
         )
 
     def replace(self, **kw) -> "TraceOptions":
-        d = dict(max_phi_length=self.max_phi_length, window=self.window,
-                 snap_radius=self.snap_radius, rk_tol=self.rk_tol, max_steps=self.max_steps)
-        d.update(kw)
-        return TraceOptions(**d)
+        return dataclasses.replace(self, **kw)
 
 
 @dataclass(frozen=True)

@@ -172,6 +172,57 @@ def test_non_integer_env_max_steps_rejected(tmp_path, capsys, monkeypatch):
     _rejected(tmp_path, capsys, SEGMENT, "QD_MAX_STEPS")
 
 
+LEMNISCATE = {
+    "format_version": 1,
+    "lemniscate": {"p": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[1.0, 0.0]]},
+}
+
+
+def _flag_rejected(tmp_path, capsys, command, spec, flags, field):
+    # bad flag values end as a SchemaError with exit 1 and write no output
+    out = tmp_path / "out"
+    assert run([command, write_spec(tmp_path, spec), "--out", str(out)] + flags) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field}: expected") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_lemniscate_negative_level_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level=-1"], "--level")
+
+
+def test_lemniscate_zero_level_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "0"], "--level")
+
+
+def test_lemniscate_nan_level_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "nan"], "--level")
+
+
+def test_render_nan_window_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--window=nan,0,1,1"], "--window")
+
+
+def test_render_degenerate_window_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--window=1,1,1,1"], "--window")
+
+
+def test_render_negative_grid_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--grid=-1"], "--grid")
+
+
+def test_level_negative_grid_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid=-3"], "--grid")
+
+
+def test_level_zero_grid_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "0"], "--grid")
+
+
+def test_level_one_point_grid_rejected(tmp_path, capsys):
+    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1"], "--grid")
+
+
 # ---------------------------------------------------------------- analyze
 
 
@@ -337,11 +388,8 @@ def test_level_requires_pq_form(tmp_path, capsys):
 
 
 def test_lemniscate_svg(tmp_path):
-    spec = {"format_version": 1,
-            "lemniscate": {"p": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
-                           "q": [[1.0, 0.0]]}}
     out = str(tmp_path / "lem.svg")
-    assert run(["lemniscate", write_spec(tmp_path, spec), "--out", out]) == 0
+    assert run(["lemniscate", write_spec(tmp_path, LEMNISCATE), "--out", out]) == 0
     root = ET.parse(out).getroot()
     assert root.tag.endswith("svg")
     kinds = {el.get("class") for el in root.iter() if el.get("class")}

@@ -113,6 +113,18 @@ def test_level_two_calls_identical():
         assert level_function(qd, pairing, z) == level_function(qd, pairing, z)
 
 
+def test_grid_shares_leg_with_pointwise_values():
+    # the grid integrates the base -> probe leg once for all samples; every
+    # sample must still equal its own level_function call exactly
+    qd, pairing = segment_setup()
+    field = level_grid(qd, pairing, (-3.0, -2.5, 3.0, 2.5), 7)
+    xs = np.linspace(-3.0, 3.0, 7)
+    ys = np.linspace(-2.5, 2.5, 7)
+    for iy, y in enumerate(ys):
+        for ix, x in enumerate(xs):
+            assert field.grid[iy, ix] == level_function(qd, pairing, complex(x, y))
+
+
 def test_residue_obstruction_detected():
     # p = z^2 - 1, q = z - 2: sqrt(p)/q carries residue sqrt(3) at 2, so
     # the two homotopy probes must disagree by 2 pi sqrt(3)
