@@ -4,13 +4,17 @@ lemniscate, cauchy. JSON in, JSON/SVG out, deterministic for a fixed seed.
 Exit codes: 0 when a certificate or supported verdict exists, 10 when
 everything is inconclusive (or a pairing / short-trajectory prerequisite
 fails), 20 when a recurrent trajectory is suspected, 1 on errors.
+
+Each subparser names its command function (`run`) and the input form it
+requires (`form`); `main` checks the flags and the form, builds the
+differential and the trace options, runs the command and writes what it
+returns: a dict as a JSON report, a string (SVG) as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -19,13 +23,13 @@ import numpy as np
 from . import __version__
 from .errors import QdError, ResidueObstruction, SchemaError
 from .criteria import overall_verdict, run_all, CERTIFIED, SUPPORTED
-from .graph import (Pairing, PairingFailure, build_critical_graph,
-                    detect_recurrence, pair_zeros_by_short_trajectories,
-                    K_MIN_DEFAULT)
+from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
+                    pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import critical_points, measure_mass, order_at_infinity
-from .specfile import build_qd, parse_input, parse_max_steps, parse_window
+from .specfile import (build_qd, parse_input, parse_max_steps, parse_positive,
+                       parse_window)
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -51,10 +55,8 @@ def _jsonable(v):
     return v
 
 
-def _write_json(path: str, obj) -> None:
-    text = json.dumps(_jsonable(obj), sort_keys=True, indent=2)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
+def _report(**fields) -> dict:
+    return {"format_version": 1, "tool_version": __version__, **fields}
 
 
 def _options(qd, spec, args) -> TraceOptions:
@@ -74,7 +76,7 @@ def _options(qd, spec, args) -> TraceOptions:
             kw["max_steps"] = parse_max_steps(int(env), "QD_MAX_STEPS")
         except ValueError:
             raise SchemaError("QD_MAX_STEPS", f"expected a positive integer, got {env!r}") from None
-    if getattr(args, "rk_tol", None) is not None:
+    if args.rk_tol is not None:
         kw["rk_tol"] = args.rk_tol
     return TraceOptions.for_qd(qd, **kw)
 
@@ -88,12 +90,23 @@ def _tolerances(opts: TraceOptions) -> dict:
 def _cp_row(cp) -> dict:
     return {"at": None if cp.at.is_infinite else [cp.at.value.real, cp.at.value.imag],
             "order": cp.signed_order,
-            "quadratic_residue": _jsonable(cp.quadratic_residue)}
+            "quadratic_residue": cp.quadratic_residue}
 
 
-def cmd_analyze(spec, out_path, args) -> int:
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
+def _criteria_rows(verdicts) -> list:
+    return [{"criterion": v.criterion, "verdict": v.verdict, "evidence": v.evidence}
+            for v in verdicts]
+
+
+def _clear_of_critical(qd, zs) -> list:
+    """The points of zs outside 10 guard radii of every zero and pole."""
+    guard = [(c.location, 10 * qd.guard_radius(c.location))
+             for c in qd.zeros + qd.poles]
+    return [z for z in zs if not any(abs(z - g) < r for g, r in guard)]
+
+
+def cmd_analyze(spec, qd, opts, args):
+    spec.seeds.extend(args.seed)
     cps = critical_points(qd)
     graph = build_critical_graph(qd, opts)
     shorts = [e for e in graph.edges if e.is_short]
@@ -112,125 +125,100 @@ def cmd_analyze(spec, out_path, args) -> int:
             "work": rep.ray.work,
         })
 
-    report = {
-        "format_version": 1,
-        "tool_version": __version__,
-        "input": spec.defaults_echo(),
-        "order_at_infinity": order_at_infinity(qd),
-        "critical_points": [_cp_row(c) for c in cps],
-        "edges": [{
+    report = _report(
+        input=spec.defaults_echo(),
+        order_at_infinity=order_at_infinity(qd),
+        critical_points=[_cp_row(c) for c in cps],
+        edges=[{
             "from": e.from_node, "to": e.to_node,
-            "phi_length": _jsonable(e.phi_length), "short": e.is_short,
+            "phi_length": e.phi_length, "short": e.is_short,
             "points": len(e.polyline),
         } for e in graph.edges],
-        "short_trajectories": [{
+        short_trajectories=[{
             "from": e.from_node, "to": e.to_node,
             "phi_length": e.phi_length,
-            "polyline": [_jsonable(complex(z)) for z in e.polyline[:: max(1, len(e.polyline) // 64)]],
+            "polyline": [complex(z) for z in e.polyline[:: max(1, len(e.polyline) // 64)]],
         } for e in shorts],
-        "unresolved_rays": len(graph.unresolved),
-        "criteria": [{"criterion": v.criterion, "verdict": v.verdict,
-                      "evidence": v.evidence} for v in verdicts],
-        "overall": overall_verdict(verdicts),
-        "recurrence": recurrence,
-        "timings": {"unit": "integrator_steps", "graph": graph.work,
-                    "recurrence": [r["work"] for r in recurrence]},
-        "tolerances": _tolerances(opts),
-    }
-    _write_json(out_path, report)
+        unresolved_rays=len(graph.unresolved),
+        criteria=_criteria_rows(verdicts),
+        overall=overall_verdict(verdicts),
+        recurrence=recurrence,
+        timings={"unit": "integrator_steps", "graph": graph.work,
+                 "recurrence": [r["work"] for r in recurrence]},
+        tolerances=_tolerances(opts),
+    )
     if any(r["verdict"] == "SuspectedRecurrent" for r in recurrence):
-        return EXIT_RECURRENT
+        return EXIT_RECURRENT, report
     if report["overall"] in (CERTIFIED, SUPPORTED):
-        return EXIT_OK
-    return EXIT_INCONCLUSIVE
+        return EXIT_OK, report
+    return EXIT_INCONCLUSIVE, report
 
 
-def cmd_criteria(spec, args) -> int:
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
+def cmd_criteria(spec, qd, opts, args):
     verdicts = run_all(qd, opts)
-    out = {"format_version": 1, "tool_version": __version__,
-           "criteria": [{"criterion": v.criterion, "verdict": v.verdict,
-                         "evidence": v.evidence} for v in verdicts],
-           "overall": overall_verdict(verdicts)}
-    print(json.dumps(_jsonable(out), sort_keys=True, indent=2))
-    return EXIT_OK if out["overall"] in (CERTIFIED, SUPPORTED) else EXIT_INCONCLUSIVE
+    overall = overall_verdict(verdicts)
+    code = EXIT_OK if overall in (CERTIFIED, SUPPORTED) else EXIT_INCONCLUSIVE
+    return code, _report(criteria=_criteria_rows(verdicts), overall=overall)
 
 
-def cmd_trace(spec, z0, length, out_path, args) -> int:
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
-    if length is not None:
-        opts = opts.replace(max_phi_length=float(length))
+def cmd_trace(spec, qd, opts, args):
+    z0 = args.from_
+    if args.length is not None:
+        opts = opts.replace(max_phi_length=args.length)
     ray = trace_horizontal(qd, z0, opts=opts)
-    _write_json(out_path, {
-        "format_version": 1,
-        "tool_version": __version__,
-        "seed": [z0.real, z0.imag],
-        "points": [_jsonable(complex(z)) for z in ray.points],
-        "taus": [float(t) for t in ray.taus],
-        "phi_length": ray.phi_length,
-        "imag_drift": ray.imag_drift,
-        "termination": {"kind": ray.termination.kind,
-                        "cp_index": ray.termination.cp_index,
-                        "incoming_angle": ray.termination.incoming_angle},
-        "work": ray.work,
-        "tolerances": _tolerances(opts),
-    })
-    return EXIT_OK
+    return EXIT_OK, _report(
+        seed=[z0.real, z0.imag],
+        points=[complex(z) for z in ray.points],
+        taus=[float(t) for t in ray.taus],
+        phi_length=ray.phi_length,
+        imag_drift=ray.imag_drift,
+        termination={"kind": ray.termination.kind,
+                     "cp_index": ray.termination.cp_index,
+                     "incoming_angle": ray.termination.incoming_angle},
+        work=ray.work,
+        tolerances=_tolerances(opts),
+    )
 
 
-def cmd_render(spec, out_svg, window, grid_n, args) -> int:
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
-    win = window or spec.window or opts.window
+def cmd_render(spec, qd, opts, args):
+    """The trajectory picture; for a lemniscate form input, its level curves."""
+    win = args.window or spec.window or opts.window
     canvas = SvgCanvas(win)
-
     if spec.kind == "lemniscate":
-        _render_lemniscate(spec, qd, canvas, win, None)
-    else:
-        if grid_n:
-            _render_background(qd, canvas, win, grid_n, opts)
-        graph = build_critical_graph(qd, opts)
-        for e in graph.edges:
-            if not e.is_short:
-                canvas.polyline(e.polyline, "traj")
-        for ray in graph.unresolved:
-            take = max(1, len(ray.points) // 4000)
-            canvas.polyline(np.asarray(ray.points)[::take], "traj")
-        for e in graph.edges:
-            if e.is_short:
-                canvas.polyline(e.polyline, "short")
-        _render_markers(qd, canvas)
-    with open(out_svg, "w") as fh:
-        fh.write(canvas.text())
-    return EXIT_OK
-
-
-def _render_markers(qd, canvas):
+        _render_lemniscate(spec, canvas, win, args.level)
+        return EXIT_OK, canvas.text()
+    if args.grid:
+        _render_background(qd, canvas, win, args.grid, opts)
+    graph = build_critical_graph(qd, opts)
+    for e in graph.edges:
+        if not e.is_short:
+            canvas.polyline(e.polyline, "traj")
+    for ray in graph.unresolved:
+        take = max(1, len(ray.points) // 4000)
+        canvas.polyline(np.asarray(ray.points)[::take], "traj")
+    for e in graph.edges:
+        if e.is_short:
+            canvas.polyline(e.polyline, "short")
     for c in qd.zeros:
         canvas.dot(c.location, "zero")
     for c in qd.poles:
         canvas.cross(c.location, "pole")
+    return EXIT_OK, canvas.text()
 
 
 def _render_background(qd, canvas, win, n, opts):
     x0, y0, x1, y1 = win
-    guard = [(c.location, 10 * qd.guard_radius(c.location))
-             for c in qd.zeros + qd.poles]
     bg_opts = opts.replace(max_phi_length=min(opts.max_phi_length, 60.0))
-    for y in np.linspace(y0, y1, n + 2)[1:-1]:
-        for x in np.linspace(x0, x1, n + 2)[1:-1]:
-            z = complex(x, y)
-            if any(abs(z - g) < r for g, r in guard):
-                continue
-            for orientation in (1, -1):
-                ray = trace_horizontal(qd, z, orientation, bg_opts)
-                take = max(1, len(ray.points) // 400)
-                canvas.polyline(np.asarray(ray.points)[::take], "bg")
+    grid = [complex(x, y) for y in np.linspace(y0, y1, n + 2)[1:-1]
+            for x in np.linspace(x0, x1, n + 2)[1:-1]]
+    for z in _clear_of_critical(qd, grid):
+        for orientation in (1, -1):
+            ray = trace_horizontal(qd, z, orientation, bg_opts)
+            take = max(1, len(ray.points) // 400)
+            canvas.polyline(np.asarray(ray.points)[::take], "bg")
 
 
-def _render_lemniscate(spec, qd, canvas, win, level):
+def _render_lemniscate(spec, canvas, win, level):
     p, q = spec.polys["p"], spec.polys["q"]
     rep = analyze_lemniscate(p, q, 0)
     main = level if level is not None else (
@@ -250,24 +238,7 @@ def _render_lemniscate(spec, qd, canvas, win, level):
             canvas.cross(b, "pole")
 
 
-def cmd_lemniscate(spec, level, out_svg, args) -> int:
-    if spec.kind != "lemniscate":
-        raise SchemaError("$", "the lemniscate command needs a lemniscate form input")
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
-    win = spec.window or opts.window
-    canvas = SvgCanvas(win)
-    _render_lemniscate(spec, qd, canvas, win, level)
-    with open(out_svg, "w") as fh:
-        fh.write(canvas.text())
-    return EXIT_OK
-
-
-def cmd_level(spec, out_path, grid_n, args) -> int:
-    if spec.kind != "p_over_q_squared":
-        raise SchemaError("$", "the level command needs a p_over_q_squared form input")
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
+def cmd_level(spec, qd, opts, args):
     win = spec.window or opts.window
     pairing = pair_zeros_by_short_trajectories(qd, opts)
 
@@ -281,55 +252,42 @@ def cmd_level(spec, out_path, grid_n, args) -> int:
             try:
                 level_function(qd, None, probe)
             except ResidueObstruction as e:
-                obstruction = {"gap": e.gap, "at": _jsonable(e.at)}
+                obstruction = {"gap": e.gap, "at": e.at}
                 break
             except QdError:
                 continue
-        _write_json(out_path, {
-            "format_version": 1,
-            "tool_version": __version__,
-            "pairing_failure": {"unmatched": pairing.unmatched,
-                                "locations": [_jsonable(z) for z in pairing.locations],
-                                "reason": pairing.reason},
-            "obstruction": obstruction,
-            "input": spec.defaults_echo(),
-        })
-        return EXIT_INCONCLUSIVE
+        return EXIT_INCONCLUSIVE, _report(
+            pairing_failure={"unmatched": pairing.unmatched,
+                             "locations": pairing.locations,
+                             "reason": pairing.reason},
+            obstruction=obstruction,
+            input=spec.defaults_echo(),
+        )
 
     try:
-        field = level_grid(qd, pairing, win, grid_n)
+        field = level_grid(qd, pairing, win, args.grid)
     except ResidueObstruction as e:
-        _write_json(out_path, {
-            "format_version": 1,
-            "tool_version": __version__,
-            "obstruction": {"gap": e.gap, "at": _jsonable(e.at)},
-            "input": spec.defaults_echo(),
-        })
-        return EXIT_INCONCLUSIVE
+        return EXIT_INCONCLUSIVE, _report(
+            obstruction={"gap": e.gap, "at": e.at},
+            input=spec.defaults_echo(),
+        )
 
-    rays = _level_rays(qd, spec, win, opts)
-    verification = verify_level(field, rays, qd)
-    rows = []
-    for iy in range(field.n):
-        rows.append([None if field.undefined_mask[iy, ix] else float(field.grid[iy, ix])
-                     for ix in range(field.n)])
-    _write_json(out_path, {
-        "format_version": 1,
-        "tool_version": __version__,
-        "base_point": _jsonable(field.base_point),
-        "window": list(field.window),
-        "n": field.n,
-        "grid": rows,
-        "cuts": [[_jsonable(complex(z)) for z in cut] for cut in field.cuts],
-        "pairing": {"pairs": pairing.pairs, "method": pairing.method},
-        "verification": {"passed_i": verification.passed_i,
-                         "passed_ii": verification.passed_ii,
-                         "passed_iii": verification.passed_iii,
-                         "details": _jsonable(verification.details)},
-        "input": spec.defaults_echo(),
-        "tolerances": _tolerances(opts),
-    })
-    return EXIT_OK
+    verification = verify_level(field, _level_rays(qd, spec, win, opts), qd)
+    return EXIT_OK, _report(
+        base_point=field.base_point,
+        window=list(field.window),
+        n=field.n,
+        grid=[[None if field.undefined_mask[iy, ix] else float(field.grid[iy, ix])
+               for ix in range(field.n)] for iy in range(field.n)],
+        cuts=[[complex(z) for z in cut] for cut in field.cuts],
+        pairing={"pairs": pairing.pairs, "method": pairing.method},
+        verification={"passed_i": verification.passed_i,
+                      "passed_ii": verification.passed_ii,
+                      "passed_iii": verification.passed_iii,
+                      "details": verification.details},
+        input=spec.defaults_echo(),
+        tolerances=_tolerances(opts),
+    )
 
 
 def _level_rays(qd, spec, win, opts):
@@ -338,34 +296,20 @@ def _level_rays(qd, spec, win, opts):
         x0, y0, x1, y1 = win
         ctr = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
         diag = complex(x1, y1) - ctr
-        guard = [(c.location, 10 * qd.guard_radius(c.location))
-                 for c in qd.zeros + qd.poles]
-        for t in np.linspace(0.3, 0.8, 12):
-            z = ctr + t * diag
-            if not any(abs(z - g) < r for g, r in guard):
-                seeds.append(z)
-            if len(seeds) == 3:
-                break
+        seeds = _clear_of_critical(qd, [ctr + t * diag for t in np.linspace(0.3, 0.8, 12)])[:3]
     return [trace_horizontal(qd, z, opts=opts) for z in seeds]
 
 
-def cmd_cauchy(spec, out_path, args) -> int:
-    if spec.kind != "cauchy":
-        raise SchemaError("$", "the cauchy command needs a cauchy form input")
-    qd = build_qd(spec)
-    opts = _options(qd, spec, args)
+def cmd_cauchy(spec, qd, opts, args):
     graph = build_critical_graph(qd, opts)
     shorts = [e for e in graph.edges if e.is_short]
     if not shorts:
-        _write_json(out_path, {
-            "format_version": 1,
-            "tool_version": __version__,
-            "error": "NoShortTrajectory",
-            "edges": [{"from": e.from_node, "to": e.to_node,
-                       "phi_length": _jsonable(e.phi_length)} for e in graph.edges],
-            "input": spec.defaults_echo(),
-        })
-        return EXIT_INCONCLUSIVE
+        return EXIT_INCONCLUSIVE, _report(
+            error="NoShortTrajectory",
+            edges=[{"from": e.from_node, "to": e.to_node,
+                    "phi_length": e.phi_length} for e in graph.edges],
+            input=spec.defaults_echo(),
+        )
     step = qd.diameter() / 2000.0
     components = []
     total = 0.0
@@ -379,16 +323,13 @@ def cmd_cauchy(spec, out_path, args) -> int:
             "mass": mass,
             "phi_length": e.phi_length,
         })
-    _write_json(out_path, {
-        "format_version": 1,
-        "tool_version": __version__,
-        "components": components,
-        "total_mass": total,
-        "support": sorted({tuple(pt) for c in components for pt in c["endpoints"]}),
-        "input": spec.defaults_echo(),
-        "tolerances": _tolerances(opts),
-    })
-    return EXIT_OK
+    return EXIT_OK, _report(
+        components=components,
+        total_mass=total,
+        support=sorted({tuple(pt) for c in components for pt in c["endpoints"]}),
+        input=spec.defaults_echo(),
+        tolerances=_tolerances(opts),
+    )
 
 
 def _xy_pair(text: str) -> complex:
@@ -407,16 +348,13 @@ def _window_arg(text: str):
 
 def _check_flags(args) -> None:
     """Reject flag values that parse but that no command can use."""
-    if args.command == "render":
-        if args.window is not None:
-            parse_window(args.window, "--window")
-        if args.grid < 0:
-            raise SchemaError("--grid", f"expected a non-negative integer, got {args.grid}")
-    elif args.command == "level" and args.grid < 2:
-        raise SchemaError("--grid", f"expected an integer of at least 2, got {args.grid}")
-    elif args.command == "lemniscate" and args.level is not None \
-            and not (math.isfinite(args.level) and args.level > 0.0):
-        raise SchemaError("--level", f"expected a positive finite number, got {args.level}")
+    for flag in ("rk_tol", "length", "level"):
+        if getattr(args, flag, None) is not None:
+            parse_positive(getattr(args, flag), "--" + flag.replace("_", "-"))
+    if getattr(args, "window", None) is not None:
+        parse_window(args.window, "--window")
+    if getattr(args, "grid", args.min_grid) < args.min_grid:
+        raise SchemaError("--grid", f"expected an integer of at least {args.min_grid}, got {args.grid}")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -428,35 +366,37 @@ def make_parser() -> argparse.ArgumentParser:
     common.add_argument("input")
     common.add_argument("--rk-tol", type=float, default=None,
                         help="integrator tolerance override")
+    common.set_defaults(form=None, min_grid=0)
+    to_file = argparse.ArgumentParser(add_help=False, parents=[common])
+    to_file.add_argument("--out", required=True)
 
-    pa = sub.add_parser("analyze", parents=[common])
-    pa.add_argument("--out", required=True)
+    pa = sub.add_parser("analyze", parents=[to_file])
     pa.add_argument("--seed", action="append", type=_xy_pair, default=[],
                     help="recurrence seed x,y (repeatable)")
+    pa.set_defaults(run=cmd_analyze)
 
-    pr = sub.add_parser("render", parents=[common])
-    pr.add_argument("--out", required=True)
+    pr = sub.add_parser("render", parents=[to_file])
     pr.add_argument("--window", type=_window_arg, default=None)
     pr.add_argument("--grid", type=int, default=0,
                     help="background trajectory field through an NxN seed grid")
+    pr.set_defaults(run=cmd_render, level=None)
 
-    pt = sub.add_parser("trace", parents=[common])
+    pt = sub.add_parser("trace", parents=[to_file])
     pt.add_argument("--from", dest="from_", required=True, type=_xy_pair)
     pt.add_argument("--length", type=float, default=None)
-    pt.add_argument("--out", required=True)
+    pt.set_defaults(run=cmd_trace)
 
-    sub.add_parser("criteria", parents=[common])
+    sub.add_parser("criteria", parents=[common]).set_defaults(run=cmd_criteria, out=None)
 
-    pl = sub.add_parser("level", parents=[common])
+    pl = sub.add_parser("level", parents=[to_file])
     pl.add_argument("--grid", type=int, default=65)
-    pl.add_argument("--out", required=True)
+    pl.set_defaults(run=cmd_level, form="p_over_q_squared", min_grid=2)
 
-    pm = sub.add_parser("lemniscate", parents=[common])
+    pm = sub.add_parser("lemniscate", parents=[to_file])
     pm.add_argument("--level", type=float, default=None)
-    pm.add_argument("--out", required=True)
+    pm.set_defaults(run=cmd_render, form="lemniscate", window=None)
 
-    pc = sub.add_parser("cauchy", parents=[common])
-    pc.add_argument("--out", required=True)
+    sub.add_parser("cauchy", parents=[to_file]).set_defaults(run=cmd_cauchy, form="cauchy")
     return top
 
 
@@ -465,22 +405,21 @@ def main(argv=None) -> int:
     try:
         _check_flags(args)
         spec = parse_input(args.input)
-        if args.command == "analyze":
-            spec.seeds.extend(args.seed)
-            return cmd_analyze(spec, args.out, args)
-        if args.command == "criteria":
-            return cmd_criteria(spec, args)
-        if args.command == "trace":
-            return cmd_trace(spec, args.from_, args.length, args.out, args)
-        if args.command == "render":
-            return cmd_render(spec, args.out, args.window, args.grid, args)
-        if args.command == "level":
-            return cmd_level(spec, args.out, args.grid, args)
-        if args.command == "lemniscate":
-            return cmd_lemniscate(spec, args.level, args.out, args)
-        if args.command == "cauchy":
-            return cmd_cauchy(spec, args.out, args)
-        raise SystemExit(2)
+        if args.form is not None and spec.kind != args.form:
+            raise SchemaError("$", f"the {args.command} command needs a {args.form} form input")
+        qd = build_qd(spec)
+        code, result = args.run(spec, qd, _options(qd, spec, args), args)
+        if isinstance(result, dict):
+            result = json.dumps(_jsonable(result), sort_keys=True, indent=2) + "\n"
+        if args.out is None:
+            sys.stdout.write(result)
+            return code
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(result)
+        except OSError as e:
+            raise SchemaError("--out", f"{args.out}: {e.strerror or e}") from e
+        return code
     except QdError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

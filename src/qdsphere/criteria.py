@@ -12,7 +12,6 @@ import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import WrongProvenance
 from .graph import (
     CriticalGraph,
     Pairing,
@@ -21,7 +20,7 @@ from .graph import (
     pair_zeros_by_short_trajectories,
 )
 from .polyalg import poly_roots
-from .qdiff import QuadraticDifferential, critical_points, principal_sqrt
+from .qdiff import QuadraticDifferential, critical_points, pq_form, principal_sqrt
 
 CERTIFIED = "CertifiedNoRecurrence"
 SUPPORTED = "NumericallySupported"
@@ -91,7 +90,7 @@ def _pairing_evidence(pairing) -> dict:
 
 def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     """Paired zeros must carry multiplicities of equal parity."""
-    _require_pq_form(qd)
+    pq_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
     if isinstance(pairing, PairingFailure):
         return CriterionVerdict("ParityPairs", INCONCLUSIVE, ev)
@@ -108,7 +107,7 @@ def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
 def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     """Each zero b of q must give a purely imaginary residue of sqrt(p)/q,
     computed as sqrt(p(b))/q'(b) and tested under both branch signs."""
-    p, q = _require_pq_form(qd)
+    p, q = pq_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
     qroots = poly_roots(q) if q.degree >= 1 else []
     if any(c.multiplicity > 1 for c in qroots):
@@ -133,12 +132,6 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     if all_imag and not isinstance(pairing, PairingFailure):
         return CriterionVerdict("ResidueCriterion", SUPPORTED, ev)
     return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
-
-
-def _require_pq_form(qd: QuadraticDifferential):
-    if qd.provenance is None or "p_eff" not in qd.provenance.polys:
-        raise WrongProvenance("criterion requires a p/q^2 style construction")
-    return qd.provenance.polys["p_eff"], qd.provenance.polys["q_eff"]
 
 
 @dataclass(frozen=True)

@@ -17,10 +17,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction, WrongProvenance
+from .errors import EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction
 from .geom import crossing_counts, proper_crossings
 from .graph import Pairing
-from .qdiff import QuadraticDifferential, principal_sqrt, sqrt_panel_integrals
+from .qdiff import QuadraticDifferential, pq_form, principal_sqrt, sqrt_panel_integrals
 
 GAP_REL_TOL = 1e-6
 OBSTACLE_FACTOR = 2.0
@@ -46,12 +46,6 @@ class VerificationReport:
     passed_ii: bool
     passed_iii: bool
     details: dict
-
-
-def _pq_of(qd: QuadraticDifferential):
-    if qd.provenance is None or "p_eff" not in qd.provenance.polys:
-        raise WrongProvenance("level function requires a p/q^2 style construction")
-    return qd.provenance.polys["p_eff"], qd.provenance.polys["q_eff"]
 
 
 def _base_point(qd: QuadraticDifferential, pairing) -> complex:
@@ -265,7 +259,7 @@ class _LevelSetup:
     base -> probe leg integrated once, on first use."""
 
     def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
-        self.p, self.q = _pq_of(qd)
+        self.p, self.q = pq_form(qd, "level function")
         self.base = base
         self.cuts = cuts
         self.pole_obs = _obstacles(qd)

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import (
     BranchAmbiguity,
     ConstantRational,
-    GuardViolation,
     NotCoprime,
     NotFiniteCritical,
     PoleOnPath,
@@ -81,18 +80,18 @@ class CriticalPoint:
         return self.signed_order <= -2
 
 
-@dataclass(frozen=True)
-class BranchState:
-    """Continuation record for the two-valued sqrt(phi); value semantics."""
-
-    last_point: complex
-    last_sqrt: complex
-
-
 @dataclass
 class _Provenance:
     kind: str
     polys: dict = field(default_factory=dict)
+
+
+def pq_form(qd: "QuadraticDifferential", what: str):
+    """(p, q) with phi = p / q^2, for a differential built from such a pair;
+    WrongProvenance, naming what needed them, for any other."""
+    if qd.provenance is None or "p_eff" not in qd.provenance.polys:
+        raise WrongProvenance(f"{what} requires a p/q^2 style construction")
+    return qd.provenance.polys["p_eff"], qd.provenance.polys["q_eff"]
 
 
 class QuadraticDifferential:
@@ -415,25 +414,6 @@ def sqrt_panel_integrals(a, b, radicand, divisor=None, hint: complex | None = No
         running[lo:hi] = np.cumsum(np.concatenate(([carry], seg * half)))[1:]
         carry = running[hi - 1]
     return running, hint
-
-
-def sqrt_phi_step(qd: QuadraticDifferential, z: complex,
-                  state: BranchState | None = None) -> tuple[complex, BranchState]:
-    """One branch-continuous evaluation of sqrt(phi) at z.
-
-    With no prior state the principal square root seeds the branch;
-    otherwise the sign closer to the previous value is kept. Points inside
-    a critical point's guard radius are rejected (GuardViolation) because
-    the branch becomes ill-conditioned there.
-    """
-    z = complex(z)
-    for cp in critical_points(qd):
-        if cp.at.is_infinite:
-            continue
-        if abs(z - cp.at.value) < qd.guard_radius(cp.at.value):
-            raise GuardViolation(f"{z} is within the guard radius of {cp.at.value}")
-    w = continue_sqrt(qd.phi(z), state.last_sqrt if state else None)
-    return w, BranchState(z, w)
 
 
 # -- constructors for the special families ------------------------------

@@ -116,13 +116,8 @@ def parse_obj(obj) -> InputSpec:
         raise SchemaError("budgets", "expected an object")
     for key in ("max_phi_length", "max_steps", "rk_tol"):
         if key in raw_budgets:
-            v = raw_budgets[key]
-            if key == "max_steps":
-                budgets[key] = parse_max_steps(v, f"budgets.{key}")
-                continue
-            if not _is_number(v) or v <= 0:
-                raise SchemaError(f"budgets.{key}", "expected a positive finite number")
-            budgets[key] = v
+            parse = parse_max_steps if key == "max_steps" else parse_positive
+            budgets[key] = parse(raw_budgets[key], f"budgets.{key}")
     unknown = set(raw_budgets) - {"max_phi_length", "max_steps", "rk_tol"}
     if unknown:
         raise SchemaError("budgets", f"unknown fields {sorted(unknown)}")
@@ -141,6 +136,13 @@ def parse_window(w, where: str) -> tuple:
     if not (w[0] < w[2] and w[1] < w[3]):
         raise SchemaError(where, "expected x0 < x1 and y0 < y1")
     return tuple(float(v) for v in w)
+
+
+def parse_positive(v, where: str):
+    """A positive finite number, not a bool; returned as given."""
+    if not _is_number(v) or v <= 0:
+        raise SchemaError(where, f"expected a positive finite number, got {v!r}")
+    return v
 
 
 def parse_max_steps(v, where: str) -> int:

@@ -4,7 +4,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import qdsphere.cli
+from qdsphere import __version__
 from qdsphere.cli import main
+from qdsphere.errors import ResidueObstruction
 
 FIG_WINDING = {
     "format_version": 1,
@@ -221,6 +224,93 @@ def test_level_zero_grid_rejected(tmp_path, capsys):
 
 def test_level_one_point_grid_rejected(tmp_path, capsys):
     _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1"], "--grid")
+
+
+# a step budget keeps a run that wrongly accepts the flag short
+SEGMENT_SHORT_BUDGET = dict(SEGMENT, budgets={"max_steps": 2000})
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_trace_bad_rk_tol_rejected(tmp_path, capsys, value):
+    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
+                   ["--from", "0.5,0.5", f"--rk-tol={value}"], "--rk-tol")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
+def test_trace_bad_length_rejected(tmp_path, capsys, value):
+    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
+                   ["--from", "0.5,0.5", f"--length={value}"], "--length")
+
+
+def test_unwritable_out_is_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "ray.json"
+    assert run(["trace", write_spec(tmp_path, CIRCLE), "--from", "1,0",
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --out: ") and "Traceback" not in err
+
+
+# ---------------------------------------------------------------- report envelopes
+
+ENVELOPE = {"format_version", "tool_version"}
+LEVEL_PAIRING_FAILURE = {
+    "format_version": 1,
+    "p_over_q_squared": {"p": [[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+                         "q": [[-2.0, 0.0], [1.0, 0.0]]}}
+CAUCHY_NO_SHORT = {
+    "format_version": 1,
+    "cauchy": {"p": [[1.0, 0.0]], "q": [[0.0, 0.0], [-1.0, 0.0]], "r": [[0.0, 0.0]]}}
+REPORTS = {
+    "analyze": ("analyze", SEGMENT, [], 0,
+                {"input", "order_at_infinity", "critical_points", "edges",
+                 "short_trajectories", "unresolved_rays", "criteria", "overall",
+                 "recurrence", "timings", "tolerances"}),
+    "trace": ("trace", CIRCLE, ["--from", "1,0"], 0,
+              {"seed", "points", "taus", "phi_length", "imag_drift", "termination",
+               "work", "tolerances"}),
+    "level_ok": ("level", SEGMENT, ["--grid", "6"], 0,
+                 {"base_point", "window", "n", "grid", "cuts", "pairing",
+                  "verification", "input", "tolerances"}),
+    "level_pairing_failure": ("level", LEVEL_PAIRING_FAILURE, ["--grid", "6"], 10,
+                              {"pairing_failure", "obstruction", "input"}),
+    "cauchy_ok": ("cauchy", SEMICIRCLE, [], 0,
+                  {"components", "total_mass", "support", "input", "tolerances"}),
+    "cauchy_no_short_trajectory": ("cauchy", CAUCHY_NO_SHORT, [], 10,
+                                   {"error", "edges", "input"}),
+}
+
+
+def _report_of(tmp_path, command, spec, flags, code):
+    out = tmp_path / "report.json"
+    assert run([command, write_spec(tmp_path, spec), "--out", str(out)] + flags) == code
+    text = out.read_text()
+    doc = json.loads(text)
+    assert doc["format_version"] == 1 and doc["tool_version"] == __version__
+    assert text == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return doc
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_keys_and_exit_code(tmp_path, name):
+    command, spec, flags, code, keys = REPORTS[name]
+    assert set(_report_of(tmp_path, command, spec, flags, code)) == ENVELOPE | keys
+
+
+def test_criteria_report_keys_and_exit_code(tmp_path, capsys):
+    assert run(["criteria", write_spec(tmp_path, CIRCLE)]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert set(doc) == ENVELOPE | {"criteria", "overall"}
+    assert doc["format_version"] == 1 and doc["tool_version"] == __version__
+
+
+def test_level_grid_obstruction_report(tmp_path, monkeypatch):
+    def obstructed(*args, **kwargs):
+        raise ResidueObstruction("forced", gap=1.5, at=0.5 + 0.25j)
+
+    monkeypatch.setattr(qdsphere.cli, "level_grid", obstructed)
+    doc = _report_of(tmp_path, "level", SEGMENT, ["--grid", "6"], 10)
+    assert set(doc) == ENVELOPE | {"obstruction", "input"}
+    assert doc["obstruction"] == {"gap": 1.5, "at": [0.5, 0.25]}
 
 
 # ---------------------------------------------------------------- analyze

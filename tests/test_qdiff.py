@@ -9,10 +9,10 @@ from qdsphere.qdiff import (
     CIRCULAR,
     RADIAL,
     SPIRAL,
-    BranchState,
     SpherePoint,
     cauchy_qd,
     classify_double_pole,
+    continue_sqrt_along,
     critical_directions,
     critical_points,
     infinity_chart,
@@ -21,7 +21,6 @@ from qdsphere.qdiff import (
     order_at_infinity,
     qd_from_p_over_q_squared,
     qd_new,
-    sqrt_phi_step,
 )
 
 
@@ -127,13 +126,8 @@ def test_sqrt_branch_continuity_small_steps():
     # walk a smooth arc; consecutive sqrt values must not jump sign
     th = np.linspace(0.0, 2 * math.pi, 400)
     zs = 5.0 + 0.3 * np.exp(1j * th)
-    state = None
-    prev = None
-    for z in zs:
-        w, state = sqrt_phi_step(qd, complex(z), state)
-        if prev is not None:
-            assert abs(w - prev) < abs(w + prev)
-        prev = w
+    ws = continue_sqrt_along(qd.phi_array(zs))
+    assert np.all(np.abs(ws[1:] - ws[:-1]) < np.abs(ws[1:] + ws[:-1]))
 
 
 def test_sqrt_monodromy_around_simple_zero():
@@ -141,13 +135,8 @@ def test_sqrt_monodromy_around_simple_zero():
     qd = qd_new(Polynomial([0.0, 1.0]), Polynomial([1.0]))
     th = np.linspace(0.0, 2 * math.pi, 600)
     zs = 0.5 * np.exp(1j * th)
-    state = None
-    first = None
-    for z in zs:
-        w, state = sqrt_phi_step(qd, complex(z), state)
-        if first is None:
-            first = w
-    assert abs(w + first) < 1e-6 * abs(first)
+    ws = continue_sqrt_along(qd.phi_array(zs))
+    assert abs(ws[-1] + ws[0]) < 1e-6 * abs(ws[0])
 
 
 def test_sqrt_monodromy_trivial_around_pair():
@@ -155,13 +144,8 @@ def test_sqrt_monodromy_trivial_around_pair():
     qd = qd_new(Polynomial([-1.0, 0.0, 1.0]), Polynomial([1.0]))
     th = np.linspace(0.0, 2 * math.pi, 800)
     zs = 3.0 * np.exp(1j * th)
-    state = None
-    first = None
-    for z in zs:
-        w, state = sqrt_phi_step(qd, complex(z), state)
-        if first is None:
-            first = w
-    assert abs(w - first) < 1e-6 * abs(first)
+    ws = continue_sqrt_along(qd.phi_array(zs))
+    assert abs(ws[-1] - ws[0]) < 1e-6 * abs(ws[0])
 
 
 def test_guard_radius_positive_and_scales():
