@@ -28,8 +28,8 @@ from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import critical_points, measure_mass, order_at_infinity
-from .specfile import (build_qd, parse_input, parse_max_steps, parse_positive,
-                       parse_window)
+from .specfile import (build_qd, parse_input, parse_max_steps, parse_point,
+                       parse_positive, parse_window)
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -353,6 +353,10 @@ def _check_flags(args) -> None:
             parse_positive(getattr(args, flag), "--" + flag.replace("_", "-"))
     if getattr(args, "window", None) is not None:
         parse_window(args.window, "--window")
+    for z in getattr(args, "seed", []):
+        parse_point([z.real, z.imag], "--seed")
+    if getattr(args, "from_", None) is not None:
+        parse_point([args.from_.real, args.from_.imag], "--from")
     if getattr(args, "grid", args.min_grid) < args.min_grid:
         raise SchemaError("--grid", f"expected an integer of at least {args.min_grid}, got {args.grid}")
 

@@ -8,13 +8,11 @@ in exact rational arithmetic.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph import (
     CriticalGraph,
-    Pairing,
     PairingFailure,
     build_critical_graph,
     pair_zeros_by_short_trajectories,

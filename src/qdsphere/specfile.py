@@ -104,11 +104,7 @@ def parse_obj(obj) -> InputSpec:
     if obj.get("window") is not None:
         window = parse_window(obj["window"], "window")
 
-    seeds = []
-    for i, s in enumerate(obj.get("seeds", []) or []):
-        if not _is_pair(s):
-            raise SchemaError(f"seeds[{i}]", "expected an [x, y] pair of finite numbers")
-        seeds.append(complex(s[0], s[1]))
+    seeds = [parse_point(s, f"seeds[{i}]") for i, s in enumerate(obj.get("seeds", []) or [])]
 
     budgets = {}
     raw_budgets = obj.get("budgets", {}) or {}
@@ -136,6 +132,13 @@ def parse_window(w, where: str) -> tuple:
     if not (w[0] < w[2] and w[1] < w[3]):
         raise SchemaError(where, "expected x0 < x1 and y0 < y1")
     return tuple(float(v) for v in w)
+
+
+def parse_point(v, where: str) -> complex:
+    """An [x, y] pair of finite numbers, not bools, as the point x + iy."""
+    if not _is_pair(v):
+        raise SchemaError(where, "expected an [x, y] pair of finite numbers")
+    return complex(v[0], v[1])
 
 
 def parse_positive(v, where: str):

@@ -6,6 +6,12 @@ speed and Im of the integral of w dz stays constant. The integrator is an
 embedded Cash-Karp 4(5) pair with the branch threaded through every stage
 evaluation, the step additionally clamped so a single step can neither jump
 over a critical point nor wind phi by more than a fraction of a turn.
+
+The step loop is written out for speed. Each stage continues the root of
+the stage before it (`continue_sqrt`, inlined with phi's Horner rule), and
+stage 0 reuses the root computed at the accepted point, so phi is evaluated
+six times per accepted step. The critical points are scanned once per
+accepted point, for the snap test, the step clamp and the pole guards.
 """
 
 from __future__ import annotations
@@ -23,7 +29,6 @@ from .qdiff import (
     GL_WEIGHTS,
     CriticalPoint,
     QuadraticDifferential,
-    continue_sqrt,
     critical_directions,
     critical_points,
     principal_sqrt,
@@ -116,48 +121,40 @@ class TrajectoryRay:
 
 
 class _Scene:
-    """Per-trace cache of critical-point geometry."""
+    """Per-trace cache of critical-point geometry: a row (k, position, clamp
+    factor alpha, pole-guard radius) per finite critical point, and the
+    index of each in critical_points(qd)."""
 
-    __slots__ = ("positions", "orders", "guards", "pole_guard", "alphas", "index")
+    __slots__ = ("rows", "index")
 
     def __init__(self, qd: QuadraticDifferential):
-        cps = critical_points(qd)
-        self.positions = []
-        self.orders = []
-        self.guards = []
-        self.pole_guard = []
-        self.alphas = []
-        self.index = []
-        for i, cp in enumerate(cps):
+        rows, self.index = [], []
+        for i, cp in enumerate(critical_points(qd)):
             if cp.at.is_infinite:
                 continue
             z = cp.at.value
-            self.positions.append(z)
-            self.orders.append(cp.signed_order)
-            g = qd.guard_radius(z)
-            self.guards.append(g)
-            self.pole_guard.append(g if cp.signed_order <= -2 else 0.0)
             # step clamp: small enough for accuracy and so arg(phi) moves < ~0.7 rad
-            self.alphas.append(min(0.1, 0.7 / max(1, abs(cp.signed_order))))
+            alpha = min(0.1, 0.7 / max(1, abs(cp.signed_order)))
+            guard = qd.guard_radius(z) if cp.signed_order <= -2 else 0.0
+            rows.append((len(rows), z, alpha, guard))
             self.index.append(i)
+        self.rows = tuple(rows)
 
-
-def _max_step_z(scene: _Scene, z: complex) -> float:
-    best = math.inf
-    for p, a in zip(scene.positions, scene.alphas):
-        d = abs(z - p) * a
-        if d < best:
-            best = d
-    return best
-
-
-def _nearest_cp(scene: _Scene, z: complex) -> tuple[int, float]:
-    best, bd = -1, math.inf
-    for k, p in enumerate(scene.positions):
-        d = abs(z - p)
-        if d < bd:
-            best, bd = k, d
-    return best, bd
+    def scan(self, z: complex) -> tuple[int, float, float, int]:
+        """One pass over the finite critical points: the nearest one (first
+        on ties, -1 if none) and its distance, the step clamp min |z - p| *
+        alpha, and the first pole whose guard disk holds z (-1 if none)."""
+        near, d_near, clamp, pole = -1, math.inf, math.inf, -1
+        for k, p, alpha, g in self.rows:
+            d = abs(z - p)
+            if d < d_near:
+                near, d_near = k, d
+            c = d * alpha
+            if c < clamp:
+                clamp = c
+            if d < g and pole < 0:
+                pole = k
+        return near, d_near, clamp, pole
 
 
 def trace_horizontal(qd: QuadraticDifferential, z0: complex, orientation: int = 1,
@@ -201,27 +198,31 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
 
-    _k_home, d_home = _nearest_cp(scene, z0)
+    _near, d_home, clamp, _pole = scene.scan(z0)
     if launch_from is None and d_home < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
 
     num_desc = qd.num.coeffs[::-1]
     den_desc = qd.den.coeffs[::-1]
+    sqrt = cmath.sqrt
 
-    def phival(z):
+    def root(z, hint):
+        """continue_sqrt(phi(z), hint), phi by Horner's rule, inlined."""
         a = 0j
         for c in num_desc:
             a = a * z + c
         b = 0j
         for c in den_desc:
             b = b * z + c
-        return a / b
+        v = a / b
+        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))
+        return s if abs(s - hint) <= abs(s + hint) else -s
 
     def f(z, hint):
-        w = continue_sqrt(phival(z), hint)
+        w = root(z, hint)
         return orientation / w, w
 
-    w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(phival(z0))
+    w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
     dir0 = (orientation / w0)
     dir0 /= abs(dir0)
 
@@ -231,15 +232,22 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     z, w, tau = z0, w0, 0.0
     accepted = rejected = 0
     left_home = False
+    # stage 0 may reuse w when it is a finite root of phi(z): continue_sqrt
+    # then returns it unchanged, so not on the first step or after a fallback
+    fresh = False
     termination = None
 
-    h = min(0.01 * (1.0 + abs(z0)) * abs(w0),
-            _max_step_z(scene, z0) * abs(w0) if scene.positions else math.inf,
-            opts.max_phi_length)
+    # the critical-point clamp only changes when z and w do
+    cap = clamp * abs(w0)
+    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), cap, opts.max_phi_length)
     h = max(h, 1e-12)
     attempts_cap = 4 * opts.max_steps
+    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
+     (a50, a51, a52, a53, a54)) = _CK_A
+    b50, b51, b52, b53, b54, b55 = _CK_B5
+    b40, b41, b42, b43, b44, b45 = _CK_B4
 
-    while termination is None:
+    while True:
         if accepted >= opts.max_steps or accepted + rejected >= attempts_cap:
             termination = Termination(STEP_BUDGET)
             break
@@ -248,35 +256,37 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
             termination = Termination(PHI_LENGTH_BUDGET)
             break
         h = min(h, remaining)
-        if scene.positions:
-            h = min(h, _max_step_z(scene, z) * abs(w))
+        h = min(h, cap)
         if h <= 1e-15 * max(1.0, tau):
             termination = Termination(STEP_BUDGET)
             break
 
-        # Cash-Karp stages, branch hint chained through the stages
-        ks = []
-        hint = w
-        ok = True
-        for s in range(6):
-            zs = z
-            for j, a in enumerate(_CK_A[s]):
-                zs += h * a * ks[j]
-            try:
-                k_s, hint = f(zs, hint)
-            except ZeroDivisionError:
-                ok = False
-                break
-            ks.append(k_s)
-        if not ok:
+        # Cash-Karp stages; the root r_i of each is the branch hint of the next
+        try:
+            if fresh:
+                k0, r0 = orientation / w, w
+            else:
+                k0, r0 = f(z, w)
+            r1 = root(z + h * a10 * k0, r0)
+            k1 = orientation / r1
+            r2 = root(z + h * a20 * k0 + h * a21 * k1, r1)
+            k2 = orientation / r2
+            r3 = root(z + h * a30 * k0 + h * a31 * k1 + h * a32 * k2, r2)
+            k3 = orientation / r3
+            r4 = root(z + h * a40 * k0 + h * a41 * k1 + h * a42 * k2 + h * a43 * k3, r3)
+            k4 = orientation / r4
+            r5 = root(z + h * a50 * k0 + h * a51 * k1 + h * a52 * k2 + h * a53 * k3
+                      + h * a54 * k4, r4)
+            k5 = orientation / r5
+        except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        z5 = z
-        z4 = z
-        for j in range(6):
-            z5 += h * _CK_B5[j] * ks[j]
-            z4 += h * _CK_B4[j] * ks[j]
+        # the zero weights stay: h * 0.0 * k can be -0.0 or NaN
+        z5 = (z + h * b50 * k0 + h * b51 * k1 + h * b52 * k2 + h * b53 * k3
+              + h * b54 * k4 + h * b55 * k5)
+        z4 = (z + h * b40 * k0 + h * b41 * k1 + h * b42 * k2 + h * b43 * k3
+              + h * b44 * k4 + h * b45 * k5)
         err = abs(z5 - z4)
         tol = opts.rk_tol * (1.0 + abs(z5))
         if err > tol:
@@ -287,9 +297,10 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
         z_prev, w_prev, tau_prev = z, w, tau
         z = z5
         try:
-            w = continue_sqrt(phival(z), hint)
+            w = root(z, r5)
+            fresh = abs(w) < math.inf
         except ZeroDivisionError:
-            w = hint
+            w, fresh = r5, False
         tau = tau_prev + h
         accepted += 1
         pts.append(z)
@@ -298,28 +309,19 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
         grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         h = h * grow
 
-        # termination checks
-        kc, dc = _nearest_cp(scene, z)
-        if kc >= 0 and dc < snap:
+        # termination checks: snap radius first, then pole guards
+        near, d_near, clamp, pole = scene.scan(z)
+        hit = near if near >= 0 and d_near < snap else pole
+        if hit >= 0:
             tangent = orientation / w
             ang = cmath.phase(tangent / abs(tangent))
-            termination = Termination(HIT_CRITICAL, cp_index=scene.index[kc],
+            termination = Termination(HIT_CRITICAL, cp_index=scene.index[hit],
                                       incoming_angle=ang)
-            break
-        hit_pole = False
-        for k, g in enumerate(scene.pole_guard):
-            if g > 0.0 and abs(z - scene.positions[k]) < g:
-                tangent = orientation / w
-                ang = cmath.phase(tangent / abs(tangent))
-                termination = Termination(HIT_CRITICAL, cp_index=scene.index[k],
-                                          incoming_angle=ang)
-                hit_pole = True
-                break
-        if hit_pole:
             break
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
             termination = Termination(ESCAPED_WINDOW)
             break
+        cap = clamp * abs(w)
 
         if not left_home:
             if abs(z - z0) > SEED_FACTOR * snap:
@@ -328,9 +330,9 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
             seg = z - z_prev
             d_seg = _point_segment_distance(z0, z_prev, z)
             if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
-                hit = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev, tau, snap)
-                if hit is not None:
-                    tau_star, z_star, w_star = hit
+                closed = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev, tau, snap)
+                if closed is not None:
+                    tau_star, z_star, w_star = closed
                     pts[-1] = z_star
                     sqs[-1] = w_star
                     taus[-1] = tau_star

@@ -186,7 +186,8 @@ def _flag_rejected(tmp_path, capsys, command, spec, flags, field):
     out = tmp_path / "out"
     assert run([command, write_spec(tmp_path, spec), "--out", str(out)] + flags) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {field}: expected") and "Traceback" not in err
+    assert err.startswith(f"error: {field}: expected")
+    assert "Traceback" not in err and "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -240,6 +241,20 @@ def test_trace_bad_rk_tol_rejected(tmp_path, capsys, value):
 def test_trace_bad_length_rejected(tmp_path, capsys, value):
     _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
                    ["--from", "0.5,0.5", f"--length={value}"], "--length")
+
+
+@pytest.mark.parametrize("value", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+def test_trace_nonfinite_from_rejected(tmp_path, capsys, recwarn, value):
+    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
+                   [f"--from={value}"], "--from")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("value", ["nan,0", "0,nan", "inf,0", "0,-inf"])
+def test_analyze_nonfinite_seed_rejected(tmp_path, capsys, recwarn, value):
+    _flag_rejected(tmp_path, capsys, "analyze", dict(CIRCLE, budgets={"max_steps": 2000}),
+                   ["--seed=0.5,0.5", f"--seed={value}"], "--seed")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_unwritable_out_is_error(tmp_path, capsys):

@@ -10,10 +10,11 @@ from qdsphere.errors import (
     ResidueObstruction,
     WrongProvenance,
 )
+from qdsphere import level
 from qdsphere.graph import pair_zeros_by_short_trajectories
 from qdsphere.level import level_function, level_grid, verify_level
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import qd_from_p_over_q_squared, qd_new
+from qdsphere.qdiff import pq_form, principal_sqrt, qd_from_p_over_q_squared, qd_new
 from qdsphere.tracer import TraceOptions, trace_horizontal
 
 ONE = Polynomial([1.0])
@@ -191,6 +192,91 @@ def test_verify_level_flags_corrupted_sample():
     rays = [trace_horizontal(qd, 1.5 + 1.0j, opts=opts)]
     report = verify_level(fake, rays, qd)
     assert not report.passed_i
+
+
+def continuity_worst_reference(field, qd):
+    # the double loop verify_level ran before it tabulated |sqrt(p)/q|
+    g, m, n = field.grid, field.undefined_mask, field.n
+    x0, y0, x1, y1 = field.window
+    hx = (x1 - x0) / max(n - 1, 1)
+    hy = (y1 - y0) / max(n - 1, 1)
+    xs = np.linspace(x0, x1, n)
+    ys = np.linspace(y0, y1, n)
+    zs = np.empty((n, n), dtype=complex)
+    zs.real, zs.imag = xs[None, :], ys[:, None]
+    cut_x = level._crosses_cut(zs[:, :-1], zs[:, 1:], field.cuts)
+    cut_y = level._crosses_cut(zs[:-1, :], zs[1:, :], field.cuts)
+    p, q = pq_form(qd, "level function")
+    worst, evaluated = 0.0, set()
+    for iy in range(n):
+        for ix in range(n):
+            if m[iy, ix]:
+                continue
+            za = complex(xs[ix], ys[iy])
+            for jy, jx, h, split in ((iy, ix + 1, hx, cut_x), (iy + 1, ix, hy, cut_y)):
+                if jy >= n or jx >= n or m[jy, jx] or split[iy, ix]:
+                    continue
+                zb = complex(xs[jx], ys[jy])
+                evaluated |= {za, zb}
+                ga = abs(principal_sqrt(p(za)) / q(za))
+                gb = abs(principal_sqrt(p(zb)) / q(zb))
+                bound = 4.0 * h * max(ga, gb)
+                jump = abs(g[iy, ix] - g[jy, jx])
+                if bound > 0:
+                    worst = max(worst, jump / bound)
+    return worst, evaluated
+
+
+def _continuity_ratio(monkeypatch, field, rays, qd):
+    """verify_level's worst continuity ratio and its number of |sqrt(p)/q|
+    evaluations."""
+    calls = []
+    monkeypatch.setattr(level, "principal_sqrt", lambda v: calls.append(v) or principal_sqrt(v))
+    ratio = verify_level(field, rays, qd).details["continuity_worst_ratio"]
+    return ratio, len(calls)
+
+
+@pytest.mark.parametrize("p, window, n", [
+    ([1.0, 0.0, -1.0], (-3.0, -2.5, 3.0, 2.5), 17),
+    ([4.0, 0.0, -1.0], (-3.5, -3.0, 3.5, 2.0), 13),
+], ids=["1-z^2", "-(z^2-4)"])
+def test_continuity_ratio_matches_double_loop(monkeypatch, p, window, n):
+    qd = qd_from_p_over_q_squared(Polynomial(p), ONE)
+    pairing = pair_zeros_by_short_trajectories(qd)
+    field = level_grid(qd, pairing, window, n)
+    rays = [trace_horizontal(qd, 0.3 + 0.5j, opts=TraceOptions.for_qd(qd, max_phi_length=4.0))]
+    got, calls = _continuity_ratio(monkeypatch, field, rays, qd)
+    want, evaluated = continuity_worst_reference(field, qd)
+    assert got == want and got > 0.0
+    assert calls == len(evaluated)
+
+
+def test_continuity_check_skips_masked_points(monkeypatch):
+    # q = z vanishes at the masked centre of the grid; a table that
+    # evaluated every point would divide by zero there
+    qd, pairing = circle_setup()
+    field = level_grid(qd, pairing, (-2.0, -2.0, 2.0, 2.0), 11)
+    assert field.undefined_mask[5, 5]
+    rays = [trace_horizontal(qd, 1.5, opts=TraceOptions.for_qd(qd, max_phi_length=4.0))]
+    got, calls = _continuity_ratio(monkeypatch, field, rays, qd)
+    want, evaluated = continuity_worst_reference(field, qd)
+    assert got == want and got > 0.0
+    assert calls == len(evaluated)
+
+
+def test_continuity_ratio_matches_double_loop_under_random_masks(monkeypatch):
+    # q = 1 vanishes nowhere, so any mask may be laid over the field; sparse
+    # masks leave points whose only checked pair is vertical
+    qd, pairing = segment_setup()
+    field = level_grid(qd, pairing, (-3.0, -2.5, 3.0, 2.5), 12)
+    rays = [trace_horizontal(qd, 0.3 + 0.5j, opts=TraceOptions.for_qd(qd, max_phi_length=4.0))]
+    rng = np.random.default_rng(7)
+    for density in (0.3, 0.5, 0.7):
+        fake = dataclasses.replace(field, undefined_mask=rng.random((12, 12)) < density)
+        got, calls = _continuity_ratio(monkeypatch, fake, rays, qd)
+        want, evaluated = continuity_worst_reference(fake, qd)
+        assert got == want
+        assert calls == len(evaluated)
 
 
 def test_verify_level_needs_rays():
