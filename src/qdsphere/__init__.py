@@ -10,7 +10,7 @@ from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
                     critical_points, critical_directions, classify_double_pole,
                     order_at_infinity, infinity_chart, local_leading_coefficient,
                     principal_sqrt, continue_sqrt, continue_sqrt_along,
-                    measure_density, measure_mass)
+                    zeta_from, measure_density, measure_mass)
 from .tracer import (TraceOptions, TrajectoryRay, Termination,
                      trace_horizontal, trace_vertical, trace_from_critical,
                      phi_length_of, imag_drift_of)
@@ -35,7 +35,7 @@ __all__ = [
     "critical_points", "critical_directions", "classify_double_pole",
     "order_at_infinity", "infinity_chart", "local_leading_coefficient",
     "principal_sqrt", "continue_sqrt", "continue_sqrt_along",
-    "measure_density", "measure_mass",
+    "zeta_from", "measure_density", "measure_mass",
     "TraceOptions", "TrajectoryRay", "Termination",
     "trace_horizontal", "trace_vertical", "trace_from_critical",
     "phi_length_of", "imag_drift_of",

@@ -4,7 +4,9 @@ One orientation product and one proper-crossing test serve the cut routing
 and the continuity check of the level function and the recurrence crossing
 count. Every array element is computed with the same IEEE operations, in
 the same order, as the scalar formula, so booleans and crossing parameters
-do not depend on how many segments are tested at once.
+do not depend on how many segments are tested at once. The point-segment
+and point-polyline distances serve the tracer's closure test and the
+critical graph's edge deduplication.
 """
 
 from __future__ import annotations
@@ -48,3 +50,27 @@ def crossing_counts(a: np.ndarray, b: np.ndarray, poly: np.ndarray) -> np.ndarra
         proper, _d1, _d2 = _test(a[s:s + rows, None], b[s:s + rows, None], c, d)
         counts[s:s + rows] = np.count_nonzero(proper, axis=1)
     return counts
+
+
+def point_segment_distance(p: complex, a: complex, b: complex) -> float:
+    """Distance from p to the segment a -> b, scalar (the tracer's step loop
+    calls it once per step)."""
+    ab = b - a
+    L2 = ab.real * ab.real + ab.imag * ab.imag
+    if L2 == 0.0:
+        return abs(p - a)
+    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / L2
+    t = min(1.0, max(0.0, t))
+    return abs(p - (a + t * ab))
+
+
+def point_polyline_distance(p: complex, poly: np.ndarray) -> float:
+    """Distance from p to the polyline poly, all segments at once."""
+    a, b = poly[:-1], poly[1:]
+    if not len(a):
+        return abs(p - poly[0])
+    ab = b - a
+    L2 = ab.real * ab.real + ab.imag * ab.imag
+    L2 = np.where(L2 == 0.0, 1.0, L2)
+    t = np.clip(((p - a).real * ab.real + (p - a).imag * ab.imag) / L2, 0.0, 1.0)
+    return float(np.min(np.abs(p - (a + t * ab))))

@@ -14,12 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WrongProvenance
-from .geom import crossing_counts
+from .geom import crossing_counts, point_polyline_distance
 from .qdiff import (
     CriticalPoint,
     QuadraticDifferential,
     critical_points,
-    local_leading_coefficient,
     order_at_infinity,
 )
 from .tracer import (
@@ -62,16 +61,6 @@ class CriticalGraph:
     work: dict = field(default_factory=dict)
 
 
-def _endpoint_tail(qd: QuadraticDifferential, cp: CriticalPoint, gap: float) -> float:
-    """phi-length of the omitted arc between cp and a point at distance gap,
-    integrated in the local model |phi| ~ |a| r^n."""
-    if gap <= 0.0:
-        return 0.0
-    a = abs(local_leading_coefficient(qd, cp))
-    e = 0.5 * cp.signed_order + 1.0
-    return math.sqrt(a) * gap ** e / e
-
-
 def _phi_midpoint(ray: TrajectoryRay) -> tuple[complex, float]:
     """Linear interpolation of the point at half the ray's phi-length;
     also returns the bracketing sample spacing (the locate uncertainty)."""
@@ -87,27 +76,18 @@ def _phi_midpoint(ray: TrajectoryRay) -> tuple[complex, float]:
     return a + lam * (b - a), abs(b - a)
 
 
-def _point_polyline_distance(p: complex, poly: np.ndarray) -> float:
-    a, b = poly[:-1], poly[1:]
-    ab = b - a
-    L2 = (ab.real ** 2 + ab.imag ** 2)
-    L2 = np.where(L2 == 0.0, 1.0, L2)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / L2
-    t = np.clip(t, 0.0, 1.0)
-    proj = a + t * ab
-    return float(np.min(np.abs(p - proj))) if len(a) else abs(p - poly[0])
-
-
 def build_critical_graph(qd: QuadraticDifferential,
                          opts: TraceOptions | None = None) -> CriticalGraph:
     """Trace every critical direction of every finite critical point.
 
-    Rays hitting another finite critical point become short edges (their
-    length includes the analytic tail corrections for the seed and snap
-    gaps); rays falling into a pole guard or escaping toward a critical
-    point at infinity become infinite edges; rays that exhaust a budget, or
-    escape while infinity is regular, are reported unresolved. Edges traced
-    from both ends are deduplicated by endpoint pair plus midpoint proximity.
+    Rays hitting another finite critical point become short edges, whose
+    phi-length the tracer measures from point to point; rays falling into a
+    pole guard or escaping toward a critical point at infinity become
+    infinite edges; rays that exhaust a budget, or escape while infinity is
+    regular, are reported unresolved. An edge's polyline starts at its
+    critical point, and a short edge's ends at the point it reaches: the
+    rays start and end on small disks around them. Edges traced from both
+    ends are deduplicated by endpoint pair plus midpoint proximity.
     """
     opts = opts or TraceOptions.for_qd(qd)
     nodes = critical_points(qd)
@@ -123,22 +103,19 @@ def build_critical_graph(qd: QuadraticDifferential,
             ray = trace_from_critical(qd, cp, k, opts)
             launched += 1
             t = ray.termination
+            poly = np.concatenate(([cp.at.value], ray.points))
             if t.kind == HIT_CRITICAL:
                 tgt = nodes[t.cp_index]
                 if tgt.signed_order <= -2:
-                    edges.append(CriticalEdge(i, t.cp_index, ray.points,
-                                              math.inf, False, ray))
+                    edges.append(CriticalEdge(i, t.cp_index, poly, math.inf, False, ray))
                 else:
-                    L = (ray.phi_length
-                         + _endpoint_tail(qd, cp, abs(ray.points[0] - cp.at.value))
-                         + _endpoint_tail(qd, tgt, abs(ray.points[-1] - tgt.at.value)))
-                    edges.append(CriticalEdge(i, t.cp_index, ray.points, L, True, ray))
+                    poly = np.concatenate((poly, [tgt.at.value]))
+                    edges.append(CriticalEdge(i, t.cp_index, poly, ray.phi_length, True, ray))
             elif t.kind == CLOSED:
-                edges.append(CriticalEdge(i, i, ray.points, ray.phi_length, True, ray))
+                edges.append(CriticalEdge(i, i, poly, ray.phi_length, True, ray))
             elif t.kind == ESCAPED_WINDOW:
                 if inf_id is not None:
-                    edges.append(CriticalEdge(i, inf_id, ray.points,
-                                              math.inf, False, ray))
+                    edges.append(CriticalEdge(i, inf_id, poly, math.inf, False, ray))
                 else:
                     unresolved.append(ray)
             else:
@@ -156,7 +133,7 @@ def build_critical_graph(qd: QuadraticDifferential,
                     continue
                 _fmid, fstep = _phi_midpoint(f.ray)
                 tol = max(thr, 0.35 * (step + fstep))
-                if _point_polyline_distance(mid, f.polyline) <= tol:
+                if point_polyline_distance(mid, f.polyline) <= tol:
                     dup = True
                     break
             if dup:

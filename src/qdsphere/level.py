@@ -59,18 +59,11 @@ def _base_point(qd: QuadraticDifferential, pairing) -> complex:
     return ctr + 1.0
 
 
-def _cuts_of(qd: QuadraticDifferential, pairing) -> list[np.ndarray]:
-    """Detected short-trajectory polylines, extended to the exact zeros."""
+def _cuts_of(pairing) -> list[np.ndarray]:
+    """Detected short-trajectory polylines; each runs from zero to zero."""
     if not isinstance(pairing, Pairing):
         return []
-    cuts = []
-    for (a, b), poly in zip(pairing.pairs, pairing.polylines):
-        za, zb = qd.zeros[a].location, qd.zeros[b].location
-        head, tail = complex(poly[0]), complex(poly[-1])
-        if abs(head - za) + abs(tail - zb) > abs(head - zb) + abs(tail - za):
-            za, zb = zb, za
-        cuts.append(np.concatenate(([za], poly, [zb])))
-    return cuts
+    return list(pairing.polylines)
 
 
 def _obstacles(qd: QuadraticDifferential) -> list[tuple[complex, float]]:
@@ -301,7 +294,7 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     well defined. A PairingFailure or None pairing is accepted with no
     cuts, which is the diagnostic mode for exactly that situation.
     """
-    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(qd, pairing))
+    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(pairing))
     val, gap = _level_eval(setup, z)
     if gap > GAP_REL_TOL * (1.0 + abs(val)):
         raise ResidueObstruction(
@@ -314,7 +307,7 @@ def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField
     """Sample level_function on an n x n grid; pole neighborhoods masked."""
     x0, y0, x1, y1 = (float(v) for v in window)
     n = int(n)
-    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(qd, pairing))
+    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(pairing))
     xs = np.linspace(x0, x1, n)
     ys = np.linspace(y0, y1, n)
     grid = np.zeros((n, n), dtype=float)

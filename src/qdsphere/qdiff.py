@@ -107,6 +107,7 @@ class QuadraticDifferential:
         self.provenance = provenance
         self._critical: list[CriticalPoint] | None = None
         self._neg: QuadraticDifferential | None = None
+        self._scene = None        # the tracer's critical-point geometry, built on first use
 
     # -- evaluation ----------------------------------------------------
 
@@ -144,11 +145,15 @@ class QuadraticDifferential:
                 d = max(d, abs(pos[i] - pos[j]))
         return max(d, DIAM_FLOOR)
 
-    def guard_radius(self, at: complex) -> float:
+    def local_scale(self, at: complex) -> float:
+        """Distance from at to the nearest other finite critical point, or
+        the diameter when there is none."""
         pos = self.finite_critical_positions()
         others = [abs(p - at) for p in pos if abs(p - at) > 1e-12]
-        scale = min(others) if others else self.diameter()
-        return GUARD_FACTOR * scale
+        return min(others) if others else self.diameter()
+
+    def guard_radius(self, at: complex) -> float:
+        return GUARD_FACTOR * self.local_scale(at)
 
     def __repr__(self):
         return f"QuadraticDifferential(num={self.num!r}, den={self.den!r})"
@@ -414,6 +419,24 @@ def sqrt_panel_integrals(a, b, radicand, divisor=None, hint: complex | None = No
         running[lo:hi] = np.cumsum(np.concatenate(([carry], seg * half)))[1:]
         carry = running[hi - 1]
     return running, hint
+
+
+def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[complex, complex]:
+    """The distinguished parameter zeta(z) = integral of sqrt(phi) from the
+    finite critical point p to z along the segment, and the branch of
+    sqrt(phi) at z it was taken with.
+
+    With z - p = t^2 the integrand 2 t sqrt(phi(p + t^2)) is regular at
+    t = 0 for every order n >= -1, and along the segment 0 -> t it is
+    t^(n+1) times a series in t^2 whose radius reaches the next critical
+    point. Two 8-node Gauss-Legendre panels in t then hold it to rounding
+    when no other critical point is within a few |z - p| of p.
+    """
+    t = cmath.sqrt(z - p)
+    running, last = sqrt_panel_integrals(
+        [0j, 0.5 * t], [0.5 * t, t], lambda s: 4.0 * s * s * qd.phi_array(p + s * s))
+    w = continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t)
+    return complex(running[-1]), w
 
 
 # -- constructors for the special families ------------------------------

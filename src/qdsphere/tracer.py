@@ -11,7 +11,20 @@ The step loop is written out for speed. Each stage continues the root of
 the stage before it (`continue_sqrt`, inlined with phi's Horner rule), and
 stage 0 reuses the root computed at the accepted point, so phi is evaluated
 six times per accepted step. The critical points are scanned once per
-accepted point, for the snap test, the step clamp and the pole guards.
+accepted point, for the arrival test, the step clamp and the pole guards.
+
+Near a finite critical point p of order n >= -1 the step clamp would force
+many tiny steps, so rays neither start nor end there by stepping. Inside
+the disk of radius LOCAL_RADIUS * d (d the distance to the nearest other
+critical point) the distinguished parameter zeta(z) = integral of sqrt(phi)
+from p is computed directly (`qdiff.zeta_from`), and the critical rays are
+the curves Im zeta = 0. A critical trajectory is launched on the disk's
+circle where Im zeta = 0, with its phi-length starting at |zeta|. A ray that
+enters a disk heading into p ends there as HitCritical when |Im zeta| is
+within the phi-distance from p to the snap circle, which is exactly when it
+would pass within the snap radius of p, and |zeta| is added to its length.
+The quadrature runs only when a bound on the local model's error leaves
+room for that (see _Scene).
 """
 
 from __future__ import annotations
@@ -24,19 +37,24 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DriftExceeded, DirectionIndexError, PoleOnPath, StartTooClose
+from .geom import point_segment_distance
 from .qdiff import (
     GL_NODES,
     GL_WEIGHTS,
     CriticalPoint,
     QuadraticDifferential,
     critical_directions,
+    continue_sqrt,
     critical_points,
+    local_leading_coefficient,
     principal_sqrt,
     sqrt_panel_integrals,
+    zeta_from,
 )
 
 SNAP_FACTOR = 1e-6
-SEED_FACTOR = 10.0           # trace_from_critical seeds at 10 * snap_radius
+SEED_FACTOR = 10.0           # a ray has left its start beyond 10 * snap_radius
+LOCAL_RADIUS = 0.05          # analytic disks: radius / distance to the next critical point
 DEFAULT_RK_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10 ** 6
 LENGTH_FACTOR = 100.0
@@ -49,8 +67,7 @@ ESCAPED_WINDOW = "EscapedWindow"
 PHI_LENGTH_BUDGET = "PhiLengthBudget"
 STEP_BUDGET = "StepBudget"
 
-# Cash-Karp tableau
-_CK_C = (0.0, 1 / 5, 3 / 10, 3 / 5, 1.0, 7 / 8)
+# Cash-Karp tableau; the field is autonomous, so the nodes c_i are not needed
 _CK_A = (
     (),
     (1 / 5,),
@@ -111,8 +128,8 @@ class Termination:
 class TrajectoryRay:
     points: np.ndarray                # complex polyline, first point is the seed
     sqrt_values: np.ndarray           # branch-continuous sqrt(phi) at the points
-    taus: np.ndarray                  # accumulated phi-length at each point
-    phi_length: float
+    taus: np.ndarray                  # accumulated phi-length at each point, from p if launched
+    phi_length: float                 # up to the critical point a ray arrives at
     imag_drift: float
     termination: Termination
     direction_seed: complex
@@ -121,14 +138,25 @@ class TrajectoryRay:
 
 
 class _Scene:
-    """Per-trace cache of critical-point geometry: a row (k, position, clamp
-    factor alpha, pole-guard radius) per finite critical point, and the
-    index of each in critical_points(qd)."""
+    """Critical-point geometry of a differential: a row (k, position, clamp
+    factor alpha, pole-guard radius) per finite critical point, the index of
+    each in critical_points(qd), the radius of its analytic disk (0 for
+    poles of order >= 2, which have none) and its local model.
 
-    __slots__ = ("rows", "index")
+    The model of a point p of order n is (p, e, c, slack) with e = (n + 2) / 2.
+    The phi-distance from p to a circle of radius s is c s^e, c = sqrt|a| / e
+    for phi ~ a (z - p)^n. In the disk, zeta(z) = (z - p) sqrt(phi(z)) / e
+    times 1 + E with |E| <= slack = exp(kappa / 2) - 1, where kappa =
+    r sum |m| / (|p - q| - r) over the other critical points q of order m and
+    r is the disk's radius: writing phi = a (z - p)^n g(z), |g'/g| <= kappa / r
+    bounds how far sqrt(g) moves along the segment from p to z.
+    """
+
+    __slots__ = ("rows", "index", "disks", "models")
 
     def __init__(self, qd: QuadraticDifferential):
-        rows, self.index = [], []
+        rows, self.index, disks, models = [], [], [], []
+        finite = [cp for cp in critical_points(qd) if not cp.at.is_infinite]
         for i, cp in enumerate(critical_points(qd)):
             if cp.at.is_infinite:
                 continue
@@ -138,7 +166,27 @@ class _Scene:
             guard = qd.guard_radius(z) if cp.signed_order <= -2 else 0.0
             rows.append((len(rows), z, alpha, guard))
             self.index.append(i)
+            if not cp.is_finite_critical:
+                disks.append(0.0)
+                models.append(None)
+                continue
+            r = LOCAL_RADIUS * qd.local_scale(z)
+            e = 0.5 * cp.signed_order + 1.0
+            kappa = r * sum(abs(q.signed_order) / (abs(q.at.value - z) - r)
+                            for q in finite if q.at.value != z)
+            disks.append(r)
+            models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, cp))) / e,
+                           math.expm1(0.5 * kappa)))
         self.rows = tuple(rows)
+        self.disks = tuple(disks)
+        self.models = tuple(models)
+
+    @classmethod
+    def of(cls, qd: QuadraticDifferential) -> "_Scene":
+        """The scene of qd, built on its first trace and kept on it."""
+        if qd._scene is None:
+            qd._scene = cls(qd)
+        return qd._scene
 
     def scan(self, z: complex) -> tuple[int, float, float, int]:
         """One pass over the finite critical points: the nearest one (first
@@ -176,31 +224,80 @@ def trace_from_critical(qd: QuadraticDifferential, cp: CriticalPoint,
                         direction_index: int, opts: TraceOptions | None = None) -> TrajectoryRay:
     """Launch the critical trajectory leaving cp along its k-th direction.
 
-    Seeds at 10 * snap_radius from the point and picks the orientation that
-    moves away from it.
+    The ray starts where the k-th critical ray of the local model crosses
+    the circle |z - p| = LOCAL_RADIUS * d, d the distance to the nearest
+    other critical point, and moves away from p. Its taus, and so its
+    phi-length, count from p: they start at |zeta| of the launch point.
     """
     opts = opts or TraceOptions.for_qd(qd)
     dirs = critical_directions(qd, cp)
     if not 0 <= direction_index < len(dirs):
         raise DirectionIndexError(
             f"direction {direction_index} out of range 0..{len(dirs) - 1}")
-    u = dirs[direction_index]
-    z0 = cp.at.value + SEED_FACTOR * opts.snap_radius * u
-    w0 = principal_sqrt(qd.phi(z0))
-    tangent = 1.0 / w0
-    orientation = 1 if (tangent / u).real > 0 else -1
-    ray = _trace(qd, z0, orientation, opts, w0, launch_from=cp)
-    return ray
+    p = cp.at.value
+    z0, zeta, w0 = _launch_point(qd, cp, dirs[direction_index],
+                                 LOCAL_RADIUS * qd.local_scale(p))
+    # d zeta / d tau = orientation, so |zeta| grows when they share a sign
+    orientation = 1 if zeta.real > 0 else -1
+    return _trace(qd, z0, orientation, opts, w0, launch_from=cp, tau0=abs(zeta))
 
 
-def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
-    scene = _Scene(qd)
+def _launch_point(qd, cp, u, r):
+    """The point z = p + r e^(i theta) with Im zeta(z) = 0 next to the
+    direction u, by Newton in theta with d zeta / d theta = sqrt(phi(z))
+    i (z - p). The solutions are 2 pi / (n + 2) apart, so theta is kept
+    within a quarter of that of arg u. Returns z, zeta(z) and the principal
+    sqrt(phi(z)) zeta is taken with.
+
+    Newton starts from the first-order local model: with phi(p + v) =
+    a v^n (1 + b v + ...), b the sum of m / (p - q) over the other critical
+    points q of order m, zeta = (sqrt(a) / e) v^e (1 + g v + ...) with
+    e = (n + 2) / 2 and g = b e / (2 (e + 1)), so arg zeta moves by
+    Im(g v) off the leading term's direction u.
+    """
+    p = cp.at.value
+    e = 0.5 * cp.signed_order + 1.0
+    b = sum(c.signed_order / (p - c.at.value) for c in critical_points(qd)
+            if not c.at.is_infinite and c.at.value != p)
+    theta0 = cmath.phase(u)
+    lim = 0.5 * math.pi / (cp.signed_order + 2)
+    theta = theta0 - (b * e / (2.0 * (e + 1.0)) * r * u).imag / e
+    theta = min(theta0 + lim, max(theta0 - lim, theta))
+    z = p + r * cmath.exp(1j * theta)
+    for _ in range(12):                  # converges quadratically, in 2-3 steps
+        zeta, w = zeta_from(qd, p, z)
+        if abs(zeta.imag) <= 1e-14 * abs(zeta):
+            break
+        slope = (w * (z - p)).real
+        if slope == 0.0:
+            break
+        theta = min(theta0 + lim, max(theta0 - lim, theta - zeta.imag / slope))
+        z_next = p + r * cmath.exp(1j * theta)
+        if abs(zeta.imag) <= 1e-8 * abs(zeta):
+            # this step leaves Im zeta ~ (Im zeta / |zeta|)^2 |zeta| / 2, far
+            # below the tolerance; the trapezoid rule over it moves zeta
+            w_next = continue_sqrt(qd.phi(z_next), w)
+            zeta += 0.5 * (w + w_next) * (z_next - z)
+            z, w = z_next, w_next
+            break
+        z = z_next
+    s = principal_sqrt(qd.phi(z))
+    if abs(s - w) > abs(s + w):
+        zeta = -zeta
+    return z, zeta, s
+
+
+def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
+    scene = _Scene.of(qd)
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
+    disks = scene.disks
 
-    _near, d_home, clamp, _pole = scene.scan(z0)
+    home, d_home, clamp, _pole = scene.scan(z0)
     if launch_from is None and d_home < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
+    # the disk a ray is in is tested once, on entry; a launched ray starts in its own
+    inside = home if launch_from is not None else -1
 
     num_desc = qd.num.coeffs[::-1]
     den_desc = qd.den.coeffs[::-1]
@@ -228,8 +325,8 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
 
     pts = [z0]
     sqs = [w0]
-    taus = [0.0]
-    z, w, tau = z0, w0, 0.0
+    taus = [tau0]
+    z, w, tau = z0, w0, tau0
     accepted = rejected = 0
     left_home = False
     # stage 0 may reuse w when it is a finite root of phi(z): continue_sqrt
@@ -309,9 +406,25 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
         grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
         h = h * grow
 
-        # termination checks: snap radius first, then pole guards
+        # termination checks: arrival on entry into an analytic disk, pole guards
         near, d_near, clamp, pole = scene.scan(z)
-        hit = near if near >= 0 and d_near < snap else pole
+        hit = pole
+        if near >= 0 and d_near < disks[near]:
+            if near != inside:
+                inside = near
+                p, e, c, slack = scene.models[near]
+                v = z - p
+                # heading into p, and by the model's bound maybe onto it
+                if (v * (orientation / w).conjugate()).real < 0.0:
+                    reach = c * snap ** e
+                    zeta = v * w / e
+                    if abs(zeta.imag) - slack * abs(zeta) <= reach:
+                        zeta, _w = zeta_from(qd, p, z)
+                        if abs(zeta.imag) <= reach:
+                            hit = near
+                            tau += abs(zeta)
+        else:
+            inside = -1
         if hit >= 0:
             tangent = orientation / w
             ang = cmath.phase(tangent / abs(tangent))
@@ -328,9 +441,10 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
                 left_home = True
         else:
             seg = z - z_prev
-            d_seg = _point_segment_distance(z0, z_prev, z)
+            d_seg = point_segment_distance(z0, z_prev, z)
             if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
-                closed = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev, tau, snap)
+                closed = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev,
+                                         tau, z, w, orientation, snap)
                 if closed is not None:
                     tau_star, z_star, w_star = closed
                     pts[-1] = z_star
@@ -364,20 +478,24 @@ def certify_drift(qd: QuadraticDifferential, ray: TrajectoryRay, opts: TraceOpti
             f"over phi-length {ray.phi_length:.3f}")
 
 
-def _point_segment_distance(p: complex, a: complex, b: complex) -> float:
-    ab = b - a
-    L2 = ab.real * ab.real + ab.imag * ab.imag
-    if L2 == 0.0:
-        return abs(p - a)
-    t = ((p - a).real * ab.real + (p - a).imag * ab.imag) / L2
-    t = min(1.0, max(0.0, t))
-    return abs(p - (a + t * ab))
+def _closure_refine(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
+    """Locate the closest approach to z0 on the accepted step [tau_a, tau_b]
+    by bisecting the derivative of the squared distance along the step's
+    cubic Hermite interpolant, then integrate once to the root found and
+    correct it by one Newton step; returns (tau*, z*, w*) if the pass is a
+    genuine closure (position within snap, direction within tolerance)."""
+    # z(tau_a + x h) = z_a + c1 x + c2 x^2 + c3 x^3 matches z and h dz/dtau
+    # = h orientation / w at both ends of the step
+    h = tau_b - tau_a
+    c1, mb, dz = h * orientation / w_a, h * orientation / w_b, z_b - z_a
+    c2 = 3.0 * dz - 2.0 * c1 - mb
+    c3 = c1 + mb - 2.0 * dz
 
-
-def _closure_refine(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap):
-    """Locate the closest approach to z0 on [tau_a, tau_b] by bisecting the
-    derivative of the squared distance; returns (tau*, z*, w*) if the pass
-    is a genuine closure (position within snap, direction within tolerance)."""
+    def s(tau_t):
+        x = (tau_t - tau_a) / h
+        z = z_a + x * (c1 + x * (c2 + x * c3)) - z0
+        d = c1 + x * (2.0 * c2 + x * 3.0 * c3)
+        return z.real * d.real + z.imag * d.imag
 
     def integrate_to(tau_t):
         n = 16
@@ -393,32 +511,28 @@ def _closure_refine(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap):
             z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return z, w
 
-    def s(tau_t):
-        z, w = integrate_to(tau_t)
-        d, _ = f(z, w)
-        return ((z - z0).real * d.real + (z - z0).imag * d.imag), z, w
-
-    sa, _, _ = s(tau_a + 1e-15 * max(1.0, abs(tau_a)))
-    sb, zb, wb = s(tau_b)
-    if sa >= 0.0 or sb <= 0.0:
+    if s(tau_a) >= 0.0 or s(tau_b) <= 0.0:
         # no interior stationary point: closest approach is an endpoint
-        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(zb - z0), tau_b, zb, wb)]
+        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(z_b - z0), tau_b, z_b, w_b)]
         dist, tau_s, z_s, w_s = min(cand, key=lambda t: t[0])
     else:
         lo, hi = tau_a, tau_b
-        z_s, w_s = z_a, w_a
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            sm, zm, wm = s(mid)
-            if sm <= 0.0:
+            if s(mid) <= 0.0:
                 lo = mid
             else:
                 hi = mid
-            z_s, w_s = zm, wm
             if hi - lo < 1e-13 * max(1.0, abs(tau_b)):
                 break
         tau_s = 0.5 * (lo + hi)
         z_s, w_s = integrate_to(tau_s)
+        # one Newton step on the traced point takes out the interpolant's error
+        k, w_s = f(z_s, w_s)
+        dt = -((z_s - z0) * k.conjugate()).real / (k.real * k.real + k.imag * k.imag)
+        tau_s += dt
+        z_s += dt * k
+        _, w_s = f(z_s, w_s)
         dist = abs(z_s - z0)
     if dist >= snap:
         return None
@@ -435,22 +549,18 @@ def phi_length_of(qd: QuadraticDifferential, points) -> float:
     pts = np.asarray([complex(p) for p in points], dtype=complex)
     if len(pts) < 2:
         return 0.0
-    den_scale = max(qd.den.scale(), 1e-300)
-    total = 0.0
-    for i in range(len(pts) - 1):
-        a, b = pts[i], pts[i + 1]
-        if a == b:
-            continue
-        mid = 0.5 * (a + b)
-        half = 0.5 * (b - a)
-        zs = mid + half * GL_NODES
-        dv = qd.den.eval_array(zs)
-        lim = 1e-13 * den_scale * np.maximum(1.0, np.abs(zs)) ** max(qd.den.degree, 0)
-        if np.any(np.abs(dv) <= lim):
-            raise PoleOnPath(f"quadrature node on segment {i} hits a pole")
-        vals = np.sqrt(np.abs(qd.num.eval_array(zs) / dv))
-        total += float(np.sum(vals * GL_WEIGHTS)) * abs(half)
-    return total
+    seg = np.flatnonzero(pts[:-1] != pts[1:])
+    a, b = pts[seg], pts[seg + 1]
+    half = 0.5 * (b - a)
+    zs = 0.5 * (a + b)[:, None] + half[:, None] * GL_NODES
+    dv = qd.den.eval_array(zs)
+    lim = (1e-13 * max(qd.den.scale(), 1e-300)
+           * np.maximum(1.0, np.abs(zs)) ** max(qd.den.degree, 0))
+    bad = np.any(np.abs(dv) <= lim, axis=1)
+    if bad.any():
+        raise PoleOnPath(f"quadrature node on segment {seg[np.argmax(bad)]} hits a pole")
+    vals = np.sqrt(np.abs(qd.num.eval_array(zs) / dv))
+    return float(np.sum((vals @ GL_WEIGHTS) * np.abs(half)))
 
 
 def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:

@@ -1,5 +1,6 @@
-"""Every module-level import in the package is used: an AST scan, since
-no linter is part of the test dependencies."""
+"""Every module-level import in the package is used, and so is every
+module-level private name: an AST scan, since no linter is part of the
+test dependencies."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,39 @@ def test_no_unused_module_level_imports(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _imported_names(tree)
               if name not in used]
     assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def _private_definitions(tree):
+    """Module-level _private functions, classes and constants, with lines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for t in targets:
+                for n in ast.walk(t):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def _package_references():
+    """Every name the package reads: loaded names, attributes and imported names."""
+    refs = set()
+    for path in MODULES:
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                refs.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                refs.add(n.attr)
+            elif isinstance(n, ast.ImportFrom):
+                refs.update(alias.name for alias in n.names)
+    return refs
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_unreferenced_private_names(path):
+    refs = _package_references()
+    tree = ast.parse(path.read_text(), filename=str(path))
+    unused = [f"{path.name}:{line} {name}" for name, line in _private_definitions(tree)
+              if name.startswith("_") and not name.startswith("__") and name not in refs]
+    assert not unused, "unreferenced private names: " + ", ".join(unused)

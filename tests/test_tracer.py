@@ -5,11 +5,18 @@ import pytest
 
 from qdsphere.errors import DriftExceeded, PoleOnPath, StartTooClose
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import critical_points, qd_from_p_over_q_squared, qd_new
+from qdsphere.qdiff import (
+    GL_NODES,
+    GL_WEIGHTS,
+    critical_points,
+    qd_from_p_over_q_squared,
+    qd_new,
+)
 from qdsphere.tracer import (
     CLOSED,
     ESCAPED_WINDOW,
     HIT_CRITICAL,
+    LOCAL_RADIUS,
     TraceOptions,
     certify_drift,
     imag_drift_of,
@@ -95,14 +102,16 @@ def test_phi_length_of_matches_ray_accumulator():
 
 
 def test_hits_critical_point_and_snaps():
-    # phi = 1 - z^2 traced from just above the segment lands on a zero
+    # phi = 1 - z^2 traced along the segment from 0 lands on a zero: the ray
+    # ends inside the zero's analytic disk, and its phi-length counts the
+    # rest of the way in, so it is the integral of sqrt(1 - x^2) over [0, 1]
     qd = qd_new(Polynomial([1.0, 0.0, -1.0]), ONE)
     ray = trace_horizontal(qd, 0.0 + 0.0j)
     assert ray.termination.kind == HIT_CRITICAL
     assert ray.termination.cp_index is not None
-    cps = critical_points(qd)
-    end = ray.points[-1]
-    assert min(abs(end - c.at.value) for c in cps if not c.at.is_infinite) < 1e-4
+    target = critical_points(qd)[ray.termination.cp_index].at.value
+    assert abs(ray.points[-1] - target) < LOCAL_RADIUS * 2.0
+    assert ray.phi_length == pytest.approx(math.pi / 4, abs=1e-9)
 
 
 def test_start_on_pole_guard_rejected():
@@ -191,3 +200,53 @@ def test_work_counter_positive_and_deterministic():
     assert a.work == b.work
     assert a.work["accepted_steps"] > 0
     assert np.array_equal(a.points, b.points)
+
+
+def phi_length_of_reference(qd, points):
+    """phi_length_of as it was: one segment at a time."""
+    pts = np.asarray([complex(p) for p in points], dtype=complex)
+    if len(pts) < 2:
+        return 0.0
+    den_scale = max(qd.den.scale(), 1e-300)
+    total = 0.0
+    for i in range(len(pts) - 1):
+        a, b = pts[i], pts[i + 1]
+        if a == b:
+            continue
+        mid = 0.5 * (a + b)
+        half = 0.5 * (b - a)
+        zs = mid + half * GL_NODES
+        dv = qd.den.eval_array(zs)
+        lim = 1e-13 * den_scale * np.maximum(1.0, np.abs(zs)) ** max(qd.den.degree, 0)
+        if np.any(np.abs(dv) <= lim):
+            raise PoleOnPath(f"quadrature node on segment {i} hits a pole")
+        vals = np.sqrt(np.abs(qd.num.eval_array(zs) / dv))
+        total += float(np.sum(vals * GL_WEIGHTS)) * abs(half)
+    return total
+
+
+def test_phi_length_of_matches_segment_loop():
+    winding = qd_new(Polynomial([-1.0]), Polynomial([0.5j, 0.0, -0.25 - 2.0j, 0.0, 1.0]))
+    rng = np.random.default_rng(7)
+    cases = [(circle_qd(), trace_horizontal(circle_qd(), 1.5).points),
+             (winding, trace_horizontal(
+                 winding, 1.0, opts=TraceOptions.for_qd(winding, max_phi_length=20.0)).points),
+             (winding, rng.normal(size=40) + 1j * rng.normal(size=40)),
+             # repeated points are skipped
+             (circle_qd(), np.array([1.0, 1.0, 2.0 + 1j, 2.0 + 1j, -1.0j]))]
+    for qd, pts in cases:
+        want = phi_length_of_reference(qd, pts)
+        assert phi_length_of(qd, pts) == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert phi_length_of(circle_qd(), [1.0]) == 0.0
+
+
+def test_phi_length_of_names_the_segment_on_a_pole():
+    # the fourth Gauss-Legendre node of the last segment sits on the pole
+    # at 0; the repeated first point is a segment of its own, and skipped
+    x = float(GL_NODES[3])
+    pts = [3.0 + 1.0j, 3.0 + 1.0j, 2.0 + 1.0j, -1.0 - x, 1.0 - x]
+    with pytest.raises(PoleOnPath) as want:
+        phi_length_of_reference(circle_qd(), pts)
+    with pytest.raises(PoleOnPath) as got:
+        phi_length_of(circle_qd(), pts)
+    assert str(got.value) == str(want.value) == "quadrature node on segment 3 hits a pole"

@@ -1,6 +1,14 @@
 """The fused Cash-Karp step loop of the tracer against the loop it
-replaced, which is kept here as the reference: every ray must come out
-bit-identical."""
+replaced, which is kept here as the reference. A ray that never ends in an
+analytic disk must come out bit-identical. A ray that arrives at a critical
+point on entry into its disk must be the reference ray cut there, since the
+reference goes on stepping to the snap radius; a launched ray must be the
+reference ray started at the same launch point, with its taus counted from
+the critical point.
+
+The closure refinement is checked the same way against the bisection it
+replaced, which integrated again from the start of the step at every
+probe."""
 
 import cmath
 import math
@@ -13,6 +21,7 @@ from hypothesis import strategies as st
 
 from qdsphere import tracer
 from qdsphere.errors import QdError, StartTooClose
+from qdsphere.geom import point_segment_distance
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import (
     continue_sqrt,
@@ -31,11 +40,10 @@ from qdsphere.tracer import (
     PHI_LENGTH_BUDGET,
     SEED_FACTOR,
     STEP_BUDGET,
+    CLOSURE_ANGLE_TOL,
     Termination,
     TraceOptions,
     TrajectoryRay,
-    _closure_refine,
-    _point_segment_distance,
     _Scene,
     certify_drift,
     trace_from_critical,
@@ -196,9 +204,11 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
                 left_home = True
         else:
             seg = z - z_prev
-            d_seg = _point_segment_distance(z0, z_prev, z)
+            d_seg = point_segment_distance(z0, z_prev, z)
             if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
-                hit = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev, tau, snap)
+                # the package's refinement, checked on its own below
+                hit = tracer._closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev,
+                                             tau, z, w, orientation, snap)
                 if hit is not None:
                     tau_star, z_star, w_star = hit
                     pts[-1] = z_star
@@ -218,6 +228,59 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     return ray
 
 
+def closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap):
+    """The refinement the tracer used before: every bisection probe
+    integrates 16 RK4 steps from the start of the step."""
+
+    def integrate_to(tau_t):
+        n = 16
+        hh = (tau_t - tau_a) / n
+        z, w = z_a, w_a
+        if hh == 0.0:
+            return z, w
+        for _ in range(n):
+            k1, w = f(z, w)
+            k2, w = f(z + 0.5 * hh * k1, w)
+            k3, w = f(z + 0.5 * hh * k2, w)
+            k4, w = f(z + hh * k3, w)
+            z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return z, w
+
+    def s(tau_t):
+        z, w = integrate_to(tau_t)
+        d, _ = f(z, w)
+        return ((z - z0).real * d.real + (z - z0).imag * d.imag), z, w
+
+    sa, _, _ = s(tau_a + 1e-15 * max(1.0, abs(tau_a)))
+    sb, zb, wb = s(tau_b)
+    if sa >= 0.0 or sb <= 0.0:
+        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(zb - z0), tau_b, zb, wb)]
+        dist, tau_s, z_s, w_s = min(cand, key=lambda t: t[0])
+    else:
+        lo, hi = tau_a, tau_b
+        z_s, w_s = z_a, w_a
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            sm, zm, wm = s(mid)
+            if sm <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+            z_s, w_s = zm, wm
+            if hi - lo < 1e-13 * max(1.0, abs(tau_b)):
+                break
+        tau_s = 0.5 * (lo + hi)
+        z_s, w_s = integrate_to(tau_s)
+        dist = abs(z_s - z0)
+    if dist >= snap:
+        return None
+    d, _ = f(z_s, w_s)
+    u = d / abs(d)
+    if abs(cmath.phase(u / dir0)) > CLOSURE_ANGLE_TOL:
+        return None
+    return tau_s, z_s, w_s
+
+
 # ---------------------------------------------------------------- helpers
 
 
@@ -229,11 +292,23 @@ def _outcome(fn, *args, **kw):
         return type(e), str(e)
 
 
+def _reference_from(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
+    """The reference loop from the tracer's start point. A launched ray's
+    taus start at tau0; the reference counts from 0 against a budget
+    shortened by tau0, and its taus are shifted afterwards."""
+    ray = trace_reference(qd, z0, orientation,
+                          opts.replace(max_phi_length=opts.max_phi_length - tau0),
+                          seed_sqrt, launch_from)
+    ray.taus = ray.taus + tau0
+    ray.phi_length += tau0
+    return ray
+
+
 def _both(monkeypatch, fn, *args, **kw):
     """The outcome of fn with the fused loop, then with the reference."""
     new = _outcome(fn, *args, **kw)
     with monkeypatch.context() as m:
-        m.setattr(tracer, "_trace", trace_reference)
+        m.setattr(tracer, "_trace", _reference_from)
         ref = _outcome(fn, *args, **kw)
     return new, ref
 
@@ -254,9 +329,41 @@ def assert_same(new, ref):
     assert new.orientation == ref.orientation
 
 
-def same_ray(monkeypatch, fn, *args, **kw):
-    new, ref = _both(monkeypatch, fn, *args, **kw)
-    assert_same(new, ref)
+def _arrived(qd, ray):
+    """Whether the ray ended in the analytic disk of a zero or simple pole."""
+    t = ray.termination
+    return t.kind == HIT_CRITICAL and critical_points(qd)[t.cp_index].signed_order >= -1
+
+
+def assert_same_up_to_arrival(qd, new, ref):
+    """new equals ref where both run, cut at its arrival if it arrived."""
+    if not isinstance(ref, TrajectoryRay) or (new.taus[0] == 0.0 and not _arrived(qd, new)):
+        assert_same(new, ref)
+        return
+    assert isinstance(new, TrajectoryRay)
+    n = len(new.points)
+    if _arrived(qd, new):
+        # the reference goes on to the snap radius, unless a budget ends it first
+        assert len(ref.points) >= n
+        assert (ref.termination.kind in (PHI_LENGTH_BUDGET, STEP_BUDGET)
+                or ref.termination.cp_index == new.termination.cp_index)
+        m = n
+    else:
+        assert len(ref.points) == n and new.termination.kind == ref.termination.kind
+        # the last step of a budget-ended ray is the rest of the budget,
+        # which rounds differently when the taus start at tau0
+        m = n - 1
+        assert abs(new.points[-1] - ref.points[-1]) <= 1e-12 * (1.0 + abs(ref.points[-1]))
+    assert new.points[:m].tobytes() == ref.points[:m].tobytes()
+    assert new.sqrt_values[:m].tobytes() == ref.sqrt_values[:m].tobytes()
+    assert np.allclose(new.taus, ref.taus[:n], rtol=1e-14, atol=0.0)
+    assert new.direction_seed == ref.direction_seed
+    assert new.orientation == ref.orientation
+
+
+def same_ray(monkeypatch, fn, qd, *args, **kw):
+    new, ref = _both(monkeypatch, fn, qd, *args, **kw)
+    assert_same_up_to_arrival(qd, new, ref)
     return new
 
 
@@ -393,12 +500,12 @@ def test_random_differentials(seed):
     orientation = int(rng.choice([-1, 1]))
     finite_cps = [c for c in critical_points(qd) if not c.at.is_infinite]
     with pytest.MonkeyPatch.context() as mp:
-        assert_same(*_both(mp, trace_horizontal, qd, z0, orientation, opts))
-        assert_same(*_both(mp, trace_vertical, qd, z0, orientation, opts))
+        assert_same_up_to_arrival(qd, *_both(mp, trace_horizontal, qd, z0, orientation, opts))
+        assert_same_up_to_arrival(qd, *_both(mp, trace_vertical, qd, z0, orientation, opts))
         if finite_cps:
             cp = finite_cps[int(rng.integers(len(finite_cps)))]
             k = int(rng.integers(0, 3))
-            assert_same(*_both(mp, trace_from_critical, qd, cp, k, opts))
+            assert_same_up_to_arrival(qd, *_both(mp, trace_from_critical, qd, cp, k, opts))
 
 
 # ---------------------------------------------------------------- the reuse of stage 0
@@ -420,3 +527,61 @@ def test_continue_sqrt_is_idempotent(vr, vi, hr, hi):
     assume(v != 0)
     w = continue_sqrt(v, h)
     assert _bits(continue_sqrt(v, w)) == _bits(w)
+
+
+# ---------------------------------------------------------------- the closure refinement
+
+
+def _record_closures(monkeypatch):
+    """Run the reference refinement next to the package's at every call;
+    the trace goes on with the package's answer."""
+    calls = []
+    real = tracer._closure_refine
+
+    def both(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
+        new = real(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap)
+        calls.append((new, closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap)))
+        return new
+
+    monkeypatch.setattr(tracer, "_closure_refine", both)
+    return calls
+
+
+def assert_closures_agree(calls):
+    assert calls
+    for new, ref in calls:
+        assert (new is None) == (ref is None)
+        if new is not None:
+            assert abs(new[0] - ref[0]) <= 1e-10
+            assert abs(new[1] - ref[1]) <= 1e-10
+
+
+@pytest.mark.parametrize("start, orientation",
+                         [(1.0, 1), (3.0, -1), (0.5 + 0.5j, 1), (-2.0 + 0.3j, 1), (0.1j, -1)])
+def test_closure_refine_matches_reference_on_the_circle(monkeypatch, start, orientation):
+    calls = _record_closures(monkeypatch)
+    ray = trace_horizontal(circle_qd(), start, orientation)
+    assert ray.termination.kind == CLOSED
+    assert_closures_agree(calls)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_closure_refine_matches_reference_on_probe_circle_ops(monkeypatch, tmp_path, seed):
+    # the circle analyze and trace ops of the benchmark's probe workload
+    import sys
+    from pathlib import Path
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    corpus = pytest.importorskip("corpus")
+    from qdsphere import cli
+
+    calls = _record_closures(monkeypatch)
+    spec, out = tmp_path / "in.json", tmp_path / "out.json"
+    ops = [op for k in range(corpus.PASSES["probe"])
+           for op in corpus.build_pass("probe", seed, k) if op.family == "circle"]
+    assert len(ops) == 2 * corpus.PASSES["probe"]
+    for op in ops:
+        op.write_spec(spec)
+        assert cli.main(op.argv(str(spec), str(out))) == 0
+    sys.modules.pop("corpus", None)
+    assert_closures_agree(calls)
