@@ -243,19 +243,13 @@ def cmd_level(spec, qd, opts, args):
     pairing = pair_zeros_by_short_trajectories(qd, opts)
 
     if isinstance(pairing, PairingFailure):
-        # diagnose: probe targets on the far side of each pole force the
-        # two candidate paths into different homotopy classes
-        base = qd.zeros[0].location if qd.zeros else 0j
+        # diagnose: the level at the base zero is 0, but level_function
+        # first tests the loop integral around every pole
         obstruction = None
-        for pole in qd.poles:
-            probe = 2 * pole.location - base
-            try:
-                level_function(qd, None, probe)
-            except ResidueObstruction as e:
-                obstruction = {"gap": e.gap, "at": e.at}
-                break
-            except QdError:
-                continue
+        try:
+            level_function(qd, None, qd.zeros[0].location)
+        except ResidueObstruction as e:
+            obstruction = {"gap": e.gap, "at": e.at}
         return EXIT_INCONCLUSIVE, _report(
             pairing_failure={"unmatched": pairing.unmatched,
                              "locations": pairing.locations,
@@ -310,11 +304,10 @@ def cmd_cauchy(spec, qd, opts, args):
                     "phi_length": e.phi_length} for e in graph.edges],
             input=spec.defaults_echo(),
         )
-    step = qd.diameter() / 2000.0
     components = []
     total = 0.0
     for e in shorts:
-        mass = measure_mass(qd, e.polyline, max_step=step)
+        mass = measure_mass(qd, e.polyline)
         total += mass
         a = graph.nodes[e.from_node]
         b = graph.nodes[e.to_node]

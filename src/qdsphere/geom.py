@@ -1,12 +1,14 @@
 """Planar segment geometry on complex coordinates, array at a time.
 
-One orientation product and one proper-crossing test serve the cut routing
-and the continuity check of the level function and the recurrence crossing
-count. Every array element is computed with the same IEEE operations, in
-the same order, as the scalar formula, so booleans and crossing parameters
-do not depend on how many segments are tested at once. The point-segment
-and point-polyline distances serve the tracer's closure test and the
-critical graph's edge deduplication.
+One orientation product serves every test. The proper-crossing count serves
+the continuity check of the level function and the recurrence crossing
+count; the closed meeting test, where touching and collinear overlap count
+too, decides which lattice edges of the level function are clear of its
+cuts. Every array element is computed with the same IEEE operations, in the
+same order, as the scalar formula, so booleans and crossing parameters do
+not depend on how many segments are tested at once. The point-segment
+distances serve the tracer's closure test, the critical graph's edge
+deduplication and the pole disks of the level function.
 """
 
 from __future__ import annotations
@@ -23,23 +25,6 @@ def cross(o, a, b):
             - (a.imag - o.imag) * (b.real - o.real))
 
 
-def _test(a, b, c, d):
-    d1 = cross(c, d, a)
-    d2 = cross(c, d, b)
-    proper = (d1 * d2 < 0.0) & (cross(a, b, c) * cross(a, b, d) < 0.0)
-    return proper, d1, d2
-
-
-def proper_crossings(a: complex, b: complex, poly: np.ndarray) -> np.ndarray:
-    """Parameters t in (0, 1) along a->b where the segment a->b crosses the
-    segments of the polyline poly properly, at one interior point of both,
-    in segment order; touching, collinear and shared-endpoint pairs do not
-    count. A proper crossing has orientations of strictly opposite sign, so
-    the denominator of t is never zero."""
-    proper, d1, d2 = _test(a, b, poly[:-1], poly[1:])
-    return d1[proper] / (d1[proper] - d2[proper])
-
-
 def crossing_counts(a: np.ndarray, b: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """For each segment a[i] -> b[i], the number of segments of the polyline
     poly it crosses properly. At most CROSSING_BLOCK pairs are held at once."""
@@ -47,9 +32,39 @@ def crossing_counts(a: np.ndarray, b: np.ndarray, poly: np.ndarray) -> np.ndarra
     counts = np.zeros(len(a), dtype=np.int64)
     rows = max(1, CROSSING_BLOCK // max(1, c.shape[1]))
     for s in range(0, len(a), rows):
-        proper, _d1, _d2 = _test(a[s:s + rows, None], b[s:s + rows, None], c, d)
+        p, q = a[s:s + rows, None], b[s:s + rows, None]
+        proper = (cross(c, d, p) * cross(c, d, q) < 0.0) & (cross(p, q, c) * cross(p, q, d) < 0.0)
         counts[s:s + rows] = np.count_nonzero(proper, axis=1)
     return counts
+
+
+def _within(x, c, d):
+    """Whether x lies in the bounding box of the segment c -> d; for x on
+    the line through c and d, whether it lies on the segment."""
+    return ((np.minimum(c.real, d.real) <= x.real) & (x.real <= np.maximum(c.real, d.real))
+            & (np.minimum(c.imag, d.imag) <= x.imag) & (x.imag <= np.maximum(c.imag, d.imag)))
+
+
+def meets(a: np.ndarray, b: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """For each segment a[i] -> b[i], whether it meets the polyline poly at
+    some point other than b[i]: proper crossings, touching and collinear
+    overlap all count, and a zero-length segment [z, z] meets poly where z
+    lies on it. A one-point polyline [w, w] is the point w. At most
+    CROSSING_BLOCK pairs are held at once."""
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    c, d = poly[None, :-1], poly[None, 1:]
+    hit = np.zeros(len(a), dtype=bool)
+    rows = max(1, CROSSING_BLOCK // max(1, c.shape[1]))
+    for s in range(0, len(a), rows):
+        p, q = a[s:s + rows, None], b[s:s + rows, None]
+        o1, o2 = cross(p, q, c), cross(p, q, d)
+        o3, o4 = cross(c, d, p), cross(c, d, q)
+        m = (o1 * o2 < 0.0) & (o3 * o4 < 0.0)
+        m |= (o1 == 0.0) & _within(c, p, q) & (c != q)
+        m |= (o2 == 0.0) & _within(d, p, q) & (d != q)
+        m |= (o3 == 0.0) & _within(p, c, d)
+        hit[s:s + rows] = np.any(m, axis=1)
+    return hit
 
 
 def point_segment_distance(p: complex, a: complex, b: complex) -> float:
@@ -64,13 +79,17 @@ def point_segment_distance(p: complex, a: complex, b: complex) -> float:
     return abs(p - (a + t * ab))
 
 
-def point_polyline_distance(p: complex, poly: np.ndarray) -> float:
-    """Distance from p to the polyline poly, all segments at once."""
-    a, b = poly[:-1], poly[1:]
-    if not len(a):
-        return abs(p - poly[0])
+def segment_distances(p: complex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from p to each segment a[i] -> b[i]."""
     ab = b - a
     L2 = ab.real * ab.real + ab.imag * ab.imag
     L2 = np.where(L2 == 0.0, 1.0, L2)
     t = np.clip(((p - a).real * ab.real + (p - a).imag * ab.imag) / L2, 0.0, 1.0)
-    return float(np.min(np.abs(p - (a + t * ab))))
+    return np.abs(p - (a + t * ab))
+
+
+def point_polyline_distance(p: complex, poly: np.ndarray) -> float:
+    """Distance from p to the polyline poly, all segments at once."""
+    if len(poly) < 2:
+        return abs(p - poly[0])
+    return float(np.min(segment_distances(p, poly[:-1], poly[1:])))

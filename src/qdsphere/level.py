@@ -1,33 +1,39 @@
 """Level function Im of the integral of sqrt(p)/q from the first paired zero.
 
-The integrand is branch-continued along explicit polyline paths that detour
-around pole guards and around the ends of short-trajectory cuts. Around a
-cut end the sweep direction is forced (the one not crossing the cut), so
-cut detours never change the branch; around poles the two probe paths take
-opposite sides, and a residue with nonzero real part then shows up as a
-path disagreement in the imaginary part.
+The branch of sqrt(p)/q is continued over a lattice graph. Its nodes are
+the lattice points outside the pole disks. An edge joins two 4-neighbours
+when their straight segment meets no cut, touching included, and enters no
+pole disk. The base -> seed probe leg is integrated once; the probe is
+linked to the nearest node it sees clearly, the root, and a breadth-first
+tree from the root integrates each edge once, from its parent's branch. A
+node on a cut or at a zero gets a value but passes no branch on, and a node
+the root cannot reach is an error. Every edge the tree leaves out closes a
+lattice loop: where the cuts are the paired short trajectories, a mismatch
+of the imaginary part across it is a continuity failure. Whether Im of the
+integral depends on the path at all is decided per pole, by one loop
+integral around its disk. A point off the lattice is reached by one clear
+straight link from a node.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction
-from .geom import crossing_counts, proper_crossings
+from .errors import BranchAmbiguity, EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction
+from .geom import crossing_counts, meets, segment_distances
 from .graph import Pairing
 from .qdiff import QuadraticDifferential, pq_form, principal_sqrt, sqrt_panel_integrals
 
 GAP_REL_TOL = 1e-6
 OBSTACLE_FACTOR = 2.0
-MAX_DETOURS = 16
-ARC_STEP = math.pi / 6
 PANEL_RATIO = 0.4            # leaf panel length over distance to the singular set
 MAX_SPLIT_DEPTH = 26
+POINT_LATTICE = 9            # nodes per side of the lattice level_function links a point to
 
 
 @dataclass
@@ -38,6 +44,7 @@ class LevelField:
     window: tuple
     undefined_mask: np.ndarray
     n: int
+    branch: np.ndarray            # sqrt(p) carried on from each node; nan where none is
 
 
 @dataclass
@@ -59,134 +66,12 @@ def _base_point(qd: QuadraticDifferential, pairing) -> complex:
     return ctr + 1.0
 
 
-def _cuts_of(pairing) -> list[np.ndarray]:
-    """Detected short-trajectory polylines; each runs from zero to zero."""
-    if not isinstance(pairing, Pairing):
-        return []
-    return list(pairing.polylines)
-
-
-def _obstacles(qd: QuadraticDifferential) -> list[tuple[complex, float]]:
-    return [(c.location, OBSTACLE_FACTOR * qd.guard_radius(c.location))
-            for c in qd.poles]
-
-
-def _route_obstacles(qd: QuadraticDifferential) -> list[tuple[complex, float, str]]:
-    """Routing obstacles: pole neighborhoods rounded on the probe's side,
-    plus tiny disks at zeros rounded always counterclockwise. Paths through
-    a zero would make the branch continuation degenerate, but the detour
-    sweep there must not depend on the probe side or the two probes would
-    differ by a branch flip instead of a residue loop."""
-    obs = [(c, r, "side") for c, r in _obstacles(qd)]
-    rz = 1e-5 * max(1.0, qd.diameter())
-    for c in qd.zeros:
-        obs.append((c.location, rz, "ccw"))
-    return obs
-
-
-def _segment_circle_hit(a: complex, b: complex, c: complex, r: float):
-    """Smallest t in (0,1) where segment a->b enters the disk |z-c|<r."""
-    d = b - a
-    L2 = d.real * d.real + d.imag * d.imag
-    if L2 == 0.0:
-        return None
-    t = max(0.0, min(1.0, ((c - a).real * d.real + (c - a).imag * d.imag) / L2))
-    if abs(a + t * d - c) >= r:
-        return None
-    # quadratic |a + t d - c|^2 = r^2
-    f = a - c
-    A = L2
-    B = 2.0 * (f.real * d.real + f.imag * d.imag)
-    C = f.real * f.real + f.imag * f.imag - r * r
-    disc = B * B - 4 * A * C
-    if disc <= 0.0:
-        return None
-    s = math.sqrt(disc)
-    t1 = (-B - s) / (2 * A)
-    t2 = (-B + s) / (2 * A)
-    if t2 <= 0.0 or t1 >= 1.0:
-        return None
-    return max(t1, 0.0), min(t2, 1.0)
-
-
-def _arc(c: complex, r: float, th1: float, th2: float, ccw: bool) -> list[complex]:
-    if ccw:
-        while th2 <= th1:
-            th2 += 2 * math.pi
-        sweep = th2 - th1
-    else:
-        while th2 >= th1:
-            th2 -= 2 * math.pi
-        sweep = th1 - th2
-    n = max(2, int(math.ceil(sweep / ARC_STEP)))
-    sign = 1.0 if ccw else -1.0
-    return [c + r * cmath.exp(1j * (th1 + sign * sweep * k / n)) for k in range(n + 1)]
-
-
-def _route(start: complex, end: complex, obstacles, cuts, side: int) -> list[complex]:
-    """Polyline from start to end avoiding pole disks and cut crossings.
-
-    Pole disks are rounded on the side given by `side`; cut ends are rounded
-    with the unique sweep that does not cross the cut itself. Segments are
-    fixed in path order, one detour at a time.
-    """
-    path = [start, end]
-    i = 0   # segments before i are clear, and a detour at i leaves them as they are
-    for _ in range(MAX_DETOURS):
-        while i < len(path) - 1 and not _detour(path, i, obstacles, cuts, side):
-            i += 1
-        if i == len(path) - 1:
-            return path
-    raise PathBlocked(f"no route from {start} to {end} after {MAX_DETOURS} detours")
-
-
-def _detour(path: list[complex], i: int, obstacles, cuts, side: int) -> bool:
-    """Insert a detour after path[i] around the first obstacle disk or cut
-    that the segment path[i] -> path[i + 1] runs into; False when it is clear."""
-    a, b = path[i], path[i + 1]
-    # earliest obstacle-disk entry on this segment
-    best = None
-    for c, r, mode in obstacles:
-        if abs(a - c) <= r or abs(b - c) <= r:
-            continue  # endpoints tangent-close: treat as passable
-        hit = _segment_circle_hit(a, b, c, r)
-        if hit is not None and (best is None or hit[0] < best[0]):
-            best = (hit[0], hit[1], c, r, mode)
-    if best is not None:
-        t1, t2, c, r, mode = best
-        p1 = a + t1 * (b - a)
-        p2 = a + t2 * (b - a)
-        ccw = side > 0 if mode == "side" else True
-        path[i + 1:i + 1] = _arc(c, r, cmath.phase(p1 - c), cmath.phase(p2 - c), ccw=ccw)
-        return True
-    # cut crossings: round the nearest end of the slit; on equal t the
-    # first crossing in cut and segment order wins
-    hit_cut = None
-    for poly in cuts:
-        for t in proper_crossings(a, b, poly):
-            t = float(t)
-            if hit_cut is None or t < hit_cut[0]:
-                hit_cut = (t, poly)
-    if hit_cut is None:
-        return False
-    t, poly = hit_cut
-    x = a + t * (b - a)
-    e0, e1 = complex(poly[0]), complex(poly[-1])
-    e, nb = (e0, complex(poly[1])) if abs(x - e0) <= abs(x - e1) \
-        else (e1, complex(poly[-2]))
-    r = max(abs(x - e) * 1.5, 1e-12)
-    # round the slit end outside any obstacle disk sitting on it
-    for c, ro, _mode in obstacles:
-        if abs(c - e) < ro:
-            r = max(r, 1.25 * ro)
-    th1 = cmath.phase(a - e)
-    th2 = cmath.phase(b - e)
-    thc = cmath.phase(nb - e)   # direction the slit leaves e
-    # pick the sweep whose angular range avoids the slit direction
-    span = (th2 - th1) % (2 * math.pi)
-    ccw_hits_slit = (thc - th1) % (2 * math.pi) <= span
-    path[i + 1:i + 1] = _arc(e, r, th1, th2, not ccw_hits_slit)
-    return True
+def _lattice(window, n: int) -> np.ndarray:
+    """The n x n lattice points of window, rows along y."""
+    x0, y0, x1, y1 = window
+    zs = np.empty((n, n), dtype=complex)
+    zs.real, zs.imag = np.linspace(x0, x1, n)[None, :], np.linspace(y0, y1, n)[:, None]
+    return zs
 
 
 def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
@@ -247,84 +132,190 @@ def _seed_probe(qd, base: complex, cuts) -> complex:
 
 
 class _LevelSetup:
-    """What every sample of one level evaluation shares: the integrand, the
-    obstacles, the singular set and the seed probe near the base, with the
-    base -> probe leg integrated once, on first use."""
+    """What every evaluation of one level function shares: the integrand,
+    the pole disks, the singular set, the cuts and the seed probe near the
+    base. Lattice loops are checked only when `checked`: without the paired
+    cuts a loop can go round a lone zero and flip the branch."""
 
-    def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
+    def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list, checked: bool):
         self.p, self.q = pq_form(qd, "level function")
         self.base = base
         self.cuts = cuts
-        self.pole_obs = _obstacles(qd)
-        self.route_obs = _route_obstacles(qd)
+        self.checked = checked
+        self.pole_obs = [(c.location, OBSTACLE_FACTOR * qd.guard_radius(c.location))
+                         for c in qd.poles]
         self.singular = [c.location for c in qd.poles] + [c.location for c in qd.zeros]
+        # every zero is also a one-point cut: no edge carries a branch through it
+        self.blocks = cuts + [np.array([c.location, c.location]) for c in qd.zeros]
         # target-independent first leg: the branch seed must not depend on z,
         # or targets on opposite sides of a cut get opposite global signs
         self.probe = _seed_probe(qd, base, cuts)
 
-    @cached_property
-    def leg(self) -> tuple[complex, complex]:
-        """Integral over base -> probe and the branch hint at the probe."""
-        return _integrate(self.p, self.q, [self.base, self.probe], None, self.singular)
+    def check_poles(self):
+        """ResidueObstruction at the first pole whose loop integral, around
+        a 16-gon on its disk, has an imaginary part: Im of the integral from
+        the base then depends on the path."""
+        for c, r in self.pole_obs:
+            loop = [c + r * cmath.exp(2j * math.pi * k / 16) for k in range(16)]
+            total, _ = _integrate(self.p, self.q, loop + loop[:1], None, self.singular)
+            gap = abs(total.imag)
+            if gap > GAP_REL_TOL * (1.0 + abs(total)):
+                raise ResidueObstruction(
+                    f"level function path-dependent around the pole at {c}: "
+                    f"loop gap {gap:.6e}", gap=gap, at=c)
+
+    def outside_disks(self, z: np.ndarray) -> np.ndarray:
+        ok = np.ones(z.shape, dtype=bool)
+        for c, r in self.pole_obs:
+            ok &= np.abs(z - c) >= r
+        return ok
+
+    def clear(self, a, b) -> np.ndarray:
+        """Whether each straight segment a -> b, its end b left out, meets
+        no cut and no zero and enters no pole disk."""
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+        ok = np.ones(a.shape, dtype=bool)
+        for poly in self.blocks:
+            ok &= ~meets(a, b, poly)
+        for c, r in self.pole_obs:
+            ok &= segment_distances(c, a, b) >= r
+        return ok
+
+    def continue_over(self, zs: np.ndarray):
+        """Level values at the nodes of the lattice zs (rows along y),
+        flattened, with the branch each node passes on (nan where it passes
+        none) and the mask of the nodes in pole disks."""
+        flat = zs.ravel()
+        masked = ~self.outside_disks(flat)
+        passes = ~masked
+        for poly in self.blocks:
+            passes &= ~meets(flat, flat, poly)      # not on a cut, not at a zero
+        idx = np.arange(flat.size).reshape(zs.shape)
+        i = np.concatenate((idx[:, :-1].ravel(), idx[:-1, :].ravel()))
+        j = np.concatenate((idx[:, 1:].ravel(), idx[1:, :].ravel()))
+        keep = ~masked[i] & ~masked[j] & (passes[i] | passes[j])
+        # an edge is tested from an end that passes its branch on
+        tail = np.where(passes[i], i, j)[keep]
+        head = np.where(passes[i], j, i)[keep]
+        ok = self.clear(flat[tail], flat[head])
+        tail, head = tail[ok].tolist(), head[ok].tolist()
+        nbrs = [[] for _ in range(flat.size)]
+        for e, (t, h) in enumerate(zip(tail, head)):
+            nbrs[t].append((h, e))
+            if passes[h]:
+                nbrs[h].append((t, e))
+
+        pts = flat.tolist()
+        root = self.nearest_clear(flat, passes, self.probe)
+        leg, hint = _integrate(self.p, self.q, [self.base, self.probe], None, self.singular)
+        step, hint = _integrate(self.p, self.q, [self.probe, pts[root]], hint, self.singular)
+        value = [complex(math.nan, math.nan)] * len(pts)
+        branch = list(value)
+        value[root], branch[root] = leg + step, hint
+        seen = [False] * len(pts)
+        seen[root] = True
+        in_tree = [False] * len(tail)
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for w, e in nbrs[u]:
+                if seen[w]:
+                    continue
+                seen[w] = in_tree[e] = True
+                step, hint = _integrate(self.p, self.q, [pts[u], pts[w]], branch[u],
+                                        self.singular)
+                value[w] = value[u] + step
+                if passes[w]:
+                    branch[w] = hint
+                    queue.append(w)
+        lost = [pts[k] for k in range(len(pts)) if not (masked[k] or seen[k])]
+        if lost:
+            raise PathBlocked(f"no lattice path from the seed probe {self.probe} "
+                              f"reaches {lost[0]}")
+        if self.checked:
+            for t, h, used in zip(tail, head, in_tree):
+                if used:
+                    continue
+                step, _ = _integrate(self.p, self.q, [pts[t], pts[h]], branch[t], self.singular)
+                want = value[h].imag
+                gap = abs((value[t] + step).imag - want)
+                if gap > GAP_REL_TOL * (1.0 + abs(want)):
+                    raise BranchAmbiguity(
+                        f"lattice loop through {pts[t]} -> {pts[h]} misses by {gap:.6e}")
+        return np.asarray(value).imag, np.asarray(branch), masked
+
+    def nearest_clear(self, nodes: np.ndarray, usable: np.ndarray, z: complex) -> int:
+        """Index of the nearest usable node whose straight link to z is clear."""
+        cand = np.flatnonzero(usable)
+        order = cand[np.argsort(np.abs(nodes[cand] - z), kind="stable")]
+        for block in (order[:1], order[1:]):
+            ok = np.flatnonzero(self.clear(nodes[block], z))
+            if len(ok):
+                return int(block[ok[0]])
+        raise PathBlocked(f"no lattice node has a clear link to {z}")
+
+    def linked(self, nodes: np.ndarray, level: np.ndarray, branch: np.ndarray,
+               z: complex) -> float:
+        """Level at z through one clear straight link from a lattice node."""
+        k = self.nearest_clear(nodes, ~np.isnan(branch), z)
+        step, _ = _integrate(self.p, self.q, [complex(nodes[k]), z], complex(branch[k]),
+                             self.singular)
+        return float(level[k] + step.imag)
+
+    def point_lattice(self, z: complex) -> np.ndarray:
+        """The POINT_LATTICE x POINT_LATTICE lattice over the bounding square
+        of the base, the probe, z and the cuts, one spacing wider on each
+        side, so that its border ring meets no cut."""
+        pts = np.concatenate([np.array([self.base, self.probe, z])] + self.cuts)
+        lo = complex(pts.real.min(), pts.imag.min())
+        hi = complex(pts.real.max(), pts.imag.max())
+        half = max(hi.real - lo.real, hi.imag - lo.imag) * (0.5 + 1.0 / (POINT_LATTICE - 3))
+        c = 0.5 * (lo + hi)
+        return _lattice((c.real - half, c.imag - half, c.real + half, c.imag + half),
+                        POINT_LATTICE)
 
 
-def _level_eval(s: _LevelSetup, z: complex):
-    """Level value at z plus the two-path disagreement of the imaginary part."""
-    z = complex(z)
-    for c, r in s.pole_obs:
-        if abs(z - c) < r:
-            raise GuardViolation(f"{z} lies inside the pole neighborhood of {c}")
-    if z == s.base:
-        return 0.0, 0.0
-    leg, hint0 = s.leg
-    vals = []
-    for side in (1, -1):
-        path = _route(s.probe, z, s.route_obs, s.cuts, side)
-        seg, _ = _integrate(s.p, s.q, path, hint0, s.singular)
-        vals.append((leg + seg).imag)
-    gap = abs(vals[0] - vals[1])
-    return vals[0], gap
+def _setup(qd: QuadraticDifferential, pairing) -> _LevelSetup:
+    """The setup of a pairing: the cuts are its short-trajectory polylines,
+    each from zero to zero."""
+    paired = isinstance(pairing, Pairing)
+    return _LevelSetup(qd, _base_point(qd, pairing),
+                       list(pairing.polylines) if paired else [], paired)
 
 
 def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     """Im of the path integral of sqrt(p)/q from the base zero to z.
 
-    Raises ResidueObstruction when two homotopically different routes
-    disagree beyond 1e-6 * (1 + |value|): the level function is then not
-    well defined. A PairingFailure or None pairing is accepted with no
+    z is linked to a small lattice over the base, the seed probe, z and the
+    cuts, continued as level_grid continues its own. Raises
+    ResidueObstruction when the loop integral around some pole has an
+    imaginary part beyond 1e-6 * (1 + |loop|): the level function is then
+    not well defined. A PairingFailure or None pairing is accepted with no
     cuts, which is the diagnostic mode for exactly that situation.
     """
-    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(pairing))
-    val, gap = _level_eval(setup, z)
-    if gap > GAP_REL_TOL * (1.0 + abs(val)):
-        raise ResidueObstruction(
-            f"level function path-dependent at {z}: two-path gap {gap:.6e}",
-            gap=gap, at=z)
-    return float(val)
+    setup = _setup(qd, pairing)
+    z = complex(z)
+    if not setup.outside_disks(np.array([z]))[0]:
+        raise GuardViolation(f"{z} lies inside a pole neighborhood")
+    setup.check_poles()
+    if z == setup.base:
+        return 0.0
+    zs = setup.point_lattice(z)
+    level, branch, _ = setup.continue_over(zs)
+    return setup.linked(zs.ravel(), level, branch, z)
 
 
 def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField:
-    """Sample level_function on an n x n grid; pole neighborhoods masked."""
-    x0, y0, x1, y1 = (float(v) for v in window)
+    """Level values on an n x n grid of window, continued over the grid's
+    own lattice; pole neighborhoods masked."""
+    window = tuple(float(v) for v in window)
     n = int(n)
-    setup = _LevelSetup(qd, _base_point(qd, pairing), _cuts_of(pairing))
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    grid = np.zeros((n, n), dtype=float)
-    mask = np.zeros((n, n), dtype=bool)
-    for iy, y in enumerate(ys):
-        for ix, x in enumerate(xs):
-            z = complex(x, y)
-            if any(abs(z - c) < r for c, r in setup.pole_obs):
-                mask[iy, ix] = True
-                continue
-            val, gap = _level_eval(setup, z)
-            if gap > GAP_REL_TOL * (1.0 + abs(val)):
-                raise ResidueObstruction(
-                    f"level grid path-dependent at {z}: gap {gap:.6e}",
-                    gap=gap, at=z)
-            grid[iy, ix] = val
-    return LevelField(setup.base, setup.cuts, grid, (x0, y0, x1, y1), mask, n)
+    setup = _setup(qd, pairing)
+    setup.check_poles()
+    level, branch, masked = setup.continue_over(_lattice(window, n))
+    grid = np.where(masked, 0.0, level).reshape(n, n)
+    return LevelField(setup.base, setup.cuts, grid, window, masked.reshape(n, n), n,
+                      branch.reshape(n, n))
 
 
 def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> VerificationReport:
@@ -332,27 +323,25 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
 
     (i) continuity: adjacent unmasked samples away from cuts jump by at
     most 4 * spacing * local integrand bound. (ii) trajectory constancy:
-    the level values along each ray have standard deviation at most
-    1e-5 * (1 + |mean|). (iii) no open constancy: every unmasked 2x2 block
-    has positive value spread.
+    the level values along each ray, each linked to a node of the field,
+    have standard deviation at most 1e-5 * (1 + |mean|). (iii) no open
+    constancy: every unmasked 2x2 block has positive value spread.
     """
     if not rays:
         raise EmptyLevel("verification needs at least one ray")
-    setup = _LevelSetup(qd, field.base_point, field.cuts)
+    setup = _LevelSetup(qd, field.base_point, field.cuts, False)
+    n = field.n
+    zs = _lattice(field.window, n)
+    nodes, level, branch = zs.ravel(), field.grid.ravel(), field.branch.ravel()
 
     ray_stats = []
     ok_ii = True
     for ray in rays:
         pts = np.asarray(ray.points, dtype=complex)
         take = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
-        take = np.unique(take)
-        vals = []
-        for z in pts[take]:
-            z = complex(z)
-            if any(abs(z - c) < r for c, r in setup.pole_obs):
-                continue
-            v, _gap = _level_eval(setup, z)
-            vals.append(v)
+        pts = pts[np.unique(take)]
+        vals = [setup.linked(nodes, level, branch, z)
+                for z in pts[setup.outside_disks(pts)].tolist()]
         if len(vals) < 2:
             ok_ii = False
             ray_stats.append({"samples": len(vals), "std": None, "pass": False})
@@ -366,25 +355,14 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
                           "mean": mean, "pass": bool(good)})
 
     g, m = field.grid, field.undefined_mask
-    n = field.n
-    degenerate = 0
-    for iy in range(n - 1):
-        for ix in range(n - 1):
-            blk_m = m[iy:iy + 2, ix:ix + 2]
-            if blk_m.any():
-                continue
-            blk = g[iy:iy + 2, ix:ix + 2]
-            if float(blk.max() - blk.min()) <= 0.0:
-                degenerate += 1
+    blk = np.stack([g[:-1, :-1], g[:-1, 1:], g[1:, :-1], g[1:, 1:]])
+    open_blk = ~(m[:-1, :-1] | m[:-1, 1:] | m[1:, :-1] | m[1:, 1:])
+    degenerate = int(np.count_nonzero(open_blk & (blk.max(axis=0) - blk.min(axis=0) <= 0.0)))
     ok_iii = degenerate == 0
 
     x0, y0, x1, y1 = field.window
     hx = (x1 - x0) / max(n - 1, 1)
     hy = (y1 - y0) / max(n - 1, 1)
-    xs = np.linspace(x0, x1, n)
-    ys = np.linspace(y0, y1, n)
-    zs = np.empty((n, n), dtype=complex)
-    zs.real, zs.imag = xs[None, :], ys[:, None]
     # neighbour pairs split by a cut: along x from (iy, ix), along y from (iy, ix)
     cut_x = _crosses_cut(zs[:, :-1], zs[:, 1:], field.cuts)
     cut_y = _crosses_cut(zs[:-1, :], zs[1:, :], field.cuts)
@@ -399,7 +377,7 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
     p, q = setup.p, setup.q
     gabs = np.zeros((n, n))
     for iy, ix in zip(*np.nonzero(used)):
-        z = complex(xs[ix], ys[iy])
+        z = complex(zs[iy, ix])
         gabs[iy, ix] = abs(principal_sqrt(p(z)) / q(z))
     # the max of the ratios skips NaN and does not depend on the pair order
     worst = 0.0

@@ -483,6 +483,33 @@ def test_level_obstruction_exit_10(tmp_path):
     assert gap == pytest.approx(2 * math.pi * math.sqrt(3), rel=1e-3)
 
 
+WIDE_SEGMENT = {
+    "format_version": 1,
+    "p_over_q_squared": {"p": [[-4.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[1.0, 0.0]],
+                         "sign": -1},
+    "window": [-4.3, -3.1, 4.2, 3.7],
+}
+
+
+def test_level_wide_segment_grid_65(tmp_path):
+    # a window and grid where routing two paths around the cut ends gave up
+    # after 16 detours; the lattice graph reaches every sample
+    out = str(tmp_path / "level.json")
+    assert run(["level", write_spec(tmp_path, WIDE_SEGMENT), "--grid", "65", "--out", out]) == 0
+    ver = load(out)["verification"]
+    assert ver["passed_i"] and ver["passed_ii"] and ver["passed_iii"]
+
+
+def test_level_window_split_by_cut_is_path_blocked(tmp_path, capsys):
+    # the cut [-1, 1] runs across the window from side to side: no lattice
+    # path joins the two halves, so there is no grid, not a grid of guesses
+    spec = dict(SEGMENT, window=[-0.9, -1.0, 0.9, 1.0])
+    out = tmp_path / "level.json"
+    assert run(["level", write_spec(tmp_path, spec), "--grid", "8", "--out", str(out)]) == 1
+    assert "no lattice path" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_level_requires_pq_form(tmp_path, capsys):
     spec = write_spec(tmp_path, FIG_WINDING)
     assert run(["level", spec, "--out", str(tmp_path / "x.json")]) == 1

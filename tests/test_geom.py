@@ -1,6 +1,8 @@
 """The array geometry kernel and the array-classified marching squares
 against the scalar loops they replaced, which are kept here as references."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -112,14 +114,6 @@ jittered = st.builds(complex, st.floats(-3, 3, allow_nan=False),
 points = st.one_of(lattice, jittered)
 
 
-@settings(max_examples=400, deadline=None)
-@given(points, points, st.lists(points, min_size=0, max_size=12))
-def test_proper_crossings_match_scalar_loop(a, b, poly):
-    poly = np.asarray(poly, dtype=complex)
-    got = geom.proper_crossings(a, b, poly)
-    assert got.tobytes() == proper_crossings_loop(a, b, poly).tobytes()
-
-
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(points, points), min_size=0, max_size=10),
        st.lists(points, min_size=0, max_size=10))
@@ -141,13 +135,7 @@ def test_crossing_counts_match_scalar_loop(segments, poly):
 ], ids=["touching", "vertex", "collinear", "shared-end", "same", "beyond"])
 def test_degenerate_contacts_are_not_proper(a, b, poly):
     poly = np.asarray(poly, dtype=complex)
-    assert len(geom.proper_crossings(a, b, poly)) == 0
     assert geom.crossing_counts(np.asarray([a]), np.asarray([b]), poly)[0] == 0
-
-
-def test_proper_crossing_parameter():
-    t = geom.proper_crossings(0j, 4 + 0j, np.asarray([1 - 1j, 1 + 1j, 3 - 1j, 3 + 1j]))
-    assert t.tolist() == [0.25, 0.5, 0.75]
 
 
 def test_crossing_counts_across_blocks(monkeypatch):
@@ -159,6 +147,93 @@ def test_crossing_counts_across_blocks(monkeypatch):
     monkeypatch.setattr(geom, "CROSSING_BLOCK", 100)   # 2 rows per block
     assert np.array_equal(geom.crossing_counts(a, b, poly), whole)
     assert np.array_equal(whole, crossing_counts_loop(a, b, poly))
+
+
+# ---------------------------------------------------------------- meeting test
+
+
+def _exact(z):
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def _xcross(u, v):
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _meets_exact(a, b, c, d) -> bool:
+    """Whether the segment a -> b meets the segment c -> d at a point other
+    than b (a zero-length a -> b: whether a lies on c -> d), in rational
+    arithmetic from the parametric forms a + t (b - a) and c + s (d - c)."""
+    a, b, c, d = map(_exact, (a, b, c, d))
+    sub = lambda u, v: (u[0] - v[0], u[1] - v[1])
+    r, e, ca = sub(b, a), sub(d, c), sub(c, a)
+    if r == (0, 0):
+        if e == (0, 0):
+            return a == c
+        s = ((a[0] - c[0]) * e[0] + (a[1] - c[1]) * e[1]) / (e[0] ** 2 + e[1] ** 2)
+        return _xcross(e, sub(a, c)) == 0 and 0 <= s <= 1
+    den = _xcross(r, e)
+    if den != 0:
+        t, s = _xcross(ca, e) / den, _xcross(ca, r) / den
+        return 0 <= t < 1 and 0 <= s <= 1
+    if _xcross(ca, r) != 0:
+        return False                       # parallel lines
+    rr = r[0] ** 2 + r[1] ** 2
+    tc = (ca[0] * r[0] + ca[1] * r[1]) / rr
+    td = ((d[0] - a[0]) * r[0] + (d[1] - a[1]) * r[1]) / rr
+    return min(tc, td) < 1 and max(tc, td) >= 0
+
+
+def meets_exact(a, b, poly) -> bool:
+    return any(_meets_exact(a, b, complex(c), complex(d)) for c, d in zip(poly[:-1], poly[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(lattice, lattice), min_size=1, max_size=8),
+       st.lists(lattice, min_size=1, max_size=8))
+def test_meets_matches_exact_oracle_on_lattice(segments, poly):
+    # integer coordinates keep every orientation product exact, so the
+    # float test must agree with the rational one on every degenerate contact
+    a = np.asarray([s[0] for s in segments], dtype=complex)
+    b = np.asarray([s[1] for s in segments], dtype=complex)
+    poly = np.asarray(poly, dtype=complex)
+    want = [meets_exact(complex(p), complex(q), poly) for p, q in zip(a, b)]
+    assert geom.meets(a, b, poly).tolist() == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(points, points), min_size=1, max_size=8),
+       st.lists(points, min_size=1, max_size=8))
+def test_meets_includes_every_proper_crossing(segments, poly):
+    a = np.asarray([s[0] for s in segments], dtype=complex)
+    b = np.asarray([s[1] for s in segments], dtype=complex)
+    poly = np.asarray(poly, dtype=complex)
+    assert np.all(geom.meets(a, b, poly) | (geom.crossing_counts(a, b, poly) == 0))
+
+
+@pytest.mark.parametrize("a,b,poly,want", [
+    (0j, 2 + 0j, [1 + 0j, 1 + 1j], True),            # touching
+    (0j, 2 + 0j, [1 - 1j, 1 + 0j, 1 + 1j], True),     # vertex on the segment
+    (0j, 2 + 0j, [1 + 0j, 3 + 0j], True),             # collinear, overlapping
+    (0j, 2 + 0j, [2 + 0j, 3 + 1j], False),            # only at the end b
+    (0j, 2 + 0j, [-1 + 0j, 1 + 1j], False),           # beyond the start
+    (0j, 2 + 0j, [2 - 1j, 2 + 1j], False),            # crosses through b only
+    (0j, 2 + 0j, [1 + 0j, 1 + 0j], True),             # a one-point polyline on it
+    (1 + 0j, 1 + 0j, [0j, 2 + 0j], True),             # a point on the polyline
+], ids=["touching", "vertex", "collinear", "end-b", "before-a", "through-b",
+        "point", "zero-length"])
+def test_meets_degenerate_contacts(a, b, poly, want):
+    assert geom.meets(np.asarray([a]), np.asarray([b]), np.asarray(poly)).tolist() == [want]
+
+
+def test_meets_across_blocks(monkeypatch):
+    rng = np.random.default_rng(6)
+    a = rng.normal(size=300) + 1j * rng.normal(size=300)
+    b = rng.normal(size=300) + 1j * rng.normal(size=300)
+    poly = rng.normal(size=40) + 1j * rng.normal(size=40)
+    whole = geom.meets(a, b, poly)
+    monkeypatch.setattr(geom, "CROSSING_BLOCK", 100)
+    assert np.array_equal(geom.meets(a, b, poly), whole)
 
 
 # ---------------------------------------------------------------- callers
@@ -191,7 +266,6 @@ def test_level_matches_scalar_crossing_test(p, monkeypatch):
     window = (-3.0, -2.5, 3.0, 2.5)
     rays = [trace_horizontal(qd, 0.3 + 0.5j), trace_horizontal(qd, -2.0 + 0.1j, -1)]
     field, report = _level_run(qd, pairing, window, 9, rays)
-    monkeypatch.setattr(level, "proper_crossings", proper_crossings_loop)
     monkeypatch.setattr(level, "crossing_counts", crossing_counts_loop)
     want_field, want_report = _level_run(qd, pairing, window, 9, rays)
     assert np.array_equal(field.grid, want_field.grid)

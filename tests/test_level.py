@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from qdsphere.errors import (
+    BranchAmbiguity,
     EmptyLevel,
     GuardViolation,
+    PathBlocked,
     ResidueObstruction,
     WrongProvenance,
 )
@@ -116,14 +118,16 @@ def test_level_two_calls_identical():
 
 def test_grid_shares_leg_with_pointwise_values():
     # the grid integrates the base -> probe leg once for all samples; every
-    # sample must still equal its own level_function call exactly
+    # sample must still agree with its own level_function call, which
+    # reaches the point through a different lattice
     qd, pairing = segment_setup()
     field = level_grid(qd, pairing, (-3.0, -2.5, 3.0, 2.5), 7)
     xs = np.linspace(-3.0, 3.0, 7)
     ys = np.linspace(-2.5, 2.5, 7)
     for iy, y in enumerate(ys):
         for ix, x in enumerate(xs):
-            assert field.grid[iy, ix] == level_function(qd, pairing, complex(x, y))
+            v = level_function(qd, pairing, complex(x, y))
+            assert abs(field.grid[iy, ix] - v) <= 1e-12 * (1.0 + abs(v))
 
 
 def test_residue_obstruction_detected():
@@ -305,3 +309,47 @@ def test_cut_crossing_continuity():
         up = level_function(qd, pairing, complex(x, eps))
         dn = level_function(qd, pairing, complex(x, -eps))
         assert abs(up - dn) < 1e-5
+
+
+def test_default_segment_grid_on_the_cut():
+    # the default level example (window +-4, n = 65): the row y = 0 holds 17
+    # samples on the cut, both zeros included; they get values but pass no
+    # branch on, so neither half of the lattice leaks into the other
+    qd, pairing = segment_setup()
+    field = level_grid(qd, pairing, (-4.0, -4.0, 4.0, 4.0), 65)
+    xs = np.linspace(-4.0, 4.0, 65)
+    row = field.grid[32]
+    on_cut = np.abs(xs) <= 1.0
+    assert np.count_nonzero(on_cut) == 17
+    assert np.all(np.abs(row[on_cut]) <= 1e-12)
+    for x, v in zip(xs[~on_cut], row[~on_cut]):
+        assert abs(abs(v) - segment_exact(x)) <= 1e-10 * (1.0 + segment_exact(x))
+    assert np.all(np.isnan(field.branch[32][on_cut]))
+
+
+def test_residue_obstruction_sits_at_the_pole():
+    # decided by the loop integral around the pole's disk, whatever the target
+    qd = qd_from_p_over_q_squared(Polynomial([-1.0, 0.0, 1.0]), Polynomial([-2.0, 1.0]))
+    for z in (4.0 + 0j, -3.0 + 1j):
+        with pytest.raises(ResidueObstruction) as ei:
+            level_function(qd, None, z)
+        assert ei.value.at == 2.0
+        assert ei.value.gap == pytest.approx(2 * math.pi * math.sqrt(3), rel=1e-12)
+    with pytest.raises(ResidueObstruction):
+        level_grid(qd, None, (-3.0, -3.0, 3.0, 3.0), 5)
+
+
+def test_lattice_loop_gate_catches_a_cut_that_misses_a_zero():
+    # half a cut leaves the zero at 1 free: a lattice loop around it flips
+    # the branch, and the non-tree edge that closes the loop must say so
+    qd, pairing = segment_setup()
+    cut = pairing.polylines[0]
+    broken = dataclasses.replace(pairing, polylines=[cut[: len(cut) // 2]])
+    with pytest.raises(BranchAmbiguity):
+        level_grid(qd, broken, (-3.0, -2.5, 3.0, 2.5), 9)
+
+
+def test_unreachable_sample_is_path_blocked():
+    qd, pairing = segment_setup()
+    with pytest.raises(PathBlocked):
+        level_grid(qd, pairing, (-0.9, -1.0, 0.9, 1.0), 8)

@@ -187,6 +187,21 @@ def test_measure_mass_semicircle():
     assert measure_mass(qd, coarse, max_step=1e-3) == pytest.approx(1.0, abs=2e-5)
 
 
+@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (0.3, 1.0), (-1.7, 0.6), (0.5, 1.9)])
+def test_measure_mass_resolves_square_root_ends(shift, scale):
+    # p = 1, q = -(z - shift) / scale, r = 1: the support is the segment of
+    # half-length 2 scale about shift, of mass scale; graded end panels give
+    # it to rounding, where the trapezoid rule lost 4.65e-5 at the ends
+    from qdsphere.graph import find_short_trajectories
+    q = Polynomial([shift / scale, -1.0 / scale])
+    qd = cauchy_qd(Polynomial([1.0]), q, Polynomial([1.0]))
+    (edge,) = find_short_trajectories(qd)
+    for step in (None, qd.diameter() / 2000):
+        mass = measure_mass(qd, edge.polyline, max_step=step)
+        assert mass == pytest.approx(scale, abs=1e-10)
+        assert mass == pytest.approx(edge.phi_length / (2 * math.pi), abs=1e-9)
+
+
 def test_provenance_round_trip():
     p = Polynomial([-1.0, 0.0, 1.0])
     q = Polynomial([0.0, 1.0])
