@@ -104,7 +104,8 @@ def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
 
 def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     """Each zero b of q must give a purely imaginary residue of sqrt(p)/q,
-    computed as sqrt(p(b))/q'(b) and tested under both branch signs."""
+    computed as sqrt(p(b))/q'(b); whether it is does not depend on the
+    branch of the square root."""
     p, q = pq_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
     qroots = poly_roots(q) if q.degree >= 1 else []
@@ -117,13 +118,11 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     all_imag = True
     for c in qroots:
         b = c.location
-        for s in (1.0, -1.0):
-            res = s * principal_sqrt(p(b)) / dq(b)
-            ratio = abs(res.real) / max(abs(res), 1e-300) if res != 0 else 0.0
-            worst = max(worst, ratio)
-            if ratio > IMAG_REL_TOL:
-                all_imag = False
         res0 = principal_sqrt(p(b)) / dq(b)
+        ratio = abs(res0.real) / max(abs(res0), 1e-300) if res0 != 0 else 0.0
+        worst = max(worst, ratio)
+        if ratio > IMAG_REL_TOL:
+            all_imag = False
         residues.append([_c(b), [res0.real, res0.imag]])
     ev["residues"] = residues
     ev["max_real_ratio"] = worst

@@ -19,7 +19,6 @@ from .errors import ConvergenceFailure, NotAPole, ZeroPolynomial
 COEFF_TRIM = 1e-14
 ROOT_TOL = 1e-8
 POLE_TOL = 1e-6
-ABERTH_MAX_ITER = 400
 
 
 class Polynomial:
@@ -155,43 +154,6 @@ class RootCluster:
     radius: float
 
 
-def _aberth(monic: np.ndarray, tol: float) -> np.ndarray:
-    """Simultaneous root iteration on a monic coefficient array (ascending)."""
-    n = len(monic) - 1
-    dcoef = monic[1:] * np.arange(1, n + 1)
-    center = -monic[n - 1] / n
-    # Fujiwara bound on root moduli
-    radius = 2.0 * max(
-        (abs(monic[n - k]) ** (1.0 / k) for k in range(1, n + 1) if monic[n - k] != 0),
-        default=0.0,
-    )
-    radius = max(radius, 1.0)
-    angles = 2.0 * np.pi * np.arange(n) / n + 0.41
-    x = center + radius * np.exp(1j * angles) * (0.6 + 0.4 * np.arange(1, n + 1) / n)
-
-    for _ in range(ABERTH_MAX_ITER):
-        pv = np.zeros(n, dtype=complex)
-        for c in monic[::-1]:
-            pv = pv * x + c
-        dv = np.zeros(n, dtype=complex)
-        for c in dcoef[::-1]:
-            dv = dv * x + c
-        dv = np.where(dv == 0, 1e-300, dv)
-        newton = pv / dv
-        diff = x[:, None] - x[None, :]
-        np.fill_diagonal(diff, 1.0)
-        inv = 1.0 / diff
-        np.fill_diagonal(inv, 0.0)
-        sums = inv.sum(axis=1)
-        denom = 1.0 - newton * sums
-        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
-        corr = newton / denom
-        x = x - corr
-        if np.max(np.abs(corr) / (1.0 + np.abs(x))) < 1e-14:
-            break
-    return x
-
-
 def _union_groups(points: list[complex], radius_of) -> list[list[int]]:
     n = len(points)
     parent = list(range(n))
@@ -318,9 +280,9 @@ LOOSE_FACTOR = 5e-3
 def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
     """All roots as clusters with multiplicities.
 
-    Aberth-Ehrlich iteration, then multiple-root resolution: candidate
-    groups are polished as simple roots of the (m-1)-th derivative and kept
-    only if the lower derivatives vanish within evaluation noise. Final
+    Companion-matrix eigenvalues (np.roots), then multiple-root resolution:
+    candidate groups are polished as simple roots of the (m-1)-th derivative
+    and kept only if the lower derivatives vanish within evaluation noise. Final
     single-linkage clustering at tol * max(1, largest root modulus); the
     cluster center is the multiplicity-weighted mean. Raises
     ConvergenceFailure when a cluster center fails the residual test.
@@ -329,9 +291,7 @@ def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
         raise ZeroPolynomial("cannot take roots of the zero polynomial")
     if p.degree < 1:
         return []
-    coeffs = np.asarray(p.coeffs, dtype=complex)
-    monic = coeffs / coeffs[-1]
-    raw = [complex(z) for z in _aberth(monic, tol)]
+    raw = [complex(z) for z in np.roots(p.coeffs[::-1])]
 
     ladder = _DerivLadder(p)
     resolved: list[tuple[complex, int, float]] = []
@@ -356,23 +316,6 @@ def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
         clusters.append(RootCluster(loc, tot, rad))
     clusters.sort(key=lambda c: (c.location.real, c.location.imag))
     return clusters
-
-
-def coprime_check(p: Polynomial, q: Polynomial, tol: float = ROOT_TOL) -> bool:
-    """True iff no root of p lies within the cluster tolerance of a root of q."""
-    if p.is_zero() or q.is_zero():
-        raise ZeroPolynomial("coprimality needs nonzero polynomials")
-    if p.degree < 1 or q.degree < 1:
-        return True
-    rp = poly_roots(p, tol)
-    rq = poly_roots(q, tol)
-    rmax = max(abs(c.location) for c in rp + rq)
-    thr = tol * max(1.0, rmax)
-    for a in rp:
-        for b in rq:
-            if abs(a.location - b.location) <= thr:
-                return False
-    return True
 
 
 def _residue_by_contour(num: Polynomial, den: Polynomial, b: complex, radius: float) -> complex:

@@ -25,7 +25,7 @@ from .errors import (
     WrongProvenance,
     ZeroPolynomial,
 )
-from .polyalg import Polynomial, RootCluster, coprime_check, poly_roots
+from .polyalg import Polynomial, RootCluster, poly_roots
 
 ROOT_TOL = 1e-8
 ANGULAR_TOL = 1e-9
@@ -74,10 +74,6 @@ class CriticalPoint:
     @property
     def is_finite_critical(self) -> bool:
         return self.signed_order >= -1
-
-    @property
-    def is_infinite_critical(self) -> bool:
-        return self.signed_order <= -2
 
 
 @dataclass
@@ -255,12 +251,7 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
     for c in qd.zeros:
         pts.append(CriticalPoint(SpherePoint.finite(c.location), c.multiplicity))
     for c in qd.poles:
-        qr = None
-        if c.multiplicity == 2:
-            qtail = qd.den
-            for _ in range(2):
-                qtail, _rem = qtail.deflated(c.location)
-            qr = qd.num(c.location) / qtail(c.location)
+        qr = _leading_at(qd, c.location, -2) if c.multiplicity == 2 else None
         pts.append(CriticalPoint(SpherePoint.finite(c.location), -c.multiplicity, qr))
     pts.sort(key=lambda p: (p.at.value.real, p.at.value.imag))
 
@@ -311,11 +302,10 @@ def _find_critical(qd: QuadraticDifferential, at: SpherePoint) -> CriticalPoint:
     return best
 
 
-def local_leading_coefficient(qd: QuadraticDifferential, cp: CriticalPoint) -> complex:
-    """a with phi(z) ~ a (z - z0)^n near the finite critical point z0."""
-    z0 = cp.at.value
+def _leading_at(qd: QuadraticDifferential, z0: complex, n: int) -> complex:
+    """num(z0)/den(z0) once (z - z0)^|n| is divided out of num (n > 0) or
+    den (n < 0): a with phi(z) ~ a (z - z0)^n."""
     num, den = qd.num, qd.den
-    n = cp.signed_order
     if n > 0:
         for _ in range(n):
             num, _ = num.deflated(z0)
@@ -323,6 +313,11 @@ def local_leading_coefficient(qd: QuadraticDifferential, cp: CriticalPoint) -> c
         for _ in range(-n):
             den, _ = den.deflated(z0)
     return num(z0) / den(z0)
+
+
+def local_leading_coefficient(qd: QuadraticDifferential, cp: CriticalPoint) -> complex:
+    """a with phi(z) ~ a (z - z0)^n near the finite critical point z0."""
+    return _leading_at(qd, cp.at.value, cp.signed_order)
 
 
 def critical_directions(qd: QuadraticDifferential, cp: CriticalPoint) -> list[complex]:
@@ -442,16 +437,24 @@ def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[comple
 # -- constructors for the special families ------------------------------
 
 
+def _roots_apart(p: Polynomial, q: Polynomial) -> tuple[list[RootCluster], list[RootCluster]]:
+    """The root clusters of p and of q; NotCoprime when a cluster of p lies
+    within ROOT_TOL * max(1, largest root modulus) of a cluster of q."""
+    proots = poly_roots(p) if p.degree >= 1 else []
+    qroots = poly_roots(q) if q.degree >= 1 else []
+    thr = ROOT_TOL * max([1.0] + [abs(c.location) for c in proots + qroots])
+    if any(abs(a.location - b.location) <= thr for a in proots for b in qroots):
+        raise NotCoprime("p and q share a root cluster")
+    return proots, qroots
+
+
 def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> QuadraticDifferential:
     """phi = sign * p / q^2 with the (p, q) provenance retained."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomial("p and q must be nonzero")
-    if p.degree >= 1 and q.degree >= 1 and not coprime_check(p, q):
-        raise NotCoprime("p and q share a root cluster")
-    zeros = poly_roots(p) if p.degree >= 1 else []
-    qroots = poly_roots(q) if q.degree >= 1 else []
+    zeros, qroots = _roots_apart(p, q)
     poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in qroots]
     qd = QuadraticDifferential(p * sign, q * q, zeros, poles,
                                _Provenance("p_over_q_squared",
@@ -461,52 +464,35 @@ def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> Qua
 
 
 def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
-    """phi = -((p'q - pq')/(pq))^2, whose horizontal trajectories are the
-    level curves |p/q| = const."""
+    """phi = -(r'/r)^2 for r = p/q, whose horizontal trajectories are the
+    level curves |r| = const.
+
+    In closed form r'/r = sum_a m_a / (z - a) = n/d, a running over the
+    distinct roots of p (m_a > 0, its multiplicity) and of q (m_a < 0), with
+    d = prod_a (z - a) and n = sum_a m_a d / (z - a); so phi = -n^2/d^2. Its
+    poles are the roots of p and q, each of order -2, and its zeros the
+    roots of n, each doubled.
+    """
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomial("p and q must be nonzero")
-    if p.degree >= 1 and q.degree >= 1 and not coprime_check(p, q):
-        raise NotCoprime("p and q share a root cluster")
-    num_ld = p.derivative() * q - p * q.derivative()
-    den_ld = p * q
-    if num_ld.is_zero():
+    proots, qroots = _roots_apart(p, q)
+    sites = ([(c.location, c.multiplicity) for c in proots]
+             + [(c.location, -c.multiplicity) for c in qroots])
+    if not sites:
         raise ConstantRational("p/q is constant: the logarithmic derivative vanishes")
-    # reduce the logarithmic derivative: shared clusters sit at multiple roots of p*q
-    nroots = poly_roots(num_ld) if num_ld.degree >= 1 else []
-    droots = poly_roots(den_ld) if den_ld.degree >= 1 else []
-    rmax = max((abs(c.location) for c in nroots + droots), default=0.0)
-    tol = ROOT_TOL * max(1.0, rmax)
-    red_n, red_d = list(nroots), []
-    for dc in droots:
-        matched = None
-        for i, nc in enumerate(red_n):
-            if abs(nc.location - dc.location) <= tol:
-                matched = i
-                break
-        if matched is None:
-            red_d.append(dc)
-        else:
-            nc = red_n.pop(matched)
-            m = min(nc.multiplicity, dc.multiplicity)
-            if nc.multiplicity > m:
-                red_n.append(RootCluster(nc.location, nc.multiplicity - m, nc.radius))
-            if dc.multiplicity > m:
-                red_d.append(RootCluster(dc.location, dc.multiplicity - m, dc.radius))
-    lead = num_ld.coeffs[-1] / den_ld.coeffs[-1]
-    n_red = Polynomial.from_roots(
-        [c.location for c in red_n for _ in range(c.multiplicity)], 1.0)
-    d_red = Polynomial.from_roots(
-        [c.location for c in red_d for _ in range(c.multiplicity)], 1.0)
-    num = (n_red * n_red) * (-(lead * lead))
-    den = d_red * d_red
-    zeros = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in red_n]
-    poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in red_d]
-    zeros.sort(key=lambda c: (c.location.real, c.location.imag))
+    d = Polynomial.from_roots([a for a, _m in sites])
+    n = Polynomial()
+    for a, m in sites:
+        n = n + d.deflated(a)[0] * m
+    zeros = [RootCluster(c.location, 2 * c.multiplicity, c.radius)
+             for c in (poly_roots(n) if n.degree >= 1 else [])]
+    poles = [RootCluster(c.location, 2, c.radius) for c in proots + qroots]
     poles.sort(key=lambda c: (c.location.real, c.location.imag))
-    return QuadraticDifferential(num, den, zeros, poles,
+    num = (n * n) * -1.0
+    return QuadraticDifferential(num, d * d, zeros, poles,
                                  _Provenance("lemniscate",
                                              {"p": p, "q": q,
-                                              "p_eff": num, "q_eff": d_red}))
+                                              "p_eff": num, "q_eff": d}))
 
 
 def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferential:

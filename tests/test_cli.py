@@ -528,6 +528,33 @@ def test_lemniscate_svg(tmp_path):
     assert "level" in kinds and "bg" in kinds
 
 
+# r = (z-5)^6 (z-1) / (z+1)^4, coefficients ascending
+HIGH_MULTIPLICITY_LEMNISCATE = {
+    "format_version": 1,
+    "lemniscate": {"p": [[c, 0.0] for c in [-15625.0, 34375.0, -28125.0, 11875.0,
+                                            -2875.0, 405.0, -31.0, 1.0]],
+                   "q": [[c, 0.0] for c in [1.0, 4.0, 6.0, 4.0, 1.0]]},
+}
+
+
+def test_lemniscate_high_multiplicity_svg(tmp_path, capsys):
+    out = str(tmp_path / "lem.svg")
+    assert run(["lemniscate", write_spec(tmp_path, HIGH_MULTIPLICITY_LEMNISCATE),
+                "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert ET.parse(out).getroot().tag.endswith("svg")
+
+
+def test_lemniscate_constant_ratio_is_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"format_version": 1,
+                                 "lemniscate": {"p": [[2.0, 0.0]], "q": [[3.0, 0.0]]}})
+    out = tmp_path / "x.svg"
+    assert run(["lemniscate", spec, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: p/q is constant") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_lemniscate_requires_lemniscate_form(tmp_path, capsys):
     spec = write_spec(tmp_path, SEGMENT)
     assert run(["lemniscate", spec, "--out", str(tmp_path / "x.svg")]) == 1

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from qdsphere import polyalg
 from qdsphere.errors import NotAPole, ZeroPolynomial
 from qdsphere.polyalg import Polynomial, poly_roots, rational_residue
 
@@ -131,3 +132,86 @@ def test_ghost_coefficients_trimmed():
     assert a.degree == 2
     b = Polynomial([1.0, 1e-18]) + Polynomial([1.0, -1e-18])
     assert b.degree == 0
+
+
+# -- Aberth-Ehrlich reference ---------------------------------------------
+#
+# An independent source of raw roots for poly_roots, which takes them from
+# the companion-matrix eigenvalues (np.roots): the Aberth-Ehrlich
+# simultaneous iteration, fed through the same clustering, multiplicity and
+# polish pipeline.
+
+ABERTH_MAX_ITER = 400
+
+
+def _aberth(monic: np.ndarray) -> np.ndarray:
+    """Simultaneous root iteration on a monic coefficient array (ascending)."""
+    n = len(monic) - 1
+    dcoef = monic[1:] * np.arange(1, n + 1)
+    center = -monic[n - 1] / n
+    # Fujiwara bound on root moduli
+    radius = 2.0 * max(
+        (abs(monic[n - k]) ** (1.0 / k) for k in range(1, n + 1) if monic[n - k] != 0),
+        default=0.0,
+    )
+    radius = max(radius, 1.0)
+    angles = 2.0 * np.pi * np.arange(n) / n + 0.41
+    x = center + radius * np.exp(1j * angles) * (0.6 + 0.4 * np.arange(1, n + 1) / n)
+
+    for _ in range(ABERTH_MAX_ITER):
+        pv = np.zeros(n, dtype=complex)
+        for c in monic[::-1]:
+            pv = pv * x + c
+        dv = np.zeros(n, dtype=complex)
+        for c in dcoef[::-1]:
+            dv = dv * x + c
+        dv = np.where(dv == 0, 1e-300, dv)
+        newton = pv / dv
+        diff = x[:, None] - x[None, :]
+        np.fill_diagonal(diff, 1.0)
+        inv = 1.0 / diff
+        np.fill_diagonal(inv, 0.0)
+        sums = inv.sum(axis=1)
+        denom = 1.0 - newton * sums
+        denom = np.where(np.abs(denom) < 1e-300, 1e-300, denom)
+        corr = newton / denom
+        x = x - corr
+        if np.max(np.abs(corr) / (1.0 + np.abs(x))) < 1e-14:
+            break
+    return x
+
+
+def _reference_roots(p, monkeypatch):
+    """poly_roots with its raw roots taken from the Aberth iteration
+    (np.roots is patched only for the duration of the call)."""
+    with monkeypatch.context() as m:
+        m.setattr(polyalg.np, "roots",
+                  lambda desc: _aberth(np.asarray(desc)[::-1] / desc[0]))
+        return poly_roots(p)
+
+
+def _seeded(degree, seed):
+    rng = np.random.default_rng(seed)
+    return Polynomial(rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1))
+
+
+MULTIPLE_ROOT_FIXTURES = [
+    (from_roots([2.0, 2.0, 2.0, -1.0]), 1e-12),
+    # two double roots 4e-3 apart: the slope of p' at each is ~1e-4, so
+    # rounding in p's coefficients sets the polished location only to ~1e-10
+    # (both pipelines land within 4e-11 of the exact roots)
+    (from_roots([1 - 2e-3, 1 - 2e-3, 1 + 2e-3, 1 + 2e-3]), 1e-10),
+    (from_roots([1e6, 1e6, 1e6, 3e6]), 1e-12),
+    (from_roots([1j] * 6, lead=2.0), 1e-12),
+    (from_roots([5.0] * 6 + [1.0]), 1e-12),
+]
+
+
+@pytest.mark.parametrize("p, rel", [(_seeded(d, s), 1e-12) for d in (4, 16, 64) for s in range(3)]
+                         + MULTIPLE_ROOT_FIXTURES)
+def test_companion_roots_match_aberth_reference(p, rel, monkeypatch):
+    got = poly_roots(p)
+    want = _reference_roots(p, monkeypatch)
+    assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
+    for g, w in zip(got, want):
+        assert abs(g.location - w.location) <= rel * max(1.0, abs(w.location))

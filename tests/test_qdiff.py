@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qdsphere.errors import NotCoprime, WrongOrder
+from qdsphere import polyalg, qdiff
+from qdsphere.errors import ConstantRational, NotCoprime, WrongOrder
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import (
     CIRCULAR,
@@ -16,6 +17,7 @@ from qdsphere.qdiff import (
     critical_directions,
     critical_points,
     infinity_chart,
+    lemniscate_qd,
     measure_density,
     measure_mass,
     order_at_infinity,
@@ -228,3 +230,70 @@ def test_double_pole_at_infinity_quadratic_residue():
     assert len(inf) == 1
     assert inf[0].signed_order == -2
     assert inf[0].quadratic_residue is not None
+
+
+# -- the p/q^2 and lemniscate constructors ----------------------------------
+
+
+def test_lemniscate_high_multiplicity_roots():
+    # r = (z-5)^6 (z-1) / (z+1)^4: r'/r = 6/(z-5) + 1/(z-1) - 4/(z+1), whose
+    # numerator is 3 (3z^2 + 20z - 31)
+    p = Polynomial.from_roots([5.0] * 6 + [1.0])
+    q = Polynomial.from_roots([-1.0] * 4)
+    qd = lemniscate_qd(p, q)
+    assert [c.multiplicity for c in qd.poles] == [2, 2, 2]
+    for c, want in zip(qd.poles, [-1.0, 1.0, 5.0]):
+        assert abs(c.location - want) < 1e-12
+    assert [c.multiplicity for c in qd.zeros] == [2, 2]
+    for c, want in zip(qd.zeros, [(-10 - math.sqrt(193)) / 3, (-10 + math.sqrt(193)) / 3]):
+        assert abs(c.location - want) < 1e-12
+
+
+def test_lemniscate_sweep_one_double_pole_per_root():
+    # p = (z-a)^m (z-b), q = (z-c)^k: a double pole at each of a, b, c with
+    # quadratic residue -m_a^2, m_a the signed multiplicity in r = p/q
+    rng = np.random.default_rng(8)
+    for _ in range(60):
+        a, b, c = (float(x) for x in rng.choice(np.arange(-6, 7), size=3, replace=False))
+        m, k = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        qd = lemniscate_qd(Polynomial.from_roots([a] * m + [b]), Polynomial.from_roots([c] * k))
+        assert len(qd.poles) == 3 and all(pc.multiplicity == 2 for pc in qd.poles)
+        cps = critical_points(qd)
+        assert sum(cp.signed_order for cp in cps) == -4
+        residues = {round(cp.at.value.real): cp.quadratic_residue
+                    for cp in cps if cp.signed_order == -2 and not cp.at.is_infinite}
+        assert set(residues) == {a, b, c}
+        for at, want in ((a, m * m), (b, 1), (c, k * k)):
+            assert residues[at] == pytest.approx(-want, rel=1e-9)
+
+
+@pytest.mark.parametrize("build", [qd_from_p_over_q_squared, lemniscate_qd])
+def test_constructors_reject_shared_root(build):
+    with pytest.raises(NotCoprime):
+        build(Polynomial.from_roots([1.0, -2.0]), Polynomial.from_roots([1.0]))
+
+
+def test_lemniscate_of_constant_ratio_rejected():
+    with pytest.raises(ConstantRational):
+        lemniscate_qd(Polynomial([2.0]), Polynomial([3.0]))
+
+
+def test_constructors_find_each_root_set_once(monkeypatch):
+    calls = []
+    real = polyalg.poly_roots
+
+    def counted(p, tol=polyalg.ROOT_TOL):
+        calls.append(p)
+        return real(p, tol)
+
+    monkeypatch.setattr(polyalg, "poly_roots", counted)
+    monkeypatch.setattr(qdiff, "poly_roots", counted)
+    p = Polynomial.from_roots([1.0, 2.0, 2.0])
+    q = Polynomial.from_roots([-1.0, 3.0])
+    qd_from_p_over_q_squared(p, q)
+    assert calls == [p, q]
+    calls.clear()
+    qd = lemniscate_qd(p, q)
+    assert calls[:2] == [p, q] and len(calls) == 3
+    assert calls[2].degree == 3                 # the reduced numerator over 4 sites
+    assert [c.location for c in qd.zeros] == [c.location for c in real(calls[2])]
