@@ -185,7 +185,7 @@ def cmd_render(spec, qd, opts, args):
     win = args.window or spec.window or opts.window
     canvas = SvgCanvas(win)
     if spec.kind == "lemniscate":
-        _render_lemniscate(spec, canvas, win, args.level)
+        _render_lemniscate(spec, qd, canvas, win, args.level)
         return EXIT_OK, canvas.text()
     if args.grid:
         _render_background(qd, canvas, win, args.grid, opts)
@@ -218,9 +218,9 @@ def _render_background(qd, canvas, win, n, opts):
             canvas.polyline(np.asarray(ray.points)[::take], "bg")
 
 
-def _render_lemniscate(spec, canvas, win, level):
+def _render_lemniscate(spec, qd, canvas, win, level):
     p, q = spec.polys["p"], spec.polys["q"]
-    rep = analyze_lemniscate(p, q, 0)
+    rep = analyze_lemniscate(p, q, 0, qd=qd)
     main = level if level is not None else (
         max(rep.critical_levels) if rep.critical_levels else 1.0)
     for c in sorted({0.45 * main, 0.75 * main, 1.6 * main, 2.6 * main}):

@@ -7,8 +7,8 @@ too, decides which lattice edges of the level function are clear of its
 cuts. Every array element is computed with the same IEEE operations, in the
 same order, as the scalar formula, so booleans and crossing parameters do
 not depend on how many segments are tested at once. The point-segment
-distances serve the tracer's closure test, the critical graph's edge
-deduplication and the pole disks of the level function.
+distances serve the tracer's closure trigger and the pole disks of the
+level function.
 """
 
 from __future__ import annotations
@@ -87,9 +87,3 @@ def segment_distances(p: complex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     t = np.clip(((p - a).real * ab.real + (p - a).imag * ab.imag) / L2, 0.0, 1.0)
     return np.abs(p - (a + t * ab))
 
-
-def point_polyline_distance(p: complex, poly: np.ndarray) -> float:
-    """Distance from p to the polyline poly, all segments at once."""
-    if len(poly) < 2:
-        return abs(p - poly[0])
-    return float(np.min(segment_distances(p, poly[:-1], poly[1:])))

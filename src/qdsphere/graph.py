@@ -14,10 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import WrongProvenance
-from .geom import crossing_counts, point_polyline_distance
+from .geom import crossing_counts
 from .qdiff import (
     CriticalPoint,
     QuadraticDifferential,
+    critical_directions,
     critical_points,
     order_at_infinity,
 )
@@ -35,7 +36,6 @@ from .tracer import (
 
 K_MIN_DEFAULT = 20
 TRANSVERSAL_FACTOR = 0.05
-DEDUP_FACTOR = 10.0
 WINDOW_WIDEN = 1.0e4
 
 SUSPECTED_RECURRENT = "SuspectedRecurrent"
@@ -61,21 +61,6 @@ class CriticalGraph:
     work: dict = field(default_factory=dict)
 
 
-def _phi_midpoint(ray: TrajectoryRay) -> tuple[complex, float]:
-    """Linear interpolation of the point at half the ray's phi-length;
-    also returns the bracketing sample spacing (the locate uncertainty)."""
-    t = 0.5 * ray.phi_length
-    i = int(np.searchsorted(ray.taus, t))
-    if i <= 0:
-        return complex(ray.points[0]), 0.0
-    if i >= len(ray.points):
-        return complex(ray.points[-1]), 0.0
-    t0, t1 = ray.taus[i - 1], ray.taus[i]
-    a, b = complex(ray.points[i - 1]), complex(ray.points[i])
-    lam = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-    return a + lam * (b - a), abs(b - a)
-
-
 def build_critical_graph(qd: QuadraticDifferential,
                          opts: TraceOptions | None = None) -> CriticalGraph:
     """Trace every critical direction of every finite critical point.
@@ -86,8 +71,9 @@ def build_critical_graph(qd: QuadraticDifferential,
     infinite edges; rays that exhaust a budget, or escape while infinity is
     regular, are reported unresolved. An edge's polyline starts at its
     critical point, and a short edge's ends at the point it reaches: the
-    rays start and end on small disks around them. Edges traced from both
-    ends are deduplicated by endpoint pair plus midpoint proximity.
+    rays start and end on small disks around them. A short edge is keyed
+    by its ends, the direction it leaves along and the critical direction
+    nearest to where it arrives; an edge traced from both ends is kept once.
     """
     opts = opts or TraceOptions.for_qd(qd)
     nodes = critical_points(qd)
@@ -96,6 +82,7 @@ def build_critical_graph(qd: QuadraticDifferential,
     edges: list[CriticalEdge] = []
     unresolved: list[TrajectoryRay] = []
     launched = 0
+    keys = set()
     for i, cp in enumerate(nodes):
         if cp.at.is_infinite or not cp.is_finite_critical:
             continue
@@ -104,15 +91,21 @@ def build_critical_graph(qd: QuadraticDifferential,
             launched += 1
             t = ray.termination
             poly = np.concatenate(([cp.at.value], ray.points))
-            if t.kind == HIT_CRITICAL:
-                tgt = nodes[t.cp_index]
-                if tgt.signed_order <= -2:
-                    edges.append(CriticalEdge(i, t.cp_index, poly, math.inf, False, ray))
-                else:
-                    poly = np.concatenate((poly, [tgt.at.value]))
-                    edges.append(CriticalEdge(i, t.cp_index, poly, ray.phi_length, True, ray))
-            elif t.kind == CLOSED:
-                edges.append(CriticalEdge(i, i, poly, ray.phi_length, True, ray))
+            if t.kind == HIT_CRITICAL and nodes[t.cp_index].signed_order <= -2:
+                edges.append(CriticalEdge(i, t.cp_index, poly, math.inf, False, ray))
+            elif t.kind in (HIT_CRITICAL, CLOSED):
+                j = i if t.kind == CLOSED else t.cp_index
+                p = nodes[j].at.value
+                v = (complex(ray.points[-1]) - p).conjugate()
+                dirs = critical_directions(qd, nodes[j])
+                arrival = max(range(len(dirs)), key=lambda m: (dirs[m] * v).real)
+                key = frozenset(((i, k), (j, arrival)))
+                if key in keys:
+                    continue
+                keys.add(key)
+                if t.kind == HIT_CRITICAL:
+                    poly = np.concatenate((poly, [p]))
+                edges.append(CriticalEdge(i, j, poly, ray.phi_length, True, ray))
             elif t.kind == ESCAPED_WINDOW:
                 if inf_id is not None:
                     edges.append(CriticalEdge(i, inf_id, poly, math.inf, False, ray))
@@ -121,26 +114,7 @@ def build_critical_graph(qd: QuadraticDifferential,
             else:
                 unresolved.append(ray)
 
-    kept: list[CriticalEdge] = []
-    thr = DEDUP_FACTOR * opts.snap_radius
-    for e in edges:
-        if e.is_short:
-            key = frozenset((e.from_node, e.to_node))
-            mid, step = _phi_midpoint(e.ray)
-            dup = False
-            for f in kept:
-                if not f.is_short or frozenset((f.from_node, f.to_node)) != key:
-                    continue
-                _fmid, fstep = _phi_midpoint(f.ray)
-                tol = max(thr, 0.35 * (step + fstep))
-                if point_polyline_distance(mid, f.polyline) <= tol:
-                    dup = True
-                    break
-            if dup:
-                continue
-        kept.append(e)
-
-    return CriticalGraph(nodes, kept, unresolved, work={"launched_rays": launched})
+    return CriticalGraph(nodes, edges, unresolved, work={"launched_rays": launched})
 
 
 def find_short_trajectories(qd: QuadraticDifferential,
@@ -187,13 +161,10 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
                               "odd number of zeros")
 
     g = graph if graph is not None else build_critical_graph(qd, opts)
-    node_to_zero: dict[int, int] = {}
-    for zi, c in enumerate(zeros):
-        for ni, cp in enumerate(g.nodes):
-            if not cp.at.is_infinite and abs(cp.at.value - c.location) <= 1e-9 * (
-                    1.0 + abs(c.location)):
-                node_to_zero[ni] = zi
-                break
+    # critical_points builds the finite nodes from the same zero clusters
+    zero_at = {c.location: zi for zi, c in enumerate(zeros)}
+    node_to_zero = {ni: zero_at[cp.at.value] for ni, cp in enumerate(g.nodes)
+                    if cp.at.value in zero_at}
 
     cand: dict[tuple[int, int], CriticalEdge] = {}
     for e in g.edges:

@@ -11,7 +11,7 @@ import numpy as np
 from .errors import ConvergenceFailure, EmptyLevel
 from .contour import marching_squares
 from .polyalg import Polynomial
-from .qdiff import critical_points, lemniscate_qd
+from .qdiff import QuadraticDifferential, critical_points, lemniscate_qd
 from .tracer import TraceOptions, trace_horizontal
 
 QR_IMAG_TOL = 1e-8
@@ -33,14 +33,16 @@ def _abs_r(p: Polynomial, q: Polynomial, z: np.ndarray) -> np.ndarray:
 
 
 def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
-                       *, seed: int = 0) -> LemniscateReport:
+                       *, seed: int = 0,
+                       qd: QuadraticDifferential | None = None) -> LemniscateReport:
     """Critical structure and random closure samples of -(r'/r)^2, r = p/q.
 
     Finite critical points are the zeros of the logarithmic derivative
     r'/r = sum of m_a/(z - a); every finite pole of the differential is a
-    double pole whose quadratic residue must have negative real part.
+    double pole whose quadratic residue must have negative real part. qd is
+    lemniscate_qd(p, q) when the caller has built it already.
     """
-    qd = lemniscate_qd(p, q)
+    qd = qd if qd is not None else lemniscate_qd(p, q)
     finite_cps = [c.location for c in qd.zeros]
 
     # cross-validate: the numerator p'q - pq' reduced by pq vanishes there

@@ -25,6 +25,10 @@ within the phi-distance from p to the snap circle, which is exactly when it
 would pass within the snap radius of p, and |zeta| is added to its length.
 The quadrature runs only when a bound on the local model's error leaves
 room for that (see _Scene).
+
+A ray that passes back by its seed z0 is closed in the same chart at z0:
+one Gauss-Legendre panel from the step back to z0 gives zeta there, and
+with it the crossing's phi-length and point (see _close_at_seed).
 """
 
 from __future__ import annotations
@@ -58,7 +62,6 @@ LOCAL_RADIUS = 0.05          # analytic disks: radius / distance to the next cri
 DEFAULT_RK_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10 ** 6
 LENGTH_FACTOR = 100.0
-CLOSURE_ANGLE_TOL = 1e-3
 DRIFT_PER_100 = 1e-5
 
 CLOSED = "Closed"
@@ -78,6 +81,7 @@ _CK_A = (
 )
 _CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
 _CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_GL = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class TraceOptions:
 
     @classmethod
     def for_qd(cls, qd: QuadraticDifferential, *, max_phi_length=None, window=None,
-               snap_radius=None, rk_tol=None, max_steps=None) -> "TraceOptions":
+               rk_tol=None, max_steps=None) -> "TraceOptions":
         """Defaults derived from the finite critical set: budget 100 * diam,
         window = bounding box inflated 4x, snap 1e-6 * diam."""
         diam = qd.diameter()
@@ -108,7 +112,7 @@ class TraceOptions:
         return cls(
             max_phi_length=LENGTH_FACTOR * diam if max_phi_length is None else max_phi_length,
             window=win if window is None else tuple(window),
-            snap_radius=SNAP_FACTOR * diam if snap_radius is None else snap_radius,
+            snap_radius=SNAP_FACTOR * diam,
             rk_tol=DEFAULT_RK_TOL if rk_tol is None else rk_tol,
             max_steps=DEFAULT_MAX_STEPS if max_steps is None else int(max_steps),
         )
@@ -315,10 +319,6 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         s = sqrt(complex(v.real + 0.0, v.imag + 0.0))
         return s if abs(s - hint) <= abs(s + hint) else -s
 
-    def f(z, hint):
-        w = root(z, hint)
-        return orientation / w, w
-
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
     dir0 = (orientation / w0)
     dir0 /= abs(dir0)
@@ -360,10 +360,8 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
 
         # Cash-Karp stages; the root r_i of each is the branch hint of the next
         try:
-            if fresh:
-                k0, r0 = orientation / w, w
-            else:
-                k0, r0 = f(z, w)
+            r0 = w if fresh else root(z, w)
+            k0 = orientation / r0
             r1 = root(z + h * a10 * k0, r0)
             k1 = orientation / r1
             r2 = root(z + h * a20 * k0 + h * a21 * k1, r1)
@@ -443,8 +441,8 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             seg = z - z_prev
             d_seg = point_segment_distance(z0, z_prev, z)
             if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
-                closed = _closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev,
-                                         tau, z, w, orientation, snap)
+                closed = _close_at_seed(root, z0, w0, orientation, tau_prev, z_prev,
+                                        w_prev, tau, z, w, snap)
                 if closed is not None:
                     tau_star, z_star, w_star = closed
                     pts[-1] = z_star
@@ -478,69 +476,39 @@ def certify_drift(qd: QuadraticDifferential, ray: TrajectoryRay, opts: TraceOpti
             f"over phi-length {ray.phi_length:.3f}")
 
 
-def _closure_refine(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
-    """Locate the closest approach to z0 on the accepted step [tau_a, tau_b]
-    by bisecting the derivative of the squared distance along the step's
-    cubic Hermite interpolant, then integrate once to the root found and
-    correct it by one Newton step; returns (tau*, z*, w*) if the pass is a
-    genuine closure (position within snap, direction within tolerance)."""
-    # z(tau_a + x h) = z_a + c1 x + c2 x^2 + c3 x^3 matches z and h dz/dtau
-    # = h orientation / w at both ends of the step
-    h = tau_b - tau_a
-    c1, mb, dz = h * orientation / w_a, h * orientation / w_b, z_b - z_a
-    c2 = 3.0 * dz - 2.0 * c1 - mb
-    c3 = c1 + mb - 2.0 * dz
+def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap):
+    """Where the accepted step [tau_a, tau_b] passes z0, in the chart
+    zeta(z) = integral of sqrt(phi) from z0; returns (tau*, z*, w*) if the
+    ray closes there, else None.
 
-    def s(tau_t):
-        x = (tau_t - tau_a) / h
-        z = z_a + x * (c1 + x * (c2 + x * c3)) - z0
-        d = c1 + x * (2.0 * c2 + x * 3.0 * c3)
-        return z.real * d.real + z.imag * d.imag
-
-    def integrate_to(tau_t):
-        n = 16
-        hh = (tau_t - tau_a) / n
-        z, w = z_a, w_a
-        if hh == 0.0:
-            return z, w
-        for _ in range(n):
-            k1, w = f(z, w)
-            k2, w = f(z + 0.5 * hh * k1, w)
-            k3, w = f(z + 0.5 * hh * k2, w)
-            k4, w = f(z + hh * k3, w)
-            z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return z, w
-
-    if s(tau_a) >= 0.0 or s(tau_b) <= 0.0:
-        # no interior stationary point: closest approach is an endpoint
-        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(z_b - z0), tau_b, z_b, w_b)]
-        dist, tau_s, z_s, w_s = min(cand, key=lambda t: t[0])
+    Along the ray d zeta / d tau = orientation and Im zeta is constant, so
+    with zeta_a = zeta(z_a) the ray crosses Re zeta = 0 at tau* = tau_a -
+    orientation Re zeta_a, at zeta = i Im zeta_a, that is z* = z0 +
+    i Im zeta_a / sqrt(phi(z0)) to first order in z* - z0, which is below
+    snap when it matters. zeta_a is one 8-node Gauss-Legendre panel
+    on the chord from z_a to z0, the root continued from w_a; the step
+    clamp keeps the chord in a disk free of critical points. A crossing
+    off the step falls back to the step's end nearer z0. The ray is closed
+    when that point is within snap of z0 and the root carried to z0 is on
+    the seed's sheet."""
+    mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
+    w, acc = w_a, 0j
+    for x, c in _GL:
+        w = root(mid + half * x, w)
+        acc += c * w
+    zeta_a = -half * acc
+    w = root(z0, w)
+    tau_s = tau_a - orientation * zeta_a.real
+    if tau_a < tau_s < tau_b:
+        z_s = z0 + 1j * zeta_a.imag / w
+        w_s = root(z_s, w)
+    elif abs(z_a - z0) <= abs(z_b - z0):
+        tau_s, z_s, w_s = tau_a, z_a, w_a
     else:
-        lo, hi = tau_a, tau_b
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if s(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, abs(tau_b)):
-                break
-        tau_s = 0.5 * (lo + hi)
-        z_s, w_s = integrate_to(tau_s)
-        # one Newton step on the traced point takes out the interpolant's error
-        k, w_s = f(z_s, w_s)
-        dt = -((z_s - z0) * k.conjugate()).real / (k.real * k.real + k.imag * k.imag)
-        tau_s += dt
-        z_s += dt * k
-        _, w_s = f(z_s, w_s)
-        dist = abs(z_s - z0)
-    if dist >= snap:
-        return None
-    d, _ = f(z_s, w_s)
-    u = d / abs(d)
-    if abs(cmath.phase(u / dir0)) > CLOSURE_ANGLE_TOL:
-        return None
-    return tau_s, z_s, w_s
+        tau_s, z_s, w_s = tau_b, z_b, w_b
+    if abs(z_s - z0) < snap and abs(w - w0) <= abs(w + w0):
+        return tau_s, z_s, w_s
+    return None
 
 
 def phi_length_of(qd: QuadraticDifferential, points) -> float:

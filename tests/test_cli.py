@@ -545,6 +545,26 @@ def test_lemniscate_high_multiplicity_svg(tmp_path, capsys):
     assert ET.parse(out).getroot().tag.endswith("svg")
 
 
+def test_lemniscate_builds_the_differential_once(tmp_path, monkeypatch):
+    # p, q and the reduced numerator are root-found once each: the render
+    # checks the critical points and residues of the differential main built
+    from qdsphere import polyalg, qdiff
+
+    calls = []
+    real = polyalg.poly_roots
+
+    def counted(p, tol=polyalg.ROOT_TOL):
+        calls.append(p)
+        return real(p, tol)
+
+    monkeypatch.setattr(polyalg, "poly_roots", counted)
+    monkeypatch.setattr(qdiff, "poly_roots", counted)
+    out = str(tmp_path / "lem.svg")
+    assert run(["lemniscate", write_spec(tmp_path, HIGH_MULTIPLICITY_LEMNISCATE),
+                "--out", out]) == 0
+    assert len(calls) == 3
+
+
 def test_lemniscate_constant_ratio_is_error(tmp_path, capsys):
     spec = write_spec(tmp_path, {"format_version": 1,
                                  "lemniscate": {"p": [[2.0, 0.0]], "q": [[3.0, 0.0]]}})

@@ -324,11 +324,10 @@ def test_point_segment_and_polyline_distances_agree():
         if rng.uniform() < 0.1:
             b = a                                  # a degenerate segment
         d = geom.point_segment_distance(p, a, b)
-        assert geom.point_polyline_distance(p, np.array([a, b])) == pytest.approx(d, rel=1e-14)
+        assert geom.segment_distances(p, np.array([a]), np.array([b]))[0] == pytest.approx(d, rel=1e-14)
         # the foot of the perpendicular, or an end, is no farther than either end
         assert d <= min(abs(p - a), abs(p - b)) * (1.0 + 1e-15)
     poly = pts(30)
     for p in pts(50):
         want = min(geom.point_segment_distance(p, a, b) for a, b in zip(poly[:-1], poly[1:]))
-        assert geom.point_polyline_distance(p, poly) == pytest.approx(want, rel=1e-14)
-    assert geom.point_polyline_distance(1j, np.array([2.0 + 1j])) == 2.0
+        assert geom.segment_distances(p, poly[:-1], poly[1:]).min() == pytest.approx(want, rel=1e-14)

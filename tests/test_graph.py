@@ -81,6 +81,35 @@ def test_dedup_keeps_one_copy():
     assert len(short_edges) == len(pairs)
 
 
+def test_two_short_edges_between_the_same_zeros():
+    # (z^2 - 1) / z^2: an arc in the upper and one in the lower half-plane
+    # join -1 to 1, phi-length pi each; the traces from 1 are their reverses
+    qd = qd_from_p_over_q_squared(Polynomial([-1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
+    graph = build_critical_graph(qd)
+    shorts = [e for e in graph.edges if e.is_short]
+    assert graph.work["launched_rays"] == 6
+    assert len(shorts) == 2
+    ends = {frozenset((graph.nodes[e.from_node].at.value, graph.nodes[e.to_node].at.value))
+            for e in shorts}
+    assert ends == {frozenset((-1.0, 1.0))}
+    sides = [np.sign(e.polyline[1:-1].imag) for e in shorts]
+    assert all(np.all(side == side[0]) for side in sides)
+    assert sorted(side[0] for side in sides) == [-1.0, 1.0]
+    for e in shorts:
+        assert e.phi_length == pytest.approx(math.pi, rel=1e-8)
+
+
+def test_critical_loop_kept_once():
+    # -z / ((z - 0.5)(z - 1 - i)(z - 2 + i)): two of the three rays leaving
+    # the zero at 0 are the two ends of one loop back to it
+    qd = qd_new(Polynomial([0.0, -1.0]), Polynomial.from_roots([0.5, 1 + 1j, 2 - 1j]))
+    graph = build_critical_graph(qd)
+    zero = next(i for i, c in enumerate(graph.nodes) if c.signed_order == 1)
+    loops = [e for e in graph.edges if e.from_node == e.to_node == zero]
+    assert len(loops) == 1 and loops[0].is_short
+    assert loops[0].phi_length == pytest.approx(2 * math.pi, rel=1e-8)
+
+
 def test_pairing_two_zeros():
     qd = qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), ONE)
     pairing = pair_zeros_by_short_trajectories(qd)

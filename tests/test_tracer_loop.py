@@ -6,9 +6,9 @@ reference goes on stepping to the snap radius; a launched ray must be the
 reference ray started at the same launch point, with its taus counted from
 the critical point.
 
-The closure refinement is checked the same way against the bisection it
-replaced, which integrated again from the start of the step at every
-probe."""
+The closure in the zeta chart at the seed is checked the same way against
+the refinement it replaced: bisection on the step's cubic Hermite
+interpolant, one integration to the root and one Newton step."""
 
 import cmath
 import math
@@ -40,7 +40,6 @@ from qdsphere.tracer import (
     PHI_LENGTH_BUDGET,
     SEED_FACTOR,
     STEP_BUDGET,
-    CLOSURE_ANGLE_TOL,
     Termination,
     TraceOptions,
     TrajectoryRay,
@@ -51,6 +50,7 @@ from qdsphere.tracer import (
     trace_vertical,
 )
 
+CLOSURE_ANGLE_TOL = 1e-3
 ONE = Polynomial([1.0])
 Z = Polynomial([0.0, 1.0])
 
@@ -97,8 +97,11 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
             b = b * z + c
         return a / b
 
+    def root(z, hint):
+        return continue_sqrt(phival(z), hint)
+
     def f(z, hint):
-        w = continue_sqrt(phival(z), hint)
+        w = root(z, hint)
         return orientation / w, w
 
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(phival(z0))
@@ -206,9 +209,9 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
             seg = z - z_prev
             d_seg = point_segment_distance(z0, z_prev, z)
             if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
-                # the package's refinement, checked on its own below
-                hit = tracer._closure_refine(f, z0, dir0, tau_prev, z_prev, w_prev,
-                                             tau, z, w, orientation, snap)
+                # the package's closure, checked on its own below
+                hit = tracer._close_at_seed(root, z0, w0, orientation, tau_prev, z_prev,
+                                            w_prev, tau, z, w, snap)
                 if hit is not None:
                     tau_star, z_star, w_star = hit
                     pts[-1] = z_star
@@ -228,9 +231,24 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     return ray
 
 
-def closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap):
-    """The refinement the tracer used before: every bisection probe
-    integrates 16 RK4 steps from the start of the step."""
+def closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
+    """The refinement the tracer used before: the closest approach to z0
+    on the step by bisecting the derivative of the squared distance along
+    the step's cubic Hermite interpolant, then one 16-step RK4 integration
+    to the root found and one Newton step; returns (tau*, z*, w*) if the
+    pass is within snap and its direction within CLOSURE_ANGLE_TOL."""
+    # z(tau_a + x h) = z_a + c1 x + c2 x^2 + c3 x^3 matches z and h dz/dtau
+    # = h orientation / w at both ends of the step
+    h = tau_b - tau_a
+    c1, mb, dz = h * orientation / w_a, h * orientation / w_b, z_b - z_a
+    c2 = 3.0 * dz - 2.0 * c1 - mb
+    c3 = c1 + mb - 2.0 * dz
+
+    def s(tau_t):
+        x = (tau_t - tau_a) / h
+        z = z_a + x * (c1 + x * (c2 + x * c3)) - z0
+        d = c1 + x * (2.0 * c2 + x * 3.0 * c3)
+        return z.real * d.real + z.imag * d.imag
 
     def integrate_to(tau_t):
         n = 16
@@ -246,31 +264,26 @@ def closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap):
             z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return z, w
 
-    def s(tau_t):
-        z, w = integrate_to(tau_t)
-        d, _ = f(z, w)
-        return ((z - z0).real * d.real + (z - z0).imag * d.imag), z, w
-
-    sa, _, _ = s(tau_a + 1e-15 * max(1.0, abs(tau_a)))
-    sb, zb, wb = s(tau_b)
-    if sa >= 0.0 or sb <= 0.0:
-        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(zb - z0), tau_b, zb, wb)]
+    if s(tau_a) >= 0.0 or s(tau_b) <= 0.0:
+        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(z_b - z0), tau_b, z_b, w_b)]
         dist, tau_s, z_s, w_s = min(cand, key=lambda t: t[0])
     else:
         lo, hi = tau_a, tau_b
-        z_s, w_s = z_a, w_a
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            sm, zm, wm = s(mid)
-            if sm <= 0.0:
+            if s(mid) <= 0.0:
                 lo = mid
             else:
                 hi = mid
-            z_s, w_s = zm, wm
             if hi - lo < 1e-13 * max(1.0, abs(tau_b)):
                 break
         tau_s = 0.5 * (lo + hi)
         z_s, w_s = integrate_to(tau_s)
+        k, w_s = f(z_s, w_s)
+        dt = -((z_s - z0) * k.conjugate()).real / (k.real * k.real + k.imag * k.imag)
+        tau_s += dt
+        z_s += dt * k
+        _, w_s = f(z_s, w_s)
         dist = abs(z_s - z0)
     if dist >= snap:
         return None
@@ -384,8 +397,8 @@ def winding_qd():
 
 def test_closed_circle_runs_closure_refine(monkeypatch):
     calls = []
-    real = tracer._closure_refine
-    monkeypatch.setattr(tracer, "_closure_refine",
+    real = tracer._close_at_seed
+    monkeypatch.setattr(tracer, "_close_at_seed",
                         lambda *a: calls.append(1) or real(*a))
     ray = same_ray(monkeypatch, trace_horizontal, circle_qd(), 1.0)
     assert ray.termination.kind == CLOSED and calls
@@ -529,21 +542,29 @@ def test_continue_sqrt_is_idempotent(vr, vi, hr, hi):
     assert _bits(continue_sqrt(v, w)) == _bits(w)
 
 
-# ---------------------------------------------------------------- the closure refinement
+# ---------------------------------------------------------------- the closure
 
 
 def _record_closures(monkeypatch):
-    """Run the reference refinement next to the package's at every call;
-    the trace goes on with the package's answer."""
+    """Run the reference refinement next to the package's closure at every
+    call; the trace goes on with the package's answer."""
     calls = []
-    real = tracer._closure_refine
+    real = tracer._close_at_seed
 
-    def both(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
-        new = real(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap)
-        calls.append((new, closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, snap)))
+    def both(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap):
+        new = real(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap)
+
+        def f(z, hint):
+            w = root(z, hint)
+            return orientation / w, w
+
+        dir0 = orientation / w0
+        ref = closure_refine_reference(f, z0, dir0 / abs(dir0), tau_a, z_a, w_a,
+                                       tau_b, z_b, w_b, orientation, snap)
+        calls.append((new, ref))
         return new
 
-    monkeypatch.setattr(tracer, "_closure_refine", both)
+    monkeypatch.setattr(tracer, "_close_at_seed", both)
     return calls
 
 
@@ -585,3 +606,18 @@ def test_closure_refine_matches_reference_on_probe_circle_ops(monkeypatch, tmp_p
         assert cli.main(op.argv(str(spec), str(out))) == 0
     sys.modules.pop("corpus", None)
     assert_closures_agree(calls)
+
+
+def test_pass_on_the_opposite_sheet_is_not_closed(monkeypatch):
+    # the step that closes the circle, seen from a seed on the other sheet:
+    # it passes as close to z0, but moving the other way
+    calls = []
+    real = tracer._close_at_seed
+    monkeypatch.setattr(tracer, "_close_at_seed",
+                        lambda *a: calls.append(a) or real(*a))
+    ray = trace_horizontal(circle_qd(), 1.0)
+    assert ray.termination.kind == CLOSED
+    root, z0, w0, *rest = calls[-1]
+    tau_s, z_s, _w = real(root, z0, w0, *rest)
+    assert abs(z_s - z0) < TraceOptions.for_qd(circle_qd()).snap_radius
+    assert real(root, z0, -w0, *rest) is None
