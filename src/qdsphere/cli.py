@@ -14,6 +14,7 @@ returns: a dict as a JSON report, a string (SVG) as it is.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -354,7 +355,9 @@ def _check_flags(args) -> None:
         raise SchemaError("--grid", f"expected an integer of at least {args.min_grid}, got {args.grid}")
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept."""
     top = argparse.ArgumentParser(prog="qdsphere")
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)

@@ -108,16 +108,21 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     branch of the square root."""
     p, q = pq_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
-    qroots = poly_roots(q) if q.degree >= 1 else []
-    if any(c.multiplicity > 1 for c in qroots):
+    if qd.provenance.kind == "cauchy":
+        # phi = p / q^2 only up to the clusters its constructor cancelled
+        qroots = [(c.location, c.multiplicity)
+                  for c in (poly_roots(q) if q.degree >= 1 else [])]
+    else:
+        # the poles of phi are the clusters of q, their orders doubled
+        qroots = [(c.location, c.multiplicity // 2) for c in qd.poles]
+    if any(m > 1 for _b, m in qroots):
         ev["note"] = "q has a multiple zero; the simple-pole residue test does not apply"
         return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
     dq = q.derivative()
     residues = []
     worst = 0.0
     all_imag = True
-    for c in qroots:
-        b = c.location
+    for b, _m in qroots:
         res0 = principal_sqrt(p(b)) / dq(b)
         ratio = abs(res0.real) / max(abs(res0), 1e-300) if res0 != 0 else 0.0
         worst = max(worst, ratio)

@@ -2,16 +2,18 @@
 
 A horizontal trajectory solves dz/dtau = orientation / w(z) where w is a
 branch-continuous square root of phi; tau then advances phi-length at unit
-speed and Im of the integral of w dz stays constant. The integrator is an
-embedded Cash-Karp 4(5) pair with the branch threaded through every stage
-evaluation, the step additionally clamped so a single step can neither jump
-over a critical point nor wind phi by more than a fraction of a turn.
+speed and Im of the integral of w dz stays constant. The integrator is the
+embedded Dormand-Prince 8(5,3) pair (DOP853) with the branch threaded
+through every stage evaluation; its error estimate keeps the steps
+accurate, and a clamp keeps a single step from jumping over a critical
+point or moving arg(phi) by more than BRANCH_TURN.
 
-The step loop is written out for speed. Each stage continues the root of
-the stage before it (`continue_sqrt`, inlined with phi's Horner rule), and
-stage 0 reuses the root computed at the accepted point, so phi is evaluated
-six times per accepted step. The critical points are scanned once per
-accepted point, for the arrival test, the step clamp and the pole guards.
+The step loop is fused for speed: one loop over the sparse tableau, each
+stage continuing the root of the stage before it (`continue_sqrt`, inlined
+with phi's Horner rule). Stage 0 reuses the root computed at the accepted
+point, so phi is evaluated twelve times per accepted step: eleven stages
+and the new point. The critical points are scanned once per accepted
+point, for the arrival test, the step clamp and the pole guards.
 
 Near a finite critical point p of order n >= -1 the step clamp would force
 many tiny steps, so rays neither start nor end there by stepping. Inside
@@ -59,6 +61,7 @@ from .qdiff import (
 SNAP_FACTOR = 1e-6
 SEED_FACTOR = 10.0           # a ray has left its start beyond 10 * snap_radius
 LOCAL_RADIUS = 0.05          # analytic disks: radius / distance to the next critical point
+BRANCH_TURN = 0.7            # a step moves arg(phi) by less than this, in radians
 DEFAULT_RK_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10 ** 6
 LENGTH_FACTOR = 100.0
@@ -70,17 +73,41 @@ ESCAPED_WINDOW = "EscapedWindow"
 PHI_LENGTH_BUDGET = "PhiLengthBudget"
 STEP_BUDGET = "StepBudget"
 
-# Cash-Karp tableau; the field is autonomous, so the nodes c_i are not needed
-_CK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (3 / 10, -9 / 10, 6 / 5),
-    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
-    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10), sparse: the (j, a_ij) pairs of each stage i = 1..11, and the (j, b_j)
+# of the 8th-order solution and its 5th- and 3rd-order error estimates. The
+# field is autonomous, so the nodes c_i are not needed.
+_DOP_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
 )
-_CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
-_CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
+_DOP_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+          (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+          (10, 0.20136540080403034), (11, 0.04471061572777259))
+_DOP_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+           (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+           (10, 0.08192320648511571), (11, -0.022355307863886294))
+_DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+           (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+           (10, 0.20136540080403034), (11, 0.02265179219836082))
 _GL = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))
 
 
@@ -165,8 +192,11 @@ class _Scene:
             if cp.at.is_infinite:
                 continue
             z = cp.at.value
-            # step clamp: small enough for accuracy and so arg(phi) moves < ~0.7 rad
-            alpha = min(0.1, 0.7 / max(1, abs(cp.signed_order)))
+            # step clamp: a step of |dz| <= alpha |z - p| moves arg(phi) by
+            # about |n| alpha <= BRANCH_TURN for p of order n; alpha <= 0.35
+            # keeps the closure's chord off the critical points (see
+            # _close_at_seed). The error estimate, not the clamp, sees to accuracy.
+            alpha = BRANCH_TURN / max(2, abs(cp.signed_order))
             guard = qd.guard_radius(z) if cp.signed_order <= -2 else 0.0
             rows.append((len(rows), z, alpha, guard))
             self.index.append(i)
@@ -339,10 +369,6 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     h = min(0.01 * (1.0 + abs(z0)) * abs(w0), cap, opts.max_phi_length)
     h = max(h, 1e-12)
     attempts_cap = 4 * opts.max_steps
-    (_, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43),
-     (a50, a51, a52, a53, a54)) = _CK_A
-    b50, b51, b52, b53, b54, b55 = _CK_B5
-    b40, b41, b42, b43, b44, b45 = _CK_B4
 
     while True:
         if accepted >= opts.max_steps or accepted + rejected >= attempts_cap:
@@ -358,50 +384,51 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             termination = Termination(STEP_BUDGET)
             break
 
-        # Cash-Karp stages; the root r_i of each is the branch hint of the next
+        # DOP853 stages, hk[i] = h k_i; the root r of each is the branch hint of the next
+        ho = h * orientation
         try:
-            r0 = w if fresh else root(z, w)
-            k0 = orientation / r0
-            r1 = root(z + h * a10 * k0, r0)
-            k1 = orientation / r1
-            r2 = root(z + h * a20 * k0 + h * a21 * k1, r1)
-            k2 = orientation / r2
-            r3 = root(z + h * a30 * k0 + h * a31 * k1 + h * a32 * k2, r2)
-            k3 = orientation / r3
-            r4 = root(z + h * a40 * k0 + h * a41 * k1 + h * a42 * k2 + h * a43 * k3, r3)
-            k4 = orientation / r4
-            r5 = root(z + h * a50 * k0 + h * a51 * k1 + h * a52 * k2 + h * a53 * k3
-                      + h * a54 * k4, r4)
-            k5 = orientation / r5
+            r = w if fresh else root(z, w)
+            hk = [ho / r]
+            for row in _DOP_A:
+                dz = 0j
+                for j, a in row:
+                    dz += a * hk[j]
+                r = root(z + dz, r)
+                hk.append(ho / r)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        # the zero weights stay: h * 0.0 * k can be -0.0 or NaN
-        z5 = (z + h * b50 * k0 + h * b51 * k1 + h * b52 * k2 + h * b53 * k3
-              + h * b54 * k4 + h * b55 * k5)
-        z4 = (z + h * b40 * k0 + h * b41 * k1 + h * b42 * k2 + h * b43 * k3
-              + h * b44 * k4 + h * b45 * k5)
-        err = abs(z5 - z4)
-        tol = opts.rk_tol * (1.0 + abs(z5))
+        dz = e5 = e3 = 0j
+        for j, b in _DOP_B:
+            dz += b * hk[j]
+        for j, b in _DOP_E5:
+            e5 += b * hk[j]
+        for j, b in _DOP_E3:
+            e3 += b * hk[j]
+        z8 = z + dz
+        # |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so that it cannot underflow
+        a5 = abs(e5)
+        err = a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0
+        tol = opts.rk_tol * (1.0 + abs(z8))
         if err > tol:
             rejected += 1
-            h *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
+            h *= max(0.2, 0.9 * (tol / err) ** 0.125)
             continue
 
         z_prev, w_prev, tau_prev = z, w, tau
-        z = z5
+        z = z8
         try:
-            w = root(z, r5)
+            w = root(z, r)
             fresh = abs(w) < math.inf
         except ZeroDivisionError:
-            w, fresh = r5, False
+            w, fresh = r, False
         tau = tau_prev + h
         accepted += 1
         pts.append(z)
         sqs.append(w)
         taus.append(tau)
-        grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+        grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.125))
         h = h * grow
 
         # termination checks: arrival on entry into an analytic disk, pole guards
@@ -486,11 +513,14 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     orientation Re zeta_a, at zeta = i Im zeta_a, that is z* = z0 +
     i Im zeta_a / sqrt(phi(z0)) to first order in z* - z0, which is below
     snap when it matters. zeta_a is one 8-node Gauss-Legendre panel
-    on the chord from z_a to z0, the root continued from w_a; the step
-    clamp keeps the chord in a disk free of critical points. A crossing
-    off the step falls back to the step's end nearer z0. The ray is closed
-    when that point is within snap of z0 and the root carried to z0 is on
-    the seed's sheet."""
+    on the chord from z_a to z0, the root continued from w_a. The trigger
+    has z0 within 0.35 |z_b - z_a| of the step, so the chord is at most
+    1.35 times the step, which the clamp holds to about 0.35 d, d the
+    distance from z_a to the nearest critical point: the chord, about
+    0.47 d at most, stays in the disk about z_a that is free of them. A
+    crossing off the step falls back to the step's end nearer z0. The ray
+    is closed when that point is within snap of z0 and the root carried to
+    z0 is on the seed's sheet."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
     w, acc = w_a, 0j
     for x, c in _GL:

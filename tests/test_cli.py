@@ -373,6 +373,35 @@ def test_analyze_byte_identical(tmp_path):
     assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def test_parser_shared_across_calls_matches_fresh_processes(tmp_path):
+    # main builds its parser once per process: a --seed given to one call
+    # must not reach the next one through the append action's default
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import qdsphere
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(qdsphere.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    spec = write_spec(tmp_path, CIRCLE)
+    reports = []
+    for i, flags in enumerate([["--seed=0.5,0.5"], []]):
+        same, fresh = str(tmp_path / f"same{i}.json"), str(tmp_path / f"fresh{i}.json")
+        code = run(["analyze", spec, "--out", same] + flags)
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys; from qdsphere.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", "analyze", spec, "--out", fresh] + flags,
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == code, proc.stderr
+        assert open(same, "rb").read() == open(fresh, "rb").read()
+        reports.append(load(same))
+    assert len(reports[0]["recurrence"]) == 1 and reports[1]["recurrence"] == []
+
+
 def test_analyze_input_echo_round_trip(tmp_path):
     spec = write_spec(tmp_path, SEGMENT)
     out = str(tmp_path / "out.json")
@@ -400,6 +429,28 @@ def test_criteria_inconclusive_exit_10(tmp_path, capsys):
     assert run(["criteria", spec]) == 10
     doc = json.loads(capsys.readouterr().out)
     assert doc["overall"] == "Inconclusive"
+
+
+def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
+    # the residue criterion takes q's zeros from the poles of phi = p / q^2
+    from qdsphere import criteria, polyalg, qdiff
+
+    calls = []
+    real = polyalg.poly_roots
+
+    def counted(p, tol=polyalg.ROOT_TOL):
+        calls.append(p)
+        return real(p, tol)
+
+    for module in (polyalg, qdiff, criteria):
+        monkeypatch.setattr(module, "poly_roots", counted)
+    spec = write_spec(tmp_path, {"format_version": 1, "p_over_q_squared": {
+        "p": [[-4.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[-0.5, 0.0], [1.0, 0.0]]}})
+    assert run(["criteria", spec]) in (0, 10)
+    doc = json.loads(capsys.readouterr().out)
+    residue = next(c for c in doc["criteria"] if c["criterion"] == "ResidueCriterion")
+    assert [r[0] for r in residue["evidence"]["residues"]] == [[0.5, 0.0]]
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------- trace

@@ -1,18 +1,22 @@
-"""The fused Cash-Karp step loop of the tracer against the loop it
-replaced, which is kept here as the reference. A ray that never ends in an
-analytic disk must come out bit-identical. A ray that arrives at a critical
-point on entry into its disk must be the reference ray cut there, since the
-reference goes on stepping to the snap radius; a launched ray must be the
-reference ray started at the same launch point, with its taus counted from
-the critical point.
+"""The fused DOP853 step loop of the tracer against a plain reference loop
+over the same tableau. A ray that never ends in an analytic disk must come
+out bit-identical. A ray that arrives at a critical point on entry into its
+disk must be the reference ray cut there, since the reference goes on
+stepping to the snap radius; a launched ray must be the reference ray
+started at the same launch point, with its taus counted from the critical
+point.
 
-The closure in the zeta chart at the seed is checked the same way against
-the refinement it replaced: bisection on the step's cubic Hermite
-interpolant, one integration to the root and one Newton step."""
+The same reference loop, stepping with the Cash-Karp 4(5) pair and the
+step clamp the tracer used with it, is the accuracy reference: on the
+fixture rays it ends the same way, and at the same phi-length where that
+length is fixed (a closed ray, or a ray that arrives at a zero or simple
+pole). The closure in the zeta chart at the seed is checked against the
+exact circle."""
 
 import cmath
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -29,11 +33,14 @@ from qdsphere.qdiff import (
     principal_sqrt,
     qd_from_p_over_q_squared,
     qd_new,
+    zeta_from,
 )
 from qdsphere.tracer import (
-    _CK_A,
-    _CK_B4,
-    _CK_B5,
+    _DOP_A,
+    _DOP_B,
+    _DOP_E3,
+    _DOP_E5,
+    BRANCH_TURN,
     CLOSED,
     ESCAPED_WINDOW,
     HIT_CRITICAL,
@@ -50,7 +57,6 @@ from qdsphere.tracer import (
     trace_vertical,
 )
 
-CLOSURE_ANGLE_TOL = 1e-3
 ONE = Polynomial([1.0])
 Z = Polynomial([0.0, 1.0])
 
@@ -58,31 +64,97 @@ Z = Polynomial([0.0, 1.0])
 # ---------------------------------------------------------------- references
 
 
-def _max_step_z(scene, z):
-    best = math.inf
-    for _k, p, a, _g in scene.rows:
-        d = abs(z - p) * a
-        if d < best:
-            best = d
-    return best
+def dop853_step(root, orientation, z, w, h):
+    """One DOP853 step of length h from z, the root of phi there continued
+    from w: (the 8th-order point, the error estimate, the last stage's root)."""
+    ho = h * orientation
+    r = root(z, w)
+    hk = [ho / r]
+    for row in _DOP_A:
+        dz = 0j
+        for j, a in row:
+            dz += a * hk[j]
+        r = root(z + dz, r)
+        hk.append(ho / r)
+    dz = e5 = e3 = 0j
+    for j, b in _DOP_B:
+        dz += b * hk[j]
+    for j, b in _DOP_E5:
+        e5 += b * hk[j]
+    for j, b in _DOP_E3:
+        e3 += b * hk[j]
+    a5 = abs(e5)
+    return z + dz, a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0, r
 
 
-def _nearest_cp(scene, z):
-    best, bd = -1, math.inf
-    for k, p, _a, _g in scene.rows:
-        d = abs(z - p)
-        if d < bd:
-            best, bd = k, d
-    return best, bd
+# Cash-Karp 4(5), the tracer's pair before DOP853
+CK_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (3 / 10, -9 / 10, 6 / 5),
+    (-11 / 54, 5 / 2, -70 / 27, 35 / 27),
+    (1631 / 55296, 175 / 512, 575 / 13824, 44275 / 110592, 253 / 4096),
+)
+CK_B5 = (37 / 378, 0.0, 250 / 621, 125 / 594, 0.0, 512 / 1771)
+CK_B4 = (2825 / 27648, 0.0, 18575 / 48384, 13525 / 55296, 277 / 14336, 1 / 4)
 
 
-def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
+def cash_karp_step(root, orientation, z, w, h):
+    """One Cash-Karp step, as dop853_step."""
+    ks, r = [], w
+    for s in range(6):
+        zs = z
+        for j, a in enumerate(CK_A[s]):
+            zs += h * a * ks[j]
+        r = root(zs, r)
+        ks.append(orientation / r)
+    z5 = z4 = z
+    for j in range(6):
+        z5 += h * CK_B5[j] * ks[j]
+        z4 += h * CK_B4[j] * ks[j]
+    return z5, abs(z5 - z4), r
+
+
+class Pair(NamedTuple):
+    """An embedded pair with its step-size exponent 1 / (q + 1), q the
+    order of its error estimate, and the step clamp factor it is run with
+    at a critical point of order n."""
+    step: object
+    exponent: float
+    alpha: object
+
+
+DOP853 = Pair(dop853_step, 1 / 8, lambda n: BRANCH_TURN / max(2, abs(n)))
+CASH_KARP = Pair(cash_karp_step, 0.2, lambda n: min(0.1, 0.7 / max(1, abs(n))))
+
+
+def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair=DOP853):
     scene = _Scene(qd)
+    cps = critical_points(qd)
+    # (position, clamp factor, pole-guard radius) per finite critical point
+    rows = [(p, pair.alpha(cps[i].signed_order), g)
+            for (_k, p, _a, g), i in zip(scene.rows, scene.index)]
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
 
-    _k_home, d_home = _nearest_cp(scene, z0)
-    if launch_from is None and d_home < snap:
+    def nearest(z):
+        best, bd = -1, math.inf
+        for k, (p, _a, _g) in enumerate(rows):
+            d = abs(z - p)
+            if d < bd:
+                best, bd = k, d
+        return best, bd
+
+    def max_step(z):
+        best = math.inf
+        for p, a, _g in rows:
+            d = abs(z - p) * a
+            if d < best:
+                best = d
+        return best
+
+    if launch_from is None and nearest(z0)[1] < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
 
     num_desc = qd.num.coeffs[::-1]
@@ -100,10 +172,6 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     def root(z, hint):
         return continue_sqrt(phival(z), hint)
 
-    def f(z, hint):
-        w = root(z, hint)
-        return orientation / w, w
-
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(phival(z0))
     dir0 = (orientation / w0)
     dir0 /= abs(dir0)
@@ -116,8 +184,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     left_home = False
     termination = None
 
-    h = min(0.01 * (1.0 + abs(z0)) * abs(w0),
-            _max_step_z(scene, z0) * abs(w0) if scene.rows else math.inf,
+    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), max_step(z0) * abs(w0),
             opts.max_phi_length)
     h = max(h, 1e-12)
     attempts_cap = 4 * opts.max_steps
@@ -131,45 +198,27 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
             termination = Termination(PHI_LENGTH_BUDGET)
             break
         h = min(h, remaining)
-        if scene.rows:
-            h = min(h, _max_step_z(scene, z) * abs(w))
+        h = min(h, max_step(z) * abs(w))
         if h <= 1e-15 * max(1.0, tau):
             termination = Termination(STEP_BUDGET)
             break
 
-        ks = []
-        hint = w
-        ok = True
-        for s in range(6):
-            zs = z
-            for j, a in enumerate(_CK_A[s]):
-                zs += h * a * ks[j]
-            try:
-                k_s, hint = f(zs, hint)
-            except ZeroDivisionError:
-                ok = False
-                break
-            ks.append(k_s)
-        if not ok:
+        try:
+            z_new, err, hint = pair.step(root, orientation, z, w, h)
+        except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        z5 = z
-        z4 = z
-        for j in range(6):
-            z5 += h * _CK_B5[j] * ks[j]
-            z4 += h * _CK_B4[j] * ks[j]
-        err = abs(z5 - z4)
-        tol = opts.rk_tol * (1.0 + abs(z5))
+        tol = opts.rk_tol * (1.0 + abs(z_new))
         if err > tol:
             rejected += 1
-            h *= max(0.2, 0.9 * (tol / max(err, 1e-300)) ** 0.2)
+            h *= max(0.2, 0.9 * (tol / err) ** pair.exponent)
             continue
 
         z_prev, w_prev, tau_prev = z, w, tau
-        z = z5
+        z = z_new
         try:
-            w = continue_sqrt(phival(z), hint)
+            w = root(z, hint)
         except ZeroDivisionError:
             w = hint
         tau = tau_prev + h
@@ -177,26 +226,17 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
         pts.append(z)
         sqs.append(w)
         taus.append(tau)
-        grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.2))
+        grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** pair.exponent))
         h = h * grow
 
-        kc, dc = _nearest_cp(scene, z)
-        if kc >= 0 and dc < snap:
+        kc, dc = nearest(z)
+        guarded = [k for k, (p, _a, g) in enumerate(rows) if abs(z - p) < g]
+        if (kc >= 0 and dc < snap) or guarded:
+            k = kc if kc >= 0 and dc < snap else guarded[0]
             tangent = orientation / w
             ang = cmath.phase(tangent / abs(tangent))
-            termination = Termination(HIT_CRITICAL, cp_index=scene.index[kc],
+            termination = Termination(HIT_CRITICAL, cp_index=scene.index[k],
                                       incoming_angle=ang)
-            break
-        hit_pole = False
-        for k, p, _a, g in scene.rows:
-            if g > 0.0 and abs(z - p) < g:
-                tangent = orientation / w
-                ang = cmath.phase(tangent / abs(tangent))
-                termination = Termination(HIT_CRITICAL, cp_index=scene.index[k],
-                                          incoming_angle=ang)
-                hit_pole = True
-                break
-        if hit_pole:
             break
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
             termination = Termination(ESCAPED_WINDOW)
@@ -231,69 +271,6 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None):
     return ray
 
 
-def closure_refine_reference(f, z0, dir0, tau_a, z_a, w_a, tau_b, z_b, w_b, orientation, snap):
-    """The refinement the tracer used before: the closest approach to z0
-    on the step by bisecting the derivative of the squared distance along
-    the step's cubic Hermite interpolant, then one 16-step RK4 integration
-    to the root found and one Newton step; returns (tau*, z*, w*) if the
-    pass is within snap and its direction within CLOSURE_ANGLE_TOL."""
-    # z(tau_a + x h) = z_a + c1 x + c2 x^2 + c3 x^3 matches z and h dz/dtau
-    # = h orientation / w at both ends of the step
-    h = tau_b - tau_a
-    c1, mb, dz = h * orientation / w_a, h * orientation / w_b, z_b - z_a
-    c2 = 3.0 * dz - 2.0 * c1 - mb
-    c3 = c1 + mb - 2.0 * dz
-
-    def s(tau_t):
-        x = (tau_t - tau_a) / h
-        z = z_a + x * (c1 + x * (c2 + x * c3)) - z0
-        d = c1 + x * (2.0 * c2 + x * 3.0 * c3)
-        return z.real * d.real + z.imag * d.imag
-
-    def integrate_to(tau_t):
-        n = 16
-        hh = (tau_t - tau_a) / n
-        z, w = z_a, w_a
-        if hh == 0.0:
-            return z, w
-        for _ in range(n):
-            k1, w = f(z, w)
-            k2, w = f(z + 0.5 * hh * k1, w)
-            k3, w = f(z + 0.5 * hh * k2, w)
-            k4, w = f(z + hh * k3, w)
-            z = z + (hh / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return z, w
-
-    if s(tau_a) >= 0.0 or s(tau_b) <= 0.0:
-        cand = [(abs(z_a - z0), tau_a, z_a, w_a), (abs(z_b - z0), tau_b, z_b, w_b)]
-        dist, tau_s, z_s, w_s = min(cand, key=lambda t: t[0])
-    else:
-        lo, hi = tau_a, tau_b
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if s(mid) <= 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-13 * max(1.0, abs(tau_b)):
-                break
-        tau_s = 0.5 * (lo + hi)
-        z_s, w_s = integrate_to(tau_s)
-        k, w_s = f(z_s, w_s)
-        dt = -((z_s - z0) * k.conjugate()).real / (k.real * k.real + k.imag * k.imag)
-        tau_s += dt
-        z_s += dt * k
-        _, w_s = f(z_s, w_s)
-        dist = abs(z_s - z0)
-    if dist >= snap:
-        return None
-    d, _ = f(z_s, w_s)
-    u = d / abs(d)
-    if abs(cmath.phase(u / dir0)) > CLOSURE_ANGLE_TOL:
-        return None
-    return tau_s, z_s, w_s
-
-
 # ---------------------------------------------------------------- helpers
 
 
@@ -305,23 +282,25 @@ def _outcome(fn, *args, **kw):
         return type(e), str(e)
 
 
-def _reference_from(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
+def _reference_from(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0,
+                    pair=DOP853):
     """The reference loop from the tracer's start point. A launched ray's
     taus start at tau0; the reference counts from 0 against a budget
     shortened by tau0, and its taus are shifted afterwards."""
     ray = trace_reference(qd, z0, orientation,
                           opts.replace(max_phi_length=opts.max_phi_length - tau0),
-                          seed_sqrt, launch_from)
+                          seed_sqrt, launch_from, pair)
     ray.taus = ray.taus + tau0
     ray.phi_length += tau0
     return ray
 
 
-def _both(monkeypatch, fn, *args, **kw):
-    """The outcome of fn with the fused loop, then with the reference."""
+def _both(monkeypatch, fn, *args, pair=DOP853, **kw):
+    """The outcome of fn with the fused loop, then with the reference
+    stepping with the given pair."""
     new = _outcome(fn, *args, **kw)
     with monkeypatch.context() as m:
-        m.setattr(tracer, "_trace", _reference_from)
+        m.setattr(tracer, "_trace", lambda *a, **k: _reference_from(*a, **k, pair=pair))
         ref = _outcome(fn, *args, **kw)
     return new, ref
 
@@ -439,7 +418,7 @@ def test_escaped_window(monkeypatch):
 def test_phi_length_budget_winding(monkeypatch):
     qd = winding_qd()
     # infinity is a regular point: the window is widened as for a recurrence probe
-    opts = TraceOptions.for_qd(qd, max_phi_length=60.0, window=(-1e3, -1e3, 1e3, 1e3))
+    opts = TraceOptions.for_qd(qd, max_phi_length=100.0, window=(-1e3, -1e3, 1e3, 1e3))
     ray = same_ray(monkeypatch, trace_horizontal, qd, 1.0, 1, opts)
     assert ray.termination.kind == PHI_LENGTH_BUDGET
     assert ray.work["accepted_steps"] > 1000
@@ -454,10 +433,11 @@ def test_step_budget(monkeypatch):
 
 
 def test_error_control_rejects_steps(monkeypatch):
-    # the critical-point clamp caps most steps below the error control;
-    # a tolerance tighter than the default makes it reject some
+    # the critical-point clamp caps about half the steps; the others are
+    # sized by the error estimate, and at the default tolerance some of
+    # those are rejected (a tighter one lets the clamp cap more of them)
     qd = winding_qd()
-    opts = TraceOptions.for_qd(qd, rk_tol=1e-11, max_phi_length=10.0)
+    opts = TraceOptions.for_qd(qd, max_phi_length=30.0)
     ray = same_ray(monkeypatch, trace_horizontal, qd, 1.0, 1, opts)
     assert ray.work["rejected_steps"] > 0
 
@@ -491,6 +471,78 @@ def test_seed_sqrt_is_continued_at_the_first_step(monkeypatch, scale):
 def test_start_too_close_error_is_the_same(monkeypatch):
     new, ref = _both(monkeypatch, trace_horizontal, segment_qd(), 1.0 + 1e-9)
     assert new == ref and new[0] is StartTooClose
+
+
+# ---------------------------------------------------------------- accuracy
+
+
+def _fixture(name):
+    return {"circle": circle_qd, "segment": segment_qd, "winding": winding_qd,
+            "inverse_square": lambda: qd_from_p_over_q_squared(ONE, Z, sign=1)}[name]()
+
+
+def _finite_cps(qd):
+    return [c for c in critical_points(qd) if not c.at.is_infinite]
+
+
+FIXTURE_RAYS = [
+    ("circle", trace_horizontal, (1.0, 1)),
+    ("circle", trace_horizontal, (3.0, -1)),
+    ("circle", trace_horizontal, (0.5 + 0.5j, 1)),
+    ("circle", trace_horizontal, (-2.0 + 0.3j, 1)),
+    ("inverse_square", trace_horizontal, (1.0 + 0.25j, 1)),
+    ("inverse_square", trace_horizontal, (1.0 + 0.25j, -1)),
+    ("inverse_square", trace_horizontal, (-2.0 + 1.0j, 1)),
+] + [
+    (name, trace_vertical, (0.2 + 0.7j, o)) for name in ("circle", "segment", "winding")
+    for o in (1, -1)
+] + [
+    (name, trace_from_critical, (i, k)) for name in ("segment", "winding")
+    for i, c in enumerate(_finite_cps(_fixture(name))) for k in range(c.signed_order + 2)
+]
+
+
+@pytest.mark.parametrize("name, fn, args", FIXTURE_RAYS)
+def test_cash_karp_reference_agrees(monkeypatch, name, fn, args):
+    # the Cash-Karp reference steps on to the snap radius where the tracer
+    # arrives in the local model, so its length to the critical point adds
+    # |zeta| of its last point; a pole guard is entered wherever a step
+    # lands, so only the point it ends at is compared there
+    qd = _fixture(name)
+    opts = TraceOptions.for_qd(qd, max_phi_length=30.0)
+    if fn is trace_from_critical:
+        args = (_finite_cps(qd)[args[0]], args[1])
+    new, ref = _both(monkeypatch, fn, qd, *args, opts, pair=CASH_KARP)
+    assert new.termination.kind == ref.termination.kind
+    assert new.termination.cp_index == ref.termination.cp_index
+    if new.termination.kind == CLOSED:
+        assert abs(new.phi_length - ref.phi_length) <= 1e-8
+    elif _arrived(qd, new):
+        p = critical_points(qd)[ref.termination.cp_index].at.value
+        tail = abs(zeta_from(qd, p, ref.points[-1])[0])
+        assert abs(new.phi_length - (ref.phi_length + tail)) <= 1e-8
+
+
+# ---------------------------------------------------------------- the tableau
+
+
+def test_dop853_tableau_conditions():
+    # the nodes c_i of DOP853; the tracer needs none of them
+    s6 = math.sqrt(6.0)
+    c = (0.0, (6 - s6) / 67.5, (6 - s6) / 45, (6 - s6) / 30, (6 + s6) / 30,
+         1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
+    assert len(_DOP_A) == 11
+    for i, row in enumerate(_DOP_A, 1):
+        assert all(j < i for j, _a in row)
+        assert abs(sum(a for _j, a in row) - c[i]) <= 1e-15 * sum(abs(a) for _j, a in row)
+    for k in range(1, 9):
+        assert math.isclose(sum(b * c[j] ** (k - 1) for j, b in _DOP_B), 1 / k,
+                            rel_tol=1e-14)
+    # the error estimates are differences of the 8th-order weights and
+    # weights of order 5 and 3, so they integrate c^(k-1) to zero up to those
+    for weights, order in ((_DOP_E5, 5), (_DOP_E3, 3)):
+        for k in range(1, order + 1):
+            assert abs(sum(e * c[j] ** (k - 1) for j, e in weights)) <= 1e-14
 
 
 # ---------------------------------------------------------------- random differentials
@@ -546,35 +598,27 @@ def test_continue_sqrt_is_idempotent(vr, vi, hr, hi):
 
 
 def _record_closures(monkeypatch):
-    """Run the reference refinement next to the package's closure at every
-    call; the trace goes on with the package's answer."""
+    """Record (z0, the package's answer) at every call of the closure."""
     calls = []
     real = tracer._close_at_seed
 
-    def both(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap):
-        new = real(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap)
+    def recorded(root, z0, *rest):
+        out = real(root, z0, *rest)
+        calls.append((z0, out))
+        return out
 
-        def f(z, hint):
-            w = root(z, hint)
-            return orientation / w, w
-
-        dir0 = orientation / w0
-        ref = closure_refine_reference(f, z0, dir0 / abs(dir0), tau_a, z_a, w_a,
-                                       tau_b, z_b, w_b, orientation, snap)
-        calls.append((new, ref))
-        return new
-
-    monkeypatch.setattr(tracer, "_close_at_seed", both)
+    monkeypatch.setattr(tracer, "_close_at_seed", recorded)
     return calls
 
 
-def assert_closures_agree(calls):
-    assert calls
-    for new, ref in calls:
-        assert (new is None) == (ref is None)
-        if new is not None:
-            assert abs(new[0] - ref[0]) <= 1e-10
-            assert abs(new[1] - ref[1]) <= 1e-10
+def assert_closures_exact(calls):
+    """Every closure is one turn of a circle about the double pole of an
+    image of -dz^2 / z^2: at phi-length 2 pi, back at its seed."""
+    closures = [(z0, out) for z0, out in calls if out is not None]
+    assert closures
+    for z0, (tau_s, z_s, _w) in closures:
+        assert abs(tau_s - 2 * math.pi) <= 1e-10
+        assert abs(z_s - z0) <= 1e-10
 
 
 @pytest.mark.parametrize("start, orientation",
@@ -583,7 +627,7 @@ def test_closure_refine_matches_reference_on_the_circle(monkeypatch, start, orie
     calls = _record_closures(monkeypatch)
     ray = trace_horizontal(circle_qd(), start, orientation)
     assert ray.termination.kind == CLOSED
-    assert_closures_agree(calls)
+    assert_closures_exact(calls)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
@@ -605,7 +649,7 @@ def test_closure_refine_matches_reference_on_probe_circle_ops(monkeypatch, tmp_p
         op.write_spec(spec)
         assert cli.main(op.argv(str(spec), str(out))) == 0
     sys.modules.pop("corpus", None)
-    assert_closures_agree(calls)
+    assert_closures_exact(calls)
 
 
 def test_pass_on_the_opposite_sheet_is_not_closed(monkeypatch):
