@@ -4,7 +4,7 @@ criteria, level functions, lemniscates and Cauchy-transform measures."""
 
 __version__ = "0.1.0"
 
-from .polyalg import Polynomial, poly_roots, rational_residue
+from .polyalg import Polynomial, poly_roots
 from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
                     qd_new, qd_from_p_over_q_squared, lemniscate_qd, cauchy_qd,
                     critical_points, critical_directions, classify_double_pole,
@@ -29,7 +29,7 @@ from .specfile import InputSpec, parse_input, parse_obj, build_qd
 from . import errors
 
 __all__ = [
-    "Polynomial", "poly_roots", "rational_residue",
+    "Polynomial", "poly_roots",
     "QuadraticDifferential", "SpherePoint", "CriticalPoint",
     "qd_new", "qd_from_p_over_q_squared", "lemniscate_qd", "cauchy_qd",
     "critical_points", "critical_directions", "classify_double_pole",

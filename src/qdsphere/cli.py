@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,8 +28,7 @@ from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import critical_points, measure_mass, order_at_infinity
-from .specfile import (build_qd, parse_input, parse_max_steps, parse_point,
-                       parse_positive, parse_window)
+from .specfile import build_qd, parse_input, parse_point, parse_positive, parse_window
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -61,7 +59,7 @@ def _report(**fields) -> dict:
 
 
 def _options(qd, spec, args) -> TraceOptions:
-    """Budget resolution: file budgets, then QD_MAX_STEPS, then --rk-tol."""
+    """Budget resolution: file budgets, then --rk-tol."""
     kw = {}
     if "max_phi_length" in spec.budgets:
         kw["max_phi_length"] = float(spec.budgets["max_phi_length"])
@@ -71,12 +69,6 @@ def _options(qd, spec, args) -> TraceOptions:
         kw["rk_tol"] = float(spec.budgets["rk_tol"])
     if spec.window is not None:
         kw["window"] = spec.window
-    env = os.environ.get("QD_MAX_STEPS")
-    if env:
-        try:
-            kw["max_steps"] = parse_max_steps(int(env), "QD_MAX_STEPS")
-        except ValueError:
-            raise SchemaError("QD_MAX_STEPS", f"expected a positive integer, got {env!r}") from None
     if args.rk_tol is not None:
         kw["rk_tol"] = args.rk_tol
     return TraceOptions.for_qd(qd, **kw)
@@ -97,13 +89,6 @@ def _cp_row(cp) -> dict:
 def _criteria_rows(verdicts) -> list:
     return [{"criterion": v.criterion, "verdict": v.verdict, "evidence": v.evidence}
             for v in verdicts]
-
-
-def _clear_of_critical(qd, zs) -> list:
-    """The points of zs outside 10 guard radii of every zero and pole."""
-    guard = [(c.location, 10 * qd.guard_radius(c.location))
-             for c in qd.zeros + qd.poles]
-    return [z for z in zs if not any(abs(z - g) < r for g, r in guard)]
 
 
 def cmd_analyze(spec, qd, opts, args):
@@ -212,7 +197,7 @@ def _render_background(qd, canvas, win, n, opts):
     bg_opts = opts.replace(max_phi_length=min(opts.max_phi_length, 60.0))
     grid = [complex(x, y) for y in np.linspace(y0, y1, n + 2)[1:-1]
             for x in np.linspace(x0, x1, n + 2)[1:-1]]
-    for z in _clear_of_critical(qd, grid):
+    for z in qd.clear_of_critical(grid):
         for orientation in (1, -1):
             ray = trace_horizontal(qd, z, orientation, bg_opts)
             take = max(1, len(ray.points) // 400)
@@ -291,7 +276,7 @@ def _level_rays(qd, spec, win, opts):
         x0, y0, x1, y1 = win
         ctr = complex(0.5 * (x0 + x1), 0.5 * (y0 + y1))
         diag = complex(x1, y1) - ctr
-        seeds = _clear_of_critical(qd, [ctr + t * diag for t in np.linspace(0.3, 0.8, 12)])[:3]
+        seeds = qd.clear_of_critical([ctr + t * diag for t in np.linspace(0.3, 0.8, 12)])[:3]
     return [trace_horizontal(qd, z, opts=opts) for z in seeds]
 
 

@@ -13,10 +13,6 @@ class ConvergenceFailure(QdError):
     pass
 
 
-class NotAPole(QdError):
-    pass
-
-
 class NotCoprime(QdError):
     pass
 
@@ -62,10 +58,6 @@ class WrongProvenance(QdError):
 
 
 class EmptyLevel(QdError):
-    pass
-
-
-class NoShortTrajectory(QdError):
     pass
 
 

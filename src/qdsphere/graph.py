@@ -249,15 +249,15 @@ class RecurrenceReport:
 
 
 def detect_recurrence(qd: QuadraticDifferential, z0: complex,
-                      opts: TraceOptions | None = None, K_min: int = K_MIN_DEFAULT,
-                      transversal_halflength: float | None = None) -> RecurrenceReport:
+                      opts: TraceOptions | None = None) -> RecurrenceReport:
     """Trace the horizontal ray through z0 and count its proper crossings
-    with the orthogonal trajectory segment through the same point.
+    with the orthogonal trajectory segment through the same point, of
+    half-length TRANSVERSAL_FACTOR * diameter in phi-length.
 
-    Closed rays are not recurrent; K_min or more crossings of a non-closed
-    ray are reported SuspectedRecurrent; rays that end at a critical point
-    or leave the window are not recurrent; exhausted budgets with few
-    crossings leave the question undetermined.
+    Closed rays are not recurrent; K_MIN_DEFAULT or more crossings of a
+    non-closed ray are reported SuspectedRecurrent; rays that end at a
+    critical point or leave the window are not recurrent; exhausted budgets
+    with few crossings leave the question undetermined.
     """
     opts = opts or TraceOptions.for_qd(qd)
     if order_at_infinity(qd) == 0:
@@ -268,9 +268,7 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
         w = WINDOW_WIDEN * max(x1 - x0, y1 - y0, 1.0)
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         opts = opts.replace(window=(cx - w, cy - w, cx + w, cy + w))
-    hl = (TRANSVERSAL_FACTOR * qd.diameter()
-          if transversal_halflength is None else float(transversal_halflength))
-    topts = opts.replace(max_phi_length=hl)
+    topts = opts.replace(max_phi_length=TRANSVERSAL_FACTOR * qd.diameter())
     up = trace_vertical(qd, z0, +1, topts)
     dn = trace_vertical(qd, z0, -1, topts)
     transversal = np.concatenate([dn.points[::-1], up.points[1:]])
@@ -281,7 +279,7 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
     closed = ray.termination.kind == CLOSED
     if closed:
         verdict, reason = NOT_RECURRENT, CLOSED
-    elif crossings >= K_min:
+    elif crossings >= K_MIN_DEFAULT:
         verdict, reason = SUSPECTED_RECURRENT, None
     elif ray.termination.kind in (HIT_CRITICAL, ESCAPED_WINDOW):
         verdict, reason = NOT_RECURRENT, ray.termination.kind

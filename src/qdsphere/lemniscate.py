@@ -78,12 +78,10 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
     opts = opts.replace(max_phi_length=opts.max_phi_length * STREBEL_BUDGET_FACTOR,
                         window=(cx - hw, cy - hh, cx + hw, cy + hh))
     rng = np.random.default_rng(seed)
-    guards = [(c.location, qd.guard_radius(c.location))
-              for c in qd.zeros + qd.poles]
     out = []
     while len(out) < samples:
         z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if any(abs(z - g) < 10 * r for g, r in guards):
+        if not qd.clear_of_critical([z]):
             continue
         ray = trace_horizontal(qd, z, opts=opts)
         out.append((z, ray.termination.kind == "Closed"))

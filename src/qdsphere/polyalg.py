@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotAPole, ZeroPolynomial
+from .errors import ConvergenceFailure, ZeroPolynomial
 
 COEFF_TRIM = 1e-14
 ROOT_TOL = 1e-8
-POLE_TOL = 1e-6
 
 
 class Polynomial:
@@ -95,22 +94,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def shifted(self, b: complex) -> "Polynomial":
-        """Taylor shift: returns s with s(u) = self(b + u)."""
-        b = complex(b)
-        cs = list(self.coeffs)
-        n = len(cs)
-        # repeated synthetic division by (z - b); remainders are the shifted coeffs
-        out = []
-        for _ in range(n):
-            rem = 0j
-            for i in range(len(cs) - 1, -1, -1):
-                rem = rem * b + cs[i]
-                cs[i] = rem
-            out.append(cs[0])
-            cs = cs[1:]
-        return Polynomial(out)
-
     def deflated(self, r: complex):
         """Divide by (z - r). Returns (quotient, remainder)."""
         r = complex(r)
@@ -176,13 +159,6 @@ def _union_groups(points: list[complex], radius_of) -> list[list[int]]:
     return out
 
 
-def _abs_horner(abscoeffs: list[float], x: float) -> float:
-    acc = 0.0
-    for c in reversed(abscoeffs):
-        acc = acc * x + c
-    return acc
-
-
 class _DerivLadder:
     """p and its derivatives, plus per-derivative evaluation-noise bounds."""
 
@@ -197,19 +173,19 @@ class _DerivLadder:
     def noise(self, k: int, z: complex) -> float:
         if k >= len(self.ders):
             return 0.0
-        mags = [abs(c) for c in self.ders[k].coeffs]
-        return 2.3e-16 * len(mags) * _abs_horner(mags, max(1.0, abs(z)))
+        der = self.ders[k]
+        return 2.3e-16 * len(der.coeffs) * der.magnitude_bound(z)
 
 
-def _verify_multiple(ladder: _DerivLadder, y: complex, m: int, tol: float) -> bool:
+def _verify_multiple(ladder: _DerivLadder, y: complex, m: int) -> bool:
     """Is y indistinguishable (at clustering resolution) from a root of
     multiplicity m? Requires p^(m)(y) clearly nonzero and all lower
     derivatives zero within evaluation noise plus the displacement a
-    tol-sized offset of the root location could explain."""
+    ROOT_TOL-sized offset of the root location could explain."""
     lead = abs(ladder.value(m, y))
     if lead <= 1e3 * ladder.noise(m, y):
         return False
-    delta = tol * max(1.0, abs(y))
+    delta = ROOT_TOL * max(1.0, abs(y))
     for k in range(m):
         bound = 32.0 * ladder.noise(k, y) + 10.0 * lead * delta ** (m - k) / math.factorial(m - k)
         if abs(ladder.value(k, y)) > bound:
@@ -234,7 +210,7 @@ def _newton_simple(p: Polynomial, dp: Polynomial, z: complex, cap: float) -> com
     return z
 
 
-def _resolve_group(ladder: _DerivLadder, members: list[complex], tol: float,
+def _resolve_group(ladder: _DerivLadder, members: list[complex],
                    out: list[tuple[complex, int, float]]):
     if len(members) == 1:
         z = _newton_simple(ladder.ders[0], ladder.ders[1], members[0],
@@ -242,18 +218,18 @@ def _resolve_group(ladder: _DerivLadder, members: list[complex], tol: float,
         out.append((z if z is not None else members[0], 1, 0.0))
         return
     centroid = sum(members) / len(members)
-    cap = 8.0 * max(abs(x - centroid) for x in members) + tol * max(1.0, abs(centroid))
+    cap = 8.0 * max(abs(x - centroid) for x in members) + ROOT_TOL * max(1.0, abs(centroid))
     for m in range(len(members), 1, -1):
         if m >= len(ladder.ders):
             continue
         y = _newton_simple(ladder.ders[m - 1], ladder.ders[m], centroid, cap)
-        if y is None or not _verify_multiple(ladder, y, m, tol):
+        if y is None or not _verify_multiple(ladder, y, m):
             continue
         ordered = sorted(members, key=lambda x: abs(x - y))
         taken, rest = ordered[:m], ordered[m:]
         out.append((y, m, max(abs(x - y) for x in taken)))
         if rest:
-            _resolve_group(ladder, rest, tol, out)
+            _resolve_group(ladder, rest, out)
         return
     # no multiplicity hypothesis held for the whole group: split at the
     # widest separation and retry the halves
@@ -266,24 +242,24 @@ def _resolve_group(ladder: _DerivLadder, members: list[complex], tol: float,
     half_a = [x for x in members if abs(x - members[besta]) <= abs(x - members[bestb])]
     half_b = [x for x in members if abs(x - members[besta]) > abs(x - members[bestb])]
     if half_a and half_b and len(half_a) < len(members):
-        _resolve_group(ladder, half_a, tol, out)
-        _resolve_group(ladder, half_b, tol, out)
+        _resolve_group(ladder, half_a, out)
+        _resolve_group(ladder, half_b, out)
         return
     for x in members:
-        _resolve_group(ladder, [x], tol, out)
+        _resolve_group(ladder, [x], out)
 
 
 # loose pre-grouping radius: covers the root-jitter of moderate multiplicities
 LOOSE_FACTOR = 5e-3
 
 
-def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
+def poly_roots(p: Polynomial) -> list[RootCluster]:
     """All roots as clusters with multiplicities.
 
     Companion-matrix eigenvalues (np.roots), then multiple-root resolution:
     candidate groups are polished as simple roots of the (m-1)-th derivative
     and kept only if the lower derivatives vanish within evaluation noise. Final
-    single-linkage clustering at tol * max(1, largest root modulus); the
+    single-linkage clustering at ROOT_TOL * max(1, largest root modulus); the
     cluster center is the multiplicity-weighted mean. Raises
     ConvergenceFailure when a cluster center fails the residual test.
     """
@@ -297,10 +273,10 @@ def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
     resolved: list[tuple[complex, int, float]] = []
     loose = _union_groups(raw, lambda a, b: LOOSE_FACTOR * (1.0 + min(abs(a), abs(b))))
     for g in loose:
-        _resolve_group(ladder, [raw[i] for i in g], tol, resolved)
+        _resolve_group(ladder, [raw[i] for i in g], resolved)
 
     rmax = max(abs(z) for z, _m, _r in resolved)
-    thr = tol * max(1.0, rmax)
+    thr = ROOT_TOL * max(1.0, rmax)
     pts = [z for z, _m, _r in resolved]
     fine = _union_groups(pts, lambda a, b: thr)
 
@@ -309,59 +285,10 @@ def poly_roots(p: Polynomial, tol: float = ROOT_TOL) -> list[RootCluster]:
         tot = sum(resolved[i][1] for i in g)
         loc = sum(resolved[i][0] * resolved[i][1] for i in g) / tot
         rad = max(abs(resolved[i][0] - loc) + resolved[i][2] for i in g)
-        if abs(p(loc)) > tol * p.magnitude_bound(loc):
+        if abs(p(loc)) > ROOT_TOL * p.magnitude_bound(loc):
             raise ConvergenceFailure(
                 f"root candidate {loc} has residual {abs(p(loc)):.3e} beyond tolerance"
             )
         clusters.append(RootCluster(loc, tot, rad))
     clusters.sort(key=lambda c: (c.location.real, c.location.imag))
     return clusters
-
-
-def _residue_by_contour(num: Polynomial, den: Polynomial, b: complex, radius: float) -> complex:
-    k = 512
-    ang = 2.0 * np.pi * (np.arange(k) + 0.5) / k
-    z = b + radius * np.exp(1j * ang)
-    vals = num.eval_array(z) / den.eval_array(z)
-    dz = 1j * radius * np.exp(1j * ang)
-    return complex(np.sum(vals * dz) / (1j * k))
-
-
-def rational_residue(num: Polynomial, den: Polynomial, b: complex, order: int = 1) -> complex:
-    """Residue of num/den at the pole b of the given order.
-
-    Uses the Taylor coefficients of (z-b)^order * num/den at b (power-series
-    division of the shifted polynomials); falls back to small-contour
-    quadrature if the deflated denominator is degenerate at b.
-    """
-    if den.is_zero():
-        raise ZeroPolynomial("denominator is zero")
-    if order < 1:
-        raise ValueError("order must be >= 1")
-    b = complex(b)
-    if abs(den(b)) > POLE_TOL * den.magnitude_bound(b):
-        raise NotAPole(f"|den({b})| = {abs(den(b)):.3e} is not small relative to scale")
-
-    ds = den.shifted(b)
-    sscale = max((abs(c) for c in ds.coeffs), default=0.0)
-    for k in range(order):
-        if k < len(ds.coeffs) and abs(ds.coeffs[k]) > POLE_TOL * max(sscale, 1e-300):
-            raise NotAPole(f"{b} is a pole of order {k}, not {order}")
-    tail = Polynomial(ds.coeffs[order:])
-    if tail.is_zero() or abs(tail.coeffs[0]) < 1e-12 * max(sscale, 1e-300):
-        # deeper pole than stated or badly cancelled shift: integrate instead
-        others = [c.location for c in poly_roots(den) if abs(c.location - b) > 1e-6]
-        rad = 0.5 * min((abs(r - b) for r in others), default=1.0)
-        return _residue_by_contour(num, den, b, max(rad, 1e-8))
-    ns = num.shifted(b)
-    # power-series division ns / tail up to u^(order-1)
-    e = []
-    d0 = tail.coeffs[0]
-    for k in range(order):
-        ck = ns.coeffs[k] if k < len(ns.coeffs) else 0j
-        acc = ck
-        for j in range(k):
-            dj = tail.coeffs[k - j] if k - j < len(tail.coeffs) else 0j
-            acc -= e[j] * dj
-        e.append(acc / d0)
-    return e[order - 1]

@@ -25,9 +25,8 @@ from .errors import (
     WrongProvenance,
     ZeroPolynomial,
 )
-from .polyalg import Polynomial, RootCluster, poly_roots
+from .polyalg import ROOT_TOL, Polynomial, RootCluster, poly_roots
 
-ROOT_TOL = 1e-8
 ANGULAR_TOL = 1e-9
 GUARD_FACTOR = 1e-3
 DIAM_FLOOR = 10.0
@@ -150,6 +149,12 @@ class QuadraticDifferential:
 
     def guard_radius(self, at: complex) -> float:
         return GUARD_FACTOR * self.local_scale(at)
+
+    def clear_of_critical(self, zs) -> list:
+        """The points of zs outside 10 guard radii of every zero and pole."""
+        guard = [(c.location, 10 * self.guard_radius(c.location))
+                 for c in self.zeros + self.poles]
+        return [z for z in zs if not any(abs(z - g) < r for g, r in guard)]
 
     def __repr__(self):
         return f"QuadraticDifferential(num={self.num!r}, den={self.den!r})"

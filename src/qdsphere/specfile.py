@@ -97,19 +97,24 @@ def parse_obj(obj) -> InputSpec:
     sign = 1
     if kind == "p_over_q_squared":
         sign = body.get("sign", 1)
-        if sign not in (1, -1):
-            raise SchemaError("p_over_q_squared.sign", "must be 1 or -1")
+        if type(sign) is not int or sign not in (1, -1):
+            raise SchemaError("p_over_q_squared.sign", "must be the integer 1 or -1")
 
+    # a window, seeds or budgets given as null is the same as an absent one
     window = None
     if obj.get("window") is not None:
         window = parse_window(obj["window"], "window")
 
-    seeds = [parse_point(s, f"seeds[{i}]") for i, s in enumerate(obj.get("seeds", []) or [])]
+    raw_seeds = obj.get("seeds")
+    if not isinstance(raw_seeds, (list, type(None))):
+        raise SchemaError("seeds", "expected a list of [x, y] pairs")
+    seeds = [parse_point(s, f"seeds[{i}]") for i, s in enumerate(raw_seeds or [])]
 
     budgets = {}
-    raw_budgets = obj.get("budgets", {}) or {}
-    if not isinstance(raw_budgets, dict):
+    raw_budgets = obj.get("budgets")
+    if not isinstance(raw_budgets, (dict, type(None))):
         raise SchemaError("budgets", "expected an object")
+    raw_budgets = raw_budgets or {}
     for key in ("max_phi_length", "max_steps", "rk_tol"):
         if key in raw_budgets:
             parse = parse_max_steps if key == "max_steps" else parse_positive

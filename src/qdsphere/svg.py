@@ -1,13 +1,14 @@
 """Minimal deterministic SVG output for trajectory pictures.
 
 World coordinates (x, y) in the window [x0, x1] x [y0, y1] map to pixels by
-px = (x - x0) * s and py = (y1 - y) * s with s = width / (x1 - x0), so y
+px = (x - x0) * s and py = (y1 - y) * s with s = WIDTH / (x1 - x0), so y
 points up in world space and down in pixel space. All numbers are printed
 with three decimals, which keeps output byte-stable across runs.
 """
 
 from __future__ import annotations
 
+WIDTH = 640
 _STYLE = """
   polyline { fill: none; }
   .traj { stroke: #777777; stroke-width: 1; }
@@ -20,12 +21,11 @@ _STYLE = """
 
 
 class SvgCanvas:
-    def __init__(self, window, width: int = 640):
+    def __init__(self, window):
         self.x0, self.y0, self.x1, self.y1 = (float(v) for v in window)
         if not (self.x1 > self.x0 and self.y1 > self.y0):
             raise ValueError("degenerate window")
-        self.width = int(width)
-        self.scale = self.width / (self.x1 - self.x0)
+        self.scale = WIDTH / (self.x1 - self.x0)
         self.height = max(1, round((self.y1 - self.y0) * self.scale))
         self._body: list[str] = []
 
@@ -58,8 +58,8 @@ class SvgCanvas:
             f' px = (x - {self.x0:g}) * {self.scale:.6g},'
             f' py = ({self.y1:g} - y) * {self.scale:.6g} -->\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1"'
-            f' width="{self.width}" height="{self.height}"'
-            f' viewBox="0 0 {self.width} {self.height}">\n'
+            f' width="{WIDTH}" height="{self.height}"'
+            f' viewBox="0 0 {WIDTH} {self.height}">\n'
             f'<style>{_STYLE}</style>\n'
         )
         return head + "\n".join(self._body) + "\n</svg>\n"

@@ -163,8 +163,6 @@ class TrajectoryRay:
     phi_length: float                 # up to the critical point a ray arrives at
     imag_drift: float
     termination: Termination
-    direction_seed: complex
-    orientation: int
     work: dict = field(default_factory=dict)
 
 
@@ -350,8 +348,6 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         return s if abs(s - hint) <= abs(s + hint) else -s
 
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
-    dir0 = (orientation / w0)
-    dir0 /= abs(dir0)
 
     pts = [z0]
     sqs = [w0]
@@ -485,7 +481,6 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     ray = TrajectoryRay(
         points=points, sqrt_values=sqrt_values, taus=taus_arr,
         phi_length=float(tau), imag_drift=0.0, termination=termination,
-        direction_seed=dir0, orientation=orientation,
         work={"accepted_steps": accepted, "rejected_steps": rejected},
     )
     certify_drift(qd, ray, opts)

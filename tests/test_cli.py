@@ -170,9 +170,24 @@ def test_float_max_steps_rejected(tmp_path, capsys):
     _rejected(tmp_path, capsys, spec, "budgets.max_steps")
 
 
-def test_non_integer_env_max_steps_rejected(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("QD_MAX_STEPS", "abc")
-    _rejected(tmp_path, capsys, SEGMENT, "QD_MAX_STEPS")
+@pytest.mark.parametrize("value", [5, True, 0, False, ""])
+def test_non_list_seeds_rejected(tmp_path, capsys, value):
+    _rejected(tmp_path, capsys, dict(SEGMENT, seeds=value), "seeds")
+
+
+@pytest.mark.parametrize("value", [0, False])
+def test_non_object_budgets_rejected(tmp_path, capsys, value):
+    _rejected(tmp_path, capsys, dict(SEGMENT, budgets=value), "budgets")
+
+
+def test_bool_sign_rejected(tmp_path, capsys):
+    spec = dict(SEGMENT, p_over_q_squared=dict(SEGMENT["p_over_q_squared"], sign=True))
+    _rejected(tmp_path, capsys, spec, "p_over_q_squared.sign")
+
+
+def test_null_seeds_and_budgets_are_absent(tmp_path):
+    spec = write_spec(tmp_path, dict(SEGMENT, seeds=None, budgets=None))
+    assert run(["criteria", spec]) in (0, 10)
 
 
 LEMNISCATE = {
@@ -438,9 +453,9 @@ def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
     calls = []
     real = polyalg.poly_roots
 
-    def counted(p, tol=polyalg.ROOT_TOL):
+    def counted(p):
         calls.append(p)
-        return real(p, tol)
+        return real(p)
 
     for module in (polyalg, qdiff, criteria):
         monkeypatch.setattr(module, "poly_roots", counted)
@@ -468,10 +483,9 @@ def test_trace_closed_circle(tmp_path):
     assert len(doc["points"]) == len(doc["taus"])
 
 
-def test_trace_budget_via_env(tmp_path, monkeypatch):
-    spec = write_spec(tmp_path, CIRCLE)
+def test_trace_budget_via_spec(tmp_path):
+    spec = write_spec(tmp_path, dict(CIRCLE, budgets={"max_steps": 5}))
     out = str(tmp_path / "ray.json")
-    monkeypatch.setenv("QD_MAX_STEPS", "5")
     assert run(["trace", spec, "--from", "1,0", "--out", out]) == 0
     doc = load(out)
     assert doc["termination"]["kind"] == "StepBudget"
@@ -604,9 +618,9 @@ def test_lemniscate_builds_the_differential_once(tmp_path, monkeypatch):
     calls = []
     real = polyalg.poly_roots
 
-    def counted(p, tol=polyalg.ROOT_TOL):
+    def counted(p):
         calls.append(p)
-        return real(p, tol)
+        return real(p)
 
     monkeypatch.setattr(polyalg, "poly_roots", counted)
     monkeypatch.setattr(qdiff, "poly_roots", counted)

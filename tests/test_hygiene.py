@@ -76,3 +76,27 @@ def test_no_unreferenced_private_names(path):
     unused = [f"{path.name}:{line} {name}" for name, line in _private_definitions(tree)
               if name.startswith("_") and not name.startswith("__") and name not in refs]
     assert not unused, "unreferenced private names: " + ", ".join(unused)
+
+
+def test_every_error_class_is_raised():
+    """Each class in errors.py is raised somewhere in the package, or is a
+    base of one that is."""
+    errors = next(p for p in MODULES if p.name == "errors.py")
+    bases = {}
+    for node in ast.parse(errors.read_text()).body:
+        if isinstance(node, ast.ClassDef):
+            bases[node.name] = [b.id for b in node.bases if isinstance(b, ast.Name)]
+    raised = set()
+    for path in MODULES:
+        for n in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(n, ast.Raise) and isinstance(n.exc, ast.Call):
+                f = n.exc.func
+                raised.add(f.id if isinstance(f, ast.Name) else getattr(f, "attr", None))
+    covered = set()
+    todo = [name for name in bases if name in raised]
+    while todo:
+        name = todo.pop()
+        if name not in covered:
+            covered.add(name)
+            todo.extend(bases.get(name, []))
+    assert sorted(set(bases) - covered) == []

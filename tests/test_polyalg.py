@@ -1,11 +1,9 @@
-import math
-
 import numpy as np
 import pytest
 
 from qdsphere import polyalg
-from qdsphere.errors import NotAPole, ZeroPolynomial
-from qdsphere.polyalg import Polynomial, poly_roots, rational_residue
+from qdsphere.errors import ZeroPolynomial
+from qdsphere.polyalg import Polynomial, poly_roots
 
 
 def from_roots(roots, lead=1.0):
@@ -76,46 +74,6 @@ def test_constant_has_no_roots():
     assert poly_roots(Polynomial([3.0])) == []
     with pytest.raises(ZeroPolynomial):
         poly_roots(Polynomial([0.0]))
-
-
-def test_residue_simple_pole():
-    # 1 / (z^2 - 1) has residue 1/2 at z = 1
-    num = Polynomial([1.0])
-    den = Polynomial([-1.0, 0.0, 1.0])
-    assert rational_residue(num, den, 1.0) == pytest.approx(0.5, rel=1e-12)
-    assert rational_residue(num, den, -1.0) == pytest.approx(-0.5, rel=1e-12)
-
-
-def test_residue_higher_order_pole():
-    # z / (z - 2)^3: residue at 2 is the 1/(z-2) coefficient, here 0
-    num = Polynomial([0.0, 1.0])
-    den = from_roots([2.0, 2.0, 2.0])
-    assert rational_residue(num, den, 2.0) == pytest.approx(0.0, abs=1e-12)
-    # (z^2) / (z-2)^2 -> expansion (2+u)^2/u^2 -> residue 4
-    num2 = Polynomial([0.0, 0.0, 1.0])
-    den2 = from_roots([2.0, 2.0])
-    assert rational_residue(num2, den2, 2.0) == pytest.approx(4.0, rel=1e-12)
-
-
-def test_residue_rejects_regular_point():
-    with pytest.raises(NotAPole):
-        rational_residue(Polynomial([1.0]), Polynomial([-1.0, 1.0]), 5.0)
-
-
-def test_residue_sum_equals_contour_integral():
-    # sum of residues of p/q over all poles inside |z| = R equals the
-    # contour integral, computed here by the trapezoid rule
-    rng = np.random.default_rng(17)
-    for _ in range(10):
-        poles = rng.normal(size=3) * 0.5 + 1j * rng.normal(size=3) * 0.5
-        num = Polynomial(rng.normal(size=3))
-        den = from_roots(poles)
-        want = sum(rational_residue(num, den, b) for b in poles)
-        th = np.linspace(0.0, 2 * math.pi, 4096, endpoint=False)
-        zs = 3.0 * np.exp(1j * th)
-        vals = num.eval_array(zs) / den.eval_array(zs)
-        integral = np.mean(vals * zs)           # (1/2pi i) * integral of f dz
-        assert abs(integral - want) < 1e-6 * max(1.0, abs(want))
 
 
 def test_magnitude_bound_dominates():

@@ -282,9 +282,9 @@ def test_constructors_find_each_root_set_once(monkeypatch):
     calls = []
     real = polyalg.poly_roots
 
-    def counted(p, tol=polyalg.ROOT_TOL):
+    def counted(p):
         calls.append(p)
-        return real(p, tol)
+        return real(p)
 
     monkeypatch.setattr(polyalg, "poly_roots", counted)
     monkeypatch.setattr(qdiff, "poly_roots", counted)

@@ -173,8 +173,6 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
         return continue_sqrt(phival(z), hint)
 
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(phival(z0))
-    dir0 = (orientation / w0)
-    dir0 /= abs(dir0)
 
     pts = [z0]
     sqs = [w0]
@@ -264,7 +262,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     ray = TrajectoryRay(
         points=np.asarray(pts, dtype=complex), sqrt_values=np.asarray(sqs, dtype=complex),
         taus=np.asarray(taus, dtype=float), phi_length=float(tau), imag_drift=0.0,
-        termination=termination, direction_seed=dir0, orientation=orientation,
+        termination=termination,
         work={"accepted_steps": accepted, "rejected_steps": rejected},
     )
     certify_drift(qd, ray, opts)
@@ -317,8 +315,6 @@ def assert_same(new, ref):
         assert struct.pack("d", getattr(new, name)) == struct.pack("d", getattr(ref, name))
     assert new.termination == ref.termination
     assert new.work == ref.work
-    assert new.direction_seed == ref.direction_seed
-    assert new.orientation == ref.orientation
 
 
 def _arrived(qd, ray):
@@ -349,8 +345,6 @@ def assert_same_up_to_arrival(qd, new, ref):
     assert new.points[:m].tobytes() == ref.points[:m].tobytes()
     assert new.sqrt_values[:m].tobytes() == ref.sqrt_values[:m].tobytes()
     assert np.allclose(new.taus, ref.taus[:n], rtol=1e-14, atol=0.0)
-    assert new.direction_seed == ref.direction_seed
-    assert new.orientation == ref.orientation
 
 
 def same_ray(monkeypatch, fn, qd, *args, **kw):
