@@ -27,7 +27,7 @@ from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
                     pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
-from .qdiff import critical_points, measure_mass, order_at_infinity
+from .qdiff import SpherePoint, critical_points, measure_mass, order_at_infinity
 from .specfile import build_qd, parse_input, parse_point, parse_positive, parse_window
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
@@ -39,6 +39,10 @@ EXIT_RECURRENT = 20
 
 
 def _jsonable(v):
+    """v for json.dumps: complex as [re, im], a SpherePoint as its value
+    (infinity as null), arrays and tuples as lists, an infinite float as "inf"."""
+    if isinstance(v, SpherePoint):
+        v = v.value
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -60,18 +64,8 @@ def _report(**fields) -> dict:
 
 def _options(qd, spec, args) -> TraceOptions:
     """Budget resolution: file budgets, then --rk-tol."""
-    kw = {}
-    if "max_phi_length" in spec.budgets:
-        kw["max_phi_length"] = float(spec.budgets["max_phi_length"])
-    if "max_steps" in spec.budgets:
-        kw["max_steps"] = spec.budgets["max_steps"]
-    if "rk_tol" in spec.budgets:
-        kw["rk_tol"] = float(spec.budgets["rk_tol"])
-    if spec.window is not None:
-        kw["window"] = spec.window
-    if args.rk_tol is not None:
-        kw["rk_tol"] = args.rk_tol
-    return TraceOptions.for_qd(qd, **kw)
+    opts = TraceOptions.for_qd(qd, window=spec.window, **spec.budgets)
+    return opts if args.rk_tol is None else opts.replace(rk_tol=args.rk_tol)
 
 
 def _tolerances(opts: TraceOptions) -> dict:
@@ -81,9 +75,7 @@ def _tolerances(opts: TraceOptions) -> dict:
 
 
 def _cp_row(cp) -> dict:
-    return {"at": None if cp.at.is_infinite else [cp.at.value.real, cp.at.value.imag],
-            "order": cp.signed_order,
-            "quadratic_residue": cp.quadratic_residue}
+    return {"at": cp.at, "order": cp.signed_order, "quadratic_residue": cp.quadratic_residue}
 
 
 def _criteria_rows(verdicts) -> list:
@@ -102,7 +94,7 @@ def cmd_analyze(spec, qd, opts, args):
     for z0 in spec.seeds:
         rep = detect_recurrence(qd, z0, opts)
         recurrence.append({
-            "seed": [z0.real, z0.imag],
+            "seed": z0,
             "verdict": rep.verdict,
             "crossings": rep.crossings,
             "closed": rep.closed,
@@ -123,7 +115,7 @@ def cmd_analyze(spec, qd, opts, args):
         short_trajectories=[{
             "from": e.from_node, "to": e.to_node,
             "phi_length": e.phi_length,
-            "polyline": [complex(z) for z in e.polyline[:: max(1, len(e.polyline) // 64)]],
+            "polyline": e.polyline[:: max(1, len(e.polyline) // 64)],
         } for e in shorts],
         unresolved_rays=len(graph.unresolved),
         criteria=_criteria_rows(verdicts),
@@ -153,9 +145,9 @@ def cmd_trace(spec, qd, opts, args):
         opts = opts.replace(max_phi_length=args.length)
     ray = trace_horizontal(qd, z0, opts=opts)
     return EXIT_OK, _report(
-        seed=[z0.real, z0.imag],
-        points=[complex(z) for z in ray.points],
-        taus=[float(t) for t in ray.taus],
+        seed=z0,
+        points=ray.points,
+        taus=ray.taus,
         phi_length=ray.phi_length,
         imag_drift=ray.imag_drift,
         termination={"kind": ray.termination.kind,
@@ -211,11 +203,11 @@ def _render_lemniscate(spec, qd, canvas, win, level):
         max(rep.critical_levels) if rep.critical_levels else 1.0)
     for c in sorted({0.45 * main, 0.75 * main, 1.6 * main, 2.6 * main}):
         try:
-            for poly in lemniscate_level_curve(p, q, c, win, 192, cross_check=False):
+            for poly in lemniscate_level_curve(p, q, c, win, 192):
                 canvas.polyline(poly, "bg")
         except EmptyLevel:
             pass
-    for poly in lemniscate_level_curve(p, q, main, win, 256, cross_check=False):
+    for poly in lemniscate_level_curve(p, q, main, win, 256):
         canvas.polyline(poly, "level")
     for z in rep.finite_critical_points:
         canvas.dot(z, "zero")
@@ -255,11 +247,11 @@ def cmd_level(spec, qd, opts, args):
     verification = verify_level(field, _level_rays(qd, spec, win, opts), qd)
     return EXIT_OK, _report(
         base_point=field.base_point,
-        window=list(field.window),
+        window=field.window,
         n=field.n,
         grid=[[None if field.undefined_mask[iy, ix] else float(field.grid[iy, ix])
                for ix in range(field.n)] for iy in range(field.n)],
-        cuts=[[complex(z) for z in cut] for cut in field.cuts],
+        cuts=field.cuts,
         pairing={"pairs": pairing.pairs, "method": pairing.method},
         verification={"passed_i": verification.passed_i,
                       "passed_ii": verification.passed_ii,
@@ -295,17 +287,16 @@ def cmd_cauchy(spec, qd, opts, args):
     for e in shorts:
         mass = measure_mass(qd, e.polyline)
         total += mass
-        a = graph.nodes[e.from_node]
-        b = graph.nodes[e.to_node]
         components.append({
-            "endpoints": [_cp_row(a)["at"], _cp_row(b)["at"]],
+            "endpoints": [graph.nodes[e.from_node].at.value, graph.nodes[e.to_node].at.value],
             "mass": mass,
             "phi_length": e.phi_length,
         })
     return EXIT_OK, _report(
         components=components,
         total_mass=total,
-        support=sorted({tuple(pt) for c in components for pt in c["endpoints"]}),
+        support=sorted({z for c in components for z in c["endpoints"]},
+                       key=lambda z: (z.real, z.imag)),
         input=spec.defaults_echo(),
         tolerances=_tolerances(opts),
     )

@@ -32,7 +32,7 @@ IMAG_REL_TOL = 1e-8
 class CriterionVerdict:
     criterion: str
     verdict: str
-    evidence: dict
+    evidence: dict               # may hold complex and SpherePoint values
 
 
 def stronger(a: str, b: str) -> str:
@@ -47,7 +47,7 @@ def three_pole(qd: QuadraticDifferential) -> CriterionVerdict:
     """At most three distinct poles leave no room for a recurrent
     trajectory; the count includes the point at infinity."""
     poles = _pole_list(qd)
-    ev = {"poles": [[_c(cp.at), cp.signed_order] for cp in poles],
+    ev = {"poles": [[cp.at, cp.signed_order] for cp in poles],
           "count": len(poles)}
     verdict = CERTIFIED if len(poles) <= 3 else INCONCLUSIVE
     return CriterionVerdict("ThreePole", verdict, ev)
@@ -57,7 +57,7 @@ def odd_multiplicity(qd: QuadraticDifferential) -> CriterionVerdict:
     """At most three critical points of odd order (zeros or poles,
     infinity included) also exclude recurrence."""
     odd = [cp for cp in critical_points(qd) if cp.signed_order % 2 != 0]
-    ev = {"odd_points": [[_c(cp.at), cp.signed_order] for cp in odd],
+    ev = {"odd_points": [[cp.at, cp.signed_order] for cp in odd],
           "count": len(odd)}
     verdict = CERTIFIED if len(odd) <= 3 else INCONCLUSIVE
     return CriterionVerdict("OddMultiplicity", verdict, ev)
@@ -81,9 +81,8 @@ def no_short_trajectory_criterion(qd: QuadraticDifferential,
 def _pairing_evidence(pairing) -> dict:
     if isinstance(pairing, PairingFailure):
         return {"pairing": "failed", "reason": pairing.reason,
-                "unmatched": [_c(z) for z in pairing.locations]}
-    return {"pairing": pairing.method,
-            "pairs": [[_c(a), _c(b)] for a, b in pairing.locations]}
+                "unmatched": pairing.locations}
+    return {"pairing": pairing.method, "pairs": pairing.locations}
 
 
 def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
@@ -108,7 +107,7 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     branch of the square root."""
     p, q = pq_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
-    if qd.provenance.kind == "cauchy":
+    if qd.form == "cauchy":
         # phi = p / q^2 only up to the clusters its constructor cancelled
         qroots = [(c.location, c.multiplicity)
                   for c in (poly_roots(q) if q.degree >= 1 else [])]
@@ -128,7 +127,7 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
         worst = max(worst, ratio)
         if ratio > IMAG_REL_TOL:
             all_imag = False
-        residues.append([_c(b), [res0.real, res0.imag]])
+        residues.append([b, res0])
     ev["residues"] = residues
     ev["max_real_ratio"] = worst
     if all_imag and not isinstance(pairing, PairingFailure):
@@ -171,13 +170,11 @@ def run_all(qd: QuadraticDifferential, opts=None,
     g = graph if graph is not None else build_critical_graph(qd, opts)
     out = [three_pole(qd), odd_multiplicity(qd),
            no_short_trajectory_criterion(qd, g)]
-    if qd.provenance is not None and "p_eff" in qd.provenance.polys:
+    if qd.pq is not None:
         pairing = pair_zeros_by_short_trajectories(qd, opts, graph=g)
         out.append(parity_pairs(qd, pairing))
         out.append(residue_criterion(qd, pairing))
-    order = {"ThreePole": 0, "OddMultiplicity": 1, "NoShortTrajectory": 2,
-             "ParityPairs": 3, "ResidueCriterion": 4}
-    out.sort(key=lambda v: (-_STRENGTH[v.verdict], order[v.criterion]))
+    out.sort(key=lambda v: -_STRENGTH[v.verdict])     # stable: ties keep the order above
     return out
 
 
@@ -187,11 +184,3 @@ def overall_verdict(verdicts: list[CriterionVerdict]) -> str:
         v = stronger(v, x.verdict)
     return v
 
-
-def _c(z) -> list[float] | None:
-    """Complex (or SpherePoint) to a JSON-ready [re, im]; None marks infinity."""
-    v = getattr(z, "value", z)
-    if v is None:
-        return None
-    v = complex(v)
-    return [v.real, v.imag]

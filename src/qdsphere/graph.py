@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import WrongProvenance
 from .geom import crossing_counts
 from .qdiff import (
     CriticalPoint,
@@ -21,6 +20,7 @@ from .qdiff import (
     critical_directions,
     critical_points,
     order_at_infinity,
+    pq_form,
 )
 from .tracer import (
     CLOSED,
@@ -66,14 +66,16 @@ def build_critical_graph(qd: QuadraticDifferential,
     """Trace every critical direction of every finite critical point.
 
     Rays hitting another finite critical point become short edges, whose
-    phi-length the tracer measures from point to point; rays falling into a
-    pole guard or escaping toward a critical point at infinity become
-    infinite edges; rays that exhaust a budget, or escape while infinity is
-    regular, are reported unresolved. An edge's polyline starts at its
-    critical point, and a short edge's ends at the point it reaches: the
-    rays start and end on small disks around them. A short edge is keyed
-    by its ends, the direction it leaves along and the critical direction
-    nearest to where it arrives; an edge traced from both ends is kept once.
+    phi-length the tracer measures from point to point; rays ending at a
+    pole of order >= 2 or escaping toward a critical point at infinity
+    become infinite edges; rays that exhaust a budget, or escape while
+    infinity is regular, are reported unresolved. An edge's polyline starts
+    at its critical point, and a short edge's ends at the point it reaches:
+    the rays start and end on small disks around them. A short edge is
+    keyed by its ends, the direction it leaves along and the critical
+    direction nearest to where it arrives; an edge traced from both ends is
+    kept once. A ray that closes on its launch point instead of arriving
+    arrives where it first re-enters its launch circle.
     """
     opts = opts or TraceOptions.for_qd(qd)
     nodes = critical_points(qd)
@@ -96,7 +98,13 @@ def build_critical_graph(qd: QuadraticDifferential,
             elif t.kind in (HIT_CRITICAL, CLOSED):
                 j = i if t.kind == CLOSED else t.cp_index
                 p = nodes[j].at.value
-                v = (complex(ray.points[-1]) - p).conjugate()
+                end = ray.points[-1]
+                if t.kind == CLOSED:
+                    # a loop that missed p arrives where it re-enters the launch circle
+                    dist = np.abs(ray.points - p)
+                    back = np.flatnonzero(dist < dist[0])
+                    end = ray.points[back[0]] if len(back) else end
+                v = (complex(end) - p).conjugate()
                 dirs = critical_directions(qd, nodes[j])
                 arrival = max(range(len(dirs)), key=lambda m: (dirs[m] * v).real)
                 key = frozenset(((i, k), (j, arrival)))
@@ -150,8 +158,7 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
     Exhaustive search below 11 zeros (lexicographically first matching),
     greedy by ascending length above. Returns Pairing or PairingFailure.
     """
-    if qd.provenance is None:
-        raise WrongProvenance("pairing requires a p/q^2 style construction")
+    pq_form(qd, "pairing")
     zeros = qd.zeros
     if not zeros:
         return Pairing([], [], [], [], "vacuous")

@@ -3,7 +3,6 @@ of the differential -(r'/r)^2 dz^2."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +15,6 @@ from .tracer import TraceOptions, trace_horizontal
 
 QR_IMAG_TOL = 1e-8
 STREBEL_BUDGET_FACTOR = 10.0
-CROSS_CHECK_POINTS = 5
 
 
 @dataclass
@@ -69,32 +67,31 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
 
     levels = [float(abs(p(z) / q(z))) for z in finite_cps]
 
-    opts = TraceOptions.for_qd(qd)
-    x0, y0, x1, y1 = opts.window
-    # sample inside the default window but trace in a wider one: a closed
-    # lemniscate through an edge sample can bulge past the sampling box
-    cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
-    hw, hh = 4.0 * (x1 - cx), 4.0 * (y1 - cy)
-    opts = opts.replace(max_phi_length=opts.max_phi_length * STREBEL_BUDGET_FACTOR,
-                        window=(cx - hw, cy - hh, cx + hw, cy + hh))
-    rng = np.random.default_rng(seed)
     out = []
-    while len(out) < samples:
-        z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
-        if not qd.clear_of_critical([z]):
-            continue
-        ray = trace_horizontal(qd, z, opts=opts)
-        out.append((z, ray.termination.kind == "Closed"))
+    if samples > 0:
+        opts = TraceOptions.for_qd(qd)
+        x0, y0, x1, y1 = opts.window
+        # sample inside the default window but trace in a wider one: a closed
+        # lemniscate through an edge sample can bulge past the sampling box
+        cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
+        hw, hh = 4.0 * (x1 - cx), 4.0 * (y1 - cy)
+        opts = opts.replace(max_phi_length=opts.max_phi_length * STREBEL_BUDGET_FACTOR,
+                            window=(cx - hw, cy - hh, cx + hw, cy + hh))
+        rng = np.random.default_rng(seed)
+        while len(out) < samples:
+            z = complex(rng.uniform(x0, x1), rng.uniform(y0, y1))
+            if not qd.clear_of_critical([z]):
+                continue
+            ray = trace_horizontal(qd, z, opts=opts)
+            out.append((z, ray.termination.kind == "Closed"))
     return LemniscateReport(finite_cps, double_poles, levels, out)
 
 
 def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float,
-                           window, n: int, *,
-                           cross_check: bool = True) -> list[np.ndarray]:
-    """Polylines of |r| = c in the window, from an n x n marching-squares
-    grid. When cross_check is set, trajectories of the lemniscate
-    differential traced from a few contour points must stay near the
-    extracted contour; the curves are the same object seen two ways."""
+                           window, n: int) -> list[np.ndarray]:
+    """Polylines of |r| = c, r = p/q, in the window (x0, y0, x1, y1), from
+    an n x n marching-squares grid. Raises ValueError for c <= 0 and
+    EmptyLevel when the window holds no such curve."""
     if not c > 0.0:
         raise ValueError("level must be positive")
     x0, y0, x1, y1 = (float(v) for v in window)
@@ -105,27 +102,5 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float,
     polylines = marching_squares(xs, ys, field, float(c))
     if not polylines:
         raise EmptyLevel(f"no |r| = {c} contour inside {window}")
-    if cross_check:
-        _cross_check(p, q, polylines, window, n)
     return polylines
 
-
-def _cross_check(p, q, polylines, window, n):
-    qd = lemniscate_qd(p, q)
-    x0, y0, x1, y1 = window
-    cell = math.hypot((x1 - x0) / max(n - 1, 1), (y1 - y0) / max(n - 1, 1))
-    tol = max(1e-3 * qd.diameter(), 2.0 * cell)
-    flat = np.concatenate(polylines)
-    longest = max(polylines, key=len)
-    idx = np.linspace(0, len(longest) - 2, CROSS_CHECK_POINTS).astype(int)
-    opts = TraceOptions.for_qd(qd)
-    opts = opts.replace(max_phi_length=min(opts.max_phi_length, 40.0))
-    for i in idx:
-        z0 = complex(longest[i])
-        ray = trace_horizontal(qd, z0, opts=opts)
-        take = np.linspace(0, len(ray.points) - 1, 24).astype(int)
-        for w in np.asarray(ray.points)[take]:
-            if np.abs(flat - w).min() > tol:
-                raise ConvergenceFailure(
-                    f"trajectory from {z0} strays {np.abs(flat - w).min():.3g} "
-                    f"from the |r| = c contour (tol {tol:.3g})")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,31 +75,28 @@ class CriticalPoint:
         return self.signed_order >= -1
 
 
-@dataclass
-class _Provenance:
-    kind: str
-    polys: dict = field(default_factory=dict)
-
-
 def pq_form(qd: "QuadraticDifferential", what: str):
     """(p, q) with phi = p / q^2, for a differential built from such a pair;
     WrongProvenance, naming what needed them, for any other."""
-    if qd.provenance is None or "p_eff" not in qd.provenance.polys:
+    if qd.pq is None:
         raise WrongProvenance(f"{what} requires a p/q^2 style construction")
-    return qd.provenance.polys["p_eff"], qd.provenance.polys["q_eff"]
+    return qd.pq
 
 
 class QuadraticDifferential:
-    """phi = num/den in lowest terms, with cached root clusters."""
+    """phi = num/den in lowest terms, with cached root clusters. pq is the
+    pair (p, q) with phi = p / q^2 when a constructor built phi from one,
+    and form that constructor's name; both are None otherwise."""
 
     def __init__(self, num: Polynomial, den: Polynomial,
                  zeros: list[RootCluster], poles: list[RootCluster],
-                 provenance: _Provenance | None = None):
+                 pq: tuple[Polynomial, Polynomial] | None = None, form: str | None = None):
         self.num = num
         self.den = den
         self.zeros = zeros
         self.poles = poles
-        self.provenance = provenance
+        self.pq = pq
+        self.form = form
         self._critical: list[CriticalPoint] | None = None
         self._neg: QuadraticDifferential | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
@@ -115,8 +112,7 @@ class QuadraticDifferential:
     def negated(self) -> "QuadraticDifferential":
         """The differential -phi dz^2 (its horizontals are our verticals)."""
         if self._neg is None:
-            neg = QuadraticDifferential(self.num * -1, self.den, self.zeros,
-                                        self.poles, provenance=None)
+            neg = QuadraticDifferential(self.num * -1, self.den, self.zeros, self.poles)
             neg._critical = [
                 CriticalPoint(c.at, c.signed_order,
                               None if c.quadratic_residue is None else -c.quadratic_residue)
@@ -454,18 +450,15 @@ def _roots_apart(p: Polynomial, q: Polynomial) -> tuple[list[RootCluster], list[
 
 
 def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> QuadraticDifferential:
-    """phi = sign * p / q^2 with the (p, q) provenance retained."""
+    """phi = sign * p / q^2, with the pair (sign * p, q) retained."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomial("p and q must be nonzero")
     zeros, qroots = _roots_apart(p, q)
     poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in qroots]
-    qd = QuadraticDifferential(p * sign, q * q, zeros, poles,
-                               _Provenance("p_over_q_squared",
-                                           {"p": p, "q": q, "sign": sign,
-                                            "p_eff": p * sign, "q_eff": q}))
-    return qd
+    p_eff = p * sign
+    return QuadraticDifferential(p_eff, q * q, zeros, poles, (p_eff, q), "p_over_q_squared")
 
 
 def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
@@ -494,10 +487,7 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
     poles = [RootCluster(c.location, 2, c.radius) for c in proots + qroots]
     poles.sort(key=lambda c: (c.location.real, c.location.imag))
     num = (n * n) * -1.0
-    return QuadraticDifferential(num, d * d, zeros, poles,
-                                 _Provenance("lemniscate",
-                                             {"p": p, "q": q,
-                                              "p_eff": num, "q_eff": d}))
+    return QuadraticDifferential(num, d * d, zeros, poles, (num, d), "lemniscate")
 
 
 def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferential:
@@ -508,9 +498,9 @@ def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferent
     disc = q * q - (p * r) * 4.0
     if disc.is_zero():
         raise ZeroPolynomial("q^2 - 4 p r vanishes identically")
-    qd = qd_new(disc * -1.0, p * p)
-    qd.provenance = _Provenance("cauchy", {"p": p, "q": q, "r": r,
-                                           "p_eff": disc * -1.0, "q_eff": p})
+    num = disc * -1.0
+    qd = qd_new(num, p * p)
+    qd.pq, qd.form = (num, p), "cauchy"
     return qd
 
 
@@ -521,16 +511,14 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
     middle value is real and nonnegative (BranchAmbiguity if neither sign
     achieves that within 1e-6 relative).
     """
-    if qd.provenance is None or qd.provenance.kind != "cauchy":
+    if qd.form != "cauchy":
         raise WrongProvenance("measure density requires cauchy provenance")
-    p = qd.provenance.polys["p"]
-    q = qd.provenance.polys["q"]
-    r = qd.provenance.polys["r"]
-    disc = q * q - (p * r) * 4.0
+    # phi = -(q^2 - 4 p r) / p^2 is held as the pair (-(q^2 - 4 p r), p)
+    minus_disc, p = qd.pq
     pts = np.asarray(points, dtype=complex)
     if not len(pts):
         return []
-    vals = continue_sqrt_along(disc.eval_array(pts)) / (2j * math.pi * p.eval_array(pts))
+    vals = continue_sqrt_along(-minus_disc.eval_array(pts)) / (2j * math.pi * p.eval_array(pts))
     mid = complex(vals[len(vals) // 2])
     sign = None
     for s in (1.0, -1.0):

@@ -40,9 +40,9 @@ class InputSpec:
         return {
             "form": self.kind,
             "sign": self.sign,
-            "window": list(self.window) if self.window else None,
-            "seeds": [[z.real, z.imag] for z in self.seeds],
-            "budgets": dict(self.budgets),
+            "window": self.window,
+            "seeds": self.seeds,
+            "budgets": self.budgets,
         }
 
 

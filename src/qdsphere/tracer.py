@@ -13,12 +13,14 @@ stage continuing the root of the stage before it (`continue_sqrt`, inlined
 with phi's Horner rule). Stage 0 reuses the root computed at the accepted
 point, so phi is evaluated twelve times per accepted step: eleven stages
 and the new point. The critical points are scanned once per accepted
-point, for the arrival test, the step clamp and the pole guards.
+point, for the entry test and the step clamp.
 
-Near a finite critical point p of order n >= -1 the step clamp would force
-many tiny steps, so rays neither start nor end there by stepping. Inside
-the disk of radius LOCAL_RADIUS * d (d the distance to the nearest other
-critical point) the distinguished parameter zeta(z) = integral of sqrt(phi)
+A ray ends at a critical point only on entry into its disk (see _Scene);
+a pole of order >= 2 has no local model, and entering its disk ends the
+ray. Near a zero or simple pole p the step clamp would force many tiny
+steps, so rays neither start nor end there by stepping. Inside the disk
+of radius LOCAL_RADIUS * d (d the distance to the nearest other critical
+point) the distinguished parameter zeta(z) = integral of sqrt(phi)
 from p is computed directly (`qdiff.zeta_from`), and the critical rays are
 the curves Im zeta = 0. A critical trajectory is launched on the disk's
 circle where Im zeta = 0, with its phi-length starting at |zeta|. A ray that
@@ -137,10 +139,11 @@ class TraceOptions:
             hx = hy = 1.0
         win = (cx - 4 * hx, cy - 4 * hy, cx + 4 * hx, cy + 4 * hy)
         return cls(
-            max_phi_length=LENGTH_FACTOR * diam if max_phi_length is None else max_phi_length,
+            max_phi_length=(LENGTH_FACTOR * diam if max_phi_length is None
+                            else float(max_phi_length)),
             window=win if window is None else tuple(window),
             snap_radius=SNAP_FACTOR * diam,
-            rk_tol=DEFAULT_RK_TOL if rk_tol is None else rk_tol,
+            rk_tol=DEFAULT_RK_TOL if rk_tol is None else float(rk_tol),
             max_steps=DEFAULT_MAX_STEPS if max_steps is None else int(max_steps),
         )
 
@@ -168,12 +171,16 @@ class TrajectoryRay:
 
 class _Scene:
     """Critical-point geometry of a differential: a row (k, position, clamp
-    factor alpha, pole-guard radius) per finite critical point, the index of
-    each in critical_points(qd), the radius of its analytic disk (0 for
-    poles of order >= 2, which have none) and its local model.
+    factor alpha) per finite critical point, k its index in
+    critical_points(qd) (infinity comes last), its disk's radius and its
+    local model. The disks are disjoint and each point of a disk is nearer
+    to its centre than to any other critical point, so the only disk a ray
+    can enter is the nearest one's.
 
-    The model of a point p of order n is (p, e, c, slack) with e = (n + 2) / 2.
-    The phi-distance from p to a circle of radius s is c s^e, c = sqrt|a| / e
+    A pole p of order >= 2 has no model and a disk of radius
+    qd.guard_radius(p). A zero or simple pole p of order n has a disk of
+    radius LOCAL_RADIUS * d and the model (p, e, c, slack), e = (n + 2) / 2:
+    the phi-distance from p to a circle of radius s is c s^e, c = sqrt|a| / e
     for phi ~ a (z - p)^n. In the disk, zeta(z) = (z - p) sqrt(phi(z)) / e
     times 1 + E with |E| <= slack = exp(kappa / 2) - 1, where kappa =
     r sum |m| / (|p - q| - r) over the other critical points q of order m and
@@ -181,25 +188,20 @@ class _Scene:
     bounds how far sqrt(g) moves along the segment from p to z.
     """
 
-    __slots__ = ("rows", "index", "disks", "models")
+    __slots__ = ("rows", "disks", "models")
 
     def __init__(self, qd: QuadraticDifferential):
-        rows, self.index, disks, models = [], [], [], []
+        rows, disks, models = [], [], []
         finite = [cp for cp in critical_points(qd) if not cp.at.is_infinite]
-        for i, cp in enumerate(critical_points(qd)):
-            if cp.at.is_infinite:
-                continue
+        for k, cp in enumerate(finite):
             z = cp.at.value
             # step clamp: a step of |dz| <= alpha |z - p| moves arg(phi) by
             # about |n| alpha <= BRANCH_TURN for p of order n; alpha <= 0.35
             # keeps the closure's chord off the critical points (see
             # _close_at_seed). The error estimate, not the clamp, sees to accuracy.
-            alpha = BRANCH_TURN / max(2, abs(cp.signed_order))
-            guard = qd.guard_radius(z) if cp.signed_order <= -2 else 0.0
-            rows.append((len(rows), z, alpha, guard))
-            self.index.append(i)
+            rows.append((k, z, BRANCH_TURN / max(2, abs(cp.signed_order))))
             if not cp.is_finite_critical:
-                disks.append(0.0)
+                disks.append(qd.guard_radius(z))
                 models.append(None)
                 continue
             r = LOCAL_RADIUS * qd.local_scale(z)
@@ -220,21 +222,19 @@ class _Scene:
             qd._scene = cls(qd)
         return qd._scene
 
-    def scan(self, z: complex) -> tuple[int, float, float, int]:
+    def scan(self, z: complex) -> tuple[int, float, float]:
         """One pass over the finite critical points: the nearest one (first
-        on ties, -1 if none) and its distance, the step clamp min |z - p| *
-        alpha, and the first pole whose guard disk holds z (-1 if none)."""
-        near, d_near, clamp, pole = -1, math.inf, math.inf, -1
-        for k, p, alpha, g in self.rows:
+        on ties, -1 if none), its distance, and the step clamp
+        min |z - p| * alpha."""
+        near, d_near, clamp = -1, math.inf, math.inf
+        for k, p, alpha in self.rows:
             d = abs(z - p)
             if d < d_near:
                 near, d_near = k, d
             c = d * alpha
             if c < clamp:
                 clamp = c
-            if d < g and pole < 0:
-                pole = k
-        return near, d_near, clamp, pole
+        return near, d_near, clamp
 
 
 def trace_horizontal(qd: QuadraticDifferential, z0: complex, orientation: int = 1,
@@ -266,9 +266,9 @@ def trace_from_critical(qd: QuadraticDifferential, cp: CriticalPoint,
     if not 0 <= direction_index < len(dirs):
         raise DirectionIndexError(
             f"direction {direction_index} out of range 0..{len(dirs) - 1}")
-    p = cp.at.value
+    # launched on the circle of the disk a ray arriving at cp enters
     z0, zeta, w0 = _launch_point(qd, cp, dirs[direction_index],
-                                 LOCAL_RADIUS * qd.local_scale(p))
+                                 _Scene.of(qd).disks[critical_points(qd).index(cp)])
     # d zeta / d tau = orientation, so |zeta| grows when they share a sign
     orientation = 1 if zeta.real > 0 else -1
     return _trace(qd, z0, orientation, opts, w0, launch_from=cp, tau0=abs(zeta))
@@ -325,7 +325,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     x0, y0, x1, y1 = opts.window
     disks = scene.disks
 
-    home, d_home, clamp, _pole = scene.scan(z0)
+    home, d_home, clamp = scene.scan(z0)
     if launch_from is None and d_home < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
     # the disk a ray is in is tested once, on entry; a launched ray starts in its own
@@ -427,30 +427,33 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.125))
         h = h * grow
 
-        # termination checks: arrival on entry into an analytic disk, pole guards
-        near, d_near, clamp, pole = scene.scan(z)
-        hit = pole
+        # termination check: arrival on entry into a disk
+        near, d_near, clamp = scene.scan(z)
+        hit = False
         if near >= 0 and d_near < disks[near]:
             if near != inside:
                 inside = near
-                p, e, c, slack = scene.models[near]
-                v = z - p
-                # heading into p, and by the model's bound maybe onto it
-                if (v * (orientation / w).conjugate()).real < 0.0:
-                    reach = c * snap ** e
-                    zeta = v * w / e
-                    if abs(zeta.imag) - slack * abs(zeta) <= reach:
-                        zeta, _w = zeta_from(qd, p, z)
-                        if abs(zeta.imag) <= reach:
-                            hit = near
-                            tau += abs(zeta)
+                model = scene.models[near]
+                if model is None:         # a pole of order >= 2: its disk ends the ray
+                    hit = True
+                else:
+                    p, e, c, slack = model
+                    v = z - p
+                    # heading into p, and by the model's bound maybe onto it
+                    if (v * (orientation / w).conjugate()).real < 0.0:
+                        reach = c * snap ** e
+                        zeta = v * w / e
+                        if abs(zeta.imag) - slack * abs(zeta) <= reach:
+                            zeta, _w = zeta_from(qd, p, z)
+                            if abs(zeta.imag) <= reach:
+                                hit = True
+                                tau += abs(zeta)
         else:
             inside = -1
-        if hit >= 0:
+        if hit:
             tangent = orientation / w
             ang = cmath.phase(tangent / abs(tangent))
-            termination = Termination(HIT_CRITICAL, cp_index=scene.index[hit],
-                                      incoming_angle=ang)
+            termination = Termination(HIT_CRITICAL, cp_index=near, incoming_angle=ang)
             break
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
             termination = Termination(ESCAPED_WINDOW)

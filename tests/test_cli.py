@@ -360,6 +360,23 @@ def test_analyze_winding_exit_20(tmp_path):
     assert doc["timings"]["unit"] == "integrator_steps"
 
 
+def test_analyze_encodes_points_infinity_and_echo(tmp_path):
+    # critical points, evidence and the input echo are written by one
+    # encoder: infinity (order -6 for 1 - z^2) is null, points are [re, im]
+    spec = write_spec(tmp_path, dict(SEGMENT, seeds=[[0.5, 0.5]], window=[-3, -2, 3, 2]))
+    out = str(tmp_path / "out.json")
+    assert run(["analyze", spec, "--out", out]) == 0
+    doc = load(out)
+    assert doc["critical_points"][-1]["at"] is None
+    assert doc["critical_points"][-1]["order"] == -6
+    assert [c["at"] for c in doc["critical_points"][:-1]] == [[-1.0, 0.0], [1.0, 0.0]]
+    three_pole = next(c for c in doc["criteria"] if c["criterion"] == "ThreePole")
+    assert [None, -6] in three_pole["evidence"]["poles"]
+    assert doc["input"]["seeds"] == [[0.5, 0.5]]
+    assert doc["input"]["window"] == [-3.0, -2.0, 3.0, 2.0]
+    assert doc["recurrence"][0]["seed"] == [0.5, 0.5]
+
+
 def test_analyze_certified_exit_0(tmp_path):
     spec = write_spec(tmp_path, SEGMENT)
     out = str(tmp_path / "out.json")

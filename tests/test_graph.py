@@ -14,7 +14,7 @@ from qdsphere.graph import (
 )
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import critical_points, qd_from_p_over_q_squared, qd_new
-from qdsphere.tracer import TraceOptions
+from qdsphere.tracer import CLOSED, TraceOptions
 
 ONE = Polynomial([1.0])
 
@@ -108,6 +108,19 @@ def test_critical_loop_kept_once():
     loops = [e for e in graph.edges if e.from_node == e.to_node == zero]
     assert len(loops) == 1 and loops[0].is_short
     assert loops[0].phi_length == pytest.approx(2 * math.pi, rel=1e-8)
+
+
+def test_closed_critical_loop_kept_once():
+    # with a snap radius 1000 times smaller both traces of the loop above
+    # miss the zero and close on their launch points; each is keyed by where
+    # it re-enters its launch circle, so the two share a key
+    qd = qd_new(Polynomial([0.0, -1.0]), Polynomial.from_roots([0.5, 1 + 1j, 2 - 1j]))
+    opts = TraceOptions.for_qd(qd)
+    graph = build_critical_graph(qd, opts.replace(snap_radius=1e-3 * opts.snap_radius))
+    zero = next(i for i, c in enumerate(graph.nodes) if c.signed_order == 1)
+    loops = [e for e in graph.edges if e.from_node == e.to_node == zero]
+    assert len(loops) == 1 and loops[0].is_short
+    assert loops[0].ray.termination.kind == CLOSED
 
 
 def test_pairing_two_zeros():

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from qdsphere.errors import QdError
 from qdsphere.graph import build_critical_graph
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import (
@@ -197,6 +198,48 @@ def test_edge_polylines_run_from_their_critical_points(name):
         if e.is_short:
             assert e.polyline[-1] == nodes[e.to_node].at.value
             assert e.ray.taus[0] > 0.0 and e.phi_length > e.ray.taus[-1]
+
+
+def _random_qds(rng, n):
+    """Random differentials whose roots may repeat, so that poles of order
+    two and more occur."""
+    out = []
+    while len(out) < n:
+        roots = [rng.normal(size=k) + 1j * rng.normal(size=k) for k in rng.integers(1, 5, size=2)]
+        num, den = (np.repeat(r, rng.integers(1, 4, size=len(r))) for r in roots)
+        try:
+            out.append(qd_new(Polynomial.from_roots(num), Polynomial.from_roots(den)))
+        except QdError:
+            continue
+    return out
+
+
+def test_scene_disks_are_apart_and_nearest():
+    # a ray ends at a critical point only on entry into the disk of the
+    # nearest one: the disks are disjoint, every point of a disk has the
+    # disk's point as its unique nearest finite critical point, and the
+    # rows are indexed as critical_points is
+    rng = np.random.default_rng(11)
+    fixtures = [f() for f in FIXTURES.values()] + _random_qds(rng, 40)
+    kinds = set()
+    for qd in fixtures:
+        scene = _Scene.of(qd)
+        finite = [c for c in critical_points(qd) if not c.at.is_infinite]
+        pos = np.array([c.at.value for c in finite])
+        assert [row[:2] for row in scene.rows] == list(enumerate(pos.tolist()))
+        for k, (c, radius) in enumerate(zip(finite, scene.disks)):
+            kinds.add(c.is_finite_critical)
+            others = np.delete(np.arange(len(pos)), k)
+            gaps = np.abs(pos[others] - pos[k]) - np.asarray(scene.disks)[others]
+            assert np.all(gaps > radius)
+            # uniform in the disk, and just inside its circle
+            scale = np.append(np.sqrt(rng.uniform(size=64)), np.full(16, 1 - 1e-15))
+            for z in pos[k] + radius * scale * np.exp(2j * np.pi * rng.uniform(size=80)):
+                d = np.abs(pos - z)
+                assert np.all(np.delete(d, k) > d[k])
+                assert scene.scan(complex(z))[0] == k
+    # both kinds of disk: analytic ones, and those of poles of order >= 2
+    assert kinds == {True, False}
 
 
 def test_disk_model_bound_holds():

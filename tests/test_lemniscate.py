@@ -7,9 +7,29 @@ from qdsphere.contour import marching_squares
 from qdsphere.errors import EmptyLevel
 from qdsphere.lemniscate import analyze_lemniscate, lemniscate_level_curve
 from qdsphere.polyalg import Polynomial
+from qdsphere.qdiff import lemniscate_qd
+from qdsphere.tracer import TraceOptions, trace_horizontal
 
 ONE = Polynomial([1.0])
 Z2M1 = Polynomial([-1.0, 0.0, 1.0])     # z^2 - 1
+
+
+def assert_contours_are_trajectories(p, q, polylines, window, n, points=5):
+    """Trajectories of -(r'/r)^2 dz^2 traced from a few points of the
+    longest contour stay within a grid cell or two of the contours: the
+    curves are the same object seen two ways."""
+    qd = lemniscate_qd(p, q)
+    x0, y0, x1, y1 = window
+    cell = math.hypot((x1 - x0) / max(n - 1, 1), (y1 - y0) / max(n - 1, 1))
+    tol = max(1e-3 * qd.diameter(), 2.0 * cell)
+    flat = np.concatenate(polylines)
+    longest = max(polylines, key=len)
+    opts = TraceOptions.for_qd(qd)
+    opts = opts.replace(max_phi_length=min(opts.max_phi_length, 40.0))
+    for i in np.linspace(0, len(longest) - 2, points).astype(int):
+        ray = trace_horizontal(qd, complex(longest[i]), opts=opts)
+        for w in ray.points[np.linspace(0, len(ray.points) - 1, 24).astype(int)]:
+            assert np.abs(flat - w).min() <= tol
 
 
 def test_report_bernoulli():
@@ -61,8 +81,10 @@ def test_rational_ratio_poles():
 
 
 def test_level_curve_tracks_modulus():
-    curves = lemniscate_level_curve(Z2M1, ONE, 1.3, (-2.5, -2.0, 2.5, 2.0), 160)
+    win = (-2.5, -2.0, 2.5, 2.0)
+    curves = lemniscate_level_curve(Z2M1, ONE, 1.3, win, 160)
     assert curves
+    assert_contours_are_trajectories(Z2M1, ONE, curves, win, 160)
     for poly in curves:
         for z in poly[:: max(1, len(poly) // 50)]:
             assert abs(abs(z * z - 1) - 1.3) < 2e-2
@@ -77,22 +99,13 @@ def test_level_curve_component_counts():
     assert len(high) == 1
     for poly in low + high:
         assert abs(poly[0] - poly[-1]) < 1e-9      # closed loops
+    assert_contours_are_trajectories(Z2M1, ONE, low, win, 220)
+    assert_contours_are_trajectories(Z2M1, ONE, high, win, 220)
 
 
 def test_level_curve_empty_raises():
     with pytest.raises(EmptyLevel):
         lemniscate_level_curve(Z2M1, ONE, 9.0, (-2.0, -2.0, 2.0, 2.0), 64)
-
-
-def test_level_curve_cross_check_toggle():
-    # the traced cross-check must agree with marching squares and not
-    # change the returned curves
-    win = (-2.5, -2.0, 2.5, 2.0)
-    a = lemniscate_level_curve(Z2M1, ONE, 0.8, win, 150, cross_check=True)
-    b = lemniscate_level_curve(Z2M1, ONE, 0.8, win, 150, cross_check=False)
-    assert len(a) == len(b)
-    for pa, pb in zip(a, b):
-        assert np.allclose(pa, pb)
 
 
 def test_marching_squares_circle():

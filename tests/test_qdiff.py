@@ -207,11 +207,14 @@ def test_measure_mass_resolves_square_root_ends(shift, scale):
 def test_provenance_round_trip():
     p = Polynomial([-1.0, 0.0, 1.0])
     q = Polynomial([0.0, 1.0])
-    qd = qd_from_p_over_q_squared(p, q)
-    assert qd.provenance is not None
-    assert "p_eff" in qd.provenance.polys
+    qd = qd_from_p_over_q_squared(p, q, sign=-1)
+    assert qd.form == "p_over_q_squared"
+    p_eff, q_eff = qd.pq
+    assert p_eff.coeffs == (p * -1).coeffs and q_eff is q
+    assert (q_eff * q_eff).coeffs == qd.den.coeffs and p_eff.coeffs == qd.num.coeffs
     plain = qd_new(qd.num, qd.den)
-    assert plain.provenance is None
+    assert plain.pq is None and plain.form is None
+    assert qd.negated().pq is None
 
 
 def test_critical_point_at_infinity_reported():

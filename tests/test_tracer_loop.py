@@ -50,7 +50,6 @@ from qdsphere.tracer import (
     Termination,
     TraceOptions,
     TrajectoryRay,
-    _Scene,
     certify_drift,
     trace_from_critical,
     trace_horizontal,
@@ -130,11 +129,11 @@ CASH_KARP = Pair(cash_karp_step, 0.2, lambda n: min(0.1, 0.7 / max(1, abs(n))))
 
 
 def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair=DOP853):
-    scene = _Scene(qd)
-    cps = critical_points(qd)
-    # (position, clamp factor, pole-guard radius) per finite critical point
-    rows = [(p, pair.alpha(cps[i].signed_order), g)
-            for (_k, p, _a, g), i in zip(scene.rows, scene.index)]
+    # (position, clamp factor, pole-guard radius) per finite critical point;
+    # infinity comes last in critical_points, so row k is critical point k
+    rows = [(c.at.value, pair.alpha(c.signed_order),
+             qd.guard_radius(c.at.value) if c.signed_order <= -2 else 0.0)
+            for c in critical_points(qd) if not c.at.is_infinite]
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
 
@@ -233,8 +232,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
             k = kc if kc >= 0 and dc < snap else guarded[0]
             tangent = orientation / w
             ang = cmath.phase(tangent / abs(tangent))
-            termination = Termination(HIT_CRITICAL, cp_index=scene.index[k],
-                                      incoming_angle=ang)
+            termination = Termination(HIT_CRITICAL, cp_index=k, incoming_angle=ang)
             break
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
             termination = Termination(ESCAPED_WINDOW)
