@@ -13,7 +13,7 @@ from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
                     zeta_from, measure_density, measure_mass)
 from .tracer import (TraceOptions, TrajectoryRay, Termination,
                      trace_horizontal, trace_vertical, trace_from_critical,
-                     phi_length_of, imag_drift_of)
+                     imag_drift_of)
 from .graph import (CriticalGraph, CriticalEdge, Pairing, PairingFailure,
                     RecurrenceReport, build_critical_graph,
                     find_short_trajectories, pair_zeros_by_short_trajectories,
@@ -38,7 +38,7 @@ __all__ = [
     "zeta_from", "measure_density", "measure_mass",
     "TraceOptions", "TrajectoryRay", "Termination",
     "trace_horizontal", "trace_vertical", "trace_from_critical",
-    "phi_length_of", "imag_drift_of",
+    "imag_drift_of",
     "CriticalGraph", "CriticalEdge", "Pairing", "PairingFailure",
     "RecurrenceReport", "build_critical_graph", "find_short_trajectories",
     "pair_zeros_by_short_trajectories", "detect_recurrence",

@@ -160,7 +160,7 @@ def cmd_trace(spec, qd, opts, args):
 
 def cmd_render(spec, qd, opts, args):
     """The trajectory picture; for a lemniscate form input, its level curves."""
-    win = args.window or spec.window or opts.window
+    win = args.window or opts.window
     canvas = SvgCanvas(win)
     if spec.kind == "lemniscate":
         _render_lemniscate(spec, qd, canvas, win, args.level)
@@ -217,7 +217,7 @@ def _render_lemniscate(spec, qd, canvas, win, level):
 
 
 def cmd_level(spec, qd, opts, args):
-    win = spec.window or opts.window
+    win = opts.window
     pairing = pair_zeros_by_short_trajectories(qd, opts)
 
     if isinstance(pairing, PairingFailure):

@@ -136,7 +136,6 @@ class Pairing:
     pairs: list[tuple[int, int]]                 # indices into the zero clusters
     locations: list[tuple[complex, complex]]
     polylines: list[np.ndarray]
-    lengths: list[float]
     method: str                                  # vacuous | exhaustive | greedy
 
 
@@ -161,7 +160,7 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
     pq_form(qd, "pairing")
     zeros = qd.zeros
     if not zeros:
-        return Pairing([], [], [], [], "vacuous")
+        return Pairing([], [], [], "vacuous")
     if len(zeros) % 2 == 1:
         return PairingFailure(list(range(len(zeros))),
                               [c.location for c in zeros],
@@ -205,7 +204,6 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
         pairs,
         [(zeros[a].location, zeros[b].location) for a, b in pairs],
         [cand[p].polyline for p in pairs],
-        [cand[p].phi_length for p in pairs],
         method,
     )
 
@@ -251,7 +249,6 @@ class RecurrenceReport:
     closed: bool
     verdict: str
     reason: str | None
-    transversal: np.ndarray
     ray: TrajectoryRay
 
 
@@ -292,7 +289,7 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
         verdict, reason = NOT_RECURRENT, ray.termination.kind
     else:
         verdict, reason = UNDETERMINED, ray.termination.kind
-    return RecurrenceReport(crossings, closed, verdict, reason, transversal, ray)
+    return RecurrenceReport(crossings, closed, verdict, reason, ray)
 
 
 def _count_crossings(path: np.ndarray, transversal: np.ndarray,

@@ -380,14 +380,13 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
         z = complex(zs[iy, ix])
         gabs[iy, ix] = abs(principal_sqrt(p(z)) / q(z))
     # the max of the ratios skips NaN and does not depend on the pair order
-    worst = 0.0
-    for pairs, h, dy, dx in ((pair_x, hx, 0, 1), (pair_y, hy, 1, 0)):
-        for iy, ix in zip(*np.nonzero(pairs)):
-            jy, jx = iy + dy, ix + dx
-            bound = 4.0 * h * max(gabs[iy, ix], gabs[jy, jx])
-            jump = abs(g[iy, ix] - g[jy, jx])
-            if bound > 0:
-                worst = max(worst, jump / bound)
+    ratios = [0.0]
+    for pairs, h, a, b in ((pair_x, hx, np.s_[:, :-1], np.s_[:, 1:]),
+                           (pair_y, hy, np.s_[:-1, :], np.s_[1:, :])):
+        bound = 4.0 * h * np.maximum(gabs[a], gabs[b])
+        take = pairs & (bound > 0)
+        ratios += (np.abs(g[a][take] - g[b][take]) / bound[take]).tolist()
+    worst = max(ratios)
     ok_i = worst <= 1.0
 
     return VerificationReport(

@@ -109,9 +109,6 @@ class Polynomial:
         """u^deg * self(1/u): coefficient reversal."""
         return Polynomial(self.coeffs[::-1])
 
-    def scale(self) -> float:
-        return max((abs(c) for c in self.coeffs), default=0.0)
-
     def magnitude_bound(self, z: complex) -> float:
         """Sum of |coeff| * max(1, |z|)^k: the natural residual scale at z."""
         x = max(1.0, abs(z))

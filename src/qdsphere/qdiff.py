@@ -98,7 +98,6 @@ class QuadraticDifferential:
         self.pq = pq
         self.form = form
         self._critical: list[CriticalPoint] | None = None
-        self._neg: QuadraticDifferential | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
 
     # -- evaluation ----------------------------------------------------
@@ -108,19 +107,6 @@ class QuadraticDifferential:
 
     def phi_array(self, z):
         return self.num.eval_array(z) / self.den.eval_array(z)
-
-    def negated(self) -> "QuadraticDifferential":
-        """The differential -phi dz^2 (its horizontals are our verticals)."""
-        if self._neg is None:
-            neg = QuadraticDifferential(self.num * -1, self.den, self.zeros, self.poles)
-            neg._critical = [
-                CriticalPoint(c.at, c.signed_order,
-                              None if c.quadratic_residue is None else -c.quadratic_residue)
-                for c in critical_points(self)
-            ]
-            neg._neg = self
-            self._neg = neg
-        return self._neg
 
     # -- geometry of the finite critical set ---------------------------
 

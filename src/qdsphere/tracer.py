@@ -1,12 +1,14 @@
 """Numerical trajectory tracing in the natural parameter.
 
-A horizontal trajectory solves dz/dtau = orientation / w(z) where w is a
-branch-continuous square root of phi; tau then advances phi-length at unit
-speed and Im of the integral of w dz stays constant. The integrator is the
-embedded Dormand-Prince 8(5,3) pair (DOP853) with the branch threaded
-through every stage evaluation; its error estimate keeps the steps
-accurate, and a clamp keeps a single step from jumping over a critical
-point or moving arg(phi) by more than BRANCH_TURN.
+A trajectory solves dz/dtau = orientation / w(z) where w is a
+branch-continuous square root of phi: orientation +-1 for a horizontal one,
++-i for a vertical one, the same field turned by i. tau advances phi-length
+at unit speed, zeta = integral of w dz moves at d zeta / d tau = orientation,
+and Im(zeta / orientation) stays constant. The integrator is the embedded
+Dormand-Prince 8(5,3) pair (DOP853) with the branch threaded through every
+stage evaluation; its error estimate keeps the steps accurate, and a clamp
+keeps a single step from jumping over a critical point or moving arg(phi)
+by more than BRANCH_TURN.
 
 The step loop is fused for speed: one loop over the sparse tableau, each
 stage continuing the root of the stage before it (`continue_sqrt`, inlined
@@ -15,20 +17,19 @@ point, so phi is evaluated twelve times per accepted step: eleven stages
 and the new point. The critical points are scanned once per accepted
 point, for the entry test and the step clamp.
 
-A ray ends at a critical point only on entry into its disk (see _Scene);
-a pole of order >= 2 has no local model, and entering its disk ends the
-ray. Near a zero or simple pole p the step clamp would force many tiny
-steps, so rays neither start nor end there by stepping. Inside the disk
-of radius LOCAL_RADIUS * d (d the distance to the nearest other critical
-point) the distinguished parameter zeta(z) = integral of sqrt(phi)
-from p is computed directly (`qdiff.zeta_from`), and the critical rays are
-the curves Im zeta = 0. A critical trajectory is launched on the disk's
-circle where Im zeta = 0, with its phi-length starting at |zeta|. A ray that
-enters a disk heading into p ends there as HitCritical when |Im zeta| is
-within the phi-distance from p to the snap circle, which is exactly when it
-would pass within the snap radius of p, and |zeta| is added to its length.
-The quadrature runs only when a bound on the local model's error leaves
-room for that (see _Scene).
+A ray ends at a critical point only on entry into its disk (see _Scene); a pole
+of order >= 2 has no local model, and entering its disk ends the ray. Near a
+zero or simple pole p the step clamp would force many tiny steps, so rays
+neither start nor end there by stepping. Inside the disk of radius
+LOCAL_RADIUS * d (d the distance to the nearest other critical point) the
+distinguished parameter zeta(z) = integral of sqrt(phi) from p is computed
+directly (`qdiff.zeta_from`), and the critical rays are the curves Im zeta = 0.
+A critical trajectory is launched on the disk's circle where Im zeta = 0, with
+its phi-length starting at |zeta|. A ray that enters a disk heading into p ends
+there as HitCritical when |Im(zeta / orientation)| is within the phi-distance
+from p to the snap circle, which is exactly when it would pass within the snap
+radius of p, and |zeta| is added to its length. The quadrature runs only when a
+bound on the local model's error leaves room for that (see _Scene).
 
 A ray that passes back by its seed z0 is closed in the same chart at z0:
 one Gauss-Legendre panel from the step back to z0 gives zeta there, and
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DriftExceeded, DirectionIndexError, PoleOnPath, StartTooClose
+from .errors import DriftExceeded, DirectionIndexError, StartTooClose
 from .geom import point_segment_distance
 from .qdiff import (
     GL_NODES,
@@ -164,8 +165,9 @@ class TrajectoryRay:
     sqrt_values: np.ndarray           # branch-continuous sqrt(phi) at the points
     taus: np.ndarray                  # accumulated phi-length at each point, from p if launched
     phi_length: float                 # up to the critical point a ray arrives at
-    imag_drift: float
+    imag_drift: float                 # of integral w dz, across the ray (see imag_drift_of)
     termination: Termination
+    orientation: complex = 1          # d zeta / d tau: +-1 horizontal, +-i vertical
     work: dict = field(default_factory=dict)
 
 
@@ -242,14 +244,21 @@ def trace_horizontal(qd: QuadraticDifferential, z0: complex, orientation: int = 
                      seed_sqrt: complex | None = None) -> TrajectoryRay:
     """Trace the horizontal trajectory through the regular point z0."""
     opts = opts or TraceOptions.for_qd(qd)
-    return _trace(qd, complex(z0), int(orientation), opts, seed_sqrt)
+    return _trace(qd, complex(z0), _sign(orientation), opts, seed_sqrt)
 
 
 def trace_vertical(qd: QuadraticDifferential, z0: complex, orientation: int = 1,
                    opts: TraceOptions | None = None) -> TrajectoryRay:
-    """Vertical trajectories of phi are horizontal trajectories of -phi."""
+    """Trace the vertical trajectory through the regular point z0; +1 starts
+    along i / sqrt(phi(z0)), the horizontal +1 direction turned left."""
     opts = opts or TraceOptions.for_qd(qd)
-    return _trace(qd.negated(), complex(z0), int(orientation), opts, None)
+    return _trace(qd, complex(z0), 1j * _sign(orientation), opts, None)
+
+
+def _sign(orientation) -> int:
+    if orientation not in (1, -1):
+        raise ValueError("orientation must be +1 or -1")
+    return int(orientation)
 
 
 def trace_from_critical(qd: QuadraticDifferential, cp: CriticalPoint,
@@ -442,9 +451,9 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                     # heading into p, and by the model's bound maybe onto it
                     if (v * (orientation / w).conjugate()).real < 0.0:
                         reach = c * snap ** e
-                        zeta = v * w / e
+                        zeta = v * w / e / orientation
                         if abs(zeta.imag) - slack * abs(zeta) <= reach:
-                            zeta, _w = zeta_from(qd, p, z)
+                            zeta = zeta_from(qd, p, z)[0] / orientation
                             if abs(zeta.imag) <= reach:
                                 hit = True
                                 tau += abs(zeta)
@@ -484,7 +493,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     ray = TrajectoryRay(
         points=points, sqrt_values=sqrt_values, taus=taus_arr,
         phi_length=float(tau), imag_drift=0.0, termination=termination,
-        work={"accepted_steps": accepted, "rejected_steps": rejected},
+        orientation=orientation, work={"accepted_steps": accepted, "rejected_steps": rejected},
     )
     certify_drift(qd, ray, opts)
     return ray
@@ -506,29 +515,28 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     zeta(z) = integral of sqrt(phi) from z0; returns (tau*, z*, w*) if the
     ray closes there, else None.
 
-    Along the ray d zeta / d tau = orientation and Im zeta is constant, so
-    with zeta_a = zeta(z_a) the ray crosses Re zeta = 0 at tau* = tau_a -
-    orientation Re zeta_a, at zeta = i Im zeta_a, that is z* = z0 +
-    i Im zeta_a / sqrt(phi(z0)) to first order in z* - z0, which is below
-    snap when it matters. zeta_a is one 8-node Gauss-Legendre panel
-    on the chord from z_a to z0, the root continued from w_a. The trigger
-    has z0 within 0.35 |z_b - z_a| of the step, so the chord is at most
-    1.35 times the step, which the clamp holds to about 0.35 d, d the
-    distance from z_a to the nearest critical point: the chord, about
-    0.47 d at most, stays in the disk about z_a that is free of them. A
-    crossing off the step falls back to the step's end nearer z0. The ray
-    is closed when that point is within snap of z0 and the root carried to
-    z0 is on the seed's sheet."""
+    Along the ray d zeta / d tau = orientation, so with q = zeta(z_a) /
+    orientation the ray crosses Re(zeta / orientation) = 0 at tau* = tau_a -
+    Re q, at zeta = i orientation Im q, that is z* = z0 + i orientation Im q
+    / sqrt(phi(z0)) to first order in z* - z0, which is below snap when it
+    matters. zeta(z_a) is one 8-node Gauss-Legendre panel on the chord from
+    z_a to z0, the root continued from w_a. The trigger has z0 within 0.35
+    |z_b - z_a| of the step, so the chord is at most 1.35 times the step,
+    which the clamp holds to about 0.35 d, d the distance from z_a to the
+    nearest critical point: the chord, about 0.47 d at most, stays in the
+    disk about z_a that is free of them. A crossing off the step falls back
+    to the step's end nearer z0. The ray is closed when that point is within
+    snap of z0 and the root carried to z0 is on the seed's sheet."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
     w, acc = w_a, 0j
     for x, c in _GL:
         w = root(mid + half * x, w)
         acc += c * w
-    zeta_a = -half * acc
+    q = -half * acc / orientation
     w = root(z0, w)
-    tau_s = tau_a - orientation * zeta_a.real
+    tau_s = tau_a - q.real
     if tau_a < tau_s < tau_b:
-        z_s = z0 + 1j * zeta_a.imag / w
+        z_s = z0 + 1j * orientation * q.imag / w
         w_s = root(z_s, w)
     elif abs(z_a - z0) <= abs(z_b - z0):
         tau_s, z_s, w_s = tau_a, z_a, w_a
@@ -539,29 +547,10 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     return None
 
 
-def phi_length_of(qd: QuadraticDifferential, points) -> float:
-    """Composite 8-node Gauss-Legendre integral of sqrt|phi| |dz| along the
-    polyline. Raises PoleOnPath if a quadrature node sits on a pole."""
-    pts = np.asarray([complex(p) for p in points], dtype=complex)
-    if len(pts) < 2:
-        return 0.0
-    seg = np.flatnonzero(pts[:-1] != pts[1:])
-    a, b = pts[seg], pts[seg + 1]
-    half = 0.5 * (b - a)
-    zs = 0.5 * (a + b)[:, None] + half[:, None] * GL_NODES
-    dv = qd.den.eval_array(zs)
-    lim = (1e-13 * max(qd.den.scale(), 1e-300)
-           * np.maximum(1.0, np.abs(zs)) ** max(qd.den.degree, 0))
-    bad = np.any(np.abs(dv) <= lim, axis=1)
-    if bad.any():
-        raise PoleOnPath(f"quadrature node on segment {seg[np.argmax(bad)]} hits a pole")
-    vals = np.sqrt(np.abs(qd.num.eval_array(zs) / dv))
-    return float(np.sum((vals @ GL_WEIGHTS) * np.abs(half)))
-
-
 def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
-    """Max over checkpoints of |Im integral of w dz| along the recorded
-    polyline, with w branch-continuous; the correctness certificate."""
+    """Max over checkpoints of |Im(integral of w dz / orientation)| along the
+    recorded polyline, w branch-continuous: the drift across the ray (Re of
+    the integral for a vertical one); the correctness certificate."""
     pts = np.asarray(ray.points, dtype=complex)
     a, b = pts[:-1], pts[1:]
     moved = a != b
@@ -569,4 +558,5 @@ def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
         return 0.0
     running, _ = sqrt_panel_integrals(a[moved], b[moved], qd.phi_array,
                                       hint=complex(ray.sqrt_values[0]))
-    return float(np.max(np.abs(running.imag)))
+    across = running.real if ray.orientation.imag else running.imag
+    return float(np.max(np.abs(across)))

@@ -13,7 +13,7 @@ from qdsphere.contour import marching_squares
 from qdsphere.graph import detect_recurrence, pair_zeros_by_short_trajectories
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import qd_from_p_over_q_squared, qd_new
-from qdsphere.tracer import SEED_FACTOR, TraceOptions, trace_horizontal
+from qdsphere.tracer import SEED_FACTOR, TraceOptions, trace_horizontal, trace_vertical
 
 ONE = Polynomial([1.0])
 
@@ -247,9 +247,14 @@ def test_count_crossings_matches_reference_on_fixture_rays():
     for qd, z0 in cases:
         opts = TraceOptions.for_qd(qd)
         rep = detect_recurrence(qd, z0, opts)
+        # the probe's transversal; its short verticals stay far inside the
+        # window, which the probe widens when infinity is regular
+        topts = opts.replace(max_phi_length=graph.TRANSVERSAL_FACTOR * qd.diameter())
+        up, dn = (trace_vertical(qd, z0, o, topts) for o in (1, -1))
+        transversal = np.concatenate([dn.points[::-1], up.points[1:]])
         r = SEED_FACTOR * opts.snap_radius
-        want = count_crossings_reference(rep.ray.points, rep.transversal, z0, r)
-        assert graph._count_crossings(rep.ray.points, rep.transversal, z0, r) == want
+        want = count_crossings_reference(rep.ray.points, transversal, z0, r)
+        assert graph._count_crossings(rep.ray.points, transversal, z0, r) == want
         assert rep.crossings == want
 
 

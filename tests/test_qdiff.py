@@ -214,7 +214,6 @@ def test_provenance_round_trip():
     assert (q_eff * q_eff).coeffs == qd.den.coeffs and p_eff.coeffs == qd.num.coeffs
     plain = qd_new(qd.num, qd.den)
     assert plain.pq is None and plain.form is None
-    assert qd.negated().pq is None
 
 
 def test_critical_point_at_infinity_reported():

@@ -20,7 +20,6 @@ from qdsphere.tracer import (
     TraceOptions,
     certify_drift,
     imag_drift_of,
-    phi_length_of,
     trace_from_critical,
     trace_horizontal,
     trace_vertical,
@@ -98,7 +97,7 @@ def test_phi_length_of_matches_ray_accumulator():
     qd = qd_new(Polynomial([-1.0, 0.0, 1.0]), ONE)
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=5.0)
     ray = trace_horizontal(qd, 2.0 + 1.0j, opts=opts)
-    assert phi_length_of(qd, ray.points) == pytest.approx(ray.phi_length, rel=5e-3)
+    assert phi_length_of_reference(qd, ray.points) == pytest.approx(ray.phi_length, rel=5e-3)
 
 
 def test_hits_critical_point_and_snaps():
@@ -203,11 +202,12 @@ def test_work_counter_positive_and_deterministic():
 
 
 def phi_length_of_reference(qd, points):
-    """phi_length_of as it was: one segment at a time."""
+    """Composite 8-node Gauss-Legendre integral of sqrt|phi| |dz| along the
+    polyline, one segment at a time."""
     pts = np.asarray([complex(p) for p in points], dtype=complex)
     if len(pts) < 2:
         return 0.0
-    den_scale = max(qd.den.scale(), 1e-300)
+    den_scale = max(max(abs(c) for c in qd.den.coeffs), 1e-300)
     total = 0.0
     for i in range(len(pts) - 1):
         a, b = pts[i], pts[i + 1]
@@ -225,28 +225,53 @@ def phi_length_of_reference(qd, points):
     return total
 
 
-def test_phi_length_of_matches_segment_loop():
-    winding = qd_new(Polynomial([-1.0]), Polynomial([0.5j, 0.0, -0.25 - 2.0j, 0.0, 1.0]))
-    rng = np.random.default_rng(7)
-    cases = [(circle_qd(), trace_horizontal(circle_qd(), 1.5).points),
-             (winding, trace_horizontal(
-                 winding, 1.0, opts=TraceOptions.for_qd(winding, max_phi_length=20.0)).points),
-             (winding, rng.normal(size=40) + 1j * rng.normal(size=40)),
-             # repeated points are skipped
-             (circle_qd(), np.array([1.0, 1.0, 2.0 + 1j, 2.0 + 1j, -1.0j]))]
-    for qd, pts in cases:
-        want = phi_length_of_reference(qd, pts)
-        assert phi_length_of(qd, pts) == pytest.approx(want, rel=1e-14, abs=0.0)
-    assert phi_length_of(circle_qd(), [1.0]) == 0.0
+@pytest.mark.parametrize("trace", [trace_horizontal, trace_vertical])
+@pytest.mark.parametrize("orientation", [0, 2, -2, 0.5, 1j])
+def test_invalid_orientation_rejected(trace, orientation):
+    # an orientation other than +-1 would scale or freeze the step while
+    # the phi-length still advanced by it
+    qd = qd_new(Polynomial([1.0, 0.0, -1.0]), ONE)
+    opts = TraceOptions.for_qd(qd).replace(max_phi_length=3.0)
+    with pytest.raises(ValueError, match="orientation"):
+        trace(qd, 0.5 + 0.5j, orientation, opts)
 
 
-def test_phi_length_of_names_the_segment_on_a_pole():
-    # the fourth Gauss-Legendre node of the last segment sits on the pole
-    # at 0; the repeated first point is a segment of its own, and skipped
-    x = float(GL_NODES[3])
-    pts = [3.0 + 1.0j, 3.0 + 1.0j, 2.0 + 1.0j, -1.0 - x, 1.0 - x]
-    with pytest.raises(PoleOnPath) as want:
-        phi_length_of_reference(circle_qd(), pts)
-    with pytest.raises(PoleOnPath) as got:
-        phi_length_of(circle_qd(), pts)
-    assert str(got.value) == str(want.value) == "quadrature node on segment 3 hits a pole"
+def test_vertical_arrives_at_a_zero():
+    # phi = 1 - z^2 from z = 2: sqrt(phi(2)) = i sqrt 3, so the +1 vertical
+    # heads along i / sqrt(phi(2)) = 1 / sqrt 3, to the right, and the -1
+    # vertical runs along the real axis into the zero at 1, where its
+    # phi-length is the integral of sqrt(x^2 - 1) over [1, 2]
+    qd = qd_new(Polynomial([1.0, 0.0, -1.0]), ONE)
+    right = trace_vertical(qd, 2.0, 1)
+    step = right.points[1] - right.points[0]
+    assert step.real > 0 and abs(step.imag) <= 1e-12 * abs(step)
+    ray = trace_vertical(qd, 2.0, -1)
+    assert ray.termination.kind == HIT_CRITICAL
+    assert critical_points(qd)[ray.termination.cp_index].at.value == pytest.approx(1.0)
+    want = math.sqrt(3.0) - math.log(2.0 + math.sqrt(3.0)) / 2
+    assert ray.phi_length == pytest.approx(want, abs=1e-9)
+    assert ray.orientation == -1j and ray.imag_drift < 1e-9
+
+
+# the fixtures of the probe workload, each built as phi (sign 1) and -phi
+VERTICAL_FIXTURES = {
+    "winding": lambda sign: qd_new(Polynomial([-sign]),
+                                   Polynomial([0.5j, 0.0, -0.25 - 2.0j, 0.0, 1.0])),
+    "fig1_right": lambda sign: qd_new(Polynomial([0.0, -sign]),
+                                      Polynomial.from_roots([0.5, 1 + 1j, 2 - 1j])),
+    "segment": lambda sign: qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), ONE, sign),
+    "circle": lambda sign: qd_from_p_over_q_squared(ONE, Z, sign=-sign),
+}
+
+
+@pytest.mark.parametrize("length", [0.5, 30.0])
+@pytest.mark.parametrize("name", sorted(VERTICAL_FIXTURES))
+def test_vertical_of_phi_is_horizontal_of_minus_phi(name, length):
+    qd, neg = VERTICAL_FIXTURES[name](1), VERTICAL_FIXTURES[name](-1)
+    opts = TraceOptions.for_qd(qd, max_phi_length=length)
+    z0 = 0.2 + 0.7j
+    horizontals = [trace_horizontal(neg, z0, o, opts) for o in (1, -1)]
+    for o in (1, -1):
+        v = trace_vertical(qd, z0, o, opts)
+        assert any(v.points.tobytes() == h.points.tobytes()
+                   and v.termination == h.termination for h in horizontals)

@@ -260,7 +260,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     ray = TrajectoryRay(
         points=np.asarray(pts, dtype=complex), sqrt_values=np.asarray(sqs, dtype=complex),
         taus=np.asarray(taus, dtype=float), phi_length=float(tau), imag_drift=0.0,
-        termination=termination,
+        termination=termination, orientation=orientation,
         work={"accepted_steps": accepted, "rejected_steps": rejected},
     )
     certify_drift(qd, ray, opts)
