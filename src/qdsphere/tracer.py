@@ -10,12 +10,16 @@ stage evaluation; its error estimate keeps the steps accurate, and a clamp
 keeps a single step from jumping over a critical point or moving arg(phi)
 by more than BRANCH_TURN.
 
-The step loop is fused for speed: one loop over the sparse tableau, each
-stage continuing the root of the stage before it (`continue_sqrt`, inlined
-with phi's Horner rule). Stage 0 reuses the root computed at the accepted
-point, so phi is evaluated twelve times per accepted step: eleven stages
-and the new point. The critical points are scanned once per accepted
-point, for the entry test and the step clamp.
+A step is straight-line code: `_dop853` writes out the fixed tableau, each
+stage continuing the root of the stage before it. The root is the
+differential's own function, kept on its _Scene: continue_sqrt(phi(z),
+hint) with phi by Horner's rule written out for its degrees (see
+_root_maker). Both do the float operations of the loops over the tableau
+and the coefficients in the same order, so the results are the same to
+the bit. Stage 0 reuses the root computed at the accepted point, so phi is
+evaluated twelve times per accepted step: eleven stages and the new point.
+The critical points are scanned once per accepted point, for the entry
+test and the step clamp.
 
 A ray ends at a critical point only on entry into its disk (see _Scene); a pole
 of order >= 2 has no local model, and entering its disk ends the ray. Near a
@@ -40,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -76,42 +81,69 @@ ESCAPED_WINDOW = "EscapedWindow"
 PHI_LENGTH_BUDGET = "PhiLengthBudget"
 STEP_BUDGET = "StepBudget"
 
-# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10), sparse: the (j, a_ij) pairs of each stage i = 1..11, and the (j, b_j)
-# of the 8th-order solution and its 5th- and 3rd-order error estimates. The
-# field is autonomous, so the nodes c_i are not needed.
-_DOP_A = (
-    ((0, 0.05260015195876773),),
-    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
-    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
-    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
-    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
-    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
-     (5, -0.017578125)),
-    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-     (5, -0.015319437748624402), (6, 0.008273789163814023)),
-    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
-    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-     (8, -0.020331201708508627)),
-    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-     (8, 2.4936055526796523), (9, -3.0467644718982196)),
-    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
-)
-_DOP_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-          (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-          (10, 0.20136540080403034), (11, 0.04471061572777259))
-_DOP_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
-           (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
-           (10, 0.08192320648511571), (11, -0.022355307863886294))
-_DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
-           (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
-           (10, 0.20136540080403034), (11, 0.02265179219836082))
 _GL = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))
+
+
+def _dop853(z, r, ho, root):
+    """The stages of one step of the Dormand-Prince 8(5,3) pair (Hairer,
+    Norsett & Wanner, Solving ODEs I, II.10) for dz/dtau = orientation /
+    sqrt(phi), ho = h * orientation: r is the root of phi at z and each
+    stage's root is the branch hint of the next. Returns the 8th-order
+    increment, the 5th- and 3rd-order error estimates and the last stage's
+    root. k_i stands for h times the i-th stage's slope; the field is
+    autonomous, so the nodes c_i are not needed. Each sum runs from 0j
+    through the tableau's nonzero entries from left to right."""
+    k0 = ho / r
+    r = root(z + (0j + 0.05260015195876773 * k0), r)
+    k1 = ho / r
+    r = root(z + (0j + 0.0197250569845379 * k0 + 0.0591751709536137 * k1), r)
+    k2 = ho / r
+    r = root(z + (0j + 0.02958758547680685 * k0 + 0.08876275643042054 * k2), r)
+    k3 = ho / r
+    r = root(z + (0j + 0.2413651341592667 * k0 + -0.8845494793282861 * k2
+                  + 0.924834003261792 * k3), r)
+    k4 = ho / r
+    r = root(z + (0j + 0.037037037037037035 * k0 + 0.17082860872947386 * k3
+                  + 0.12546768756682242 * k4), r)
+    k5 = ho / r
+    r = root(z + (0j + 0.037109375 * k0 + 0.17025221101954405 * k3
+                  + 0.06021653898045596 * k4 + -0.017578125 * k5), r)
+    k6 = ho / r
+    r = root(z + (0j + 0.03709200011850479 * k0 + 0.17038392571223998 * k3
+                  + 0.10726203044637328 * k4 + -0.015319437748624402 * k5
+                  + 0.008273789163814023 * k6), r)
+    k7 = ho / r
+    r = root(z + (0j + 0.6241109587160757 * k0 + -3.3608926294469414 * k3
+                  + -0.868219346841726 * k4 + 27.59209969944671 * k5
+                  + 20.154067550477894 * k6 + -43.48988418106996 * k7), r)
+    k8 = ho / r
+    r = root(z + (0j + 0.47766253643826434 * k0 + -2.4881146199716677 * k3
+                  + -0.590290826836843 * k4 + 21.230051448181193 * k5
+                  + 15.279233632882423 * k6 + -33.28821096898486 * k7
+                  + -0.020331201708508627 * k8), r)
+    k9 = ho / r
+    r = root(z + (0j + -0.9371424300859873 * k0 + 5.186372428844064 * k3
+                  + 1.0914373489967295 * k4 + -8.149787010746927 * k5
+                  + -18.52006565999696 * k6 + 22.739487099350505 * k7
+                  + 2.4936055526796523 * k8 + -3.0467644718982196 * k9), r)
+    k10 = ho / r
+    r = root(z + (0j + 2.273310147516538 * k0 + -10.53449546673725 * k3
+                  + -2.0008720582248625 * k4 + -17.9589318631188 * k5
+                  + 27.94888452941996 * k6 + -2.8589982771350235 * k7
+                  + -8.87285693353063 * k8 + 12.360567175794303 * k9
+                  + 0.6433927460157636 * k10), r)
+    k11 = ho / r
+    dz = (0j + 0.054293734116568765 * k0 + 4.450312892752409 * k5 + 1.8915178993145003 * k6
+          + -5.801203960010585 * k7 + 0.3111643669578199 * k8 + -0.1521609496625161 * k9
+          + 0.20136540080403034 * k10 + 0.04471061572777259 * k11)
+    e5 = (0j + 0.01312004499419488 * k0 + -1.2251564463762044 * k5
+          + -0.4957589496572502 * k6 + 1.6643771824549864 * k7 + -0.35032884874997366 * k8
+          + 0.3341791187130175 * k9 + 0.08192320648511571 * k10
+          + -0.022355307863886294 * k11)
+    e3 = (0j + -0.18980075407240762 * k0 + 4.450312892752409 * k5 + 1.8915178993145003 * k6
+          + -5.801203960010585 * k7 + -0.4226823213237919 * k8 + -0.1521609496625161 * k9
+          + 0.20136540080403034 * k10 + 0.02265179219836082 * k11)
+    return dz, e5, e3, r
 
 
 @dataclass(frozen=True)
@@ -171,6 +203,49 @@ class TrajectoryRay:
     work: dict = field(default_factory=dict)
 
 
+@functools.lru_cache(maxsize=None)
+def _root_maker(n_num: int, n_den: int):
+    """A maker of root(z, hint) = continue_sqrt(phi(z), hint) for phi = num /
+    den with n_num and n_den coefficients, phi by Horner's rule.
+
+    The maker is compiled once per pair of lengths, as collections.namedtuple
+    compiles a class per list of field names. Its source holds only names
+    and indices: for two numerator and one denominator coefficient it is
+
+        def make(n0, n1, d0, sqrt):
+            def root(z, hint):
+                a = 0j * z + n0
+                a = a * z + n1
+                b = 0j * z + d0
+                v = a / b
+                s = sqrt(complex(v.real + 0.0, v.imag + 0.0))
+                return s if abs(s - hint) <= abs(s + hint) else -s
+            return root
+
+    with the coefficients, highest degree first, bound as closure cells by
+    the call make(*num_desc, *den_desc, cmath.sqrt). They are never written
+    into the text: the repr of a complex number loses signed zeros. The
+    steps are those of the loops a = 0j; a = a * z + c, so every float is
+    the same; one statement per coefficient keeps any degree within the
+    parser's limits.
+    """
+    nums = [f"n{i}" for i in range(n_num)]
+    dens = [f"d{i}" for i in range(n_den)]
+
+    def horner(var, cs):
+        return [f"        {var} = {var if i else '0j'} * z + {c}" for i, c in enumerate(cs)]
+
+    lines = ([f"def make({', '.join(nums + dens)}, sqrt):", "    def root(z, hint):"]
+             + horner("a", nums) + horner("b", dens)
+             + ["        v = a / b",
+                "        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))",
+                "        return s if abs(s - hint) <= abs(s + hint) else -s",
+                "    return root"])
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["make"]
+
+
 class _Scene:
     """Critical-point geometry of a differential: a row (k, position, clamp
     factor alpha) per finite critical point, k its index in
@@ -188,9 +263,12 @@ class _Scene:
     r sum |m| / (|p - q| - r) over the other critical points q of order m and
     r is the disk's radius: writing phi = a (z - p)^n g(z), |g'/g| <= kappa / r
     bounds how far sqrt(g) moves along the segment from p to z.
+
+    `root` is the differential's root(z, hint), continue_sqrt(phi(z),
+    hint) by straight-line Horner (see _root_maker).
     """
 
-    __slots__ = ("rows", "disks", "models")
+    __slots__ = ("rows", "disks", "models", "root")
 
     def __init__(self, qd: QuadraticDifferential):
         rows, disks, models = [], [], []
@@ -216,6 +294,8 @@ class _Scene:
         self.rows = tuple(rows)
         self.disks = tuple(disks)
         self.models = tuple(models)
+        num_desc, den_desc = qd.num.coeffs[::-1], qd.den.coeffs[::-1]
+        self.root = _root_maker(len(num_desc), len(den_desc))(*num_desc, *den_desc, cmath.sqrt)
 
     @classmethod
     def of(cls, qd: QuadraticDifferential) -> "_Scene":
@@ -340,23 +420,11 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     # the disk a ray is in is tested once, on entry; a launched ray starts in its own
     inside = home if launch_from is not None else -1
 
-    num_desc = qd.num.coeffs[::-1]
-    den_desc = qd.den.coeffs[::-1]
-    sqrt = cmath.sqrt
-
-    def root(z, hint):
-        """continue_sqrt(phi(z), hint), phi by Horner's rule, inlined."""
-        a = 0j
-        for c in num_desc:
-            a = a * z + c
-        b = 0j
-        for c in den_desc:
-            b = b * z + c
-        v = a / b
-        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))
-        return s if abs(s - hint) <= abs(s + hint) else -s
-
+    root = scene.root
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
+    if not abs(w0) < math.inf:
+        raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
+    az0 = abs(z0)
 
     pts = [z0]
     sqs = [w0]
@@ -389,28 +457,12 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             termination = Termination(STEP_BUDGET)
             break
 
-        # DOP853 stages, hk[i] = h k_i; the root r of each is the branch hint of the next
-        ho = h * orientation
         try:
-            r = w if fresh else root(z, w)
-            hk = [ho / r]
-            for row in _DOP_A:
-                dz = 0j
-                for j, a in row:
-                    dz += a * hk[j]
-                r = root(z + dz, r)
-                hk.append(ho / r)
+            dz, e5, e3, r = _dop853(z, w if fresh else root(z, w), h * orientation, root)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        dz = e5 = e3 = 0j
-        for j, b in _DOP_B:
-            dz += b * hk[j]
-        for j, b in _DOP_E5:
-            e5 += b * hk[j]
-        for j, b in _DOP_E3:
-            e3 += b * hk[j]
         z8 = z + dz
         # |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so that it cannot underflow
         a5 = abs(e5)
@@ -473,9 +525,13 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             if abs(z - z0) > SEED_FACTOR * snap:
                 left_home = True
         else:
-            seg = z - z_prev
-            d_seg = point_segment_distance(z0, z_prev, z)
-            if d_seg <= max(4.0 * snap, 0.35 * abs(seg)):
+            a_seg = abs(z - z_prev)
+            trigger = max(4.0 * snap, 0.35 * a_seg)
+            # the distance from z0 to the step is at least |z - z0| - |z - z_prev|;
+            # the last term is far above the rounding of both distances
+            d0 = abs(z - z0)
+            if (d0 - a_seg <= trigger + 1e-12 * (az0 + d0 + a_seg)
+                    and point_segment_distance(z0, z_prev, z) <= trigger):
                 closed = _close_at_seed(root, z0, w0, orientation, tau_prev, z_prev,
                                         w_prev, tau, z, w, snap)
                 if closed is not None:

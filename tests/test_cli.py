@@ -272,6 +272,27 @@ def test_analyze_nonfinite_seed_rejected(tmp_path, capsys, recwarn, value):
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def _start_at_pole_rejected(tmp_path, capsys, recwarn, argv, start):
+    """A start where phi overflows, numerically at the pole at infinity of
+    1 - z^2, ends as StartTooClose naming the point, before any tracing."""
+    spec = write_spec(tmp_path, SEGMENT)
+    assert run([argv[0], spec, "--out", str(tmp_path / "out.json"), *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {start} is numerically at a pole" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_trace_start_where_phi_is_not_finite(tmp_path, capsys, recwarn):
+    _start_at_pole_rejected(tmp_path, capsys, recwarn, ["trace", "--from", "1e300,0"],
+                            complex(1e300, 0))
+
+
+def test_analyze_seed_where_phi_is_not_finite(tmp_path, capsys, recwarn):
+    _start_at_pole_rejected(tmp_path, capsys, recwarn, ["analyze", "--seed", "1e200,1e200"],
+                            complex(1e200, 1e200))
+
+
 def test_unwritable_out_is_error(tmp_path, capsys):
     out = tmp_path / "missing" / "ray.json"
     assert run(["trace", write_spec(tmp_path, CIRCLE), "--from", "1,0",

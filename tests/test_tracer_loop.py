@@ -1,7 +1,8 @@
-"""The fused DOP853 step loop of the tracer against a plain reference loop
-over the same tableau. A ray that never ends in an analytic disk must come
-out bit-identical. A ray that arrives at a critical point on entry into its
-disk must be the reference ray cut there, since the reference goes on
+"""The tracer's step loop, its DOP853 stages written out and its root
+generated per differential, against a plain reference loop over the
+tableau and the coefficients. A ray that never ends in an analytic disk
+must come out bit-identical. A ray that arrives at a critical point on
+entry into its disk must be the reference ray cut there, since the reference goes on
 stepping to the snap radius; a launched ray must be the reference ray
 started at the same launch point, with its taus counted from the critical
 point.
@@ -20,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from qdsphere import tracer
@@ -36,10 +37,6 @@ from qdsphere.qdiff import (
     zeta_from,
 )
 from qdsphere.tracer import (
-    _DOP_A,
-    _DOP_B,
-    _DOP_E3,
-    _DOP_E5,
     BRANCH_TURN,
     CLOSED,
     ESCAPED_WINDOW,
@@ -63,25 +60,87 @@ Z = Polynomial([0.0, 1.0])
 # ---------------------------------------------------------------- references
 
 
-def dop853_step(root, orientation, z, w, h):
-    """One DOP853 step of length h from z, the root of phi there continued
-    from w: (the 8th-order point, the error estimate, the last stage's root)."""
+# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
+# II.10), the coefficients of tracer._dop853 as sparse tables: the (j, a_ij)
+# pairs of each stage i = 1..11, and the (j, b_j) of the 8th-order solution
+# and its 5th- and 3rd-order error estimates. The field is autonomous, so
+# the nodes c_i are not needed.
+DOP_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
+     (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+DOP_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+         (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+         (10, 0.20136540080403034), (11, 0.04471061572777259))
+DOP_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+          (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+          (10, 0.08192320648511571), (11, -0.022355307863886294))
+DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+          (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+          (10, 0.20136540080403034), (11, 0.02265179219836082))
+
+
+def reference_root(num_desc, den_desc):
+    """root(z, hint) = continue_sqrt(phi(z), hint), phi = num / den by
+    Horner's rule as loops over the coefficients, highest degree first."""
+
+    def root(z, hint):
+        a = 0j
+        for c in num_desc:
+            a = a * z + c
+        b = 0j
+        for c in den_desc:
+            b = b * z + c
+        return continue_sqrt(a / b, hint)
+
+    return root
+
+
+def dop853_stages(root, orientation, z, w, h):
+    """The stages of one DOP853 step of length h from z, the root of phi
+    there continued from w, as loops over the tables: (the 8th-order
+    increment, the 5th- and 3rd-order error estimates, the last stage's root)."""
     ho = h * orientation
     r = root(z, w)
     hk = [ho / r]
-    for row in _DOP_A:
+    for row in DOP_A:
         dz = 0j
         for j, a in row:
             dz += a * hk[j]
         r = root(z + dz, r)
         hk.append(ho / r)
     dz = e5 = e3 = 0j
-    for j, b in _DOP_B:
+    for j, b in DOP_B:
         dz += b * hk[j]
-    for j, b in _DOP_E5:
+    for j, b in DOP_E5:
         e5 += b * hk[j]
-    for j, b in _DOP_E3:
+    for j, b in DOP_E3:
         e3 += b * hk[j]
+    return dz, e5, e3, r
+
+
+def dop853_step(root, orientation, z, w, h):
+    """One DOP853 step: (the 8th-order point, the error estimate, the last
+    stage's root)."""
+    dz, e5, e3, r = dop853_stages(root, orientation, z, w, h)
     a5 = abs(e5)
     return z + dz, a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0, r
 
@@ -156,22 +215,10 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     if launch_from is None and nearest(z0)[1] < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
 
-    num_desc = qd.num.coeffs[::-1]
-    den_desc = qd.den.coeffs[::-1]
-
-    def phival(z):
-        a = 0j
-        for c in num_desc:
-            a = a * z + c
-        b = 0j
-        for c in den_desc:
-            b = b * z + c
-        return a / b
-
-    def root(z, hint):
-        return continue_sqrt(phival(z), hint)
-
-    w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(phival(z0))
+    root = reference_root(qd.num.coeffs[::-1], qd.den.coeffs[::-1])
+    w0 = seed_sqrt if seed_sqrt is not None else root(z0, None)
+    if not abs(w0) < math.inf:
+        raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
 
     pts = [z0]
     sqs = [w0]
@@ -523,18 +570,160 @@ def test_dop853_tableau_conditions():
     s6 = math.sqrt(6.0)
     c = (0.0, (6 - s6) / 67.5, (6 - s6) / 45, (6 - s6) / 30, (6 + s6) / 30,
          1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
-    assert len(_DOP_A) == 11
-    for i, row in enumerate(_DOP_A, 1):
+    assert len(DOP_A) == 11
+    for i, row in enumerate(DOP_A, 1):
         assert all(j < i for j, _a in row)
         assert abs(sum(a for _j, a in row) - c[i]) <= 1e-15 * sum(abs(a) for _j, a in row)
     for k in range(1, 9):
-        assert math.isclose(sum(b * c[j] ** (k - 1) for j, b in _DOP_B), 1 / k,
+        assert math.isclose(sum(b * c[j] ** (k - 1) for j, b in DOP_B), 1 / k,
                             rel_tol=1e-14)
     # the error estimates are differences of the 8th-order weights and
     # weights of order 5 and 3, so they integrate c^(k-1) to zero up to those
-    for weights, order in ((_DOP_E5, 5), (_DOP_E3, 3)):
+    for weights, order in ((DOP_E5, 5), (DOP_E3, 3)):
         for k in range(1, order + 1):
             assert abs(sum(e * c[j] ** (k - 1) for j, e in weights)) <= 1e-14
+
+
+# ---------------------------------------------------------------- the straight-line step
+
+
+def _stages_outcome(stages, *args):
+    try:
+        return tuple(_bits(v) for v in stages(*args))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+def straight_line_stages(root, orientation, z, w, h):
+    """tracer._dop853 with the caller's stage 0, as dop853_stages."""
+    return tracer._dop853(z, root(z, w), h * orientation, root)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, -1, 1j, -1j]))
+def test_dop853_matches_the_table_loop(seed, orientation):
+    rng = np.random.default_rng(seed)
+    box = lambda n: rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
+    n_num, n_den = rng.integers(0, 5, size=2)
+    num = Polynomial.from_roots(box(n_num), complex(*rng.normal(size=2)))
+    den = Polynomial.from_roots(box(n_den))
+    root = reference_root(num.coeffs[::-1], den.coeffs[::-1])
+    z = complex(box(1)[0])
+    w = rng.choice([-1, 1]) * principal_sqrt(num(z) / den(z))
+    h = float(10.0 ** rng.uniform(-6, 0.5))
+    assert (_stages_outcome(straight_line_stages, root, orientation, z, w, h)
+            == _stages_outcome(dop853_stages, root, orientation, z, w, h))
+
+
+@pytest.mark.parametrize("orientation", [1, -1, 1j, -1j])
+@pytest.mark.parametrize("z, w", [(0.25, 1.0), (-0.5, -1.0), (0.25j, 1.0), (3.0, 1.0)])
+def test_dop853_keeps_signed_zeros_as_the_table_loop(orientation, z, w):
+    # 1 - z^2 on the axes: each stage is real or imaginary, its other part
+    # a signed zero
+    qd = segment_qd()
+    root = tracer._Scene.of(qd).root
+    for h in (1e-3, 0.1, 1.0):
+        assert (_stages_outcome(straight_line_stages, root, orientation, complex(z), w, h)
+                == _stages_outcome(dop853_stages, root, orientation, complex(z), w, h))
+
+
+def test_dop853_stage_on_a_pole_raises_as_the_table_loop():
+    # phi = 1 / z^2 from z = 0.75 with orientation -1: h = 1 / a_10 puts
+    # stage 1 on the pole at 0 to the last bit
+    qd = qd_from_p_over_q_squared(ONE, Z, sign=1)
+    root = tracer._Scene.of(qd).root
+    a10 = DOP_A[0][0][1]
+    z, h = 0.75, 1 / a10
+    assert z + (0j + a10 * (-h / root(z, 1.0))) == 0
+    for stages in (straight_line_stages, dop853_stages):
+        assert _stages_outcome(stages, root, -1, z, 1.0, h) is ZeroDivisionError
+
+
+@pytest.mark.parametrize("stage", range(12))
+def test_dop853_stops_at_the_same_stage(stage):
+    # a root that fails at the given stage: both forms call it as often
+    base = tracer._Scene.of(winding_qd()).root
+    counts = []
+    for stages in (straight_line_stages, dop853_stages):
+        calls = []
+
+        def root(z, hint):
+            calls.append(z)
+            if len(calls) > stage:
+                raise ZeroDivisionError
+            return base(z, hint)
+
+        assert _stages_outcome(stages, root, 1, 1.0, base(1.0, 1.0), 0.01) is ZeroDivisionError
+        counts.append(calls)
+    assert counts[0] == counts[1] and len(counts[0]) == stage + 1
+
+
+# ---------------------------------------------------------------- the generated root
+
+
+signed_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
+                        st.floats(-4.0, 4.0))
+zero_part = st.sampled_from([0.0, -0.0])
+coeff = st.builds(complex, signed_part, signed_part)
+# on the axes, with real or imaginary coefficients, phi is often a negative
+# real or pure imaginary value: the root's + 0.0 normalization at the cut
+point = st.one_of(st.builds(complex, signed_part, signed_part),
+                  st.builds(complex, signed_part, zero_part),
+                  st.builds(complex, zero_part, signed_part))
+
+
+def _root_outcome(root, z, hint):
+    try:
+        return _bits(root(z, hint))
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=1500, deadline=None)
+@given(st.lists(coeff, min_size=1, max_size=13), st.lists(coeff, min_size=1, max_size=13),
+       point, st.builds(complex, signed_part, signed_part), st.sampled_from([1, -1]))
+@example([-1 + 0j], [1 + 0j], 0j, 1j, 1)                       # phi = -1
+@example([complex(-1.0, -0.0)], [1 + 0j], 0j, -1j, 1)          # -1 - 0i
+@example([complex(-0.0, 2.0)], [1 + 0j], 0j, 1 + 1j, -1)       # pure imaginary
+@example([complex(1.0, -0.0), 0j, -1 + 0j], [1 + 0j], 2 + 0j, 1j, -1)
+@example([0j], [0j], 1 + 0j, 1 + 0j, 1)                        # 0 / 0
+def test_generated_root_is_the_loop_form(num_desc, den_desc, z, hint, sheet):
+    ref = reference_root(num_desc, den_desc)
+    root = tracer._root_maker(len(num_desc), len(den_desc))(*num_desc, *den_desc,
+                                                                 cmath.sqrt)
+    # a hint near either root, and an arbitrary one
+    try:
+        near = sheet * ref(z, None) + 1e-3 * hint
+    except ZeroDivisionError:
+        near = hint
+    for h in (near, hint):
+        assert _root_outcome(root, z, h) == _root_outcome(ref, z, h)
+
+
+def test_generated_root_binds_its_coefficients_as_values():
+    # signed zeros in the coefficients reach the root unchanged, and its
+    # code holds no number but the 0j and 0.0 of the loop form
+    num = Polynomial([complex(-0.0, 1.25), complex(3.5, -0.0), 1.0])
+    qd = qd_new(num, Polynomial([0.75j, 1.0]))
+    root = tracer._Scene(qd).root
+    cells = {name: cell.cell_contents
+             for name, cell in zip(root.__code__.co_freevars, root.__closure__)}
+    coeffs = [cells[name] for name in sorted(cells) if name[0] in "nd"]
+    assert [_bits(c) for c in coeffs] == [
+        _bits(c) for c in (*qd.den.coeffs[::-1], *qd.num.coeffs[::-1])]
+    numbers = [c for c in root.__code__.co_consts if isinstance(c, (int, float, complex))]
+    assert numbers and all(c == 0 for c in numbers)
+
+
+def test_generated_root_is_built_once_per_differential(monkeypatch):
+    calls = []
+    real = tracer._root_maker
+    monkeypatch.setattr(tracer, "_root_maker", lambda *a: calls.append(a) or real(*a))
+    qd = segment_qd()
+    trace_horizontal(qd, 0.5 + 0.5j)
+    trace_vertical(qd, 0.5 + 0.5j)
+    trace_from_critical(qd, _finite_cps(qd)[0], 0)
+    assert calls == [(3, 1)]
 
 
 # ---------------------------------------------------------------- random differentials
