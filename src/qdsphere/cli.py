@@ -28,7 +28,7 @@ from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
 from .level import level_function, level_grid, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import SpherePoint, critical_points, measure_mass, order_at_infinity
-from .specfile import build_qd, parse_input, parse_point, parse_positive, parse_window
+from .specfile import build_qd, parse_input, parse_point, parse_positive
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
@@ -62,10 +62,9 @@ def _report(**fields) -> dict:
     return {"format_version": 1, "tool_version": __version__, **fields}
 
 
-def _options(qd, spec, args) -> TraceOptions:
-    """Budget resolution: file budgets, then --rk-tol."""
-    opts = TraceOptions.for_qd(qd, window=spec.window, **spec.budgets)
-    return opts if args.rk_tol is None else opts.replace(rk_tol=args.rk_tol)
+def _options(qd, spec) -> TraceOptions:
+    """The trace options: the file's window and budgets over the defaults."""
+    return TraceOptions.for_qd(qd, window=spec.window, **spec.budgets)
 
 
 def _tolerances(opts: TraceOptions) -> dict:
@@ -84,7 +83,6 @@ def _criteria_rows(verdicts) -> list:
 
 
 def cmd_analyze(spec, qd, opts, args):
-    spec.seeds.extend(args.seed)
     cps = critical_points(qd)
     graph = build_critical_graph(qd, opts)
     shorts = [e for e in graph.edges if e.is_short]
@@ -141,8 +139,6 @@ def cmd_criteria(spec, qd, opts, args):
 
 def cmd_trace(spec, qd, opts, args):
     z0 = args.from_
-    if args.length is not None:
-        opts = opts.replace(max_phi_length=args.length)
     ray = trace_horizontal(qd, z0, opts=opts)
     return EXIT_OK, _report(
         seed=z0,
@@ -160,7 +156,7 @@ def cmd_trace(spec, qd, opts, args):
 
 def cmd_render(spec, qd, opts, args):
     """The trajectory picture; for a lemniscate form input, its level curves."""
-    win = args.window or opts.window
+    win = opts.window
     canvas = SvgCanvas(win)
     if spec.kind == "lemniscate":
         _render_lemniscate(spec, qd, canvas, win, args.level)
@@ -309,22 +305,10 @@ def _xy_pair(text: str) -> complex:
     return complex(float(parts[0]), float(parts[1]))
 
 
-def _window_arg(text: str):
-    parts = [float(v) for v in text.split(",")]
-    if len(parts) != 4:
-        raise argparse.ArgumentTypeError("expected x0,y0,x1,y1")
-    return tuple(parts)
-
-
 def _check_flags(args) -> None:
     """Reject flag values that parse but that no command can use."""
-    for flag in ("rk_tol", "length", "level"):
-        if getattr(args, flag, None) is not None:
-            parse_positive(getattr(args, flag), "--" + flag.replace("_", "-"))
-    if getattr(args, "window", None) is not None:
-        parse_window(args.window, "--window")
-    for z in getattr(args, "seed", []):
-        parse_point([z.real, z.imag], "--seed")
+    if getattr(args, "level", None) is not None:
+        parse_positive(args.level, "--level")
     if getattr(args, "from_", None) is not None:
         parse_point([args.from_.real, args.from_.imag], "--from")
     if getattr(args, "grid", args.min_grid) < args.min_grid:
@@ -340,26 +324,19 @@ def make_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("input")
-    common.add_argument("--rk-tol", type=float, default=None,
-                        help="integrator tolerance override")
     common.set_defaults(form=None, min_grid=0)
     to_file = argparse.ArgumentParser(add_help=False, parents=[common])
     to_file.add_argument("--out", required=True)
 
-    pa = sub.add_parser("analyze", parents=[to_file])
-    pa.add_argument("--seed", action="append", type=_xy_pair, default=[],
-                    help="recurrence seed x,y (repeatable)")
-    pa.set_defaults(run=cmd_analyze)
+    sub.add_parser("analyze", parents=[to_file]).set_defaults(run=cmd_analyze)
 
     pr = sub.add_parser("render", parents=[to_file])
-    pr.add_argument("--window", type=_window_arg, default=None)
     pr.add_argument("--grid", type=int, default=0,
                     help="background trajectory field through an NxN seed grid")
     pr.set_defaults(run=cmd_render, level=None)
 
     pt = sub.add_parser("trace", parents=[to_file])
     pt.add_argument("--from", dest="from_", required=True, type=_xy_pair)
-    pt.add_argument("--length", type=float, default=None)
     pt.set_defaults(run=cmd_trace)
 
     sub.add_parser("criteria", parents=[common]).set_defaults(run=cmd_criteria, out=None)
@@ -370,7 +347,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("lemniscate", parents=[to_file])
     pm.add_argument("--level", type=float, default=None)
-    pm.set_defaults(run=cmd_render, form="lemniscate", window=None)
+    pm.set_defaults(run=cmd_render, form="lemniscate")
 
     sub.add_parser("cauchy", parents=[to_file]).set_defaults(run=cmd_cauchy, form="cauchy")
     return top
@@ -384,7 +361,7 @@ def main(argv=None) -> int:
         if args.form is not None and spec.kind != args.form:
             raise SchemaError("$", f"the {args.command} command needs a {args.form} form input")
         qd = build_qd(spec)
-        code, result = args.run(spec, qd, _options(qd, spec, args), args)
+        code, result = args.run(spec, qd, _options(qd, spec), args)
         if isinstance(result, dict):
             result = json.dumps(_jsonable(result), sort_keys=True, indent=2) + "\n"
         if args.out is None:

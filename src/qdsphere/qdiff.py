@@ -106,7 +106,13 @@ class QuadraticDifferential:
         return self.num(z) / self.den(z)
 
     def phi_array(self, z):
-        return self.num.eval_array(z) / self.den.eval_array(z)
+        """phi at an array of points; PoleOnPath, naming the point, where
+        the denominator vanishes, as a node rounded onto a pole does."""
+        den = self.den.eval_array(z)
+        if not np.all(den):
+            at = complex(np.asarray(z)[den == 0][0])
+            raise PoleOnPath(f"{at} is numerically at a pole: phi is not finite there")
+        return self.num.eval_array(z) / den
 
     # -- geometry of the finite critical set ---------------------------
 

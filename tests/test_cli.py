@@ -8,6 +8,7 @@ import qdsphere.cli
 from qdsphere import __version__
 from qdsphere.cli import main
 from qdsphere.errors import ResidueObstruction
+from qdsphere.specfile import build_qd, parse_obj
 
 FIG_WINDING = {
     "format_version": 1,
@@ -196,8 +197,9 @@ LEMNISCATE = {
 }
 
 
-def _flag_rejected(tmp_path, capsys, command, spec, flags, field):
-    # bad flag values end as a SchemaError with exit 1 and write no output
+def _run_rejected(tmp_path, capsys, command, spec, flags, field):
+    # bad flag or input field values end as a SchemaError with exit 1 and
+    # write no output
     out = tmp_path / "out"
     assert run([command, write_spec(tmp_path, spec), "--out", str(out)] + flags) == 1
     err = capsys.readouterr().err
@@ -207,90 +209,114 @@ def _flag_rejected(tmp_path, capsys, command, spec, flags, field):
 
 
 def test_lemniscate_negative_level_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level=-1"], "--level")
+    _run_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level=-1"], "--level")
 
 
 def test_lemniscate_zero_level_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "0"], "--level")
+    _run_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "0"], "--level")
 
 
 def test_lemniscate_nan_level_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "nan"], "--level")
+    _run_rejected(tmp_path, capsys, "lemniscate", LEMNISCATE, ["--level", "nan"], "--level")
 
 
 def test_render_nan_window_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--window=nan,0,1,1"], "--window")
+    _run_rejected(tmp_path, capsys, "render", dict(CIRCLE, window=[math.nan, 0, 1, 1]), [],
+                  "window")
 
 
 def test_render_degenerate_window_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--window=1,1,1,1"], "--window")
+    _run_rejected(tmp_path, capsys, "render", dict(CIRCLE, window=[1, 1, 1, 1]), [], "window")
 
 
 def test_render_negative_grid_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "render", CIRCLE, ["--grid=-1"], "--grid")
+    _run_rejected(tmp_path, capsys, "render", CIRCLE, ["--grid=-1"], "--grid")
 
 
 def test_level_negative_grid_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid=-3"], "--grid")
+    _run_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid=-3"], "--grid")
 
 
 def test_level_zero_grid_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "0"], "--grid")
+    _run_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "0"], "--grid")
 
 
 def test_level_one_point_grid_rejected(tmp_path, capsys):
-    _flag_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1"], "--grid")
+    _run_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1"], "--grid")
 
 
-# a step budget keeps a run that wrongly accepts the flag short
-SEGMENT_SHORT_BUDGET = dict(SEGMENT, budgets={"max_steps": 2000})
+# a step budget keeps a run that wrongly accepts the value short
+SHORT_BUDGET = {"max_steps": 2000}
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_trace_bad_rk_tol_rejected(tmp_path, capsys, value):
-    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
-                   ["--from", "0.5,0.5", f"--rk-tol={value}"], "--rk-tol")
+    spec = dict(SEGMENT, budgets=dict(SHORT_BUDGET, rk_tol=float(value)))
+    _run_rejected(tmp_path, capsys, "trace", spec, ["--from", "0.5,0.5"], "budgets.rk_tol")
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0", "inf"])
 def test_trace_bad_length_rejected(tmp_path, capsys, value):
-    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
-                   ["--from", "0.5,0.5", f"--length={value}"], "--length")
+    spec = dict(SEGMENT, budgets=dict(SHORT_BUDGET, max_phi_length=float(value)))
+    _run_rejected(tmp_path, capsys, "trace", spec, ["--from", "0.5,0.5"],
+                  "budgets.max_phi_length")
 
 
 @pytest.mark.parametrize("value", ["nan,0", "0,nan", "inf,0", "0,-inf"])
 def test_trace_nonfinite_from_rejected(tmp_path, capsys, recwarn, value):
-    _flag_rejected(tmp_path, capsys, "trace", SEGMENT_SHORT_BUDGET,
-                   [f"--from={value}"], "--from")
+    _run_rejected(tmp_path, capsys, "trace", dict(SEGMENT, budgets=SHORT_BUDGET),
+                  [f"--from={value}"], "--from")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("value", ["nan,0", "0,nan", "inf,0", "0,-inf"])
 def test_analyze_nonfinite_seed_rejected(tmp_path, capsys, recwarn, value):
-    _flag_rejected(tmp_path, capsys, "analyze", dict(CIRCLE, budgets={"max_steps": 2000}),
-                   ["--seed=0.5,0.5", f"--seed={value}"], "--seed")
+    seed = [float(v) for v in value.split(",")]
+    spec = dict(CIRCLE, budgets=SHORT_BUDGET, seeds=[[0.5, 0.5], seed])
+    _run_rejected(tmp_path, capsys, "analyze", spec, [], "seeds[1]")
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def _start_at_pole_rejected(tmp_path, capsys, recwarn, argv, start):
-    """A start where phi overflows, numerically at the pole at infinity of
-    1 - z^2, ends as StartTooClose naming the point, before any tracing."""
-    spec = write_spec(tmp_path, SEGMENT)
-    assert run([argv[0], spec, "--out", str(tmp_path / "out.json"), *argv[1:]]) == 1
+def _start_at_pole_rejected(tmp_path, capsys, recwarn, spec, argv, start):
+    """A run whose start or quadrature node is numerically at a pole, where
+    phi is not finite, ends with exit 1 and an error naming the point, and
+    no numpy warning."""
+    out = tmp_path / "out.json"
+    assert run([argv[0], write_spec(tmp_path, spec), "--out", str(out), *argv[1:]]) == 1
     err = capsys.readouterr().err
-    assert f"error: {start} is numerically at a pole" in err
-    assert "Traceback" not in err and "RuntimeWarning" not in err
+    assert err == f"error: {start} is numerically at a pole: phi is not finite there\n"
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert not out.exists()
 
 
+# starts where phi overflows, at the pole at infinity of 1 - z^2, end as
+# StartTooClose before any tracing
 def test_trace_start_where_phi_is_not_finite(tmp_path, capsys, recwarn):
-    _start_at_pole_rejected(tmp_path, capsys, recwarn, ["trace", "--from", "1e300,0"],
+    _start_at_pole_rejected(tmp_path, capsys, recwarn, SEGMENT, ["trace", "--from", "1e300,0"],
                             complex(1e300, 0))
 
 
 def test_analyze_seed_where_phi_is_not_finite(tmp_path, capsys, recwarn):
-    _start_at_pole_rejected(tmp_path, capsys, recwarn, ["analyze", "--seed", "1e200,1e200"],
-                            complex(1e200, 1e200))
+    _start_at_pole_rejected(tmp_path, capsys, recwarn, dict(SEGMENT, seeds=[[1e200, 1e200]]),
+                            ["analyze"], complex(1e200, 1e200))
+
+
+# a simple pole at -2.04e12, where floats are 2.4e-4 apart: the smallest
+# Gauss-Legendre nodes of zeta_from on its launch disk of radius 0.5 round
+# onto the pole itself
+FAR_SIMPLE_POLE = {
+    "format_version": 1,
+    "cauchy": {"p": [[3.0, 0.0], [1e12, 0.0], [0.489, 0.0]],
+               "q": [[2.4, -1.557], [1.0, 0.0]], "r": [[0.0, 0.0], [1.0, 0.0]]},
+}
+
+
+@pytest.mark.parametrize("command", ["cauchy", "analyze"])
+def test_quadrature_node_on_far_simple_pole_is_pole_on_path(tmp_path, capsys, recwarn,
+                                                           command):
+    pole = build_qd(parse_obj(FAR_SIMPLE_POLE)).poles[0].location
+    assert abs(pole + 2.04e12) < 0.01e12
+    _start_at_pole_rejected(tmp_path, capsys, recwarn, FAR_SIMPLE_POLE, [command], pole)
 
 
 def test_unwritable_out_is_error(tmp_path, capsys):
@@ -427,8 +453,8 @@ def test_analyze_byte_identical(tmp_path):
 
 
 def test_parser_shared_across_calls_matches_fresh_processes(tmp_path):
-    # main builds its parser once per process: a --seed given to one call
-    # must not reach the next one through the append action's default
+    # main builds its parser once per process: nothing one call reads or
+    # sets may reach the next one, so each report equals a fresh process's
     import os
     import subprocess
     import sys
@@ -440,14 +466,14 @@ def test_parser_shared_across_calls_matches_fresh_processes(tmp_path):
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(qdsphere.__file__).resolve().parents[1])]
         + [p for p in [env.get("PYTHONPATH")] if p])
-    spec = write_spec(tmp_path, CIRCLE)
     reports = []
-    for i, flags in enumerate([["--seed=0.5,0.5"], []]):
+    for i, seeds in enumerate([[[0.5, 0.5]], []]):
+        spec = write_spec(tmp_path, dict(CIRCLE, seeds=seeds), f"in{i}.json")
         same, fresh = str(tmp_path / f"same{i}.json"), str(tmp_path / f"fresh{i}.json")
-        code = run(["analyze", spec, "--out", same] + flags)
+        code = run(["analyze", spec, "--out", same])
         proc = subprocess.run(
             [sys.executable, "-c", "import sys; from qdsphere.cli import main; "
-             "sys.exit(main(sys.argv[1:]))", "analyze", spec, "--out", fresh] + flags,
+             "sys.exit(main(sys.argv[1:]))", "analyze", spec, "--out", fresh],
             env=env, capture_output=True, text=True)
         assert proc.returncode == code, proc.stderr
         assert open(same, "rb").read() == open(fresh, "rb").read()
@@ -456,12 +482,13 @@ def test_parser_shared_across_calls_matches_fresh_processes(tmp_path):
 
 
 def test_analyze_input_echo_round_trip(tmp_path):
-    spec = write_spec(tmp_path, SEGMENT)
+    spec = write_spec(tmp_path, dict(SEGMENT, seeds=[[0.25, 0.75]]))
     out = str(tmp_path / "out.json")
     run(["analyze", spec, "--out", out])
     doc = load(out)
     assert doc["input"]["form"] == "p_over_q_squared"
     assert doc["input"]["sign"] == 1
+    assert doc["input"]["seeds"] == [[0.25, 0.75]]
     assert "window" in doc["input"] and "budgets" in doc["input"]
 
 
@@ -530,15 +557,16 @@ def test_trace_budget_via_spec(tmp_path):
     assert doc["work"]["accepted_steps"] <= 5
 
 
-def test_trace_rk_tol_flag_changes_work(tmp_path):
-    spec = write_spec(tmp_path, CIRCLE)
-    coarse = str(tmp_path / "a.json")
-    fine = str(tmp_path / "b.json")
-    assert run(["trace", spec, "--from", "1,0", "--out", coarse,
-                "--rk-tol", "1e-6"]) == 0
-    assert run(["trace", spec, "--from", "1,0", "--out", fine,
-                "--rk-tol", "1e-12"]) == 0
-    assert load(fine)["work"]["accepted_steps"] > load(coarse)["work"]["accepted_steps"]
+def test_trace_rk_tol_changes_work(tmp_path):
+    docs = []
+    for rk_tol in (1e-6, 1e-12):
+        spec = write_spec(tmp_path, dict(CIRCLE, budgets={"rk_tol": rk_tol}))
+        out = str(tmp_path / "ray.json")
+        assert run(["trace", spec, "--from", "1,0", "--out", out]) == 0
+        docs.append(load(out))
+    coarse, fine = docs
+    assert [coarse["tolerances"]["rk_tol"], fine["tolerances"]["rk_tol"]] == [1e-6, 1e-12]
+    assert fine["work"]["accepted_steps"] > coarse["work"]["accepted_steps"]
 
 
 # ---------------------------------------------------------------- level
@@ -742,9 +770,9 @@ def test_render_short_trajectory_highlighted(tmp_path):
     assert len(shorts) == 1
 
 
-def test_render_window_flag(tmp_path):
-    spec = write_spec(tmp_path, CIRCLE)
+def test_render_window_from_file(tmp_path):
+    spec = write_spec(tmp_path, dict(CIRCLE, window=[-1, -1, 1, 1]))
     out = str(tmp_path / "c.svg")
-    assert run(["render", spec, "--out", out, "--window=-1,-1,1,1"]) == 0
+    assert run(["render", spec, "--out", out]) == 0
     root = ET.parse(out).getroot()
-    assert root.get("viewBox").startswith("0 0 640")
+    assert root.get("viewBox") == "0 0 640 640"

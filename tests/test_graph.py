@@ -127,7 +127,7 @@ def test_pairing_two_zeros():
     qd = qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), ONE)
     pairing = pair_zeros_by_short_trajectories(qd)
     assert pairing.pairs == [(0, 1)]
-    assert pairing.method in ("exhaustive", "greedy")
+    assert pairing.method == "exhaustive"
     (a, b) = pairing.locations[0]
     assert {round(a.real), round(b.real)} == {-1, 1}
 
