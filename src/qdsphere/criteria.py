@@ -86,19 +86,11 @@ def _pairing_evidence(pairing) -> dict:
 
 
 def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
-    """Paired zeros must carry multiplicities of equal parity."""
+    """Paired zeros must carry multiplicities of equal parity; the matching
+    pairs only such zeros, so this holds exactly when a pairing exists."""
     pq_form(qd, "criterion")
-    ev = _pairing_evidence(pairing)
-    if isinstance(pairing, PairingFailure):
-        return CriterionVerdict("ParityPairs", INCONCLUSIVE, ev)
-    mism = []
-    for a, b in pairing.pairs:
-        ma, mb = qd.zeros[a].multiplicity, qd.zeros[b].multiplicity
-        if (ma - mb) % 2 != 0:
-            mism.append([a, b, ma, mb])
-    ev["parity_mismatches"] = mism
-    verdict = SUPPORTED if not mism else INCONCLUSIVE
-    return CriterionVerdict("ParityPairs", verdict, ev)
+    verdict = INCONCLUSIVE if isinstance(pairing, PairingFailure) else SUPPORTED
+    return CriterionVerdict("ParityPairs", verdict, _pairing_evidence(pairing))
 
 
 def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:

@@ -136,7 +136,7 @@ class Pairing:
     pairs: list[tuple[int, int]]                 # indices into the zero clusters
     locations: list[tuple[complex, complex]]
     polylines: list[np.ndarray]
-    method: str                                  # vacuous | exhaustive | greedy
+    method: str                                  # vacuous (no zeros) | exhaustive (exact)
 
 
 @dataclass
@@ -146,16 +146,17 @@ class PairingFailure:
     reason: str
 
 
-EXHAUSTIVE_LIMIT = 10
-
-
 def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
                                      opts: TraceOptions | None = None,
                                      graph: CriticalGraph | None = None):
     """Match the zeros into pairs joined by detected short trajectories.
 
-    Exhaustive search below 11 zeros (lexicographically first matching),
-    greedy by ascending length above. Returns Pairing or PairingFailure.
+    The candidates are the short edges between two zeros whose
+    multiplicities have equal parity, so every pair joins two branch points
+    of sqrt(p) or none, and the cuts of a Pairing make sqrt(p) single-valued
+    off them. Returns the lexicographically first perfect matching over the
+    candidates as a Pairing, or a PairingFailure listing the zeros a maximum
+    matching leaves unmatched.
     """
     pq_form(qd, "pairing")
     zeros = qd.zeros
@@ -178,69 +179,123 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
             continue
         if e.from_node in node_to_zero and e.to_node in node_to_zero:
             a, b = sorted((node_to_zero[e.from_node], node_to_zero[e.to_node]))
+            if (zeros[a].multiplicity - zeros[b].multiplicity) % 2 != 0:
+                continue
             if (a, b) not in cand or e.phi_length < cand[(a, b)].phi_length:
                 cand[(a, b)] = e
 
     n = len(zeros)
-    adj = {i: sorted(j for j in range(n) if (min(i, j), max(i, j)) in cand)
-           for i in range(n)}
-
-    if n <= EXHAUSTIVE_LIMIT:
-        matched = _match_exhaustive(n, adj)
-        method = "exhaustive"
-    else:
-        matched = _match_greedy(n, cand)
-        method = "greedy"
-
-    if matched is None or len(matched) * 2 < n:
-        used = set()
-        for a, b in (matched or []):
-            used.update((a, b))
-        left = [i for i in range(n) if i not in used]
+    adj = [sorted(j for j in range(n) if (min(i, j), max(i, j)) in cand)
+           for i in range(n)]
+    pairs, left = _match(n, adj)
+    if pairs is None:
         return PairingFailure(left, [zeros[i].location for i in left],
                               "no perfect matching over detected short trajectories")
-    pairs = sorted(matched)
     return Pairing(
         pairs,
         [(zeros[a].location, zeros[b].location) for a, b in pairs],
         [cand[p].polyline for p in pairs],
-        method,
+        "exhaustive",
     )
 
 
-def _match_exhaustive(n: int, adj: dict[int, list[int]]):
-    pairs: list[tuple[int, int]] = []
-    free = set(range(n))
+def _match(n: int, adj: list[list[int]]):
+    """(pairs, []) for the lexicographically first perfect matching of the
+    graph on 0..n-1 with sorted adjacency lists adj, or (None, unmatched)
+    with the vertices a maximum matching leaves unmatched.
 
-    def rec() -> bool:
-        if not free:
-            return True
-        i = min(free)
-        free.discard(i)
-        for j in adj[i]:
-            if j in free:
-                free.discard(j)
-                pairs.append((i, j))
-                if rec():
-                    return True
-                pairs.pop()
-                free.add(j)
-        free.add(i)
-        return False
-
-    return pairs if rec() else None
-
-
-def _match_greedy(n: int, cand: dict[tuple[int, int], CriticalEdge]):
-    order = sorted(cand.items(), key=lambda kv: (kv[1].phi_length, kv[0]))
-    free = set(range(n))
+    The smallest free vertex takes the smallest neighbour whose removal
+    leaves a graph with a perfect matching. A perfect matching of what is
+    left is kept throughout, so each test is one augmenting-path search
+    between the two mates set free.
+    """
+    mate: list[int | None] = [None] * n
+    alive = [True] * n
+    for v in range(n):
+        if mate[v] is None:
+            _augment(v, mate, adj, alive)
+    left = [v for v in range(n) if mate[v] is None]
+    if left:
+        return None, left
     pairs = []
-    for (a, b), _e in order:
-        if a in free and b in free:
-            pairs.append((a, b))
-            free.discard(a)
-            free.discard(b)
-    return pairs
+    for i in range(n):
+        if not alive[i]:
+            continue
+        alive[i] = False
+        for j in adj[i]:
+            if not alive[j]:
+                continue
+            alive[j] = False
+            if mate[i] == j:
+                break
+            trial = list(mate)
+            a, b = trial[i], trial[j]
+            trial[a] = trial[b] = None
+            if _augment(a, trial, adj, alive):
+                mate = trial
+                break
+            alive[j] = True
+        mate[i], mate[j] = j, i
+        pairs.append((i, j))
+    return pairs, []
+
+
+def _augment(root: int, mate: list, adj: list[list[int]], alive: list[bool]) -> bool:
+    """Search the graph on the alive vertices for an augmenting path from the
+    unmatched vertex root, shrinking odd cycles into blossoms (Edmonds,
+    "Paths, trees, and flowers", 1965); flip it into mate if found."""
+    n = len(mate)
+    base = list(range(n))
+    parent: list[int | None] = [None] * n
+    outer = [False] * n
+    outer[root] = True
+    queue = [root]
+
+    def lca(a, b):
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] is None:
+                break
+            a = parent[mate[a]]
+        while not seen[base[b]]:
+            b = parent[mate[base[b]]]
+        return base[b]
+
+    def mark(v, b, child, blossom):
+        while base[v] != b:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[child]
+
+    for v in queue:
+        for to in adj[v]:
+            if not alive[to] or base[v] == base[to] or mate[v] == to:
+                continue
+            if to == root or (mate[to] is not None and parent[mate[to]] is not None):
+                b = lca(v, to)
+                blossom = [False] * n
+                mark(v, b, to, blossom)
+                mark(to, b, v, blossom)
+                for u in range(n):
+                    if blossom[base[u]]:
+                        base[u] = b
+                        if not outer[u]:
+                            outer[u] = True
+                            queue.append(u)
+            elif parent[to] is None:
+                parent[to] = v
+                if mate[to] is None:
+                    while to is not None:
+                        v, nxt = parent[to], mate[parent[to]]
+                        mate[to], mate[v] = v, to
+                        to = nxt
+                    return True
+                outer[mate[to]] = True
+                queue.append(mate[to])
+    return False
 
 
 @dataclass

@@ -3,6 +3,7 @@ import math
 import xml.etree.ElementTree as ET
 
 import pytest
+from numpy.polynomial import polynomial as P
 
 import qdsphere.cli
 from qdsphere import __version__
@@ -645,6 +646,44 @@ def test_level_requires_pq_form(tmp_path, capsys):
     spec = write_spec(tmp_path, FIG_WINDING)
     assert run(["level", spec, "--out", str(tmp_path / "x.json")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+# -1e-8 prod_{k=0,1} (z-4k+1)(z-4k+0.2)^2(z-4k-0.2)^2(z-4k-1): per cluster a
+# simple zero, two double zeros and a simple zero; no detected short edge
+# joins two zeros of equal parity in both clusters, so no cut system exists
+EIGHT_ZEROS = {
+    "format_version": 1,
+    "p_over_q_squared": {
+        "p": [[float(c), 0.0] for c in 1e-8 * P.polyfromroots(
+            [4 * k + d for k in (0, 1) for d in (-1, -0.2, -0.2, 0.2, 0.2, 1)])],
+        "q": [[1.0, 0.0]],
+        "sign": -1,
+    },
+}
+
+
+def test_eight_zeros_pairing_fails_without_equal_parity(tmp_path, capsys):
+    spec = write_spec(tmp_path, EIGHT_ZEROS)
+    assert run(["criteria", spec]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    by_name = {c["criterion"]: c for c in doc["criteria"]}
+    assert by_name["ParityPairs"]["verdict"] == "Inconclusive"
+    assert by_name["ResidueCriterion"]["verdict"] == "Inconclusive"
+    assert by_name["ParityPairs"]["evidence"]["pairing"] == "failed"
+    assert doc["overall"] == "CertifiedNoRecurrence"
+
+
+@pytest.mark.parametrize("grid", [8, 24, 65])
+def test_eight_zeros_level_inconclusive_at_every_grid(tmp_path, capsys, grid):
+    # a mixed-parity pairing once passed the verifier at grids 8 and 24 and
+    # failed it at 65; there is no pairing now, so no lattice is integrated
+    out = str(tmp_path / "level.json")
+    spec = write_spec(tmp_path, EIGHT_ZEROS)
+    assert run(["level", spec, "--grid", str(grid), "--out", out]) == 10
+    doc = load(out)
+    assert doc["pairing_failure"]["unmatched"]
+    assert "grid" not in doc
+    assert capsys.readouterr().err == ""
 
 
 # ---------------------------------------------------------------- lemniscate

@@ -1,12 +1,19 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsphere.graph import (
     NOT_RECURRENT,
     SUSPECTED_RECURRENT,
+    CriticalEdge,
+    CriticalGraph,
+    Pairing,
     PairingFailure,
+    _match,
     build_critical_graph,
     detect_recurrence,
     find_short_trajectories,
@@ -151,6 +158,125 @@ def test_pairing_failure_reported():
     assert len(out.unmatched) == 2
     assert out.reason
 
+
+
+def _match_exhaustive(n, adj):
+    """Reference: backtracking over the smallest free vertex and its
+    neighbours in ascending order, the lexicographically first perfect
+    matching, or None."""
+    pairs = []
+    free = set(range(n))
+
+    def rec():
+        if not free:
+            return True
+        i = min(free)
+        free.discard(i)
+        for j in adj[i]:
+            if j in free:
+                free.discard(j)
+                pairs.append((i, j))
+                if rec():
+                    return True
+                pairs.pop()
+                free.add(j)
+        free.add(i)
+        return False
+
+    return pairs if rec() else None
+
+
+def _max_matching_size(free, adj):
+    if not free:
+        return 0
+    i = min(free)
+    best = _max_matching_size(free - {i}, adj)
+    for j in adj[i]:
+        if j in free:
+            best = max(best, 1 + _max_matching_size(free - {i, j}, adj))
+    return best
+
+
+def _adjacency(n, edges):
+    return [sorted({b if a == i else a for a, b in edges if i in (a, b)})
+            for i in range(n)]
+
+
+@st.composite
+def graphs(draw):
+    n = draw(st.integers(0, 10))
+    all_edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(all_edges), unique=True)) if all_edges else []
+    return n, edges
+
+
+@settings(max_examples=500, deadline=None)
+@given(graphs())
+def test_match_agrees_with_exhaustive_search(graph):
+    n, edges = graph
+    adj = _adjacency(n, edges)
+    pairs, unmatched = _match(n, adj)
+    assert pairs == _match_exhaustive(n, adj)
+    if pairs is None:
+        # the rest has a perfect matching, and it is a maximum one
+        rest = [v for v in range(n) if v not in unmatched]
+        assert len(rest) == 2 * _max_matching_size(set(range(n)), adj)
+        label = {v: k for k, v in enumerate(rest)}
+        sub = [[label[w] for w in adj[v] if w in label] for v in rest]
+        assert _match_exhaustive(len(rest), sub) is not None
+    else:
+        assert unmatched == []
+
+
+def test_match_three_paths_where_greedy_failed():
+    # three paths a-b-c-d; taking each shortest middle edge b-c first, as a
+    # greedy matcher by phi-length does, leaves every a and d unmatched
+    edges = [(k + i, k + i + 1) for k in (0, 4, 8) for i in range(3)]
+    pairs, unmatched = _match(12, _adjacency(12, edges))
+    assert pairs == [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11)]
+    assert unmatched == []
+
+
+def test_match_8x8_grid_fast():
+    k = 8
+    edges = [(x * k + y, (x + dx) * k + y + dy) for x in range(k) for y in range(k)
+             for dx, dy in ((1, 0), (0, 1)) if x + dx < k and y + dy < k]
+    t0 = time.perf_counter()
+    pairs, unmatched = _match(k * k, _adjacency(k * k, edges))
+    assert time.perf_counter() - t0 < 1.0
+    assert unmatched == [] and len(pairs) == 32
+    assert sorted(v for pair in pairs for v in pair) == list(range(64))
+
+
+def _synthetic_graph(qd, ends):
+    """A critical graph on qd's critical points whose short edges join the
+    given pairs of zero locations."""
+    nodes = critical_points(qd)
+    at = {cp.at.value: i for i, cp in enumerate(nodes)}
+    edges = [CriticalEdge(at[a], at[b], np.array([a, b]), 1.0, True, None)
+             for a, b in ends]
+    return CriticalGraph(nodes, edges, [])
+
+
+def test_pairing_keeps_parity():
+    # zeros 0 (simple), 1 and 2 (double), 3 (simple) joined in a 4-cycle:
+    # the first matching over all edges, (0,1), (2,3), pairs a branch point
+    # with a double zero; the one with equal parity is (0,3), (1,2)
+    qd = qd_from_p_over_q_squared(Polynomial.from_roots([0, 1, 1, 2, 2, 3]), ONE)
+    z = [c.location for c in qd.zeros]
+    assert [c.multiplicity for c in qd.zeros] == [1, 2, 2, 1]
+    g = _synthetic_graph(qd, [(z[0], z[1]), (z[1], z[2]), (z[2], z[3]), (z[0], z[3])])
+    pairing = pair_zeros_by_short_trajectories(qd, graph=g)
+    assert isinstance(pairing, Pairing)
+    assert pairing.pairs == [(0, 3), (1, 2)]
+    assert pairing.method == "exhaustive"
+
+    # without the edge 0-3 the simple zeros have no partner
+    out = pair_zeros_by_short_trajectories(qd, graph=_synthetic_graph(qd, [
+        (z[0], z[1]), (z[1], z[2]), (z[2], z[3])]))
+    assert isinstance(out, PairingFailure)
+    assert out.unmatched == [0, 3]
+    assert out.reason == "no perfect matching over detected short trajectories"
 
 def test_detect_recurrence_winding_example():
     qd = fig_winding_qd()
