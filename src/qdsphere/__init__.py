@@ -8,7 +8,7 @@ from .polyalg import Polynomial, poly_roots
 from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
                     qd_new, qd_from_p_over_q_squared, lemniscate_qd, cauchy_qd,
                     critical_points, critical_directions, classify_double_pole,
-                    order_at_infinity, infinity_chart, local_leading_coefficient,
+                    order_at_infinity, local_leading_coefficient,
                     principal_sqrt, continue_sqrt, continue_sqrt_along,
                     zeta_from, measure_density, measure_mass)
 from .tracer import (TraceOptions, TrajectoryRay, Termination,
@@ -33,7 +33,7 @@ __all__ = [
     "QuadraticDifferential", "SpherePoint", "CriticalPoint",
     "qd_new", "qd_from_p_over_q_squared", "lemniscate_qd", "cauchy_qd",
     "critical_points", "critical_directions", "classify_double_pole",
-    "order_at_infinity", "infinity_chart", "local_leading_coefficient",
+    "order_at_infinity", "local_leading_coefficient",
     "principal_sqrt", "continue_sqrt", "continue_sqrt_along",
     "zeta_from", "measure_density", "measure_mass",
     "TraceOptions", "TrajectoryRay", "Termination",

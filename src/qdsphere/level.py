@@ -45,6 +45,8 @@ class LevelField:
     undefined_mask: np.ndarray
     n: int
     branch: np.ndarray            # sqrt(p) carried on from each node; nan where none is
+    lattice: np.ndarray           # the sample points, shaped as grid
+    setup: _LevelSetup            # what the field was continued with
 
 
 @dataclass
@@ -134,14 +136,12 @@ def _seed_probe(qd, base: complex, cuts) -> complex:
 class _LevelSetup:
     """What every evaluation of one level function shares: the integrand,
     the pole disks, the singular set, the cuts and the seed probe near the
-    base. Lattice loops are checked only when `checked`: without the paired
-    cuts a loop can go round a lone zero and flip the branch."""
+    base."""
 
-    def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list, checked: bool):
+    def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
         self.p, self.q = pq_form(qd, "level function")
         self.base = base
         self.cuts = cuts
-        self.checked = checked
         self.pole_obs = [(c.location, OBSTACLE_FACTOR * qd.guard_radius(c.location))
                          for c in qd.poles]
         self.singular = [c.location for c in qd.poles] + [c.location for c in qd.zeros]
@@ -232,16 +232,15 @@ class _LevelSetup:
         if lost:
             raise PathBlocked(f"no lattice path from the seed probe {self.probe} "
                               f"reaches {lost[0]}")
-        if self.checked:
-            for t, h, used in zip(tail, head, in_tree):
-                if used:
-                    continue
-                step, _ = _integrate(self.p, self.q, [pts[t], pts[h]], branch[t], self.singular)
-                want = value[h].imag
-                gap = abs((value[t] + step).imag - want)
-                if gap > GAP_REL_TOL * (1.0 + abs(want)):
-                    raise BranchAmbiguity(
-                        f"lattice loop through {pts[t]} -> {pts[h]} misses by {gap:.6e}")
+        for t, h, used in zip(tail, head, in_tree):
+            if used:
+                continue
+            step, _ = _integrate(self.p, self.q, [pts[t], pts[h]], branch[t], self.singular)
+            want = value[h].imag
+            gap = abs((value[t] + step).imag - want)
+            if gap > GAP_REL_TOL * (1.0 + abs(want)):
+                raise BranchAmbiguity(
+                    f"lattice loop through {pts[t]} -> {pts[h]} misses by {gap:.6e}")
         return np.asarray(value).imag, np.asarray(branch), masked
 
     def nearest_clear(self, nodes: np.ndarray, usable: np.ndarray, z: complex) -> int:
@@ -277,21 +276,26 @@ class _LevelSetup:
 
 def _setup(qd: QuadraticDifferential, pairing) -> _LevelSetup:
     """The setup of a pairing: the cuts are its short-trajectory polylines,
-    each from zero to zero."""
+    each from zero to zero. A PairingFailure or None has no cuts."""
     paired = isinstance(pairing, Pairing)
-    return _LevelSetup(qd, _base_point(qd, pairing),
-                       list(pairing.polylines) if paired else [], paired)
+    return _LevelSetup(qd, _base_point(qd, pairing), list(pairing.polylines) if paired else [])
+
+
+def _require_cuts(pairing):
+    # without the paired cuts a lattice loop can go round a lone zero and flip the branch
+    if not isinstance(pairing, Pairing):
+        raise BranchAmbiguity("the level function needs the zeros paired by short trajectories")
 
 
 def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     """Im of the path integral of sqrt(p)/q from the base zero to z.
 
     z is linked to a small lattice over the base, the seed probe, z and the
-    cuts, continued as level_grid continues its own. Raises
-    ResidueObstruction when the loop integral around some pole has an
-    imaginary part beyond 1e-6 * (1 + |loop|): the level function is then
-    not well defined. A PairingFailure or None pairing is accepted with no
-    cuts, which is the diagnostic mode for exactly that situation.
+    cuts, continued as level_grid continues its own. Raises GuardViolation
+    for z in a pole disk, then ResidueObstruction when the loop integral
+    around some pole has an imaginary part beyond 1e-6 * (1 + |loop|): the
+    level function is then not well defined. It is 0 at the base; elsewhere
+    a PairingFailure or None pairing raises BranchAmbiguity.
     """
     setup = _setup(qd, pairing)
     z = complex(z)
@@ -300,6 +304,7 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     setup.check_poles()
     if z == setup.base:
         return 0.0
+    _require_cuts(pairing)
     zs = setup.point_lattice(z)
     level, branch, _ = setup.continue_over(zs)
     return setup.linked(zs.ravel(), level, branch, z)
@@ -307,15 +312,18 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
 
 def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField:
     """Level values on an n x n grid of window, continued over the grid's
-    own lattice; pole neighborhoods masked."""
+    own lattice; pole neighborhoods masked. ResidueObstruction as
+    level_function, then BranchAmbiguity for a PairingFailure or None."""
     window = tuple(float(v) for v in window)
     n = int(n)
     setup = _setup(qd, pairing)
     setup.check_poles()
-    level, branch, masked = setup.continue_over(_lattice(window, n))
+    _require_cuts(pairing)
+    zs = _lattice(window, n)
+    level, branch, masked = setup.continue_over(zs)
     grid = np.where(masked, 0.0, level).reshape(n, n)
     return LevelField(setup.base, setup.cuts, grid, window, masked.reshape(n, n), n,
-                      branch.reshape(n, n))
+                      branch.reshape(n, n), zs, setup)
 
 
 def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> VerificationReport:
@@ -325,13 +333,14 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
     most 4 * spacing * local integrand bound. (ii) trajectory constancy:
     the level values along each ray, each linked to a node of the field,
     have standard deviation at most 1e-5 * (1 + |mean|). (iii) no open
-    constancy: every unmasked 2x2 block has positive value spread.
+    constancy: every unmasked 2x2 block has positive value spread. The
+    rays are linked to the field by the setup and over the lattice it was
+    continued with, so qd, the differential it was built for, is not read
+    again.
     """
     if not rays:
         raise EmptyLevel("verification needs at least one ray")
-    setup = _LevelSetup(qd, field.base_point, field.cuts, False)
-    n = field.n
-    zs = _lattice(field.window, n)
+    setup, n, zs = field.setup, field.n, field.lattice
     nodes, level, branch = zs.ravel(), field.grid.ravel(), field.branch.ravel()
 
     ray_stats = []

@@ -105,10 +105,6 @@ class Polynomial:
         rem = acc * r + (self.coeffs[0] if self.coeffs else 0j)
         return Polynomial(q), rem
 
-    def reversed_coeffs(self) -> "Polynomial":
-        """u^deg * self(1/u): coefficient reversal."""
-        return Polynomial(self.coeffs[::-1])
-
     def magnitude_bound(self, z: complex) -> float:
         """Sum of |coeff| * max(1, |z|)^k: the natural residual scale at z."""
         x = max(1.0, abs(z))

@@ -1,15 +1,17 @@
 """Rational quadratic differentials phi(z) dz^2 on the Riemann sphere.
 
-phi = num/den with coprime polynomials. A point with signed order n carries
-n + 2 distinguished directions when it is a finite critical point (zero or
-simple pole); poles of order >= 2 are infinite critical points. The point at
-infinity is handled through the explicit chart u = 1/z, under which the
-differential picks up u^-4: its signed order is -(deg num - deg den + 4).
+phi = lead * prod (z - a)^m / prod (z - b)^n over its zero clusters a and
+pole clusters b, in lowest terms; the clusters are its only description. A
+point with signed order n carries n + 2 distinguished directions when it is
+a finite critical point (zero or simple pole); poles of order >= 2 are
+infinite critical points. In the chart u = 1/z the differential picks up
+u^-4, so the signed order at infinity is -(sum m - sum n + 4).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,36 +85,96 @@ def pq_form(qd: "QuadraticDifferential", what: str):
     return qd.pq
 
 
-class QuadraticDifferential:
-    """phi = num/den in lowest terms, with cached root clusters. pq is the
-    pair (p, q) with phi = p / q^2 when a constructor built phi from one,
-    and form that constructor's name; both are None otherwise."""
+@functools.lru_cache(maxsize=None)
+def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
+    """A maker of phi(z) = lead prod (z - a_i)^m_i / prod (z - b_j)^n_j and
+    root(z, hint) = continue_sqrt(phi(z), hint) as straight-line code, for
+    zeros a_i and poles b_j of the given orders. It is compiled once per
+    pair of order tuples, as collections.namedtuple compiles a class per
+    list of field names. For a double zero and a simple pole phi reads
 
-    def __init__(self, num: Polynomial, den: Polynomial,
-                 zeros: list[RootCluster], poles: list[RootCluster],
+        v = lead
+        f = z - a0
+        v = v * f
+        v = v * f
+        f = z - b0
+        b = f
+        v = v / b
+        return v
+
+    and root runs the same lines up to the return, then continue_sqrt's.
+    lead and the locations are bound as closure cells by the call
+    make(lead, *zeros, *poles, cmath.sqrt), never written into the text:
+    the repr of a complex number loses signed zeros. Each factor is
+    multiplied in once per unit of its order, in cluster order, so root is
+    continue_sqrt of phi to the bit, and the product keeps its relative
+    accuracy next to clustered roots, where expanded coefficients lose it.
+    """
+    zeros = [f"a{i}" for i in range(len(zero_orders))]
+    poles = [f"b{i}" for i in range(len(pole_orders))]
+    body = ["        v = lead"]
+    for name, m in zip(zeros, zero_orders):
+        body += [f"        f = z - {name}"] + ["        v = v * f"] * m
+    for i, (name, n) in enumerate(zip(poles, pole_orders)):
+        body += [f"        f = z - {name}"] + [f"        b = {'b * f' if i or k else 'f'}"
+                                                for k in range(n)]
+    if poles:
+        body.append("        v = v / b")
+    lines = ([f"def make({', '.join(['lead'] + zeros + poles)}, sqrt):",
+              "    def phi(z):"] + body + ["        return v",
+              "    def root(z, hint):"] + body
+             + ["        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))",
+                "        return s if abs(s - hint) <= abs(s + hint) else -s",
+                "    return phi, root"])
+    namespace = {}
+    exec("\n".join(lines), namespace)
+    return namespace["make"]
+
+
+class QuadraticDifferential:
+    """phi = lead * prod (z - a)^m / prod (z - b)^n over the zero clusters
+    a and pole clusters b, in lowest terms. pq is the pair (p, q) with
+    phi = p / q^2 when a constructor built phi from one, and form that
+    constructor's name; both are None otherwise. phi(z) and root(z, hint)
+    are made for the clusters (see _evaluator_maker)."""
+
+    def __init__(self, lead: complex, zeros: list[RootCluster], poles: list[RootCluster],
                  pq: tuple[Polynomial, Polynomial] | None = None, form: str | None = None):
-        self.num = num
-        self.den = den
+        self.lead = complex(lead)
         self.zeros = zeros
         self.poles = poles
         self.pq = pq
         self.form = form
         self._critical: list[CriticalPoint] | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
+        make = _evaluator_maker(tuple(c.multiplicity for c in zeros),
+                                tuple(c.multiplicity for c in poles))
+        self.phi, self.root = make(self.lead, *(complex(c.location) for c in zeros + poles),
+                                   cmath.sqrt)
 
     # -- evaluation ----------------------------------------------------
 
-    def phi(self, z: complex) -> complex:
-        return self.num(z) / self.den(z)
-
     def phi_array(self, z):
-        """phi at an array of points; PoleOnPath, naming the point, where
-        the denominator vanishes, as a node rounded onto a pole does."""
-        den = self.den.eval_array(z)
-        if not np.all(den):
-            at = complex(np.asarray(z)[den == 0][0])
+        """phi at an array of points, its factors taken as phi takes them;
+        PoleOnPath, naming the point, where a pole factor vanishes, as at a
+        node rounded onto a pole."""
+        z = np.asarray(z, dtype=complex)
+        v = np.full(z.shape, self.lead)
+        for c in self.zeros:
+            f = z - c.location
+            for _ in range(c.multiplicity):
+                v = v * f
+        if not self.poles:
+            return v
+        b = np.ones(z.shape, dtype=complex)
+        for c in self.poles:
+            f = z - c.location
+            for _ in range(c.multiplicity):
+                b = b * f
+        if not np.all(b):
+            at = complex(z[b == 0][0])
             raise PoleOnPath(f"{at} is numerically at a pole: phi is not finite there")
-        return self.num.eval_array(z) / den
+        return v / b
 
     # -- geometry of the finite critical set ---------------------------
 
@@ -145,7 +207,8 @@ class QuadraticDifferential:
         return [z for z in zs if not any(abs(z - g) < r for g, r in guard)]
 
     def __repr__(self):
-        return f"QuadraticDifferential(num={self.num!r}, den={self.den!r})"
+        return (f"QuadraticDifferential(lead={self.lead!r}, zeros={self.zeros!r}, "
+                f"poles={self.poles!r})")
 
 
 def qd_new(num: Polynomial, den: Polynomial) -> QuadraticDifferential:
@@ -166,7 +229,6 @@ def qd_new(num: Polynomial, den: Polynomial) -> QuadraticDifferential:
     rmax = max((abs(c.location) for c in zeros + poles), default=0.0)
     tol = ROOT_TOL * max(1.0, rmax)
 
-    cancelled = False
     new_zeros, new_poles = [], []
     used = [False] * len(poles)
     for zc in zeros:
@@ -187,7 +249,6 @@ def qd_new(num: Polynomial, den: Polynomial) -> QuadraticDifferential:
             used[hit] = True
             pc = poles[hit]
             m = min(zc.multiplicity, pc.multiplicity)
-            cancelled = True
             loc = (zc.location + pc.location) / 2.0
             if zc.multiplicity > m:
                 new_zeros.append(RootCluster(loc, zc.multiplicity - m, zc.radius))
@@ -197,39 +258,15 @@ def qd_new(num: Polynomial, den: Polynomial) -> QuadraticDifferential:
         if not used[j]:
             new_poles.append(pc)
 
-    if cancelled:
-        lead_n = num.coeffs[-1]
-        lead_d = den.coeffs[-1]
-        num = Polynomial.from_roots(
-            [c.location for c in new_zeros for _ in range(c.multiplicity)], lead_n)
-        den = Polynomial.from_roots(
-            [c.location for c in new_poles for _ in range(c.multiplicity)], lead_d)
     new_zeros.sort(key=lambda c: (c.location.real, c.location.imag))
     new_poles.sort(key=lambda c: (c.location.real, c.location.imag))
-    return QuadraticDifferential(num, den, new_zeros, new_poles)
-
-
-def infinity_chart(qd: QuadraticDifferential) -> tuple[Polynomial, Polynomial]:
-    """phi in the chart u = 1/z: returns (Pu, Qu) with psi(u) = Pu/Qu.
-
-    psi(u) = phi(1/u) / u^4, computed by coefficient reversal plus a
-    monomial shift of 4; Pu(0) and Qu(0) stay nonzero except for the
-    deliberate u-power carrying the order at infinity.
-    """
-    rp = qd.num.reversed_coeffs()
-    rq = qd.den.reversed_coeffs()
-    shift = qd.den.degree - qd.num.degree - 4
-    if shift >= 0:
-        pu = Polynomial([0j] * shift + list(rp.coeffs))
-        qu = rq
-    else:
-        pu = rp
-        qu = Polynomial([0j] * (-shift) + list(rq.coeffs))
-    return pu, qu
+    return QuadraticDifferential(num.coeffs[-1] / den.coeffs[-1], new_zeros, new_poles)
 
 
 def order_at_infinity(qd: QuadraticDifferential) -> int:
-    return -(qd.num.degree - qd.den.degree + 4)
+    """phi ~ lead z^d at infinity, d the zero count minus the pole count,
+    so phi(1/u) / u^4 has order -(d + 4) at u = 0."""
+    return -(sum(c.multiplicity for c in qd.zeros) - sum(c.multiplicity for c in qd.poles) + 4)
 
 
 def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
@@ -244,18 +281,14 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
     for c in qd.zeros:
         pts.append(CriticalPoint(SpherePoint.finite(c.location), c.multiplicity))
     for c in qd.poles:
-        qr = _leading_at(qd, c.location, -2) if c.multiplicity == 2 else None
+        qr = local_leading_coefficient(qd, c.location) if c.multiplicity == 2 else None
         pts.append(CriticalPoint(SpherePoint.finite(c.location), -c.multiplicity, qr))
     pts.sort(key=lambda p: (p.at.value.real, p.at.value.imag))
 
     n_inf = order_at_infinity(qd)
     if n_inf != 0:
-        qr = None
-        if n_inf == -2:
-            pu, qu = infinity_chart(qd)
-            tail = Polynomial(qu.coeffs[2:])
-            qr = pu(0j) / tail(0j)
-        pts.append(CriticalPoint(SpherePoint.infinity(), n_inf, qr))
+        # at an order -2 infinity phi(1/u) / u^4 ~ lead u^-2
+        pts.append(CriticalPoint(SpherePoint.infinity(), n_inf, qd.lead if n_inf == -2 else None))
     qd._critical = pts
     return pts
 
@@ -295,22 +328,22 @@ def _find_critical(qd: QuadraticDifferential, at: SpherePoint) -> CriticalPoint:
     return best
 
 
-def _leading_at(qd: QuadraticDifferential, z0: complex, n: int) -> complex:
-    """num(z0)/den(z0) once (z - z0)^|n| is divided out of num (n > 0) or
-    den (n < 0): a with phi(z) ~ a (z - z0)^n."""
-    num, den = qd.num, qd.den
-    if n > 0:
-        for _ in range(n):
-            num, _ = num.deflated(z0)
-    else:
-        for _ in range(-n):
-            den, _ = den.deflated(z0)
-    return num(z0) / den(z0)
-
-
-def local_leading_coefficient(qd: QuadraticDifferential, cp: CriticalPoint) -> complex:
-    """a with phi(z) ~ a (z - z0)^n near the finite critical point z0."""
-    return _leading_at(qd, cp.at.value, cp.signed_order)
+def local_leading_coefficient(qd: QuadraticDifferential, at: complex) -> complex:
+    """a with phi(z) ~ a (z - at)^n at the cluster at: lead times (at - c)^m
+    over the other clusters c, with m < 0 for poles, in the order phi takes
+    its factors."""
+    a, b = qd.lead, 1 + 0j
+    for c in qd.zeros:
+        if c.location != at:
+            f = at - c.location
+            for _ in range(c.multiplicity):
+                a = a * f
+    for c in qd.poles:
+        if c.location != at:
+            f = at - c.location
+            for _ in range(c.multiplicity):
+                b = b * f
+    return a / b
 
 
 def critical_directions(qd: QuadraticDifferential, cp: CriticalPoint) -> list[complex]:
@@ -318,7 +351,7 @@ def critical_directions(qd: QuadraticDifferential, cp: CriticalPoint) -> list[co
     critical point of signed order n: theta_k = (2 pi k - arg a) / (n + 2)."""
     if cp.at.is_infinite or not cp.is_finite_critical:
         raise NotFiniteCritical(f"signed order {cp.signed_order} at {cp.at}")
-    a = local_leading_coefficient(qd, cp)
+    a = local_leading_coefficient(qd, cp.at.value)
     n = cp.signed_order
     arg_a = cmath.phase(a)
     out = []
@@ -441,6 +474,11 @@ def _roots_apart(p: Polynomial, q: Polynomial) -> tuple[list[RootCluster], list[
     return proots, qroots
 
 
+def _lead_of(p: Polynomial, q: Polynomial) -> complex:
+    """The leading coefficient of p / q^2."""
+    return p.coeffs[-1] / (q.coeffs[-1] * q.coeffs[-1])
+
+
 def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> QuadraticDifferential:
     """phi = sign * p / q^2, with the pair (sign * p, q) retained."""
     if sign not in (1, -1):
@@ -450,7 +488,7 @@ def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> Qua
     zeros, qroots = _roots_apart(p, q)
     poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in qroots]
     p_eff = p * sign
-    return QuadraticDifferential(p_eff, q * q, zeros, poles, (p_eff, q), "p_over_q_squared")
+    return QuadraticDifferential(_lead_of(p_eff, q), zeros, poles, (p_eff, q), "p_over_q_squared")
 
 
 def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
@@ -479,7 +517,7 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
     poles = [RootCluster(c.location, 2, c.radius) for c in proots + qroots]
     poles.sort(key=lambda c: (c.location.real, c.location.imag))
     num = (n * n) * -1.0
-    return QuadraticDifferential(num, d * d, zeros, poles, (num, d), "lemniscate")
+    return QuadraticDifferential(_lead_of(num, d), zeros, poles, (num, d), "lemniscate")
 
 
 def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferential:

@@ -12,11 +12,11 @@ by more than BRANCH_TURN.
 
 A step is straight-line code: `_dop853` writes out the fixed tableau, each
 stage continuing the root of the stage before it. The root is the
-differential's own function, kept on its _Scene: continue_sqrt(phi(z),
-hint) with phi by Horner's rule written out for its degrees (see
-_root_maker). Both do the float operations of the loops over the tableau
-and the coefficients in the same order, so the results are the same to
-the bit. Stage 0 reuses the root computed at the accepted point, so phi is
+differential's own root(z, hint) = continue_sqrt(phi(z), hint), phi a
+straight-line product over its root clusters (see
+qdiff._evaluator_maker). The step does the float operations of a loop
+over the tableau in the same order, so the results are the same to the
+bit. Stage 0 reuses the root computed at the accepted point, so phi is
 evaluated twelve times per accepted step: eleven stages and the new point.
 The critical points are scanned once per accepted point, for the entry
 test and the step clamp.
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -203,49 +202,6 @@ class TrajectoryRay:
     work: dict = field(default_factory=dict)
 
 
-@functools.lru_cache(maxsize=None)
-def _root_maker(n_num: int, n_den: int):
-    """A maker of root(z, hint) = continue_sqrt(phi(z), hint) for phi = num /
-    den with n_num and n_den coefficients, phi by Horner's rule.
-
-    The maker is compiled once per pair of lengths, as collections.namedtuple
-    compiles a class per list of field names. Its source holds only names
-    and indices: for two numerator and one denominator coefficient it is
-
-        def make(n0, n1, d0, sqrt):
-            def root(z, hint):
-                a = 0j * z + n0
-                a = a * z + n1
-                b = 0j * z + d0
-                v = a / b
-                s = sqrt(complex(v.real + 0.0, v.imag + 0.0))
-                return s if abs(s - hint) <= abs(s + hint) else -s
-            return root
-
-    with the coefficients, highest degree first, bound as closure cells by
-    the call make(*num_desc, *den_desc, cmath.sqrt). They are never written
-    into the text: the repr of a complex number loses signed zeros. The
-    steps are those of the loops a = 0j; a = a * z + c, so every float is
-    the same; one statement per coefficient keeps any degree within the
-    parser's limits.
-    """
-    nums = [f"n{i}" for i in range(n_num)]
-    dens = [f"d{i}" for i in range(n_den)]
-
-    def horner(var, cs):
-        return [f"        {var} = {var if i else '0j'} * z + {c}" for i, c in enumerate(cs)]
-
-    lines = ([f"def make({', '.join(nums + dens)}, sqrt):", "    def root(z, hint):"]
-             + horner("a", nums) + horner("b", dens)
-             + ["        v = a / b",
-                "        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))",
-                "        return s if abs(s - hint) <= abs(s + hint) else -s",
-                "    return root"])
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["make"]
-
-
 class _Scene:
     """Critical-point geometry of a differential: a row (k, position, clamp
     factor alpha) per finite critical point, k its index in
@@ -264,8 +220,8 @@ class _Scene:
     r is the disk's radius: writing phi = a (z - p)^n g(z), |g'/g| <= kappa / r
     bounds how far sqrt(g) moves along the segment from p to z.
 
-    `root` is the differential's root(z, hint), continue_sqrt(phi(z),
-    hint) by straight-line Horner (see _root_maker).
+    `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint)
+    to the bit.
     """
 
     __slots__ = ("rows", "disks", "models", "root")
@@ -289,13 +245,12 @@ class _Scene:
             kappa = r * sum(abs(q.signed_order) / (abs(q.at.value - z) - r)
                             for q in finite if q.at.value != z)
             disks.append(r)
-            models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, cp))) / e,
+            models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, z))) / e,
                            math.expm1(0.5 * kappa)))
         self.rows = tuple(rows)
         self.disks = tuple(disks)
         self.models = tuple(models)
-        num_desc, den_desc = qd.num.coeffs[::-1], qd.den.coeffs[::-1]
-        self.root = _root_maker(len(num_desc), len(den_desc))(*num_desc, *den_desc, cmath.sqrt)
+        self.root = qd.root
 
     @classmethod
     def of(cls, qd: QuadraticDifferential) -> "_Scene":

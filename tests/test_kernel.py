@@ -51,7 +51,7 @@ def imag_drift_reference(qd, ray):
             continue
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         zs = mid + half * GL_NODES
-        vals = qd.num.eval_array(zs) / qd.den.eval_array(zs)
+        vals = qd.phi_array(zs)
         seg = 0j
         for k in range(len(zs)):
             hint = continue_sqrt(complex(vals[k]), hint)

@@ -13,7 +13,7 @@ from qdsphere.errors import (
     WrongProvenance,
 )
 from qdsphere import level
-from qdsphere.graph import pair_zeros_by_short_trajectories
+from qdsphere.graph import PairingFailure, pair_zeros_by_short_trajectories
 from qdsphere.level import level_function, level_grid, verify_level
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import pq_form, principal_sqrt, qd_from_p_over_q_squared, qd_new
@@ -353,3 +353,28 @@ def test_unreachable_sample_is_path_blocked():
     qd, pairing = segment_setup()
     with pytest.raises(PathBlocked):
         level_grid(qd, pairing, (-0.9, -1.0, 0.9, 1.0), 8)
+
+
+def test_level_without_a_pairing_continues_no_lattice(monkeypatch):
+    # the poles are checked, then BranchAmbiguity: without the paired cuts a
+    # lattice loop can go round a lone zero; the base still reads 0
+    qd, _pairing = segment_setup()
+    failure = PairingFailure([0, 1], [z.location for z in qd.zeros], "no short trajectory")
+    monkeypatch.setattr(level._LevelSetup, "continue_over", None)
+    for pairing in (None, failure):
+        with pytest.raises(BranchAmbiguity):
+            level_grid(qd, pairing, (-3.0, -3.0, 3.0, 3.0), 8)
+        with pytest.raises(BranchAmbiguity):
+            level_function(qd, pairing, 2.0 + 1.0j)
+        assert level_function(qd, pairing, qd.zeros[0].location) == 0.0
+
+
+def test_verify_level_reads_the_setup_of_its_field(monkeypatch):
+    qd, pairing = segment_setup()
+    field = level_grid(qd, pairing, (-3.0, -3.0, 3.0, 3.0), 8)
+    opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
+    rays = [trace_horizontal(qd, 1.5 + 1.0j, opts=opts)]
+    want = verify_level(field, rays, qd)
+    monkeypatch.setattr(level, "_LevelSetup", None)
+    monkeypatch.setattr(level, "_lattice", None)
+    assert verify_level(field, rays, qd) == want

@@ -1,6 +1,6 @@
 """The tracer's step loop, its DOP853 stages written out and its root
 generated per differential, against a plain reference loop over the
-tableau and the coefficients. A ray that never ends in an analytic disk
+tableau and the root clusters. A ray that never ends in an analytic disk
 must come out bit-identical. A ray that arrives at a critical point on
 entry into its disk must be the reference ray cut there, since the reference goes on
 stepping to the snap radius; a launched ray must be the reference ray
@@ -24,11 +24,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from qdsphere import tracer
+from qdsphere import qdiff, tracer
 from qdsphere.errors import QdError, StartTooClose
 from qdsphere.geom import point_segment_distance
-from qdsphere.polyalg import Polynomial
+from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
+    QuadraticDifferential,
     continue_sqrt,
     critical_points,
     principal_sqrt,
@@ -98,20 +99,33 @@ DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145
           (10, 0.20136540080403034), (11, 0.02265179219836082))
 
 
-def reference_root(num_desc, den_desc):
-    """root(z, hint) = continue_sqrt(phi(z), hint), phi = num / den by
-    Horner's rule as loops over the coefficients, highest degree first."""
+def reference_root(lead, zeros, poles):
+    """root(z, hint) = continue_sqrt(phi(z), hint), phi = lead prod (z - a)^m
+    / prod (z - b)^n as loops over the (location, order) pairs of the zeros
+    and the poles and over the units of each order."""
 
     def root(z, hint):
-        a = 0j
-        for c in num_desc:
-            a = a * z + c
-        b = 0j
-        for c in den_desc:
-            b = b * z + c
-        return continue_sqrt(a / b, hint)
+        v = lead
+        for a, m in zeros:
+            f = z - a
+            for _ in range(m):
+                v = v * f
+        b = None
+        for a, n in poles:
+            f = z - a
+            for _ in range(n):
+                b = f if b is None else b * f
+        if b is not None:
+            v = v / b
+        return continue_sqrt(v, hint)
 
     return root
+
+
+def clusters_of(qd):
+    """The arguments of reference_root for qd."""
+    return (qd.lead, [(c.location, c.multiplicity) for c in qd.zeros],
+            [(c.location, c.multiplicity) for c in qd.poles])
 
 
 def dop853_stages(root, orientation, z, w, h):
@@ -215,7 +229,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     if launch_from is None and nearest(z0)[1] < snap:
         raise StartTooClose(f"{z0} is within snap radius of a critical point")
 
-    root = reference_root(qd.num.coeffs[::-1], qd.den.coeffs[::-1])
+    root = reference_root(*clusters_of(qd))
     w0 = seed_sqrt if seed_sqrt is not None else root(z0, None)
     if not abs(w0) < math.inf:
         raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
@@ -605,11 +619,10 @@ def test_dop853_matches_the_table_loop(seed, orientation):
     rng = np.random.default_rng(seed)
     box = lambda n: rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
     n_num, n_den = rng.integers(0, 5, size=2)
-    num = Polynomial.from_roots(box(n_num), complex(*rng.normal(size=2)))
-    den = Polynomial.from_roots(box(n_den))
-    root = reference_root(num.coeffs[::-1], den.coeffs[::-1])
+    root = reference_root(complex(*rng.normal(size=2)), [(a, 1) for a in box(n_num).tolist()],
+                          [(b, 1) for b in box(n_den).tolist()])
     z = complex(box(1)[0])
-    w = rng.choice([-1, 1]) * principal_sqrt(num(z) / den(z))
+    w = rng.choice([-1, 1]) * root(z, None)
     h = float(10.0 ** rng.uniform(-6, 0.5))
     assert (_stages_outcome(straight_line_stages, root, orientation, z, w, h)
             == _stages_outcome(dop853_stages, root, orientation, z, w, h))
@@ -665,11 +678,12 @@ signed_part = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0]),
                         st.floats(-4.0, 4.0))
 zero_part = st.sampled_from([0.0, -0.0])
 coeff = st.builds(complex, signed_part, signed_part)
-# on the axes, with real or imaginary coefficients, phi is often a negative
+# on the axes, with real or imaginary locations, phi is often a negative
 # real or pure imaginary value: the root's + 0.0 normalization at the cut
 point = st.one_of(st.builds(complex, signed_part, signed_part),
                   st.builds(complex, signed_part, zero_part),
                   st.builds(complex, zero_part, signed_part))
+clusters = st.lists(st.tuples(point, st.integers(1, 3)), max_size=6)
 
 
 def _root_outcome(root, z, hint):
@@ -680,17 +694,17 @@ def _root_outcome(root, z, hint):
 
 
 @settings(max_examples=1500, deadline=None)
-@given(st.lists(coeff, min_size=1, max_size=13), st.lists(coeff, min_size=1, max_size=13),
-       point, st.builds(complex, signed_part, signed_part), st.sampled_from([1, -1]))
-@example([-1 + 0j], [1 + 0j], 0j, 1j, 1)                       # phi = -1
-@example([complex(-1.0, -0.0)], [1 + 0j], 0j, -1j, 1)          # -1 - 0i
-@example([complex(-0.0, 2.0)], [1 + 0j], 0j, 1 + 1j, -1)       # pure imaginary
-@example([complex(1.0, -0.0), 0j, -1 + 0j], [1 + 0j], 2 + 0j, 1j, -1)
-@example([0j], [0j], 1 + 0j, 1 + 0j, 1)                        # 0 / 0
-def test_generated_root_is_the_loop_form(num_desc, den_desc, z, hint, sheet):
-    ref = reference_root(num_desc, den_desc)
-    root = tracer._root_maker(len(num_desc), len(den_desc))(*num_desc, *den_desc,
-                                                                 cmath.sqrt)
+@given(coeff, clusters, clusters, point, st.builds(complex, signed_part, signed_part),
+       st.sampled_from([1, -1]))
+@example(-1 + 0j, [], [], 0j, 1j, 1)                                   # phi = -1
+@example(complex(-1.0, -0.0), [], [], 0j, -1j, 1)                      # -1 - 0i
+@example(complex(-0.0, 2.0), [], [], 0j, 1 + 1j, -1)                   # pure imaginary
+@example(complex(-1.0, -0.0), [(complex(-0.0, 0.0), 2)], [], 2 + 0j, 1j, -1)
+@example(0j, [(0j, 1)], [(0j, 1)], 0j, 1 + 0j, 1)                      # 0 / 0
+def test_generated_root_is_the_loop_form(lead, zeros, poles, z, hint, sheet):
+    ref = reference_root(lead, zeros, poles)
+    make = qdiff._evaluator_maker(tuple(m for _a, m in zeros), tuple(n for _b, n in poles))
+    phi, root = make(lead, *(a for a, _m in zeros + poles), cmath.sqrt)
     # a hint near either root, and an arbitrary one
     try:
         near = sheet * ref(z, None) + 1e-3 * hint
@@ -698,32 +712,54 @@ def test_generated_root_is_the_loop_form(num_desc, den_desc, z, hint, sheet):
         near = hint
     for h in (near, hint):
         assert _root_outcome(root, z, h) == _root_outcome(ref, z, h)
+        assert _root_outcome(root, z, h) == _root_outcome(
+            lambda z, h: continue_sqrt(phi(z), h), z, h)
 
 
-def test_generated_root_binds_its_coefficients_as_values():
-    # signed zeros in the coefficients reach the root unchanged, and its
-    # code holds no number but the 0j and 0.0 of the loop form
-    num = Polynomial([complex(-0.0, 1.25), complex(3.5, -0.0), 1.0])
-    qd = qd_new(num, Polynomial([0.75j, 1.0]))
+lattice_part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(coeff, st.lists(st.tuples(st.builds(complex, lattice_part, lattice_part),
+                                 st.integers(-3, 3).filter(bool)),
+                       max_size=6, unique_by=lambda c: c[0]),
+       point, st.builds(complex, signed_part, signed_part))
+@example(1 + 0j, [(complex(-0.0, -0.0), 1), (complex(1.0, -0.0), -2)], complex(-0.5, 0.0), 1j)
+def test_scene_root_is_continue_sqrt_of_phi(lead, orders, z, hint):
+    # clusters at distinct lattice points, signed-zero locations included:
+    # the scene's root and the differential's phi agree to the bit
+    zeros = [RootCluster(a, m, 0.0) for a, m in orders if m > 0]
+    poles = [RootCluster(a, -m, 0.0) for a, m in orders if m < 0]
+    qd = QuadraticDifferential(lead, zeros, poles)
+    root = tracer._Scene(qd).root
+    assert _root_outcome(root, z, hint) == _root_outcome(
+        lambda z, h: continue_sqrt(qd.phi(z), h), z, hint)
+
+
+def test_generated_root_binds_its_locations_as_values():
+    # signed zeros in the locations and the lead reach the root unchanged,
+    # and its code holds no number but the 0.0 of the cut normalization
+    qd = QuadraticDifferential(complex(-0.0, 1.25), [RootCluster(complex(3.5, -0.0), 2, 0.0)],
+                               [RootCluster(complex(-0.0, 0.75), 1, 0.0)])
     root = tracer._Scene(qd).root
     cells = {name: cell.cell_contents
              for name, cell in zip(root.__code__.co_freevars, root.__closure__)}
-    coeffs = [cells[name] for name in sorted(cells) if name[0] in "nd"]
-    assert [_bits(c) for c in coeffs] == [
-        _bits(c) for c in (*qd.den.coeffs[::-1], *qd.num.coeffs[::-1])]
+    assert [_bits(cells[name]) for name in ("lead", "a0", "b0")] == [
+        _bits(c) for c in (complex(-0.0, 1.25), complex(3.5, -0.0), complex(-0.0, 0.75))]
     numbers = [c for c in root.__code__.co_consts if isinstance(c, (int, float, complex))]
     assert numbers and all(c == 0 for c in numbers)
 
 
 def test_generated_root_is_built_once_per_differential(monkeypatch):
     calls = []
-    real = tracer._root_maker
-    monkeypatch.setattr(tracer, "_root_maker", lambda *a: calls.append(a) or real(*a))
+    real = qdiff._evaluator_maker
+    monkeypatch.setattr(qdiff, "_evaluator_maker", lambda *a: calls.append(a) or real(*a))
     qd = segment_qd()
     trace_horizontal(qd, 0.5 + 0.5j)
     trace_vertical(qd, 0.5 + 0.5j)
     trace_from_critical(qd, _finite_cps(qd)[0], 0)
-    assert calls == [(3, 1)]
+    assert calls == [((1, 1), ())]
+    assert tracer._Scene.of(qd).root is qd.root
 
 
 # ---------------------------------------------------------------- random differentials
