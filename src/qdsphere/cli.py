@@ -240,7 +240,7 @@ def cmd_level(spec, qd, opts, args):
             input=spec.defaults_echo(),
         )
 
-    verification = verify_level(field, _level_rays(qd, spec, win, opts), qd)
+    verification = verify_level(field, _level_rays(qd, spec, win, opts))
     return EXIT_OK, _report(
         base_point=field.base_point,
         window=field.window,

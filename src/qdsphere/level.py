@@ -13,13 +13,19 @@ of the imaginary part across it is a continuity failure. Whether Im of the
 integral depends on the path at all is decided per pole, by one loop
 integral around its disk. A point off the lattice is reached by one clear
 straight link from a node.
+
+The quadrature runs by stage, each stage one call of the multi-path kernel
+sqrt_panel_integrals: the tree one layer at a time (every edge out of a
+layer starts from a branch already known), then all the loop edges, all
+the pole loops, and all the links of one verified ray. The tree, the
+branches and the first loop or pole reported are those of the edge by edge
+order.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +40,7 @@ OBSTACLE_FACTOR = 2.0
 PANEL_RATIO = 0.4            # leaf panel length over distance to the singular set
 MAX_SPLIT_DEPTH = 26
 POINT_LATTICE = 9            # nodes per side of the lattice level_function links a point to
+DISTANCE_BLOCK = 1 << 16     # point-to-node distances nearest_clear holds at once
 
 
 @dataclass
@@ -103,14 +110,21 @@ def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
     return starts, ends
 
 
-def _integrate(p, q, path: list[complex], seed_hint: complex | None, singular):
-    """Gauss-Legendre integral of branch-continued sqrt(p)/q along path.
-    Returns (integral, final branch hint)."""
-    a, b = _leaf_panels(path, singular)
-    if not a:
-        return 0j, seed_hint
-    running, hint = sqrt_panel_integrals(a, b, p.eval_array, q.eval_array, seed_hint)
-    return complex(running[-1]), hint
+def _integrate(p, q, legs: list, singular) -> list:
+    """Gauss-Legendre integrals of branch-continued sqrt(p)/q along the
+    paths of legs, a list of (path, start hint) pairs, all in one kernel
+    call. Returns one (integral, final branch hint) pair per leg."""
+    a, b, starts = [], [], []
+    for path, _hint in legs:
+        starts.append(len(a))
+        pa, pb = _leaf_panels(path, singular)
+        a += pa
+        b += pb
+    running, hints = sqrt_panel_integrals(a, b, p.eval_array, q.eval_array,
+                                          [hint for _path, hint in legs], starts)
+    ends = starts[1:] + [len(a)]
+    return [(complex(running[e - 1]) if e > s else 0j, h)
+            for s, e, h in zip(starts, ends, hints)]
 
 
 def _seed_probe(qd, base: complex, cuts) -> complex:
@@ -155,9 +169,12 @@ class _LevelSetup:
         """ResidueObstruction at the first pole whose loop integral, around
         a 16-gon on its disk, has an imaginary part: Im of the integral from
         the base then depends on the path."""
+        loops = []
         for c, r in self.pole_obs:
             loop = [c + r * cmath.exp(2j * math.pi * k / 16) for k in range(16)]
-            total, _ = _integrate(self.p, self.q, loop + loop[:1], None, self.singular)
+            loops.append((loop + loop[:1], None))
+        totals = _integrate(self.p, self.q, loops, self.singular)
+        for (c, _r), (total, _) in zip(self.pole_obs, totals):
             gap = abs(total.imag)
             if gap > GAP_REL_TOL * (1.0 + abs(total)):
                 raise ResidueObstruction(
@@ -206,36 +223,43 @@ class _LevelSetup:
                 nbrs[h].append((t, e))
 
         pts = flat.tolist()
-        root = self.nearest_clear(flat, passes, self.probe)
-        leg, hint = _integrate(self.p, self.q, [self.base, self.probe], None, self.singular)
-        step, hint = _integrate(self.p, self.q, [self.probe, pts[root]], hint, self.singular)
+        root = int(self.nearest_clear(flat, passes, np.array([self.probe]))[0])
+        [(leg, hint)] = _integrate(self.p, self.q, [([self.base, self.probe], None)],
+                                   self.singular)
+        [(step, hint)] = _integrate(self.p, self.q, [([self.probe, pts[root]], hint)],
+                                    self.singular)
         value = [complex(math.nan, math.nan)] * len(pts)
         branch = list(value)
         value[root], branch[root] = leg + step, hint
         seen = [False] * len(pts)
         seen[root] = True
         in_tree = [False] * len(tail)
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for w, e in nbrs[u]:
-                if seen[w]:
-                    continue
-                seen[w] = in_tree[e] = True
-                step, hint = _integrate(self.p, self.q, [pts[u], pts[w]], branch[u],
-                                        self.singular)
+        # breadth first, one layer at a time: every edge out of a layer starts
+        # from a branch already known, so the layer's edges share one kernel call
+        layer = [root]
+        while layer:
+            found = []
+            for u in layer:
+                for w, e in nbrs[u]:
+                    if not seen[w]:
+                        seen[w] = in_tree[e] = True
+                        found.append((u, w))
+            steps = _integrate(self.p, self.q, [([pts[u], pts[w]], branch[u]) for u, w in found],
+                               self.singular)
+            layer = []
+            for (u, w), (step, hint) in zip(found, steps):
                 value[w] = value[u] + step
                 if passes[w]:
                     branch[w] = hint
-                    queue.append(w)
+                    layer.append(w)
         lost = [pts[k] for k in range(len(pts)) if not (masked[k] or seen[k])]
         if lost:
             raise PathBlocked(f"no lattice path from the seed probe {self.probe} "
                               f"reaches {lost[0]}")
-        for t, h, used in zip(tail, head, in_tree):
-            if used:
-                continue
-            step, _ = _integrate(self.p, self.q, [pts[t], pts[h]], branch[t], self.singular)
+        loops = [(t, h) for t, h, used in zip(tail, head, in_tree) if not used]
+        steps = _integrate(self.p, self.q, [([pts[t], pts[h]], branch[t]) for t, h in loops],
+                           self.singular)
+        for (t, h), (step, _) in zip(loops, steps):
             want = value[h].imag
             gap = abs((value[t] + step).imag - want)
             if gap > GAP_REL_TOL * (1.0 + abs(want)):
@@ -243,23 +267,36 @@ class _LevelSetup:
                     f"lattice loop through {pts[t]} -> {pts[h]} misses by {gap:.6e}")
         return np.asarray(value).imag, np.asarray(branch), masked
 
-    def nearest_clear(self, nodes: np.ndarray, usable: np.ndarray, z: complex) -> int:
-        """Index of the nearest usable node whose straight link to z is clear."""
+    def nearest_clear(self, nodes: np.ndarray, usable: np.ndarray, zs: np.ndarray) -> np.ndarray:
+        """For each point of zs, the index of the nearest usable node whose
+        straight link to it is clear. The nearest nodes are found a few
+        points at a time, in a table of at most DISTANCE_BLOCK distances,
+        and tested in one clear call; the others, nearest first, only for a
+        point whose nearest node is blocked."""
         cand = np.flatnonzero(usable)
-        order = cand[np.argsort(np.abs(nodes[cand] - z), kind="stable")]
-        for block in (order[:1], order[1:]):
-            ok = np.flatnonzero(self.clear(nodes[block], z))
-            if len(ok):
-                return int(block[ok[0]])
-        raise PathBlocked(f"no lattice node has a clear link to {z}")
+        if not len(cand):
+            raise PathBlocked(f"no lattice node has a clear link to {complex(zs[0])}")
+        near = nodes[cand]
+        rows = max(1, DISTANCE_BLOCK // len(cand))
+        best = np.concatenate([cand[np.argmin(np.abs(near - zs[k:k + rows, None]), axis=1)]
+                               for k in range(0, len(zs), rows)])
+        for i in np.flatnonzero(~self.clear(nodes[best], zs)).tolist():
+            rest = cand[np.argsort(np.abs(near - zs[i]), kind="stable")][1:]
+            ok = np.flatnonzero(self.clear(nodes[rest], zs[i]))
+            if not len(ok):
+                raise PathBlocked(f"no lattice node has a clear link to {complex(zs[i])}")
+            best[i] = rest[ok[0]]
+        return best
 
     def linked(self, nodes: np.ndarray, level: np.ndarray, branch: np.ndarray,
-               z: complex) -> float:
-        """Level at z through one clear straight link from a lattice node."""
-        k = self.nearest_clear(nodes, ~np.isnan(branch), z)
-        step, _ = _integrate(self.p, self.q, [complex(nodes[k]), z], complex(branch[k]),
-                             self.singular)
-        return float(level[k] + step.imag)
+               zs: np.ndarray) -> np.ndarray:
+        """Level at each point of zs through one clear straight link from a
+        lattice node, all links integrated in one kernel call."""
+        ks = self.nearest_clear(nodes, ~np.isnan(branch), zs).tolist()
+        steps = _integrate(self.p, self.q,
+                           [([complex(nodes[k]), z], complex(branch[k]))
+                            for k, z in zip(ks, zs.tolist())], self.singular)
+        return np.array([level[k] + step.imag for k, (step, _) in zip(ks, steps)])
 
     def point_lattice(self, z: complex) -> np.ndarray:
         """The POINT_LATTICE x POINT_LATTICE lattice over the bounding square
@@ -307,7 +344,7 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     _require_cuts(pairing)
     zs = setup.point_lattice(z)
     level, branch, _ = setup.continue_over(zs)
-    return setup.linked(zs.ravel(), level, branch, z)
+    return float(setup.linked(zs.ravel(), level, branch, np.array([z]))[0])
 
 
 def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField:
@@ -326,7 +363,7 @@ def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField
                       branch.reshape(n, n), zs, setup)
 
 
-def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> VerificationReport:
+def verify_level(field: LevelField, rays) -> VerificationReport:
     """Check the three defining properties on a sampled field.
 
     (i) continuity: adjacent unmasked samples away from cuts jump by at
@@ -335,8 +372,7 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
     have standard deviation at most 1e-5 * (1 + |mean|). (iii) no open
     constancy: every unmasked 2x2 block has positive value spread. The
     rays are linked to the field by the setup and over the lattice it was
-    continued with, so qd, the differential it was built for, is not read
-    again.
+    continued with, the samples of one ray in one kernel call.
     """
     if not rays:
         raise EmptyLevel("verification needs at least one ray")
@@ -349,8 +385,8 @@ def verify_level(field: LevelField, rays, qd: QuadraticDifferential) -> Verifica
         pts = np.asarray(ray.points, dtype=complex)
         take = np.linspace(0, len(pts) - 1, min(len(pts), 120)).astype(int)
         pts = pts[np.unique(take)]
-        vals = [setup.linked(nodes, level, branch, z)
-                for z in pts[setup.outside_disks(pts)].tolist()]
+        pts = pts[setup.outside_disks(pts)]
+        vals = setup.linked(nodes, level, branch, pts) if len(pts) else []
         if len(vals) < 2:
             ok_ii = False
             ray_stats.append({"samples": len(vals), "std": None, "pass": False})

@@ -14,6 +14,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate, islice
 
 import numpy as np
 
@@ -374,8 +375,9 @@ def continue_sqrt(v: complex, hint: complex | None) -> complex:
     return s if abs(s - hint) <= abs(s + hint) else -s
 
 
-def continue_sqrt_along(values, hint: complex | None = None) -> np.ndarray:
-    """Branch-continuous square roots of a sequence of values.
+def continue_sqrt_along(values, hint=None, starts=None) -> np.ndarray:
+    """Branch-continuous square roots of one sequence of values, or of
+    several laid end to end.
 
     Equal to the sequential loop w_k = continue_sqrt(values[k], w_{k-1})
     with w_{-1} = hint (None: the first root is principal). Each w_k is the
@@ -384,62 +386,114 @@ def continue_sqrt_along(values, hint: complex | None = None) -> np.ndarray:
     flips. The first flip test is against the hint itself. A flip test
     within rounding of a tie, or on a non-finite value, depends on more than
     the parity, and the whole sequence is then continued by the loop.
+
+    With starts, sequence j runs from values[starts[j]] to the next start
+    and hint holds one hint per sequence. The starts ascend from 0 (an
+    empty sequence allowed; ValueError when the first start is not 0). The
+    parity restarts at each start, and only a sequence with a tie goes
+    through the loop. Each sequence gets the roots a call on it alone
+    would give.
     """
     v = np.asarray(values, dtype=complex)
     s = np.sqrt(v + 0.0)
     if s.size == 0:
         return s
+    if starts is None:
+        starts, hint = [0], [hint]
+    if not len(starts) or starts[0] != 0:
+        raise ValueError("the first sequence must start at index 0")
     # numpy rounds the root of a pure imaginary value differently from cmath
     for k in np.flatnonzero(v.real == 0.0):
         s[k] = principal_sqrt(complex(v[k]))
+    ends = [*starts[1:], len(v)]
     prev = np.empty_like(s)
-    prev[0] = s[0] if hint is None else hint
     prev[1:] = s[:-1]
+    for lo, hi, h in zip(starts, ends, hint):
+        if lo < hi:
+            prev[lo] = s[lo] if h is None else h
     d_same = np.abs(s - prev)
     d_flip = np.abs(s + prev)
-    if not np.all(np.abs(d_same - d_flip) > FLIP_TIE_RTOL * (d_same + d_flip)):
-        out = np.empty_like(s)
-        for k, x in enumerate(v.tolist()):
-            hint = out[k] = continue_sqrt(x, hint)
-        return out
-    return np.where(np.cumsum(d_same > d_flip) & 1, -s, s)
+    flips = np.cumsum(d_same > d_flip)
+    if len(starts) > 1:
+        # each sequence counts its flips from its own start
+        before = np.concatenate(([0], flips))[starts]
+        flips -= np.repeat(before, np.subtract(ends, starts))
+    out = np.where(flips & 1, -s, s)
+    decided = np.abs(d_same - d_flip) > FLIP_TIE_RTOL * (d_same + d_flip)
+    if not np.all(decided):
+        for j in np.unique(np.searchsorted(starts, np.flatnonzero(~decided), "right") - 1).tolist():
+            h = hint[j]
+            for k in range(starts[j], ends[j]):
+                h = out[k] = continue_sqrt(complex(v[k]), h)
+    return out
 
 
-def sqrt_panel_integrals(a, b, radicand, divisor=None, hint: complex | None = None):
+def sqrt_panel_integrals(a, b, radicand, divisor=None, hints=(None,), starts=(0,)):
     """Running 8-node Gauss-Legendre integrals of sqrt(radicand) / divisor
-    over the consecutive panels [a[i], b[i]].
+    over the consecutive panels [a[i], b[i]] of one or more paths laid end
+    to end.
 
-    radicand and divisor map a complex array of nodes to values there (a
-    missing divisor is 1). The square root is branch-continued through the
-    nodes of all panels in order, starting from hint. Panels are evaluated
-    PANEL_BLOCK at a time, the branch and the running sum carried from block
-    to block, so the sums are added in panel order. Returns (running sum at
-    the end of each panel, last square root). Raises PoleOnPath when the
-    divisor vanishes at a node.
+    Path j is made of the panels from starts[j] to the next start, and its
+    square root starts from hints[j] (None: principal). The starts ascend
+    from 0 (an empty path allowed; ValueError when there are panels and the
+    first start is not 0). radicand and divisor map a complex array of
+    nodes to values there (a missing divisor is 1). The square root is
+    branch-continued through the nodes by continue_sqrt_along, restarting
+    at each start. The panels are evaluated PANEL_BLOCK at a time, and a
+    path that runs on into the next block carries its branch and its
+    running sum there, so each path's sums are added in panel order and it
+    gets the floats a call on it alone would give. Returns (running sum at
+    the end of each panel, restarting at each start; the last square root
+    of each path as a list, an empty path's being its hint). Raises
+    PoleOnPath when the divisor vanishes at a node.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
+    starts = list(starts)
+    if len(a) and starts[:1] != [0]:
+        raise ValueError("the first path must start at panel 0")
+    ends = [*starts[1:], len(a)]
+    hints = list(hints)
     running = np.empty(len(a), dtype=complex)
-    carry = 0j
+    nodes = len(GL_NODES)
+    j = 0                                  # the path that holds panel lo
+    carry = 0j                             # and its running sum before lo
     for lo in range(0, len(a), PANEL_BLOCK):
         hi = min(lo + PANEL_BLOCK, len(a))
+        # the paths with panels in the block, and where each begins in it
+        paths, first = [], []
+        while j < len(starts) and starts[j] < hi:
+            if ends[j] > max(starts[j], lo):
+                paths.append(j)
+                first.append(max(starts[j], lo) - lo)
+            j += 1
+        j = paths[-1]
+        after = [*first[1:], hi - lo]
         mid = 0.5 * (a[lo:hi] + b[lo:hi])
         half = 0.5 * (b[lo:hi] - a[lo:hi])
         zs = (mid[:, None] + half[:, None] * GL_NODES).ravel()
-        w = continue_sqrt_along(radicand(zs), hint)
-        hint = complex(w[-1])
-        terms = w.reshape(hi - lo, len(GL_NODES)) * GL_WEIGHTS
+        w = continue_sqrt_along(radicand(zs), [hints[k] for k in paths],
+                                [nodes * f for f in first])
+        for k, h in zip(paths, w[[nodes * g - 1 for g in after]].tolist()):
+            hints[k] = h
+        terms = w.reshape(hi - lo, nodes) * GL_WEIGHTS
         if divisor is not None:
             dv = divisor(zs)
             if not np.all(dv):
                 raise PoleOnPath(f"quadrature node {zs[dv == 0][0]} hits a pole")
             terms /= dv.reshape(terms.shape)
         seg = terms[:, 0].copy()           # summed node by node, in the loop's order
-        for k in range(1, len(GL_NODES)):
+        for k in range(1, nodes):
             seg += terms[:, k]
-        running[lo:hi] = np.cumsum(np.concatenate(([carry], seg * half)))[1:]
-        carry = running[hi - 1]
-    return running, hint
+        # each path's sums added one by one in panel order, from the sum it
+        # carries in or from 0
+        sums = (seg * half).tolist()
+        acc = []
+        for k, f, g in zip(paths, first, after):
+            acc += islice(accumulate(sums[f:g], initial=carry if starts[k] < lo else 0j), 1, None)
+        carry = acc[-1]
+        running[lo:hi] = acc
+    return running, hints
 
 
 def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[complex, complex]:
@@ -454,7 +508,7 @@ def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[comple
     when no other critical point is within a few |z - p| of p.
     """
     t = cmath.sqrt(z - p)
-    running, last = sqrt_panel_integrals(
+    running, [last] = sqrt_panel_integrals(
         [0j, 0.5 * t], [0.5 * t, t], lambda s: 4.0 * s * s * qd.phi_array(p + s * s))
     w = continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t)
     return complex(running[-1]), w

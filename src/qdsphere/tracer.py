@@ -568,6 +568,6 @@ def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
     if not moved.any():
         return 0.0
     running, _ = sqrt_panel_integrals(a[moved], b[moved], qd.phi_array,
-                                      hint=complex(ray.sqrt_values[0]))
+                                      hints=[complex(ray.sqrt_values[0])])
     across = running.real if ray.orientation.imag else running.imag
     return float(np.max(np.abs(across)))

@@ -263,7 +263,7 @@ def test_11_level_function_verification_and_obstruction():
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
     rays = [trace_horizontal(qd, z0, opts=opts)
             for z0 in (1.5 + 1.0j, -0.5 - 1.2j, 2.0 + 0.3j)]
-    report = verify_level(field, rays, qd)
+    report = verify_level(field, rays)
     assert report.passed_ii, report.details
     for stat in report.details["rays"]:
         assert stat["std"] <= 1e-5 * (1.0 + abs(stat["mean"]))

@@ -260,7 +260,7 @@ def test_count_crossings_matches_reference_on_fixture_rays():
 
 def _level_run(qd, pairing, window, n, rays):
     field = level.level_grid(qd, pairing, window, n)
-    return field, level.verify_level(field, rays, qd)
+    return field, level.verify_level(field, rays)
 
 
 @pytest.mark.parametrize("p", [[1.0, 0.0, -1.0], [4.0, 0.0, -1.0]],

@@ -168,7 +168,7 @@ def test_verify_level_passes_clean_field():
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
     rays = [trace_horizontal(qd, z0, opts=opts)
             for z0 in (1.5 + 1.0j, -0.5 - 1.2j, 2.0 + 0.3j)]
-    report = verify_level(field, rays, qd)
+    report = verify_level(field, rays)
     assert report.passed_i and report.passed_ii and report.passed_iii
     assert report.details["degenerate_blocks"] == 0
 
@@ -181,7 +181,7 @@ def test_verify_level_flags_flat_plateau():
     fake = dataclasses.replace(field, grid=g)
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
     rays = [trace_horizontal(qd, 1.5 + 1.0j, opts=opts)]
-    report = verify_level(fake, rays, qd)
+    report = verify_level(fake, rays)
     assert not report.passed_iii
     assert report.details["degenerate_blocks"] >= 1
 
@@ -194,7 +194,7 @@ def test_verify_level_flags_corrupted_sample():
     fake = dataclasses.replace(field, grid=g)
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
     rays = [trace_horizontal(qd, 1.5 + 1.0j, opts=opts)]
-    report = verify_level(fake, rays, qd)
+    report = verify_level(fake, rays)
     assert not report.passed_i
 
 
@@ -236,7 +236,7 @@ def _continuity_ratio(monkeypatch, field, rays, qd):
     evaluations."""
     calls = []
     monkeypatch.setattr(level, "principal_sqrt", lambda v: calls.append(v) or principal_sqrt(v))
-    ratio = verify_level(field, rays, qd).details["continuity_worst_ratio"]
+    ratio = verify_level(field, rays).details["continuity_worst_ratio"]
     return ratio, len(calls)
 
 
@@ -287,7 +287,7 @@ def test_verify_level_needs_rays():
     qd, pairing = segment_setup()
     field = level_grid(qd, pairing, (-3.0, -3.0, 3.0, 3.0), 8)
     with pytest.raises(EmptyLevel):
-        verify_level(field, [], qd)
+        verify_level(field, [])
 
 
 def test_level_harmonic_away_from_cuts():
@@ -374,7 +374,7 @@ def test_verify_level_reads_the_setup_of_its_field(monkeypatch):
     field = level_grid(qd, pairing, (-3.0, -3.0, 3.0, 3.0), 8)
     opts = TraceOptions.for_qd(qd).replace(max_phi_length=4.0)
     rays = [trace_horizontal(qd, 1.5 + 1.0j, opts=opts)]
-    want = verify_level(field, rays, qd)
+    want = verify_level(field, rays)
     monkeypatch.setattr(level, "_LevelSetup", None)
     monkeypatch.setattr(level, "_lattice", None)
-    assert verify_level(field, rays, qd) == want
+    assert verify_level(field, rays) == want
