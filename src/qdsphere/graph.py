@@ -20,7 +20,7 @@ from .qdiff import (
     critical_directions,
     critical_points,
     order_at_infinity,
-    pq_form,
+    require_form,
 )
 from .tracer import (
     CLOSED,
@@ -153,12 +153,12 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
 
     The candidates are the short edges between two zeros whose
     multiplicities have equal parity, so every pair joins two branch points
-    of sqrt(p) or none, and the cuts of a Pairing make sqrt(p) single-valued
-    off them. Returns the lexicographically first perfect matching over the
+    of sqrt(phi) or none, and the cuts of a Pairing make sqrt(phi)
+    single-valued off them. Returns the lexicographically first perfect matching over the
     candidates as a Pairing, or a PairingFailure listing the zeros a maximum
     matching leaves unmatched.
     """
-    pq_form(qd, "pairing")
+    require_form(qd, "pairing")
     zeros = qd.zeros
     if not zeros:
         return Pairing([], [], [], "vacuous")

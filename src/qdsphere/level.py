@@ -1,6 +1,11 @@
-"""Level function Im of the integral of sqrt(p)/q from the first paired zero.
+"""Level function Im of the integral of sqrt(phi) from the first paired zero.
 
-The branch of sqrt(p)/q is continued over a lattice graph. Its nodes are
+The integrand is sqrt(phi), phi evaluated from its root clusters, so the
+level is a function of phi alone, not of how phi was written down. Its
+sign is fixed by the principal sqrt(phi) at the first quadrature node of
+the base -> seed probe leg.
+
+The branch of sqrt(phi) is continued over a lattice graph. Its nodes are
 the lattice points outside the pole disks. An edge joins two 4-neighbours
 when their straight segment meets no cut, touching included, and enters no
 pole disk. The base -> seed probe leg is integrated once; the probe is
@@ -33,7 +38,7 @@ import numpy as np
 from .errors import BranchAmbiguity, EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction
 from .geom import crossing_counts, meets, segment_distances
 from .graph import Pairing
-from .qdiff import QuadraticDifferential, pq_form, principal_sqrt, sqrt_panel_integrals
+from .qdiff import QuadraticDifferential, require_form, sqrt_panel_integrals
 
 GAP_REL_TOL = 1e-6
 OBSTACLE_FACTOR = 2.0
@@ -51,7 +56,7 @@ class LevelField:
     window: tuple
     undefined_mask: np.ndarray
     n: int
-    branch: np.ndarray            # sqrt(p) carried on from each node; nan where none is
+    branch: np.ndarray            # sqrt(phi) carried on from each node; nan where none is
     lattice: np.ndarray           # the sample points, shaped as grid
     setup: _LevelSetup            # what the field was continued with
 
@@ -110,8 +115,8 @@ def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
     return starts, ends
 
 
-def _integrate(p, q, legs: list, singular) -> list:
-    """Gauss-Legendre integrals of branch-continued sqrt(p)/q along the
+def _integrate(radicand, legs: list, singular) -> list:
+    """Gauss-Legendre integrals of branch-continued sqrt(radicand) along the
     paths of legs, a list of (path, start hint) pairs, all in one kernel
     call. Returns one (integral, final branch hint) pair per leg."""
     a, b, starts = [], [], []
@@ -120,8 +125,7 @@ def _integrate(p, q, legs: list, singular) -> list:
         pa, pb = _leaf_panels(path, singular)
         a += pa
         b += pb
-    running, hints = sqrt_panel_integrals(a, b, p.eval_array, q.eval_array,
-                                          [hint for _path, hint in legs], starts)
+    running, hints = sqrt_panel_integrals(a, b, radicand, [hint for _path, hint in legs], starts)
     ends = starts[1:] + [len(a)]
     return [(complex(running[e - 1]) if e > s else 0j, h)
             for s, e, h in zip(starts, ends, hints)]
@@ -153,7 +157,8 @@ class _LevelSetup:
     base."""
 
     def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
-        self.p, self.q = pq_form(qd, "level function")
+        require_form(qd, "level function")
+        self.phi = qd.phi_array
         self.base = base
         self.cuts = cuts
         self.pole_obs = [(c.location, OBSTACLE_FACTOR * qd.guard_radius(c.location))
@@ -173,7 +178,7 @@ class _LevelSetup:
         for c, r in self.pole_obs:
             loop = [c + r * cmath.exp(2j * math.pi * k / 16) for k in range(16)]
             loops.append((loop + loop[:1], None))
-        totals = _integrate(self.p, self.q, loops, self.singular)
+        totals = _integrate(self.phi, loops, self.singular)
         for (c, _r), (total, _) in zip(self.pole_obs, totals):
             gap = abs(total.imag)
             if gap > GAP_REL_TOL * (1.0 + abs(total)):
@@ -224,10 +229,8 @@ class _LevelSetup:
 
         pts = flat.tolist()
         root = int(self.nearest_clear(flat, passes, np.array([self.probe]))[0])
-        [(leg, hint)] = _integrate(self.p, self.q, [([self.base, self.probe], None)],
-                                   self.singular)
-        [(step, hint)] = _integrate(self.p, self.q, [([self.probe, pts[root]], hint)],
-                                    self.singular)
+        [(leg, hint)] = _integrate(self.phi, [([self.base, self.probe], None)], self.singular)
+        [(step, hint)] = _integrate(self.phi, [([self.probe, pts[root]], hint)], self.singular)
         value = [complex(math.nan, math.nan)] * len(pts)
         branch = list(value)
         value[root], branch[root] = leg + step, hint
@@ -244,7 +247,7 @@ class _LevelSetup:
                     if not seen[w]:
                         seen[w] = in_tree[e] = True
                         found.append((u, w))
-            steps = _integrate(self.p, self.q, [([pts[u], pts[w]], branch[u]) for u, w in found],
+            steps = _integrate(self.phi, [([pts[u], pts[w]], branch[u]) for u, w in found],
                                self.singular)
             layer = []
             for (u, w), (step, hint) in zip(found, steps):
@@ -257,7 +260,7 @@ class _LevelSetup:
             raise PathBlocked(f"no lattice path from the seed probe {self.probe} "
                               f"reaches {lost[0]}")
         loops = [(t, h) for t, h, used in zip(tail, head, in_tree) if not used]
-        steps = _integrate(self.p, self.q, [([pts[t], pts[h]], branch[t]) for t, h in loops],
+        steps = _integrate(self.phi, [([pts[t], pts[h]], branch[t]) for t, h in loops],
                            self.singular)
         for (t, h), (step, _) in zip(loops, steps):
             want = value[h].imag
@@ -293,7 +296,7 @@ class _LevelSetup:
         """Level at each point of zs through one clear straight link from a
         lattice node, all links integrated in one kernel call."""
         ks = self.nearest_clear(nodes, ~np.isnan(branch), zs).tolist()
-        steps = _integrate(self.p, self.q,
+        steps = _integrate(self.phi,
                            [([complex(nodes[k]), z], complex(branch[k]))
                             for k, z in zip(ks, zs.tolist())], self.singular)
         return np.array([level[k] + step.imag for k, (step, _) in zip(ks, steps)])
@@ -325,7 +328,9 @@ def _require_cuts(pairing):
 
 
 def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
-    """Im of the path integral of sqrt(p)/q from the base zero to z.
+    """Im of the path integral of sqrt(phi) from the base zero to z, with
+    sqrt(phi) principal at the first node of the base -> seed probe leg:
+    a function of phi alone.
 
     z is linked to a small lattice over the base, the seed probe, z and the
     cuts, continued as level_grid continues its own. Raises GuardViolation
@@ -411,7 +416,7 @@ def verify_level(field: LevelField, rays) -> VerificationReport:
     # neighbour pairs split by a cut: along x from (iy, ix), along y from (iy, ix)
     cut_x = _crosses_cut(zs[:, :-1], zs[:, 1:], field.cuts)
     cut_y = _crosses_cut(zs[:-1, :], zs[1:, :], field.cuts)
-    # |sqrt(p)/q| once per point of a checked pair, never at a masked point
+    # |sqrt(phi)| once per point of a checked pair, in one call, never at a masked point
     pair_x = ~m[:, :-1] & ~m[:, 1:] & ~cut_x
     pair_y = ~m[:-1, :] & ~m[1:, :] & ~cut_y
     used = np.zeros_like(m)
@@ -419,11 +424,8 @@ def verify_level(field: LevelField, rays) -> VerificationReport:
     used[:, 1:] |= pair_x
     used[:-1, :] |= pair_y
     used[1:, :] |= pair_y
-    p, q = setup.p, setup.q
     gabs = np.zeros((n, n))
-    for iy, ix in zip(*np.nonzero(used)):
-        z = complex(zs[iy, ix])
-        gabs[iy, ix] = abs(principal_sqrt(p(z)) / q(z))
+    gabs[used] = np.sqrt(np.abs(setup.phi(zs[used])))
     # the max of the ratios skips NaN and does not depend on the pair order
     ratios = [0.0]
     for pairs, h, a, b in ((pair_x, hx, np.s_[:, :-1], np.s_[:, 1:]),

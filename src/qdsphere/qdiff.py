@@ -78,12 +78,11 @@ class CriticalPoint:
         return self.signed_order >= -1
 
 
-def pq_form(qd: "QuadraticDifferential", what: str):
-    """(p, q) with phi = p / q^2, for a differential built from such a pair;
-    WrongProvenance, naming what needed them, for any other."""
-    if qd.pq is None:
+def require_form(qd: "QuadraticDifferential", what: str):
+    """WrongProvenance, naming what needed it, unless a constructor of one
+    of the p/q^2 style families built qd."""
+    if qd.form is None:
         raise WrongProvenance(f"{what} requires a p/q^2 style construction")
-    return qd.pq
 
 
 @functools.lru_cache(maxsize=None)
@@ -134,17 +133,15 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
 
 class QuadraticDifferential:
     """phi = lead * prod (z - a)^m / prod (z - b)^n over the zero clusters
-    a and pole clusters b, in lowest terms. pq is the pair (p, q) with
-    phi = p / q^2 when a constructor built phi from one, and form that
-    constructor's name; both are None otherwise. phi(z) and root(z, hint)
-    are made for the clusters (see _evaluator_maker)."""
+    a and pole clusters b, in lowest terms. form names the constructor of a
+    p/q^2 style family that built phi, and is None otherwise. phi(z) and
+    root(z, hint) are made for the clusters (see _evaluator_maker)."""
 
     def __init__(self, lead: complex, zeros: list[RootCluster], poles: list[RootCluster],
-                 pq: tuple[Polynomial, Polynomial] | None = None, form: str | None = None):
+                 form: str | None = None):
         self.lead = complex(lead)
         self.zeros = zeros
         self.poles = poles
-        self.pq = pq
         self.form = form
         self._critical: list[CriticalPoint] | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
@@ -428,24 +425,23 @@ def continue_sqrt_along(values, hint=None, starts=None) -> np.ndarray:
     return out
 
 
-def sqrt_panel_integrals(a, b, radicand, divisor=None, hints=(None,), starts=(0,)):
-    """Running 8-node Gauss-Legendre integrals of sqrt(radicand) / divisor
-    over the consecutive panels [a[i], b[i]] of one or more paths laid end
-    to end.
+def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
+    """Running 8-node Gauss-Legendre integrals of sqrt(radicand) over the
+    consecutive panels [a[i], b[i]] of one or more paths laid end to end.
 
     Path j is made of the panels from starts[j] to the next start, and its
-    square root starts from hints[j] (None: principal). The starts ascend
-    from 0 (an empty path allowed; ValueError when there are panels and the
-    first start is not 0). radicand and divisor map a complex array of
-    nodes to values there (a missing divisor is 1). The square root is
-    branch-continued through the nodes by continue_sqrt_along, restarting
-    at each start. The panels are evaluated PANEL_BLOCK at a time, and a
-    path that runs on into the next block carries its branch and its
-    running sum there, so each path's sums are added in panel order and it
-    gets the floats a call on it alone would give. Returns (running sum at
-    the end of each panel, restarting at each start; the last square root
-    of each path as a list, an empty path's being its hint). Raises
-    PoleOnPath when the divisor vanishes at a node.
+    square root starts from hints[j] (None: principal at its first node).
+    The starts ascend from 0 (an empty path allowed; ValueError when there
+    are panels and the first start is not 0). radicand maps a complex array
+    of nodes to values there, phi_array for the integral of sqrt(phi), and
+    raises what it raises (PoleOnPath for a node on a pole). The square
+    root is branch-continued through the nodes by continue_sqrt_along,
+    restarting at each start. The panels are evaluated PANEL_BLOCK at a
+    time, and a path that runs on into the next block carries its branch
+    and its running sum there, so each path's sums are added in panel order
+    and it gets the floats a call on it alone would give. Returns (running
+    sum at the end of each panel, restarting at each start; the last square
+    root of each path as a list, an empty path's being its hint).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -477,11 +473,6 @@ def sqrt_panel_integrals(a, b, radicand, divisor=None, hints=(None,), starts=(0,
         for k, h in zip(paths, w[[nodes * g - 1 for g in after]].tolist()):
             hints[k] = h
         terms = w.reshape(hi - lo, nodes) * GL_WEIGHTS
-        if divisor is not None:
-            dv = divisor(zs)
-            if not np.all(dv):
-                raise PoleOnPath(f"quadrature node {zs[dv == 0][0]} hits a pole")
-            terms /= dv.reshape(terms.shape)
         seg = terms[:, 0].copy()           # summed node by node, in the loop's order
         for k in range(1, nodes):
             seg += terms[:, k]
@@ -528,21 +519,16 @@ def _roots_apart(p: Polynomial, q: Polynomial) -> tuple[list[RootCluster], list[
     return proots, qroots
 
 
-def _lead_of(p: Polynomial, q: Polynomial) -> complex:
-    """The leading coefficient of p / q^2."""
-    return p.coeffs[-1] / (q.coeffs[-1] * q.coeffs[-1])
-
-
 def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> QuadraticDifferential:
-    """phi = sign * p / q^2, with the pair (sign * p, q) retained."""
+    """phi = sign * p / q^2."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomial("p and q must be nonzero")
     zeros, qroots = _roots_apart(p, q)
     poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in qroots]
-    p_eff = p * sign
-    return QuadraticDifferential(_lead_of(p_eff, q), zeros, poles, (p_eff, q), "p_over_q_squared")
+    lead = sign * p.coeffs[-1] / (q.coeffs[-1] * q.coeffs[-1])
+    return QuadraticDifferential(lead, zeros, poles, "p_over_q_squared")
 
 
 def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
@@ -570,8 +556,8 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
              for c in (poly_roots(n) if n.degree >= 1 else [])]
     poles = [RootCluster(c.location, 2, c.radius) for c in proots + qroots]
     poles.sort(key=lambda c: (c.location.real, c.location.imag))
-    num = (n * n) * -1.0
-    return QuadraticDifferential(_lead_of(num, d), zeros, poles, (num, d), "lemniscate")
+    lead = -(n.coeffs[-1] * n.coeffs[-1])          # d is monic
+    return QuadraticDifferential(lead, zeros, poles, "lemniscate")
 
 
 def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferential:
@@ -582,14 +568,14 @@ def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferent
     disc = q * q - (p * r) * 4.0
     if disc.is_zero():
         raise ZeroPolynomial("q^2 - 4 p r vanishes identically")
-    num = disc * -1.0
-    qd = qd_new(num, p * p)
-    qd.pq, qd.form = (num, p), "cauchy"
+    qd = qd_new(disc * -1.0, p * p)
+    qd.form = "cauchy"
     return qd
 
 
 def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
-    """(1/2 pi i) sqrt(q^2 - 4 p r) / p along the given oriented polyline.
+    """(1/2 pi i) sqrt(-phi) = (1/2 pi i) sqrt(q^2 - 4 p r) / p along the
+    given oriented polyline.
 
     Branch-continuous along the points; the global sign is fixed so the
     middle value is real and nonnegative (BranchAmbiguity if neither sign
@@ -597,12 +583,10 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
     """
     if qd.form != "cauchy":
         raise WrongProvenance("measure density requires cauchy provenance")
-    # phi = -(q^2 - 4 p r) / p^2 is held as the pair (-(q^2 - 4 p r), p)
-    minus_disc, p = qd.pq
     pts = np.asarray(points, dtype=complex)
     if not len(pts):
         return []
-    vals = continue_sqrt_along(-minus_disc.eval_array(pts)) / (2j * math.pi * p.eval_array(pts))
+    vals = continue_sqrt_along(-qd.phi_array(pts)) / (2j * math.pi)
     mid = complex(vals[len(vals) // 2])
     sign = None
     for s in (1.0, -1.0):

@@ -513,8 +513,9 @@ def test_criteria_inconclusive_exit_10(tmp_path, capsys):
 
 
 def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
-    # the residue criterion takes q's zeros from the poles of phi = p / q^2
-    from qdsphere import criteria, polyalg, qdiff
+    # the residue criterion reads the double poles of phi = p / q^2 from its
+    # critical points and root-finds nothing itself
+    from qdsphere import polyalg, qdiff
 
     calls = []
     real = polyalg.poly_roots
@@ -523,7 +524,7 @@ def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
         calls.append(p)
         return real(p)
 
-    for module in (polyalg, qdiff, criteria):
+    for module in (polyalg, qdiff):
         monkeypatch.setattr(module, "poly_roots", counted)
     spec = write_spec(tmp_path, {"format_version": 1, "p_over_q_squared": {
         "p": [[-4.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[-0.5, 0.0], [1.0, 0.0]]}})

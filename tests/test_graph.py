@@ -403,24 +403,22 @@ def _from_coefficients(name, a=1.0, b=0.0):
 
 def _affine_image(name, a=1.0, b=0.0):
     """The pullback of a fixture. The mirror example's is built from its
-    clusters moved by z -> (z - b) / a and its lead times a^(2 + 12), with
-    the composed pair (p, q) kept for the pairing: through its coefficients
-    a complex map leaves its double zeros ~1e-7 off, and that breaks the
-    short edges between them (see test_mirror_image_from_coefficients)."""
+    clusters moved by z -> (z - b) / a and its lead times a^(2 + 12), and
+    keeps its form for the pairing: through its coefficients a complex map
+    leaves its double zeros ~1e-7 off, and that breaks the short edges
+    between them (see test_mirror_image_from_coefficients)."""
     if name != "mirror":
         return _from_coefficients(name, a, b)
     qd = _from_coefficients(name)
     moved = lambda cs: sorted((RootCluster((c.location - b) / a, c.multiplicity, c.radius / abs(a))
                                for c in cs), key=lambda c: (c.location.real, c.location.imag))
-    p, q = qd.pq
-    return QuadraticDifferential(qd.lead * a ** 14, moved(qd.zeros), moved(qd.poles),
-                                 (_compose(p, a, b) * (a * a), _compose(q, a, b)), qd.form)
+    return QuadraticDifferential(qd.lead * a ** 14, moved(qd.zeros), moved(qd.poles), qd.form)
 
 
 def _affine_summary(qd, budget=1.0):
     opts = TraceOptions.for_qd(qd)
     graph = build_critical_graph(qd, opts.replace(max_phi_length=budget * opts.max_phi_length))
-    pairing = pair_zeros_by_short_trajectories(qd, graph=graph) if qd.pq else None
+    pairing = pair_zeros_by_short_trajectories(qd, graph=graph) if qd.form else None
     verdicts = sorted((v.criterion, v.verdict) for v in run_all(qd, graph=graph))
     return graph, pairing, verdicts
 

@@ -31,6 +31,7 @@ from qdsphere.tracer import TraceOptions, imag_drift_of, trace_horizontal
 
 ONE = Polynomial([1.0])
 Z = Polynomial([0.0, 1.0])
+INV_Z = qd_new(ONE, Z)            # phi = 1/z: sqrt(phi) changes sheet round 0
 
 
 # ---------------------------------------------------------------- references
@@ -64,33 +65,36 @@ def imag_drift_reference(qd, ray):
     return worst
 
 
-def _panel_reference(p, q, a, b, hint, singular, depth):
+def _panel_reference(phi, a, b, hint, singular, depth):
+    """The integral of sqrt(phi) over [a, b], continued and summed node by
+    node. phi is qd.phi_array, as the kernel evaluates it: qd.phi divides
+    by Python's complex division, an ulp off numpy's at some points, and
+    the last root is compared bit for bit."""
     mid = 0.5 * (a + b)
     d = min((abs(mid - s) for s in singular), default=math.inf)
     if abs(b - a) <= 0.4 * d or depth >= 26:
         half = 0.5 * (b - a)
-        zs = mid + half * GL_NODES
-        pv, qv = p.eval_array(zs), q.eval_array(zs)
+        vals = phi(mid + half * GL_NODES)
         seg = 0j
-        for k in range(len(zs)):
-            hint = continue_sqrt(complex(pv[k]), hint)
-            seg += GL_WEIGHTS[k] * hint / complex(qv[k])
+        for k in range(len(GL_NODES)):
+            hint = continue_sqrt(complex(vals[k]), hint)
+            seg += GL_WEIGHTS[k] * hint
         return seg * half, hint
-    s1, hint = _panel_reference(p, q, a, mid, hint, singular, depth + 1)
-    s2, hint = _panel_reference(p, q, mid, b, hint, singular, depth + 1)
+    s1, hint = _panel_reference(phi, a, mid, hint, singular, depth + 1)
+    s2, hint = _panel_reference(phi, mid, b, hint, singular, depth + 1)
     return s1 + s2, hint
 
 
-def integrate_reference(p, q, path, seed_hint, singular):
+def integrate_reference(phi, path, seed_hint, singular):
     hint, total = seed_hint, 0j
     for a, b in zip(path[:-1], path[1:]):
         if a != b:
-            seg, hint = _panel_reference(p, q, a, b, hint, singular, 0)
+            seg, hint = _panel_reference(phi, a, b, hint, singular, 0)
             total += seg
     return total, hint
 
 
-def panel_integrals_one_path(a, b, radicand, divisor=None, hint=None):
+def panel_integrals_one_path(a, b, radicand, hint=None):
     """One path, its PANEL_BLOCK blocks in turn, each block's sums added to
     the carry by cumsum: the kernel as it was before it took many paths."""
     a = np.asarray(a, dtype=complex)
@@ -105,8 +109,6 @@ def panel_integrals_one_path(a, b, radicand, divisor=None, hint=None):
         w = continue_sqrt_along(radicand(zs), hint)
         hint = complex(w[-1])
         terms = w.reshape(hi - lo, len(GL_NODES)) * GL_WEIGHTS
-        if divisor is not None:
-            terms /= divisor(zs).reshape(terms.shape)
         seg = terms[:, 0].copy()
         for k in range(1, len(GL_NODES)):
             seg += terms[:, k]
@@ -120,7 +122,7 @@ def integrate_per_edge(setup, path, hint):
     a, b = level._leaf_panels(path, setup.singular)
     if not a:
         return 0j, hint
-    running, hint = panel_integrals_one_path(a, b, setup.p.eval_array, setup.q.eval_array, hint)
+    running, hint = panel_integrals_one_path(a, b, setup.phi, hint)
     return complex(running[-1]), hint
 
 
@@ -253,14 +255,15 @@ def test_continue_sqrt_along_exact_tie_uses_sequential_rule():
 
 
 def test_panel_integrals_cross_block_edges():
-    # sqrt(z)/z once around |z| = 1.5: the branch flips sign past the
+    # sqrt(1/z) once around |z| = 1.5: the branch flips sign past the
     # negative axis, in the second block, and must stay flipped in the third
     n = 2 * PANEL_BLOCK + 3
     pts = 1.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n + 1))
-    running, [hint] = sqrt_panel_integrals(pts[:-1], pts[1:], Z.eval_array, Z.eval_array)
+    running, [hint] = sqrt_panel_integrals(pts[:-1], pts[1:], INV_Z.phi_array)
     ref_hint, acc = None, 0j
     for k, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
-        seg, ref_hint = _panel_reference(Z, Z, complex(a), complex(b), ref_hint, [], 26)
+        seg, ref_hint = _panel_reference(INV_Z.phi_array, complex(a), complex(b), ref_hint,
+                                         [], 26)
         acc += seg
         assert abs(running[k] - acc) <= 1e-14 * (1.0 + abs(acc))
     assert hint == ref_hint
@@ -288,13 +291,13 @@ def test_continue_sqrt_along_of_many_sequences_matches_one_call_each(seqs):
             continue_sqrt_along(values, hints, [lo + 1 for lo in starts])
 
 
-INTEGRANDS = {"sqrt(z)/z": (Z.eval_array, Z.eval_array),
-              "sqrt(1-z^2)": (Polynomial([1.0, 0.0, -1.0]).eval_array, None)}
+INTEGRANDS = {"sqrt(1/z)": INV_Z.phi_array,
+              "sqrt(1-z^2)": Polynomial([1.0, 0.0, -1.0]).eval_array}
 
 
 def _arc(n, r, t0, sweep):
-    """n panels along an arc about the origin: sqrt(z) changes sheet where
-    the arc crosses the negative axis."""
+    """n panels along an arc about the origin: sqrt(1/z) changes sheet
+    where the arc crosses the negative axis."""
     pts = r * np.exp(1j * (t0 + sweep * np.arange(n + 1) / max(n, 1)))
     return pts[:-1], pts[1:]
 
@@ -302,17 +305,17 @@ def _arc(n, r, t0, sweep):
 def _check_paths_one_call_each(paths, integrand):
     """One multi-path call, and one call per path, give each path the bits
     of the one-path kernel."""
-    radicand, divisor = INTEGRANDS[integrand]
+    radicand = INTEGRANDS[integrand]
     none = [np.empty(0, dtype=complex)]
     a = np.concatenate(none + [pa for pa, _pb, _hint in paths])
     b = np.concatenate(none + [pb for _pa, pb, _hint in paths])
     starts = np.cumsum([0] + [len(pa) for pa, _pb, _hint in paths])[:-1].tolist()
-    running, lasts = sqrt_panel_integrals(a, b, radicand, divisor,
+    running, lasts = sqrt_panel_integrals(a, b, radicand,
                                           [hint for _pa, _pb, hint in paths], starts)
     assert len(lasts) == len(paths)
     for (pa, pb, hint), lo, last in zip(paths, starts, lasts):
-        want, want_last = panel_integrals_one_path(pa, pb, radicand, divisor, hint)
-        alone, [alone_last] = sqrt_panel_integrals(pa, pb, radicand, divisor, [hint])
+        want, want_last = panel_integrals_one_path(pa, pb, radicand, hint)
+        alone, [alone_last] = sqrt_panel_integrals(pa, pb, radicand, [hint])
         for got, got_last in ((running[lo:lo + len(pa)], last), (alone, alone_last)):
             assert _bits(got) == _bits(want)
             assert (got_last is None and want_last is None) or _bits(got_last) == _bits(want_last)
@@ -335,7 +338,7 @@ def test_panel_integrals_of_many_paths_match_one_call_each(paths, integrand):
 
 
 def test_panel_integrals_tie_falls_back_for_its_path_only(monkeypatch):
-    # four arcs of sqrt(z)/z across the negative axis: one with no hint, one
+    # four arcs of sqrt(1/z) across the negative axis: one with no hint, one
     # empty, one over a block boundary, and one whose hint is orthogonal to
     # its first root, an exact tie that only the loop can decide
     tied = _arc(3, 1.5, 2.5, 1.5)
@@ -343,12 +346,12 @@ def test_panel_integrals_tie_falls_back_for_its_path_only(monkeypatch):
     paths = [(*_arc(5, 1.0, 2.0, 2.5), None),
              (*_arc(0, 1.0, 0.0, 1.0), 0.5 - 1j),
              (*_arc(PANEL_BLOCK + 3, 2.0, -3.0, -4.0), -0.3 + 1j),
-             (*tied, 1j * principal_sqrt(first))]
+             (*tied, 1j * principal_sqrt(INV_Z.phi(first)))]
     looped = []
     sequential = qdiff.continue_sqrt
     monkeypatch.setattr(qdiff, "continue_sqrt",
                         lambda v, hint: looped.append(v) or sequential(v, hint))
-    _check_paths_one_call_each(paths, "sqrt(z)/z")
+    _check_paths_one_call_each(paths, "sqrt(1/z)")
     # the multi-path call, the tied path's own call and the one-path kernel
     # loop over its nodes only
     assert len(looped) == 3 * 3 * len(GL_NODES)
@@ -356,17 +359,19 @@ def test_panel_integrals_tie_falls_back_for_its_path_only(monkeypatch):
 
 def test_panel_integrals_first_path_starts_at_panel_zero():
     with pytest.raises(ValueError):
-        sqrt_panel_integrals([0.5, 1.0], [1.0, 2.0], ONE.eval_array, None, [None, None], [1, 2])
+        sqrt_panel_integrals([0.5, 1.0], [1.0, 2.0], ONE.eval_array, [None, None], [1, 2])
     with pytest.raises(ValueError):
-        sqrt_panel_integrals([0.5], [1.0], ONE.eval_array, None, [], [])
-    running, lasts = sqrt_panel_integrals([], [], ONE.eval_array, None, [], [])
+        sqrt_panel_integrals([0.5], [1.0], ONE.eval_array, [], [])
+    running, lasts = sqrt_panel_integrals([], [], ONE.eval_array, [], [])
     assert len(running) == 0 and lasts == []
 
 
 def test_panel_integrals_node_on_pole_raises():
-    q = Polynomial([-GL_NODES[3], 1.0])
+    # phi = 1/(z - x3), x3 the fourth node of the panel [-1, 1]
+    qd = qd_new(ONE, Polynomial([-GL_NODES[3], 1.0]))
+    assert qd.poles[0].location == GL_NODES[3]
     with pytest.raises(PoleOnPath):
-        sqrt_panel_integrals([-1.0], [1.0], ONE.eval_array, q.eval_array)
+        sqrt_panel_integrals([-1.0], [1.0], qd.phi_array)
 
 
 # ---------------------------------------------------------------- callers
@@ -399,8 +404,8 @@ def test_level_grid_matches_scalar_panels(p, monkeypatch):
     window = (-3.0, -2.5, 3.0, 2.5)       # no sample on a zero or on the cut
     got = level.level_grid(qd, pairing, window, 6).grid
     # every leg of every batch, lattice edges included, by the scalar panels
-    monkeypatch.setattr(level, "_integrate", lambda p, q, legs, singular: [
-        integrate_reference(p, q, path, hint, singular) for path, hint in legs])
+    monkeypatch.setattr(level, "_integrate", lambda radicand, legs, singular: [
+        integrate_reference(qd.phi_array, path, hint, singular) for path, hint in legs])
     want = level.level_grid(qd, pairing, window, 6).grid
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 

@@ -13,10 +13,11 @@ from qdsphere.errors import (
     WrongProvenance,
 )
 from qdsphere import level
+from qdsphere.criteria import residue_criterion
 from qdsphere.graph import PairingFailure, pair_zeros_by_short_trajectories
 from qdsphere.level import level_function, level_grid, verify_level
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import pq_form, principal_sqrt, qd_from_p_over_q_squared, qd_new
+from qdsphere.qdiff import qd_from_p_over_q_squared, qd_new
 from qdsphere.tracer import TraceOptions, trace_horizontal
 
 ONE = Polynomial([1.0])
@@ -79,6 +80,21 @@ def test_grid_row_major_orientation():
     assert field.grid[0, 0] == pytest.approx(math.log(abs(-2 - 2j)), abs=1e-9)
     assert field.n == 9
     assert field.grid.shape == (9, 9)
+
+
+def test_level_and_residues_depend_on_phi_alone():
+    # phi = -1/z^2 written as three (p, q) pairs, sign -1: the level and the
+    # residue criterion read phi, not the pair it was built from
+    results = []
+    for p, q in (([1.0], [0.0, 1.0]), ([1.0], [0.0, -1.0]), ([4.0], [0.0, 2.0])):
+        qd = qd_from_p_over_q_squared(Polynomial(p), Polynomial(q), sign=-1)
+        pairing = pair_zeros_by_short_trajectories(qd)
+        values = [level_function(qd, pairing, z) for z in (2.0, 0.5 + 1.0j, -3.0j)]
+        grid = level_grid(qd, pairing, (-2.0, -2.0, 2.0, 2.0), 9).grid
+        residue = residue_criterion(qd, pairing)
+        results.append((values, grid.tobytes(), residue.verdict, residue.evidence["residues"]))
+    assert results[0][0][0] == pytest.approx(math.log(2.0), abs=1e-10)
+    assert results[1] == results[0] and results[2] == results[0]
 
 
 def test_segment_level_spot_values():
@@ -199,7 +215,7 @@ def test_verify_level_flags_corrupted_sample():
 
 
 def continuity_worst_reference(field, qd):
-    # the double loop verify_level ran before it tabulated |sqrt(p)/q|
+    # the double loop verify_level ran before it tabulated |sqrt(phi)|
     g, m, n = field.grid, field.undefined_mask, field.n
     x0, y0, x1, y1 = field.window
     hx = (x1 - x0) / max(n - 1, 1)
@@ -210,7 +226,6 @@ def continuity_worst_reference(field, qd):
     zs.real, zs.imag = xs[None, :], ys[:, None]
     cut_x = level._crosses_cut(zs[:, :-1], zs[:, 1:], field.cuts)
     cut_y = level._crosses_cut(zs[:-1, :], zs[1:, :], field.cuts)
-    p, q = pq_form(qd, "level function")
     worst, evaluated = 0.0, set()
     for iy in range(n):
         for ix in range(n):
@@ -222,8 +237,8 @@ def continuity_worst_reference(field, qd):
                     continue
                 zb = complex(xs[jx], ys[jy])
                 evaluated |= {za, zb}
-                ga = abs(principal_sqrt(p(za)) / q(za))
-                gb = abs(principal_sqrt(p(zb)) / q(zb))
+                ga = math.sqrt(abs(qd.phi(za)))
+                gb = math.sqrt(abs(qd.phi(zb)))
                 bound = 4.0 * h * max(ga, gb)
                 jump = abs(g[iy, ix] - g[jy, jx])
                 if bound > 0:
@@ -232,12 +247,13 @@ def continuity_worst_reference(field, qd):
 
 
 def _continuity_ratio(monkeypatch, field, rays, qd):
-    """verify_level's worst continuity ratio and its number of |sqrt(p)/q|
-    evaluations."""
+    """verify_level's worst continuity ratio and the points of its last
+    radicand call, the one that tabulates |sqrt(phi)| for the check."""
     calls = []
-    monkeypatch.setattr(level, "principal_sqrt", lambda v: calls.append(v) or principal_sqrt(v))
+    phi = field.setup.phi
+    monkeypatch.setattr(field.setup, "phi", lambda z: calls.append(z.tolist()) or phi(z))
     ratio = verify_level(field, rays).details["continuity_worst_ratio"]
-    return ratio, len(calls)
+    return ratio, calls[-1]
 
 
 @pytest.mark.parametrize("p, window, n", [
@@ -249,10 +265,10 @@ def test_continuity_ratio_matches_double_loop(monkeypatch, p, window, n):
     pairing = pair_zeros_by_short_trajectories(qd)
     field = level_grid(qd, pairing, window, n)
     rays = [trace_horizontal(qd, 0.3 + 0.5j, opts=TraceOptions.for_qd(qd, max_phi_length=4.0))]
-    got, calls = _continuity_ratio(monkeypatch, field, rays, qd)
+    got, tabulated = _continuity_ratio(monkeypatch, field, rays, qd)
     want, evaluated = continuity_worst_reference(field, qd)
     assert got == want and got > 0.0
-    assert calls == len(evaluated)
+    assert len(tabulated) == len(evaluated) and set(tabulated) == evaluated
 
 
 def test_continuity_check_skips_masked_points(monkeypatch):
@@ -262,10 +278,10 @@ def test_continuity_check_skips_masked_points(monkeypatch):
     field = level_grid(qd, pairing, (-2.0, -2.0, 2.0, 2.0), 11)
     assert field.undefined_mask[5, 5]
     rays = [trace_horizontal(qd, 1.5, opts=TraceOptions.for_qd(qd, max_phi_length=4.0))]
-    got, calls = _continuity_ratio(monkeypatch, field, rays, qd)
+    got, tabulated = _continuity_ratio(monkeypatch, field, rays, qd)
     want, evaluated = continuity_worst_reference(field, qd)
     assert got == want and got > 0.0
-    assert calls == len(evaluated)
+    assert len(tabulated) == len(evaluated) and set(tabulated) == evaluated
 
 
 def test_continuity_ratio_matches_double_loop_under_random_masks(monkeypatch):
@@ -277,10 +293,10 @@ def test_continuity_ratio_matches_double_loop_under_random_masks(monkeypatch):
     rng = np.random.default_rng(7)
     for density in (0.3, 0.5, 0.7):
         fake = dataclasses.replace(field, undefined_mask=rng.random((12, 12)) < density)
-        got, calls = _continuity_ratio(monkeypatch, fake, rays, qd)
+        got, tabulated = _continuity_ratio(monkeypatch, fake, rays, qd)
         want, evaluated = continuity_worst_reference(fake, qd)
         assert got == want
-        assert calls == len(evaluated)
+        assert len(tabulated) == len(evaluated) and set(tabulated) == evaluated
 
 
 def test_verify_level_needs_rays():

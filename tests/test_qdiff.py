@@ -194,11 +194,11 @@ def test_provenance_round_trip():
     q = Polynomial([0.0, 1.0])
     qd = qd_from_p_over_q_squared(p, q, sign=-1)
     assert qd.form == "p_over_q_squared"
-    p_eff, q_eff = qd.pq
-    assert p_eff.coeffs == (p * -1).coeffs and q_eff is q
-    assert qd.lead == p_eff.coeffs[-1] / (q_eff * q_eff).coeffs[-1]
-    plain = qd_new(p_eff, q_eff * q_eff)
-    assert plain.pq is None and plain.form is None
+    p_eff = p * -1
+    assert qd.lead == p_eff.coeffs[-1] / (q * q).coeffs[-1]
+    plain = qd_new(p_eff, q * q)
+    assert plain.form is None
+    assert (plain.lead, plain.zeros, plain.poles) == (qd.lead, qd.zeros, qd.poles)
 
 
 def test_critical_point_at_infinity_reported():
