@@ -18,14 +18,13 @@ from .graph import (
     build_critical_graph,
     pair_zeros_by_short_trajectories,
 )
-from .qdiff import QuadraticDifferential, critical_points, principal_sqrt, require_form
+from .qdiff import (CIRCULAR, QuadraticDifferential, critical_points, double_pole_kind,
+                    principal_sqrt, require_form)
 
 CERTIFIED = "CertifiedNoRecurrence"
 SUPPORTED = "NumericallySupported"
 INCONCLUSIVE = "Inconclusive"
 _STRENGTH = {CERTIFIED: 2, SUPPORTED: 1, INCONCLUSIVE: 0}
-
-IMAG_REL_TOL = 1e-8
 
 # criteria root-finds nothing itself; the name stays resolvable here because
 # perfbench/tracing.py (TARGETS) wraps poly_roots in this module by name
@@ -100,28 +99,22 @@ def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
 def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     """Each finite double pole b of phi must give a purely imaginary residue
     of sqrt(phi), the principal root of its quadratic residue c, with
-    phi ~ c / (z - b)^2 (for phi = p / q^2, c = p(b) / q'(b)^2); whether
-    it is does not depend on the branch of the square root. Any other
-    finite pole order leaves the test inapplicable; infinity is not tested."""
+    phi ~ c / (z - b)^2 (for phi = p / q^2, c = p(b) / q'(b)^2): b must be
+    circular to qdiff.double_pole_kind, whatever the branch of the square
+    root. Any other finite pole order leaves the test inapplicable;
+    infinity is not tested."""
     require_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
     poles = [cp for cp in critical_points(qd) if cp.signed_order < 0 and not cp.at.is_infinite]
     if any(cp.signed_order != -2 for cp in poles):
         ev["note"] = "a finite pole is not double; the simple-pole residue test does not apply"
         return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
-    residues = []
-    worst = 0.0
-    all_imag = True
-    for cp in poles:
-        b, res0 = cp.at.value, principal_sqrt(cp.quadratic_residue)
-        ratio = abs(res0.real) / max(abs(res0), 1e-300) if res0 != 0 else 0.0
-        worst = max(worst, ratio)
-        if ratio > IMAG_REL_TOL:
-            all_imag = False
-        residues.append([b, res0])
+    residues = [[cp.at.value, principal_sqrt(cp.quadratic_residue)] for cp in poles]
     ev["residues"] = residues
-    ev["max_real_ratio"] = worst
-    if all_imag and not isinstance(pairing, PairingFailure):
+    ev["max_real_ratio"] = max([0.0] + [abs(r.real) / max(abs(r), 1e-300) if r != 0 else 0.0
+                                        for _b, r in residues])
+    circular = all(double_pole_kind(cp.quadratic_residue) == CIRCULAR for cp in poles)
+    if circular and not isinstance(pairing, PairingFailure):
         return CriterionVerdict("ResidueCriterion", SUPPORTED, ev)
     return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
 

@@ -85,6 +85,28 @@ def require_form(qd: "QuadraticDifferential", what: str):
         raise WrongProvenance(f"{what} requires a p/q^2 style construction")
 
 
+def _phi_lines(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...], z: str) -> list:
+    """The lines of _evaluator_maker that leave phi at the point named z in v."""
+    body = ["        v = lead"]
+    for i, m in enumerate(zero_orders):
+        body += [f"        f = {z} - a{i}"] + ["        v = v * f"] * m
+    for i, n in enumerate(pole_orders):
+        body += [f"        f = {z} - b{i}"] + [f"        b = {'b * f' if i or k else 'f'}"
+                                               for k in range(n)]
+    if pole_orders:
+        body.append("        v = v / b")
+    return body
+
+
+def _compile_maker(zero_orders, pole_orders, lines: list, made: str):
+    """make(lead, a0, a1, ..., b0, b1, ..., sqrt) of the lines, returning made."""
+    args = (["lead"] + [f"a{i}" for i in range(len(zero_orders))]
+            + [f"b{i}" for i in range(len(pole_orders))] + ["sqrt"])
+    namespace = {}
+    exec("\n".join([f"def make({', '.join(args)}):"] + lines + [f"    return {made}"]), namespace)
+    return namespace["make"]
+
+
 @functools.lru_cache(maxsize=None)
 def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
     """A maker of phi(z) = lead prod (z - a_i)^m_i / prod (z - b_j)^n_j and
@@ -109,26 +131,14 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
     multiplied in once per unit of its order, in cluster order, so root is
     continue_sqrt of phi to the bit, and the product keeps its relative
     accuracy next to clustered roots, where expanded coefficients lose it.
+    phi_array takes them in that order too, but numpy rounds complex
+    products apart from Python: only phi and root agree to the bit.
     """
-    zeros = [f"a{i}" for i in range(len(zero_orders))]
-    poles = [f"b{i}" for i in range(len(pole_orders))]
-    body = ["        v = lead"]
-    for name, m in zip(zeros, zero_orders):
-        body += [f"        f = z - {name}"] + ["        v = v * f"] * m
-    for i, (name, n) in enumerate(zip(poles, pole_orders)):
-        body += [f"        f = z - {name}"] + [f"        b = {'b * f' if i or k else 'f'}"
-                                                for k in range(n)]
-    if poles:
-        body.append("        v = v / b")
-    lines = ([f"def make({', '.join(['lead'] + zeros + poles)}, sqrt):",
-              "    def phi(z):"] + body + ["        return v",
-              "    def root(z, hint):"] + body
-             + ["        s = sqrt(complex(v.real + 0.0, v.imag + 0.0))",
-                "        return s if abs(s - hint) <= abs(s + hint) else -s",
-                "    return phi, root"])
-    namespace = {}
-    exec("\n".join(lines), namespace)
-    return namespace["make"]
+    body = _phi_lines(zero_orders, pole_orders, "z")
+    lines = ["    def phi(z):", *body, "        return v", "    def root(z, hint):", *body,
+             "        s = sqrt(v + 0j)",
+             "        return s if abs(s - hint) <= abs(s + hint) else -s"]
+    return _compile_maker(zero_orders, pole_orders, lines, "phi, root")
 
 
 class QuadraticDifferential:
@@ -145,17 +155,16 @@ class QuadraticDifferential:
         self.form = form
         self._critical: list[CriticalPoint] | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
-        make = _evaluator_maker(tuple(c.multiplicity for c in zeros),
-                                tuple(c.multiplicity for c in poles))
+        make = _evaluator_maker(*(tuple(c.multiplicity for c in cs) for cs in (zeros, poles)))
         self.phi, self.root = make(self.lead, *(complex(c.location) for c in zeros + poles),
                                    cmath.sqrt)
 
     # -- evaluation ----------------------------------------------------
 
     def phi_array(self, z):
-        """phi at an array of points, its factors taken as phi takes them;
-        PoleOnPath, naming the point, where a pole factor vanishes, as at a
-        node rounded onto a pole."""
+        """phi at an array of points to a few ulps, its factors taken as phi
+        takes them but rounded by numpy; PoleOnPath, naming the point, where
+        a pole factor vanishes, as at a node rounded onto a pole."""
         z = np.asarray(z, dtype=complex)
         v = np.full(z.shape, self.lead)
         for c in self.zeros:
@@ -298,12 +307,14 @@ def classify_double_pole(qd: QuadraticDifferential, at: SpherePoint | complex) -
     cp = _find_critical(qd, at)
     if cp.signed_order != -2:
         raise WrongOrder(f"point has order {cp.signed_order}, need a double pole")
-    c = cp.quadratic_residue
+    return double_pole_kind(cp.quadratic_residue)
+
+
+def double_pole_kind(c: complex) -> str:
+    """Circular (-c > 0), Radial (c > 0) or Spiral, to ANGULAR_TOL in arg, for residue c."""
     if abs(cmath.phase(-c)) <= ANGULAR_TOL:
         return CIRCULAR
-    if abs(cmath.phase(c)) <= ANGULAR_TOL:
-        return RADIAL
-    return SPIRAL
+    return RADIAL if abs(cmath.phase(c)) <= ANGULAR_TOL else SPIRAL
 
 
 def _find_critical(qd: QuadraticDifferential, at: SpherePoint) -> CriticalPoint:
@@ -361,8 +372,8 @@ def critical_directions(qd: QuadraticDifferential, cp: CriticalPoint) -> list[co
 
 
 def principal_sqrt(v: complex) -> complex:
-    # +0.0 normalizes a negative-zero imaginary part, keeping branch choice deterministic
-    return cmath.sqrt(complex(v.real + 0.0, v.imag + 0.0))
+    # + 0j normalizes a negative-zero imaginary part, keeping branch choice deterministic
+    return cmath.sqrt(v + 0j)
 
 
 def continue_sqrt(v: complex, hint: complex | None) -> complex:
@@ -432,9 +443,9 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
     Path j is made of the panels from starts[j] to the next start, and its
     square root starts from hints[j] (None: principal at its first node).
     The starts ascend from 0 (an empty path allowed; ValueError when there
-    are panels and the first start is not 0). radicand maps a complex array
-    of nodes to values there, phi_array for the integral of sqrt(phi), and
-    raises what it raises (PoleOnPath for a node on a pole). The square
+    are panels and the first start is not 0). radicand(nodes, panel) maps
+    an array of nodes and the index of each one's panel to values there,
+    raising what it raises (PoleOnPath for a node on a pole). The square
     root is branch-continued through the nodes by continue_sqrt_along,
     restarting at each start. The panels are evaluated PANEL_BLOCK at a
     time, and a path that runs on into the next block carries its branch
@@ -468,7 +479,8 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
         mid = 0.5 * (a[lo:hi] + b[lo:hi])
         half = 0.5 * (b[lo:hi] - a[lo:hi])
         zs = (mid[:, None] + half[:, None] * GL_NODES).ravel()
-        w = continue_sqrt_along(radicand(zs), [hints[k] for k in paths],
+        w = continue_sqrt_along(radicand(zs, np.arange(lo, hi).repeat(nodes)),
+                                [hints[k] for k in paths],
                                 [nodes * f for f in first])
         for k, h in zip(paths, w[[nodes * g - 1 for g in after]].tolist()):
             hints[k] = h
@@ -488,21 +500,27 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
 
 
 def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[complex, complex]:
-    """The distinguished parameter zeta(z) = integral of sqrt(phi) from the
-    finite critical point p to z along the segment, and the branch of
-    sqrt(phi) at z it was taken with.
+    """zeta(z) from p, and the root at z it was taken with: zetas_from's one-pair case."""
+    return zetas_from(qd, [(p, z)])[0]
 
-    With z - p = t^2 the integrand 2 t sqrt(phi(p + t^2)) is regular at
-    t = 0 for every order n >= -1, and along the segment 0 -> t it is
-    t^(n+1) times a series in t^2 whose radius reaches the next critical
-    point. Two 8-node Gauss-Legendre panels in t then hold it to rounding
-    when no other critical point is within a few |z - p| of p.
-    """
-    t = cmath.sqrt(z - p)
-    running, [last] = sqrt_panel_integrals(
-        [0j, 0.5 * t], [0.5 * t, t], lambda s: 4.0 * s * s * qd.phi_array(p + s * s))
-    w = continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t)
-    return complex(running[-1]), w
+
+def zetas_from(qd: QuadraticDifferential, pairs) -> list[tuple[complex, complex]]:
+    """For each (p, z) of pairs, zeta(z) = integral of sqrt(phi) from the finite critical point
+    p to z along the segment, and the branch of sqrt(phi) at z it was taken with: one kernel
+    call, each pair a path that gets the floats a call on it alone gives. With z - p = t^2 the
+    integrand 2 t sqrt(phi(p + t^2)) is regular at t = 0 for every order n >= -1, and along
+    0 -> t it is t^(n+1) times a series in t^2 whose radius reaches the next critical point.
+    Two 8-node Gauss-Legendre panels in t then hold it to rounding when no other critical
+    point is within a few |z - p| of p."""
+    ts = [cmath.sqrt(z - p) for p, z in pairs]
+    centre = np.repeat([p for p, _z in pairs], 2).astype(complex)   # of each panel
+    running, lasts = sqrt_panel_integrals(
+        [x for t in ts for x in (0j, 0.5 * t)], [x for t in ts for x in (0.5 * t, t)],
+        lambda s, panel: 4.0 * s * s * qd.phi_array(centre[panel] + s * s),
+        [None] * len(ts), range(0, 2 * len(ts), 2))
+    return [(complex(running[2 * k + 1]),
+             continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t))
+            for k, ((_p, z), t, last) in enumerate(zip(pairs, ts, lasts))]
 
 
 # -- constructors for the special families ------------------------------

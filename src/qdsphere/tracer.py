@@ -10,16 +10,10 @@ stage evaluation; its error estimate keeps the steps accurate, and a clamp
 keeps a single step from jumping over a critical point or moving arg(phi)
 by more than BRANCH_TURN.
 
-A step is straight-line code: `_dop853` writes out the fixed tableau, each
-stage continuing the root of the stage before it. The root is the
-differential's own root(z, hint) = continue_sqrt(phi(z), hint), phi a
-straight-line product over its root clusters (see
-qdiff._evaluator_maker). The step does the float operations of a loop
-over the tableau in the same order, so the results are the same to the
-bit. Stage 0 reuses the root computed at the accepted point, so phi is
-evaluated twelve times per accepted step: eleven stages and the new point.
-The critical points are scanned once per accepted point, for the entry
-test and the step clamp.
+A step is straight-line code generated per shape of differential (see _step_maker), each
+stage inlining phi's product lines and continuing the root of the stage before it. Stage 0
+reuses the root at the accepted point, so phi is evaluated twelve times per accepted step.
+The critical points are scanned once per accepted point, for the entry test and the clamp.
 
 A ray ends at a critical point only on entry into its disk (see _Scene); a pole
 of order >= 2 has no local model, and entering its disk ends the ray. Near a
@@ -29,7 +23,8 @@ LOCAL_RADIUS * d (d the distance to the nearest other critical point) the
 distinguished parameter zeta(z) = integral of sqrt(phi) from p is computed
 directly (`qdiff.zeta_from`), and the critical rays are the curves Im zeta = 0.
 A critical trajectory is launched on the disk's circle where Im zeta = 0, with
-its phi-length starting at |zeta|. A ray that enters a disk heading into p ends
+its phi-length starting at |zeta|; all launches of a differential run together,
+one quadrature per Newton round. A ray that enters a disk heading into p ends
 there as HitCritical when |Im(zeta / orientation)| is within the phi-distance
 from p to the snap circle, which is exactly when it would pass within the snap
 radius of p, and |zeta| is added to its length. The quadrature runs only when a
@@ -44,18 +39,21 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DriftExceeded, DirectionIndexError, StartTooClose
+from .errors import DriftExceeded, DirectionIndexError, QdError, StartTooClose
 from .geom import point_segment_distance
 from .qdiff import (
     GL_NODES,
     GL_WEIGHTS,
     CriticalPoint,
     QuadraticDifferential,
+    _compile_maker,
+    _phi_lines,
     critical_directions,
     continue_sqrt,
     critical_points,
@@ -63,6 +61,7 @@ from .qdiff import (
     principal_sqrt,
     sqrt_panel_integrals,
     zeta_from,
+    zetas_from,
 )
 
 SNAP_FACTOR = 1e-6
@@ -83,66 +82,60 @@ STEP_BUDGET = "StepBudget"
 _GL = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))
 
 
-def _dop853(z, r, ho, root):
-    """The stages of one step of the Dormand-Prince 8(5,3) pair (Hairer,
-    Norsett & Wanner, Solving ODEs I, II.10) for dz/dtau = orientation /
-    sqrt(phi), ho = h * orientation: r is the root of phi at z and each
-    stage's root is the branch hint of the next. Returns the 8th-order
-    increment, the 5th- and 3rd-order error estimates and the last stage's
-    root. k_i stands for h times the i-th stage's slope; the field is
-    autonomous, so the nodes c_i are not needed. Each sum runs from 0j
-    through the tableau's nonzero entries from left to right."""
-    k0 = ho / r
-    r = root(z + (0j + 0.05260015195876773 * k0), r)
-    k1 = ho / r
-    r = root(z + (0j + 0.0197250569845379 * k0 + 0.0591751709536137 * k1), r)
-    k2 = ho / r
-    r = root(z + (0j + 0.02958758547680685 * k0 + 0.08876275643042054 * k2), r)
-    k3 = ho / r
-    r = root(z + (0j + 0.2413651341592667 * k0 + -0.8845494793282861 * k2
-                  + 0.924834003261792 * k3), r)
-    k4 = ho / r
-    r = root(z + (0j + 0.037037037037037035 * k0 + 0.17082860872947386 * k3
-                  + 0.12546768756682242 * k4), r)
-    k5 = ho / r
-    r = root(z + (0j + 0.037109375 * k0 + 0.17025221101954405 * k3
-                  + 0.06021653898045596 * k4 + -0.017578125 * k5), r)
-    k6 = ho / r
-    r = root(z + (0j + 0.03709200011850479 * k0 + 0.17038392571223998 * k3
-                  + 0.10726203044637328 * k4 + -0.015319437748624402 * k5
-                  + 0.008273789163814023 * k6), r)
-    k7 = ho / r
-    r = root(z + (0j + 0.6241109587160757 * k0 + -3.3608926294469414 * k3
-                  + -0.868219346841726 * k4 + 27.59209969944671 * k5
-                  + 20.154067550477894 * k6 + -43.48988418106996 * k7), r)
-    k8 = ho / r
-    r = root(z + (0j + 0.47766253643826434 * k0 + -2.4881146199716677 * k3
-                  + -0.590290826836843 * k4 + 21.230051448181193 * k5
-                  + 15.279233632882423 * k6 + -33.28821096898486 * k7
-                  + -0.020331201708508627 * k8), r)
-    k9 = ho / r
-    r = root(z + (0j + -0.9371424300859873 * k0 + 5.186372428844064 * k3
-                  + 1.0914373489967295 * k4 + -8.149787010746927 * k5
-                  + -18.52006565999696 * k6 + 22.739487099350505 * k7
-                  + 2.4936055526796523 * k8 + -3.0467644718982196 * k9), r)
-    k10 = ho / r
-    r = root(z + (0j + 2.273310147516538 * k0 + -10.53449546673725 * k3
-                  + -2.0008720582248625 * k4 + -17.9589318631188 * k5
-                  + 27.94888452941996 * k6 + -2.8589982771350235 * k7
-                  + -8.87285693353063 * k8 + 12.360567175794303 * k9
-                  + 0.6433927460157636 * k10), r)
-    k11 = ho / r
-    dz = (0j + 0.054293734116568765 * k0 + 4.450312892752409 * k5 + 1.8915178993145003 * k6
-          + -5.801203960010585 * k7 + 0.3111643669578199 * k8 + -0.1521609496625161 * k9
-          + 0.20136540080403034 * k10 + 0.04471061572777259 * k11)
-    e5 = (0j + 0.01312004499419488 * k0 + -1.2251564463762044 * k5
-          + -0.4957589496572502 * k6 + 1.6643771824549864 * k7 + -0.35032884874997366 * k8
-          + 0.3341791187130175 * k9 + 0.08192320648511571 * k10
-          + -0.022355307863886294 * k11)
-    e3 = (0j + -0.18980075407240762 * k0 + 4.450312892752409 * k5 + 1.8915178993145003 * k6
-          + -5.801203960010585 * k7 + -0.4226823213237919 * k8 + -0.1521609496625161 * k9
-          + 0.20136540080403034 * k10 + 0.02265179219836082 * k11)
-    return dz, e5, e3, r
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the (j, a_ij) of each stage
+# i = 1..11, then the (j, b_j) of the 8th-order increment and its 5th- and 3rd-order error
+# estimates. The field is autonomous, so the nodes c_i are not needed.
+DOP853_A = (
+    ((0, 0.05260015195876773),),
+    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
+    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
+    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
+    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
+    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596), (5, -0.017578125)),
+    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
+     (5, -0.015319437748624402), (6, 0.008273789163814023)),
+    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
+     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
+    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
+     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
+     (8, -0.020331201708508627)),
+    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
+     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
+     (8, 2.4936055526796523), (9, -3.0467644718982196)),
+    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
+     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
+     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
+)
+DOP853_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
+            (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
+            (10, 0.20136540080403034), (11, 0.04471061572777259))
+DOP853_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
+             (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
+             (10, 0.08192320648511571), (11, -0.022355307863886294))
+DOP853_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
+             (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
+             (10, 0.20136540080403034), (11, 0.02265179219836082))
+
+
+@functools.lru_cache(maxsize=None)
+def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
+    """A maker, compiled once per pair of order tuples and called as root's, of
+    step(z, r, ho) -> (dz, e5, e3, r): one DOP853 step of dz/dtau = orientation / sqrt(phi),
+    ho = h * orientation, r the root at z, to the 8th-order increment, the 5th- and 3rd-order
+    error estimates and the last stage's root. Stage i, at x = z + (0j + a_i0 k0 + ...) over
+    row i of DOP853_A, inlines qdiff._evaluator_maker's phi lines at x and continues the root
+    of the stage before; k_i = ho / r_i: a loop's float operations in order, so its bits."""
+
+    def total(row):
+        return "0j" + "".join(f" + {a!r} * k{j}" for j, a in row)
+
+    lines = ["    def step(z, r, ho):", "        k0 = ho / r"]
+    for i, row in enumerate(DOP853_A, 1):
+        lines += [f"        x = z + ({total(row)})", *_phi_lines(zero_orders, pole_orders, "x"),
+                  "        s = sqrt(v + 0j)", "        r = s if abs(s - r) <= abs(s + r) else -s",
+                  f"        k{i} = ho / r"]
+    lines.append(f"        return {total(DOP853_B)}, {total(DOP853_E5)}, {total(DOP853_E3)}, r")
+    return _compile_maker(zero_orders, pole_orders, lines, "step")
 
 
 @dataclass(frozen=True)
@@ -220,11 +213,11 @@ class _Scene:
     r is the disk's radius: writing phi = a (z - p)^n g(z), |g'/g| <= kappa / r
     bounds how far sqrt(g) moves along the segment from p to z.
 
-    `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint)
-    to the bit.
+    `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
+    its DOP853 step (_step_maker), `launches` every critical launch's outcome (_launch_together).
     """
 
-    __slots__ = ("rows", "disks", "models", "root")
+    __slots__ = ("rows", "disks", "models", "root", "step", "launches")
 
     def __init__(self, qd: QuadraticDifferential):
         rows, disks, models = [], [], []
@@ -251,6 +244,9 @@ class _Scene:
         self.disks = tuple(disks)
         self.models = tuple(models)
         self.root = qd.root
+        make = _step_maker(*(tuple(c.multiplicity for c in cs) for cs in (qd.zeros, qd.poles)))
+        self.step = make(qd.lead, *(complex(c.location) for c in qd.zeros + qd.poles), cmath.sqrt)
+        self.launches = None
 
     @classmethod
     def of(cls, qd: QuadraticDifferential) -> "_Scene":
@@ -310,20 +306,50 @@ def trace_from_critical(qd: QuadraticDifferential, cp: CriticalPoint,
     if not 0 <= direction_index < len(dirs):
         raise DirectionIndexError(
             f"direction {direction_index} out of range 0..{len(dirs) - 1}")
-    # launched on the circle of the disk a ray arriving at cp enters
-    z0, zeta, w0 = _launch_point(qd, cp, dirs[direction_index],
-                                 _Scene.of(qd).disks[critical_points(qd).index(cp)])
+    scene = _Scene.of(qd)
+    if scene.launches is None:
+        nodes = critical_points(qd)
+        launches = [((k, j), _launch_point(qd, nodes[k], u, r))
+                    for (k, _p, _alpha), r, model in zip(scene.rows, scene.disks, scene.models)
+                    if model is not None for j, u in enumerate(critical_directions(qd, nodes[k]))]
+        scene.launches = _launch_together(qd, {key: (g, next(g)) for key, g in launches})
+    launch = scene.launches[critical_points(qd).index(cp), direction_index]
+    if isinstance(launch, QdError):
+        raise launch
+    z0, zeta, w0 = launch
     # d zeta / d tau = orientation, so |zeta| grows when they share a sign
     orientation = 1 if zeta.real > 0 else -1
     return _trace(qd, z0, orientation, opts, w0, launch_from=cp, tau0=abs(zeta))
+
+
+def _launch_together(qd, todo: dict) -> dict:
+    """Runs todo's _launch_point generators, {key: (launch, the (p, z) it waits on)}, by one
+    zetas_from call a round: each one's (z, zeta, w0), or the QdError it raised, as alone,
+    since a round that raises is rerun one launch at a time."""
+    out = {}
+    while todo:
+        try:
+            found = zetas_from(qd, [pz for _launch, pz in todo.values()])
+        except QdError as err:
+            for key, pending in todo.items():
+                out[key] = err if len(todo) == 1 else _launch_together(qd, {key: pending})[key]
+            return out
+        for (key, (launch, _pz)), zeta_w in zip(list(todo.items()), found):
+            try:
+                todo[key] = launch, launch.send(zeta_w)
+            except StopIteration as done:
+                out[key] = done.value
+                del todo[key]
+    return out
 
 
 def _launch_point(qd, cp, u, r):
     """The point z = p + r e^(i theta) with Im zeta(z) = 0 next to the
     direction u, by Newton in theta with d zeta / d theta = sqrt(phi(z))
     i (z - p). The solutions are 2 pi / (n + 2) apart, so theta is kept
-    within a quarter of that of arg u. Returns z, zeta(z) and the principal
-    sqrt(phi(z)) zeta is taken with.
+    within a quarter of that of arg u. It yields each (p, z) it needs
+    zetas_from of, is sent the answer, and returns z, zeta(z) and the
+    principal sqrt(phi(z)) zeta is taken with.
 
     Newton starts from the first-order local model: with phi(p + v) =
     a v^n (1 + b v + ...), b the sum of m / (p - q) over the other critical
@@ -341,7 +367,7 @@ def _launch_point(qd, cp, u, r):
     theta = min(theta0 + lim, max(theta0 - lim, theta))
     z = p + r * cmath.exp(1j * theta)
     for _ in range(12):                  # converges quadratically, in 2-3 steps
-        zeta, w = zeta_from(qd, p, z)
+        zeta, w = yield p, z
         if abs(zeta.imag) <= 1e-14 * abs(zeta):
             break
         slope = (w * (z - p)).real
@@ -375,7 +401,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     # the disk a ray is in is tested once, on entry; a launched ray starts in its own
     inside = home if launch_from is not None else -1
 
-    root = scene.root
+    root, step = scene.root, scene.step
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
     if not abs(w0) < math.inf:
         raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
@@ -413,7 +439,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             break
 
         try:
-            dz, e5, e3, r = _dop853(z, w if fresh else root(z, w), h * orientation, root)
+            dz, e5, e3, r = step(z, w if fresh else root(z, w), h * orientation)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
@@ -567,7 +593,7 @@ def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
     moved = a != b
     if not moved.any():
         return 0.0
-    running, _ = sqrt_panel_integrals(a[moved], b[moved], qd.phi_array,
+    running, _ = sqrt_panel_integrals(a[moved], b[moved], lambda z, _panel: qd.phi_array(z),
                                       hints=[complex(ray.sqrt_values[0])])
     across = running.real if ray.orientation.imag else running.imag
     return float(np.max(np.abs(across)))

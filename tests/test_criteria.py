@@ -1,3 +1,5 @@
+import cmath
+import math
 from fractions import Fraction
 
 import pytest
@@ -18,7 +20,8 @@ from qdsphere.criteria import (
 from qdsphere.errors import WrongProvenance
 from qdsphere.graph import build_critical_graph, detect_recurrence
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import qd_from_p_over_q_squared, qd_new
+from qdsphere.qdiff import (CIRCULAR, SPIRAL, classify_double_pole, qd_from_p_over_q_squared,
+                            qd_new)
 from qdsphere.tracer import TraceOptions
 
 ONE = Polynomial([1.0])
@@ -104,6 +107,22 @@ def test_residue_criterion_blocks_real_part():
     qd = qd_from_p_over_q_squared(ONE, Polynomial([0.0, 1.0]), sign=1)
     vs = {v.criterion: v for v in run_all(qd)}
     assert vs["ResidueCriterion"].verdict == INCONCLUSIVE
+
+
+@pytest.mark.parametrize("angle, kind, verdict", [
+    (0.0, CIRCULAR, SUPPORTED), (5e-10, CIRCULAR, SUPPORTED), (5e-9, SPIRAL, INCONCLUSIVE),
+    (-5e-9, SPIRAL, INCONCLUSIVE), (3e-8, SPIRAL, INCONCLUSIVE)])
+def test_residue_criterion_and_pole_class_agree(angle, kind, verdict):
+    # phi = -e^(i angle) / z^2: arg(-c) = angle at the double pole at 0.
+    # |Re sqrt(c)| / |sqrt(c)| = sin(angle / 2) stays below 1e-8 up to
+    # angle 2e-8, yet past 1e-9 the pole is not circular: the criterion
+    # passes exactly when classify_double_pole says Circular
+    qd = qd_from_p_over_q_squared(Polynomial([cmath.exp(1j * angle)]), Polynomial([0.0, 1.0]),
+                                  sign=-1)
+    assert classify_double_pole(qd, 0.0) == kind
+    v = {v.criterion: v for v in run_all(qd)}["ResidueCriterion"]
+    assert v.verdict == verdict
+    assert v.evidence["max_real_ratio"] == pytest.approx(abs(math.sin(angle / 2)), abs=1e-16)
 
 
 def test_verdict_lattice():

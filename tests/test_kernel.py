@@ -259,7 +259,8 @@ def test_panel_integrals_cross_block_edges():
     # negative axis, in the second block, and must stay flipped in the third
     n = 2 * PANEL_BLOCK + 3
     pts = 1.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, n + 1))
-    running, [hint] = sqrt_panel_integrals(pts[:-1], pts[1:], INV_Z.phi_array)
+    running, [hint] = sqrt_panel_integrals(pts[:-1], pts[1:],
+                                           lambda z, _panel: INV_Z.phi_array(z))
     ref_hint, acc = None, 0j
     for k, (a, b) in enumerate(zip(pts[:-1], pts[1:])):
         seg, ref_hint = _panel_reference(INV_Z.phi_array, complex(a), complex(b), ref_hint,
@@ -304,18 +305,27 @@ def _arc(n, r, t0, sweep):
 
 def _check_paths_one_call_each(paths, integrand):
     """One multi-path call, and one call per path, give each path the bits
-    of the one-path kernel."""
+    of the one-path kernel; the kernel hands the radicand the panel index
+    of each node, the panels in order over its blocks."""
     radicand = INTEGRANDS[integrand]
     none = [np.empty(0, dtype=complex)]
     a = np.concatenate(none + [pa for pa, _pb, _hint in paths])
     b = np.concatenate(none + [pb for _pa, pb, _hint in paths])
     starts = np.cumsum([0] + [len(pa) for pa, _pb, _hint in paths])[:-1].tolist()
-    running, lasts = sqrt_panel_integrals(a, b, radicand,
-                                          [hint for _pa, _pb, hint in paths], starts)
+    seen = []
+    running, lasts = sqrt_panel_integrals(
+        a, b, lambda z, panel: seen.append((z, panel)) or radicand(z),
+        [hint for _pa, _pb, hint in paths], starts)
+    if len(a):
+        z, panel = (np.concatenate(part) for part in zip(*seen))
+        assert np.array_equal(panel, np.repeat(np.arange(len(a)), len(GL_NODES)))
+        # each node is mid + half x of its own panel
+        mid, half = 0.5 * (a[panel] + b[panel]), 0.5 * (b[panel] - a[panel])
+        assert _bits(z) == _bits(mid + half * np.tile(GL_NODES, len(a)))
     assert len(lasts) == len(paths)
     for (pa, pb, hint), lo, last in zip(paths, starts, lasts):
         want, want_last = panel_integrals_one_path(pa, pb, radicand, hint)
-        alone, [alone_last] = sqrt_panel_integrals(pa, pb, radicand, [hint])
+        alone, [alone_last] = sqrt_panel_integrals(pa, pb, lambda z, _panel: radicand(z), [hint])
         for got, got_last in ((running[lo:lo + len(pa)], last), (alone, alone_last)):
             assert _bits(got) == _bits(want)
             assert (got_last is None and want_last is None) or _bits(got_last) == _bits(want_last)
@@ -371,7 +381,7 @@ def test_panel_integrals_node_on_pole_raises():
     qd = qd_new(ONE, Polynomial([-GL_NODES[3], 1.0]))
     assert qd.poles[0].location == GL_NODES[3]
     with pytest.raises(PoleOnPath):
-        sqrt_panel_integrals([-1.0], [1.0], qd.phi_array)
+        sqrt_panel_integrals([-1.0], [1.0], lambda z, _panel: qd.phi_array(z))
 
 
 # ---------------------------------------------------------------- callers

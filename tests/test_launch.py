@@ -3,14 +3,17 @@ form: zeta(z) = integral of sqrt(phi) from the critical point."""
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
 
-from qdsphere.errors import QdError
+from qdsphere import tracer
+from qdsphere.errors import PoleOnPath, QdError
 from qdsphere.graph import build_critical_graph
-from qdsphere.polyalg import Polynomial
+from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
+    QuadraticDifferential,
     critical_directions,
     critical_points,
     qd_from_p_over_q_squared,
@@ -78,26 +81,100 @@ def test_launch_point_lies_on_a_critical_ray(name):
     assert orders
 
 
+def _started_launches(qd):
+    """Every critical direction's launch, started as trace_from_critical
+    starts them: {(k, j): (launch, the (p, z) it waits on)}."""
+    scene = _Scene.of(qd)
+    nodes = critical_points(qd)
+    out = {}
+    for (k, _p, _alpha), r, model in zip(scene.rows, scene.disks, scene.models):
+        if model is None:
+            continue
+        for j, u in enumerate(critical_directions(qd, nodes[k])):
+            launch = tracer._launch_point(qd, nodes[k], u, r)
+            out[k, j] = launch, next(launch)
+    return out
+
+
 def test_launch_takes_under_two_quadratures(monkeypatch):
     # Newton starts from the first-order local model and finishes its last
-    # step by the trapezoid rule: 44 quadratures for these 24 directions.
-    # From the leading-order direction alone, or with the first-order term
-    # of the wrong sign, it takes more than 2 per direction.
-    from qdsphere import tracer
-
-    calls = []
-    real = tracer.zeta_from
-    monkeypatch.setattr(tracer, "zeta_from", lambda *a: calls.append(1) or real(*a))
+    # step by the trapezoid rule: 44 quadratured directions, over the
+    # Newton rounds, for these 24 directions. From the leading-order
+    # direction alone, or with the first-order term of the wrong sign, it
+    # takes more than 2 per direction.
+    per_round, quadratured = [], 0
+    real = tracer.zetas_from
+    monkeypatch.setattr(tracer, "zetas_from",
+                        lambda qd, pairs: per_round.append(len(pairs)) or real(qd, pairs))
     launches = 0
     for name in FIXTURES:
         qd = FIXTURES[name]()
-        for cp in critical_points(qd):
-            if cp.at.is_infinite or not cp.is_finite_critical:
-                continue
-            for u in critical_directions(qd, cp):
-                tracer._launch_point(qd, cp, u, LOCAL_RADIUS * qd.local_scale(cp.at.value))
-                launches += 1
-    assert launches == 24 and len(calls) < 2 * launches
+        per_round.clear()
+        launched = len(tracer._launch_together(qd, _started_launches(qd)))
+        # one call per round: the first over every direction, then fewer
+        assert per_round[0] == launched and per_round == sorted(per_round, reverse=True)
+        launches += launched
+        quadratured += sum(per_round)
+    assert launches == 24 and quadratured < 2 * launches
+
+
+def _launch_bits(launch):
+    return np.asarray(launch, dtype=complex).tobytes()
+
+
+def _assert_batch_as_alone(qd):
+    batch = tracer._launch_together(qd, _started_launches(qd))
+    alone = {}
+    for key, pending in _started_launches(qd).items():
+        alone.update(tracer._launch_together(qd, {key: pending}))
+    assert batch.keys() == alone.keys() == _started_launches(qd).keys()
+    for key in batch:
+        if isinstance(alone[key], QdError):
+            assert type(batch[key]) is type(alone[key]) and str(batch[key]) == str(alone[key])
+        else:
+            assert _launch_bits(batch[key]) == _launch_bits(alone[key])
+    return batch
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_batched_launch_gives_each_direction_its_own_floats(name):
+    qd = FIXTURES[name]()
+    batch = _assert_batch_as_alone(qd)
+    # and trace_from_critical launches from the batch
+    for (k, j), (z0, _zeta, w0) in batch.items():
+        ray = trace_from_critical(qd, critical_points(qd)[k], j,
+                                  TraceOptions.for_qd(qd, max_phi_length=1.0))
+        assert _launch_bits((ray.points[0], ray.sqrt_values[0])) == _launch_bits((z0, w0))
+
+
+def test_batched_launch_of_random_differentials():
+    for qd in _random_qds(np.random.default_rng(7), 12):
+        _assert_batch_as_alone(qd)
+
+
+def test_launch_error_stays_with_its_direction():
+    # phi = -(z - P - 10) / (z - P), P = -2.04e12, where floats are 2.4e-4
+    # apart: the pole launches along the real axis and its smallest
+    # quadrature nodes round onto it, so its rounds raise PoleOnPath. The
+    # zero's launches share the first round and end as they end alone.
+    big = -2.04e12
+    qd = QuadraticDifferential(-1.0, [RootCluster(big + 10.0, 1, 0.0)],
+                               [RootCluster(big, 1, 0.0)])
+    batch = _assert_batch_as_alone(qd)
+    assert isinstance(batch[0, 0], PoleOnPath)
+    assert [key for key, out in batch.items() if isinstance(out, QdError)] == [(0, 0)]
+    # each critical ray meets its own launch's outcome, as traced alone
+    nodes = critical_points(qd)
+    opts = TraceOptions.for_qd(qd, max_phi_length=1.0)
+    for j in range(3):
+        try:
+            ray = trace_from_critical(qd, nodes[1], j, opts)
+        except QdError as err:          # a step at |z| ~ 1e12 may break the drift bound
+            assert not isinstance(err, PoleOnPath)
+        else:
+            assert ray.points[0] == batch[1, j][0]
+    with pytest.raises(PoleOnPath, match=re.escape(str(batch[0, 0]))):
+        trace_from_critical(qd, nodes[0], 0, opts)
 
 
 def test_launch_orders_covered():

@@ -5,11 +5,12 @@ import pytest
 
 from qdsphere import polyalg, qdiff
 from qdsphere.errors import ConstantRational, NotCoprime, WrongOrder
-from qdsphere.polyalg import Polynomial
+from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     CIRCULAR,
     RADIAL,
     SPIRAL,
+    QuadraticDifferential,
     SpherePoint,
     cauchy_qd,
     classify_double_pole,
@@ -150,6 +151,25 @@ def test_phi_array_matches_scalar():
     arr = qd.phi_array(zs)
     for z, v in zip(zs, arr):
         assert v == pytest.approx(qd.phi(complex(z)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n_zeros, n_poles", [(6, 0), (0, 1), (4, 3), (9, 5)])
+def test_phi_array_is_phi_to_rounding_not_to_the_bit(n_zeros, n_poles):
+    # numpy rounds complex products and quotients apart from Python, poles
+    # or not. phi takes m factors into v and n into b, then divides: m + n - 1
+    # products and a quotient, each side. A product is within sqrt(5) u of
+    # the exact one (u = 2^-53), and the quotient is counted as two, so the
+    # two sides are within 2 sqrt(5) (m + n + 1) u of each other.
+    rng = np.random.default_rng(n_zeros + 10 * n_poles)
+    zeros = [RootCluster(complex(*rng.normal(size=2)), 1, 0.0) for _ in range(n_zeros)]
+    poles = [RootCluster(complex(*rng.normal(size=2)), 1, 0.0) for _ in range(n_poles)]
+    qd = QuadraticDifferential(complex(*rng.normal(size=2)), zeros, poles)
+    zs = 1.5 * np.exp(2j * np.pi * np.arange(516) / 516)
+    arr = qd.phi_array(zs)
+    ref = np.array([qd.phi(complex(z)) for z in zs])
+    assert np.any(arr != ref)
+    bound = 2 * math.sqrt(5) * (n_zeros + n_poles + 1) * 2.0 ** -53
+    assert np.max(np.abs(arr - ref) / np.abs(ref)) <= bound
 
 
 def test_measure_density_semicircle():

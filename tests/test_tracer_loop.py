@@ -1,6 +1,6 @@
-"""The tracer's step loop, its DOP853 stages written out and its root
-generated per differential, against a plain reference loop over the
-tableau and the root clusters. A ray that never ends in an analytic disk
+"""The tracer's step loop, its DOP853 step and its root generated per
+shape of differential, against a plain reference loop over the tableau and
+the root clusters. A ray that never ends in an analytic disk
 must come out bit-identical. A ray that arrives at a critical point on
 entry into its disk must be the reference ray cut there, since the reference goes on
 stepping to the snap radius; a launched ray must be the reference ray
@@ -40,6 +40,10 @@ from qdsphere.qdiff import (
 from qdsphere.tracer import (
     BRANCH_TURN,
     CLOSED,
+    DOP853_A,
+    DOP853_B,
+    DOP853_E3,
+    DOP853_E5,
     ESCAPED_WINDOW,
     HIT_CRITICAL,
     PHI_LENGTH_BUDGET,
@@ -59,44 +63,6 @@ Z = Polynomial([0.0, 1.0])
 
 
 # ---------------------------------------------------------------- references
-
-
-# Dormand-Prince 8(5,3) tableau (Hairer, Norsett & Wanner, Solving ODEs I,
-# II.10), the coefficients of tracer._dop853 as sparse tables: the (j, a_ij)
-# pairs of each stage i = 1..11, and the (j, b_j) of the 8th-order solution
-# and its 5th- and 3rd-order error estimates. The field is autonomous, so
-# the nodes c_i are not needed.
-DOP_A = (
-    ((0, 0.05260015195876773),),
-    ((0, 0.0197250569845379), (1, 0.0591751709536137)),
-    ((0, 0.02958758547680685), (2, 0.08876275643042054)),
-    ((0, 0.2413651341592667), (2, -0.8845494793282861), (3, 0.924834003261792)),
-    ((0, 0.037037037037037035), (3, 0.17082860872947386), (4, 0.12546768756682242)),
-    ((0, 0.037109375), (3, 0.17025221101954405), (4, 0.06021653898045596),
-     (5, -0.017578125)),
-    ((0, 0.03709200011850479), (3, 0.17038392571223998), (4, 0.10726203044637328),
-     (5, -0.015319437748624402), (6, 0.008273789163814023)),
-    ((0, 0.6241109587160757), (3, -3.3608926294469414), (4, -0.868219346841726),
-     (5, 27.59209969944671), (6, 20.154067550477894), (7, -43.48988418106996)),
-    ((0, 0.47766253643826434), (3, -2.4881146199716677), (4, -0.590290826836843),
-     (5, 21.230051448181193), (6, 15.279233632882423), (7, -33.28821096898486),
-     (8, -0.020331201708508627)),
-    ((0, -0.9371424300859873), (3, 5.186372428844064), (4, 1.0914373489967295),
-     (5, -8.149787010746927), (6, -18.52006565999696), (7, 22.739487099350505),
-     (8, 2.4936055526796523), (9, -3.0467644718982196)),
-    ((0, 2.273310147516538), (3, -10.53449546673725), (4, -2.0008720582248625),
-     (5, -17.9589318631188), (6, 27.94888452941996), (7, -2.8589982771350235),
-     (8, -8.87285693353063), (9, 12.360567175794303), (10, 0.6433927460157636)),
-)
-DOP_B = ((0, 0.054293734116568765), (5, 4.450312892752409), (6, 1.8915178993145003),
-         (7, -5.801203960010585), (8, 0.3111643669578199), (9, -0.1521609496625161),
-         (10, 0.20136540080403034), (11, 0.04471061572777259))
-DOP_E5 = ((0, 0.01312004499419488), (5, -1.2251564463762044), (6, -0.4957589496572502),
-          (7, 1.6643771824549864), (8, -0.35032884874997366), (9, 0.3341791187130175),
-          (10, 0.08192320648511571), (11, -0.022355307863886294))
-DOP_E3 = ((0, -0.18980075407240762), (5, 4.450312892752409), (6, 1.8915178993145003),
-          (7, -5.801203960010585), (8, -0.4226823213237919), (9, -0.1521609496625161),
-          (10, 0.20136540080403034), (11, 0.02265179219836082))
 
 
 def reference_root(lead, zeros, poles):
@@ -130,23 +96,25 @@ def clusters_of(qd):
 
 def dop853_stages(root, orientation, z, w, h):
     """The stages of one DOP853 step of length h from z, the root of phi
-    there continued from w, as loops over the tables: (the 8th-order
-    increment, the 5th- and 3rd-order error estimates, the last stage's root)."""
+    there continued from w, as loops over the tableau (Hairer, Norsett &
+    Wanner, Solving ODEs I, II.10) that tracer generates its step from:
+    (the 8th-order increment, the 5th- and 3rd-order error estimates, the
+    last stage's root)."""
     ho = h * orientation
     r = root(z, w)
     hk = [ho / r]
-    for row in DOP_A:
+    for row in DOP853_A:
         dz = 0j
         for j, a in row:
             dz += a * hk[j]
         r = root(z + dz, r)
         hk.append(ho / r)
     dz = e5 = e3 = 0j
-    for j, b in DOP_B:
+    for j, b in DOP853_B:
         dz += b * hk[j]
-    for j, b in DOP_E5:
+    for j, b in DOP853_E5:
         e5 += b * hk[j]
-    for j, b in DOP_E3:
+    for j, b in DOP853_E3:
         e3 += b * hk[j]
     return dz, e5, e3, r
 
@@ -584,16 +552,16 @@ def test_dop853_tableau_conditions():
     s6 = math.sqrt(6.0)
     c = (0.0, (6 - s6) / 67.5, (6 - s6) / 45, (6 - s6) / 30, (6 + s6) / 30,
          1 / 3, 1 / 4, 4 / 13, 127 / 195, 3 / 5, 6 / 7, 1.0)
-    assert len(DOP_A) == 11
-    for i, row in enumerate(DOP_A, 1):
+    assert len(DOP853_A) == 11
+    for i, row in enumerate(DOP853_A, 1):
         assert all(j < i for j, _a in row)
         assert abs(sum(a for _j, a in row) - c[i]) <= 1e-15 * sum(abs(a) for _j, a in row)
     for k in range(1, 9):
-        assert math.isclose(sum(b * c[j] ** (k - 1) for j, b in DOP_B), 1 / k,
+        assert math.isclose(sum(b * c[j] ** (k - 1) for j, b in DOP853_B), 1 / k,
                             rel_tol=1e-14)
     # the error estimates are differences of the 8th-order weights and
     # weights of order 5 and 3, so they integrate c^(k-1) to zero up to those
-    for weights, order in ((DOP_E5, 5), (DOP_E3, 3)):
+    for weights, order in ((DOP853_E5, 5), (DOP853_E3, 3)):
         for k in range(1, order + 1):
             assert abs(sum(e * c[j] ** (k - 1) for j, e in weights)) <= 1e-14
 
@@ -608,9 +576,19 @@ def _stages_outcome(stages, *args):
         return ZeroDivisionError
 
 
-def straight_line_stages(root, orientation, z, w, h):
-    """tracer._dop853 with the caller's stage 0, as dop853_stages."""
-    return tracer._dop853(z, root(z, w), h * orientation, root)
+def generated_stages(step):
+    """The generated step with the caller's stage 0, as dop853_stages."""
+    return lambda root, orientation, z, w, h: step(z, root(z, w), h * orientation)
+
+
+def make_generated(clusters, sqrt=cmath.sqrt):
+    """The (phi, root) and the step generated for the clusters of
+    reference_root, made with the given sqrt."""
+    lead, zeros, poles = clusters
+    orders = (tuple(m for _a, m in zeros), tuple(n for _b, n in poles))
+    locations = [a for a, _m in zeros + poles]
+    return (qdiff._evaluator_maker(*orders)(lead, *locations, sqrt),
+            tracer._step_maker(*orders)(lead, *locations, sqrt))
 
 
 @settings(max_examples=300, deadline=None)
@@ -619,12 +597,14 @@ def test_dop853_matches_the_table_loop(seed, orientation):
     rng = np.random.default_rng(seed)
     box = lambda n: rng.uniform(-2, 2, n) + 1j * rng.uniform(-2, 2, n)
     n_num, n_den = rng.integers(0, 5, size=2)
-    root = reference_root(complex(*rng.normal(size=2)), [(a, 1) for a in box(n_num).tolist()],
-                          [(b, 1) for b in box(n_den).tolist()])
+    clusters = (complex(*rng.normal(size=2)), [(a, 1) for a in box(n_num).tolist()],
+                [(b, 1) for b in box(n_den).tolist()])
+    root = reference_root(*clusters)
     z = complex(box(1)[0])
     w = rng.choice([-1, 1]) * root(z, None)
     h = float(10.0 ** rng.uniform(-6, 0.5))
-    assert (_stages_outcome(straight_line_stages, root, orientation, z, w, h)
+    step = generated_stages(make_generated(clusters)[1])
+    assert (_stages_outcome(step, root, orientation, z, w, h)
             == _stages_outcome(dop853_stages, root, orientation, z, w, h))
 
 
@@ -633,42 +613,89 @@ def test_dop853_matches_the_table_loop(seed, orientation):
 def test_dop853_keeps_signed_zeros_as_the_table_loop(orientation, z, w):
     # 1 - z^2 on the axes: each stage is real or imaginary, its other part
     # a signed zero
-    qd = segment_qd()
-    root = tracer._Scene.of(qd).root
+    scene = tracer._Scene.of(segment_qd())
     for h in (1e-3, 0.1, 1.0):
-        assert (_stages_outcome(straight_line_stages, root, orientation, complex(z), w, h)
-                == _stages_outcome(dop853_stages, root, orientation, complex(z), w, h))
+        assert (_stages_outcome(generated_stages(scene.step), scene.root, orientation,
+                                complex(z), w, h)
+                == _stages_outcome(dop853_stages, scene.root, orientation, complex(z), w, h))
 
 
 def test_dop853_stage_on_a_pole_raises_as_the_table_loop():
     # phi = 1 / z^2 from z = 0.75 with orientation -1: h = 1 / a_10 puts
     # stage 1 on the pole at 0 to the last bit
-    qd = qd_from_p_over_q_squared(ONE, Z, sign=1)
-    root = tracer._Scene.of(qd).root
-    a10 = DOP_A[0][0][1]
+    scene = tracer._Scene.of(qd_from_p_over_q_squared(ONE, Z, sign=1))
+    a10 = DOP853_A[0][0][1]
     z, h = 0.75, 1 / a10
-    assert z + (0j + a10 * (-h / root(z, 1.0))) == 0
-    for stages in (straight_line_stages, dop853_stages):
-        assert _stages_outcome(stages, root, -1, z, 1.0, h) is ZeroDivisionError
+    assert z + (0j + a10 * (-h / scene.root(z, 1.0))) == 0
+    for stages in (generated_stages(scene.step), dop853_stages):
+        assert _stages_outcome(stages, scene.root, -1, z, 1.0, h) is ZeroDivisionError
 
 
 @pytest.mark.parametrize("stage", range(12))
 def test_dop853_stops_at_the_same_stage(stage):
-    # a root that fails at the given stage: both forms call it as often
+    # a sqrt that fails at the given call, injected into the makers: the
+    # generated step after root's stage 0 and the table loop over root call
+    # it as often
     base = tracer._Scene.of(winding_qd()).root
     counts = []
-    for stages in (straight_line_stages, dop853_stages):
+    for generated in (True, False):
         calls = []
 
-        def root(z, hint):
-            calls.append(z)
+        def sqrt(v):
+            calls.append(v)
             if len(calls) > stage:
                 raise ZeroDivisionError
-            return base(z, hint)
+            return cmath.sqrt(v)
 
+        (_phi, root), step = make_generated(clusters_of(winding_qd()), sqrt)
+        stages = generated_stages(step) if generated else dop853_stages
         assert _stages_outcome(stages, root, 1, 1.0, base(1.0, 1.0), 0.01) is ZeroDivisionError
         counts.append(calls)
     assert counts[0] == counts[1] and len(counts[0]) == stage + 1
+
+
+def test_generated_step_binds_its_locations_as_values():
+    # the step's closure cells are the differential's lead and locations,
+    # signed zeros included, and its code holds no number but the tableau's
+    # entries and the 0j its sums start from
+    qd = QuadraticDifferential(complex(-0.0, 1.25), [RootCluster(complex(3.5, -0.0), 2, 0.0)],
+                               [RootCluster(complex(-0.0, 0.75), 1, 0.0)])
+    step = tracer._Scene(qd).step
+    cells = {name: cell.cell_contents
+             for name, cell in zip(step.__code__.co_freevars, step.__closure__)}
+    assert cells.keys() == {"lead", "a0", "b0", "sqrt"} and cells["sqrt"] is cmath.sqrt
+    assert [_bits(cells[name]) for name in ("lead", "a0", "b0")] == [
+        _bits(c) for c in (complex(-0.0, 1.25), complex(3.5, -0.0), complex(-0.0, 0.75))]
+    tableau = {a for table in (*DOP853_A, DOP853_B, DOP853_E5, DOP853_E3) for _j, a in table}
+    numbers = {c for c in step.__code__.co_consts if isinstance(c, (int, float, complex))}
+    assert numbers - tableau == {0j} and type(next(iter(numbers - tableau))) is complex
+    assert tableau <= numbers
+
+
+def test_same_orders_traced_interleaved_as_alone():
+    # two differentials of one shape share the compiled maker, not its
+    # values: traced in turn, each gives the rays it gives alone
+    makers = [segment_qd, lambda: qd_from_p_over_q_squared(Polynomial([4.0, 1.0, -1.0]), ONE)]
+    traces = [lambda qd: trace_horizontal(qd, 0.5 + 0.5j),
+              lambda qd: trace_from_critical(qd, _finite_cps(qd)[0], 0),
+              lambda qd: trace_vertical(qd, 0.3 + 0.2j),
+              lambda qd: trace_from_critical(qd, _finite_cps(qd)[1], 1)]
+    alone = []
+    for make in makers:
+        qd = make()
+        alone.append([_ray_bits(trace(qd)) for trace in traces])
+    qds = [make() for make in makers]
+    assert tracer._Scene.of(qds[0]).step.__code__ is tracer._Scene.of(qds[1]).step.__code__
+    together = [[], []]
+    for trace in traces:
+        for k, qd in enumerate(qds):
+            together[k].append(_ray_bits(trace(qd)))
+    assert together == alone
+
+
+def _ray_bits(ray):
+    return (ray.points.tobytes(), ray.sqrt_values.tobytes(), ray.taus.tobytes(),
+            ray.termination, ray.phi_length)
 
 
 # ---------------------------------------------------------------- the generated root

@@ -2,11 +2,13 @@
 
     python3 tools/digest_ops.py --seeds 1,2 --out digests.json
     python3 tools/digest_ops.py --seeds 1,2 --out new.json --against old.json
+    python3 tools/digest_ops.py --seeds 1 --workloads verdict,level --out part.json
 
-Builds each pass of the four workloads of perfbench/corpus.py at each seed,
-runs every CLI op in this process through qdsphere.cli.main on the package
-in src/, and writes, per op id, its exit code and the SHA-256 of its
-standard output followed by its report or SVG. The direct poly_roots ops
+Builds each pass of the four workloads of perfbench/corpus.py, or of the
+ones --workloads names, at each seed, runs every CLI op in this process
+through qdsphere.cli.main on the package in src/, and writes, per op id,
+its exit code and the SHA-256 of its standard output followed by its
+report or SVG. The direct poly_roots ops
 of the corpus call no command and are left out. With --against FILE, a
 digest file of another revision, it prints the ids whose entry differs or
 is missing on one side, and exits 1 if there is any.
@@ -39,8 +41,13 @@ def _program():
 
 def digest_ops(seeds, workloads=None) -> dict:
     """{op id: {"exit": code, "sha256": digest}} over every CLI op of the
-    workloads' passes at the given seeds."""
+    workloads' passes at the given seeds (all workloads for None);
+    ValueError for a name corpus.WORKLOADS does not hold."""
     corpus, cli = _program()
+    unknown = sorted(set(workloads or ()) - set(corpus.WORKLOADS))
+    if unknown:
+        raise ValueError(f"unknown workloads {', '.join(unknown)}; "
+                         f"choose from {', '.join(corpus.WORKLOADS)}")
     out = {}
     with tempfile.TemporaryDirectory() as tmp:
         spec = Path(tmp) / "in.json"
@@ -73,11 +80,16 @@ def differences(ops: dict, other: dict) -> list:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", default="1,2", help="comma-separated corpus seeds")
+    ap.add_argument("--workloads", default=None,
+                    help="comma-separated workloads of perfbench/corpus.py (default: all)")
     ap.add_argument("--out", required=True, help="digest file to write")
     ap.add_argument("--against", default=None, help="digest file to compare with")
     args = ap.parse_args(argv)
     seeds = [int(s) for s in args.seeds.split(",")]
-    ops = digest_ops(seeds)
+    try:
+        ops = digest_ops(seeds, args.workloads.split(",") if args.workloads else None)
+    except ValueError as err:
+        ap.error(str(err))
     with open(args.out, "w") as fh:
         json.dump({"seeds": seeds, "ops": ops}, fh, indent=1, sort_keys=True)
         fh.write("\n")
