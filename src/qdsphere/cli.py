@@ -20,18 +20,21 @@ import sys
 
 import numpy as np
 
-from . import __version__
-from .errors import QdError, ResidueObstruction, SchemaError
+from . import __version__, level
+from .errors import QdError, SchemaError
 from .criteria import overall_verdict, run_all, CERTIFIED, SUPPORTED
 from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
                     pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
-from .level import level_function, level_grid, verify_level
+from .level import level_grid, residue_obstruction, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
 from .qdiff import SpherePoint, critical_points, measure_mass, order_at_infinity
 from .specfile import build_qd, parse_input, parse_point, parse_positive
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
 from .errors import EmptyLevel
+
+# cli calls level_function no more; perfbench/tracing.py (TARGETS) wraps it here by name
+level_function = level.level_function
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 10
@@ -213,46 +216,23 @@ def _render_lemniscate(spec, qd, canvas, win, level):
 
 
 def cmd_level(spec, qd, opts, args):
-    win = opts.window
     pairing = pair_zeros_by_short_trajectories(qd, opts)
-
+    obstruction = residue_obstruction(qd)
     if isinstance(pairing, PairingFailure):
-        # diagnose: the level at the base zero is 0, but level_function
-        # first tests the loop integral around every pole
-        obstruction = None
-        try:
-            level_function(qd, None, qd.zeros[0].location)
-        except ResidueObstruction as e:
-            obstruction = {"gap": e.gap, "at": e.at}
-        return EXIT_INCONCLUSIVE, _report(
-            pairing_failure={"unmatched": pairing.unmatched,
-                             "locations": pairing.locations,
-                             "reason": pairing.reason},
-            obstruction=obstruction,
-            input=spec.defaults_echo(),
-        )
-
-    try:
-        field = level_grid(qd, pairing, win, args.grid)
-    except ResidueObstruction as e:
-        return EXIT_INCONCLUSIVE, _report(
-            obstruction={"gap": e.gap, "at": e.at},
-            input=spec.defaults_echo(),
-        )
-
-    verification = verify_level(field, _level_rays(qd, spec, win, opts))
+        return EXIT_INCONCLUSIVE, _report(pairing_failure=vars(pairing), obstruction=obstruction,
+                                          input=spec.defaults_echo())
+    if obstruction is not None:
+        return EXIT_INCONCLUSIVE, _report(obstruction=obstruction, input=spec.defaults_echo())
+    field = level_grid(qd, pairing, opts.window, args.grid)
+    verification = verify_level(field, _level_rays(qd, spec, opts.window, opts))
     return EXIT_OK, _report(
         base_point=field.base_point,
         window=field.window,
         n=field.n,
-        grid=[[None if field.undefined_mask[iy, ix] else float(field.grid[iy, ix])
-               for ix in range(field.n)] for iy in range(field.n)],
+        grid=np.where(field.undefined_mask, None, field.grid).tolist(),
         cuts=field.cuts,
         pairing={"pairs": pairing.pairs, "method": pairing.method},
-        verification={"passed_i": verification.passed_i,
-                      "passed_ii": verification.passed_ii,
-                      "passed_iii": verification.passed_iii,
-                      "details": verification.details},
+        verification=vars(verification),
         input=spec.defaults_echo(),
         tolerances=_tolerances(opts),
     )

@@ -18,8 +18,8 @@ from .graph import (
     build_critical_graph,
     pair_zeros_by_short_trajectories,
 )
-from .qdiff import (CIRCULAR, QuadraticDifferential, critical_points, double_pole_kind,
-                    principal_sqrt, require_form)
+from .qdiff import (QuadraticDifferential, critical_points, principal_sqrt, require_form,
+                    single_valued)
 
 CERTIFIED = "CertifiedNoRecurrence"
 SUPPORTED = "NumericallySupported"
@@ -99,8 +99,8 @@ def parity_pairs(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
 def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     """Each finite double pole b of phi must give a purely imaginary residue
     of sqrt(phi), the principal root of its quadratic residue c, with
-    phi ~ c / (z - b)^2 (for phi = p / q^2, c = p(b) / q'(b)^2): b must be
-    circular to qdiff.double_pole_kind, whatever the branch of the square
+    phi ~ c / (z - b)^2 (for phi = p / q^2, c = p(b) / q'(b)^2): c must pass
+    qdiff.single_valued, level's test too, whatever the branch of the square
     root. Any other finite pole order leaves the test inapplicable;
     infinity is not tested."""
     require_form(qd, "criterion")
@@ -113,8 +113,8 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     ev["residues"] = residues
     ev["max_real_ratio"] = max([0.0] + [abs(r.real) / max(abs(r), 1e-300) if r != 0 else 0.0
                                         for _b, r in residues])
-    circular = all(double_pole_kind(cp.quadratic_residue) == CIRCULAR for cp in poles)
-    if circular and not isinstance(pairing, PairingFailure):
+    single = all(single_valued(cp.quadratic_residue) for cp in poles)
+    if single and not isinstance(pairing, PairingFailure):
         return CriterionVerdict("ResidueCriterion", SUPPORTED, ev)
     return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
 

@@ -66,11 +66,9 @@ class PathBlocked(QdError):
 
 
 class ResidueObstruction(QdError):
-    """Level values disagree between homotopically different paths.
-
-    Carries the measured imaginary-part gap; a gap near 2*pi*|Re(residue)|
-    indicates a pole residue with nonzero real part.
-    """
+    """Level values disagree between homotopically different paths: round
+    the pole at, Im of the integral changes by gap = 2*pi*|Re Res(sqrt(phi))|,
+    from the closed-form residue (qdiff.squared_residue), not measured."""
 
     def __init__(self, message, gap=None, at=None):
         super().__init__(message)

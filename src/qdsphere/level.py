@@ -15,16 +15,15 @@ node on a cut or at a zero gets a value but passes no branch on, and a node
 the root cannot reach is an error. Every edge the tree leaves out closes a
 lattice loop: where the cuts are the paired short trajectories, a mismatch
 of the imaginary part across it is a continuity failure. Whether Im of the
-integral depends on the path at all is decided per pole, by one loop
-integral around its disk. A point off the lattice is reached by one clear
-straight link from a node.
+integral depends on the path at all is decided first, from the closed-form
+residue of sqrt(phi) at each pole (residue_obstruction), with no quadrature.
+A point off the lattice is reached by one clear straight link from a node.
 
 The quadrature runs by stage, each stage one call of the multi-path kernel
 sqrt_panel_integrals: the tree one layer at a time (every edge out of a
-layer starts from a branch already known), then all the loop edges, all
-the pole loops, and all the links of one verified ray. The tree, the
-branches and the first loop or pole reported are those of the edge by edge
-order.
+layer starts from a branch already known), then all the loop edges, and
+all the links of one verified ray. The tree, the branches and the first
+loop reported are those of the edge by edge order.
 """
 
 from __future__ import annotations
@@ -38,7 +37,8 @@ import numpy as np
 from .errors import BranchAmbiguity, EmptyLevel, GuardViolation, PathBlocked, ResidueObstruction
 from .geom import crossing_counts, meets, segment_distances
 from .graph import Pairing
-from .qdiff import QuadraticDifferential, require_form, sqrt_panel_integrals
+from .qdiff import (QuadraticDifferential, require_form, single_valued, sqrt_panel_integrals,
+                    squared_residue)
 
 GAP_REL_TOL = 1e-6
 OBSTACLE_FACTOR = 2.0
@@ -152,13 +152,29 @@ def _seed_probe(qd, base: complex, cuts) -> complex:
     return base + r0 * cmath.exp(1j * best)
 
 
+def residue_obstruction(qd: QuadraticDifferential) -> dict | None:
+    """{"at": the first pole, in qd.poles order, whose squared residue fails
+    qdiff.single_valued, "gap": 2 pi |Re Res|, the change of Im round it} or
+    None; BranchAmbiguity at a pole of odd order, which no cut ends at."""
+    for c in qd.poles:
+        if c.multiplicity % 2:
+            raise BranchAmbiguity(f"the pole at {c.location} has odd order {c.multiplicity}")
+        r2 = squared_residue(qd, c)
+        if not single_valued(r2):
+            return {"at": c.location, "gap": 2.0 * math.pi * abs(cmath.sqrt(r2).real)}
+    return None
+
+
 class _LevelSetup:
     """What every evaluation of one level function shares: the integrand,
     the pole disks, the singular set, the cuts and the seed probe near the
-    base."""
+    base. ResidueObstruction where residue_obstruction finds a pole."""
 
     def __init__(self, qd: QuadraticDifferential, base: complex, cuts: list):
         require_form(qd, "level function")
+        if (hit := residue_obstruction(qd)) is not None:
+            raise ResidueObstruction(f"level function path-dependent around the pole at "
+                                     f"{hit['at']}: loop gap {hit['gap']:.6e}", **hit)
         self.phi = qd.phi_array
         self.base = base
         self.cuts = cuts
@@ -170,22 +186,6 @@ class _LevelSetup:
         # target-independent first leg: the branch seed must not depend on z,
         # or targets on opposite sides of a cut get opposite global signs
         self.probe = _seed_probe(qd, base, cuts)
-
-    def check_poles(self):
-        """ResidueObstruction at the first pole whose loop integral, around
-        a 16-gon on its disk, has an imaginary part: Im of the integral from
-        the base then depends on the path."""
-        loops = []
-        for c, r in self.pole_obs:
-            loop = [c + r * cmath.exp(2j * math.pi * k / 16) for k in range(16)]
-            loops.append((loop + loop[:1], None))
-        totals = _integrate(self.phi, loops, self.singular)
-        for (c, _r), (total, _) in zip(self.pole_obs, totals):
-            gap = abs(total.imag)
-            if gap > GAP_REL_TOL * (1.0 + abs(total)):
-                raise ResidueObstruction(
-                    f"level function path-dependent around the pole at {c}: "
-                    f"loop gap {gap:.6e}", gap=gap, at=c)
 
     def outside_disks(self, z: np.ndarray) -> np.ndarray:
         ok = np.ones(z.shape, dtype=bool)
@@ -334,17 +334,16 @@ def level_function(qd: QuadraticDifferential, pairing, z: complex) -> float:
     a function of phi alone.
 
     z is linked to a small lattice over the base, the seed probe, z and the
-    cuts, continued as level_grid continues its own. Raises GuardViolation
-    for z in a pole disk, then ResidueObstruction when the loop integral
-    around some pole has an imaginary part beyond 1e-6 * (1 + |loop|): the
-    level function is then not well defined. It is 0 at the base; elsewhere
-    a PairingFailure or None pairing raises BranchAmbiguity.
+    cuts, continued as level_grid continues its own. Raises
+    ResidueObstruction where residue_obstruction finds a pole round which
+    the level is not well defined, then GuardViolation for z in a pole disk.
+    It is 0 at the base; elsewhere a PairingFailure or None pairing raises
+    BranchAmbiguity.
     """
     setup = _setup(qd, pairing)
     z = complex(z)
     if not setup.outside_disks(np.array([z]))[0]:
         raise GuardViolation(f"{z} lies inside a pole neighborhood")
-    setup.check_poles()
     if z == setup.base:
         return 0.0
     _require_cuts(pairing)
@@ -360,7 +359,6 @@ def level_grid(qd: QuadraticDifferential, pairing, window, n: int) -> LevelField
     window = tuple(float(v) for v in window)
     n = int(n)
     setup = _setup(qd, pairing)
-    setup.check_poles()
     _require_cuts(pairing)
     zs = _lattice(window, n)
     level, branch, masked = setup.continue_over(zs)

@@ -288,7 +288,7 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
     for c in qd.zeros:
         pts.append(CriticalPoint(SpherePoint.finite(c.location), c.multiplicity))
     for c in qd.poles:
-        qr = local_leading_coefficient(qd, c.location) if c.multiplicity == 2 else None
+        qr = squared_residue(qd, c) if c.multiplicity == 2 else None
         pts.append(CriticalPoint(SpherePoint.finite(c.location), -c.multiplicity, qr))
     pts.sort(key=lambda p: (p.at.value.real, p.at.value.imag))
 
@@ -315,6 +315,30 @@ def double_pole_kind(c: complex) -> str:
     if abs(cmath.phase(-c)) <= ANGULAR_TOL:
         return CIRCULAR
     return RADIAL if abs(cmath.phase(c)) <= ANGULAR_TOL else SPIRAL
+
+
+def squared_residue(qd: QuadraticDifferential, pole: RootCluster) -> complex:
+    """Res(sqrt(phi))^2 at a pole b of even order 2k, in closed form, so no
+    branch is chosen: sqrt(phi) = g(z) / (z - b)^k with g(b)^2 = c, the local
+    leading coefficient, and g(b + t) / g(b) = sum h_n t^n by the exp
+    recursion h_n = -(1/2n) sum_(j <= n) p_j h_(n-j) on the power sums p_j =
+    sum m / (a - b)^j over the other clusters a (m < 0 at poles). Res^2 =
+    c h_(k-1)^2, which is c itself at k = 1."""
+    b, k = pole.location, pole.multiplicity // 2
+    others = [(c.location, sign * c.multiplicity) for cs, sign in ((qd.zeros, 1), (qd.poles, -1))
+              for c in cs if c.location != b]
+    p = [sum(m / (a - b) ** j for a, m in others) for j in range(k)]
+    h = [1 + 0j]
+    for n in range(1, k):
+        h.append(-sum(p[j] * h[n - j] for j in range(1, n + 1)) / (2 * n))
+    c = local_leading_coefficient(qd, b)
+    return c if k == 1 else c * h[k - 1] * h[k - 1]
+
+
+def single_valued(r2: complex) -> bool:
+    """Whether the loop integral +-2 pi i Res of sqrt(phi) round a pole of
+    squared residue r2 is real: r2 is 0 or Circular to double_pole_kind."""
+    return r2 == 0 or double_pole_kind(r2) == CIRCULAR
 
 
 def _find_critical(qd: QuadraticDifferential, at: SpherePoint) -> CriticalPoint:

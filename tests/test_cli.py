@@ -8,7 +8,7 @@ from numpy.polynomial import polynomial as P
 import qdsphere.cli
 from qdsphere import __version__
 from qdsphere.cli import main
-from qdsphere.errors import ResidueObstruction
+from qdsphere.qdiff import CIRCULAR, double_pole_kind
 from qdsphere.specfile import build_qd, parse_obj
 
 FIG_WINDING = {
@@ -382,13 +382,15 @@ def test_criteria_report_keys_and_exit_code(tmp_path, capsys):
 
 
 def test_level_grid_obstruction_report(tmp_path, monkeypatch):
-    def obstructed(*args, **kwargs):
-        raise ResidueObstruction("forced", gap=1.5, at=0.5 + 0.25j)
-
-    monkeypatch.setattr(qdsphere.cli, "level_grid", obstructed)
-    doc = _report_of(tmp_path, "level", SEGMENT, ["--grid", "6"], 10)
+    # phi = i / (z - b)^2, b = 0.5 + 0.25i, has no zeros to pair: its residue
+    # sqrt(i) alone blocks the grid, before any lattice is built
+    spec = {"format_version": 1,
+            "p_over_q_squared": {"p": [[0.0, 1.0]], "q": [[-0.5, -0.25], [1.0, 0.0]]}}
+    monkeypatch.setattr(qdsphere.cli, "level_grid", None)
+    doc = _report_of(tmp_path, "level", spec, ["--grid", "6"], 10)
     assert set(doc) == ENVELOPE | {"obstruction", "input"}
-    assert doc["obstruction"] == {"gap": 1.5, "at": [0.5, 0.25]}
+    assert doc["obstruction"]["at"] == [0.5, 0.25]
+    assert doc["obstruction"]["gap"] == pytest.approx(2 * math.pi * math.sqrt(0.5), rel=1e-15)
 
 
 # ---------------------------------------------------------------- analyze
@@ -614,6 +616,34 @@ def test_level_obstruction_exit_10(tmp_path):
     assert "pairing_failure" in doc
     gap = doc["obstruction"]["gap"]
     assert gap == pytest.approx(2 * math.pi * math.sqrt(3), rel=1e-3)
+
+
+@pytest.mark.parametrize("eps", [0.0, 5e-10, 2e-9, 5e-9, 1e-7, 2e-6, 1e-5])
+def test_level_obstruction_where_the_pole_is_not_circular(tmp_path, capsys, eps):
+    # phi = -e^(i eps) / z^2: the level is refused (10) exactly where
+    # ResidueCriterion's test reads the pole as not Circular, and never
+    # fails (1) on a lattice loop that misses by 2 pi sin(eps / 2)
+    c = -complex(math.cos(eps), math.sin(eps))
+    spec = {"format_version": 1,
+            "p_over_q_squared": {"p": [[c.real, c.imag]], "q": [[0.0, 0.0], [1.0, 0.0]]}}
+    out = str(tmp_path / "level.json")
+    code = run(["level", write_spec(tmp_path, spec), "--grid", "9", "--out", out])
+    assert "Traceback" not in capsys.readouterr().err
+    assert code == (0 if double_pole_kind(c) == CIRCULAR else 10)
+    if code == 10:
+        assert load(out)["obstruction"] == {"gap": pytest.approx(2 * math.pi * math.sin(eps / 2)),
+                                            "at": [0.0, 0.0]}
+
+
+def test_level_order_four_pole_with_a_real_residue_exit_10(tmp_path):
+    # phi = 1 / (z^4 (z - 1)^2): sqrt(phi) = -(1 + z + ...) / z^2 near 0, so
+    # Res = -1 there and the loop round 0 has imaginary part 2 pi
+    spec = {"format_version": 1,
+            "p_over_q_squared": {"p": [[1.0, 0.0]],
+                                 "q": [[0.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [1.0, 0.0]]}}
+    doc = _report_of(tmp_path, "level", spec, ["--grid", "9"], 10)
+    assert set(doc) == ENVELOPE | {"obstruction", "input"}
+    assert doc["obstruction"] == {"gap": pytest.approx(2 * math.pi, rel=1e-14), "at": [0.0, 0.0]}
 
 
 WIDE_SEGMENT = {

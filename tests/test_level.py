@@ -16,8 +16,8 @@ from qdsphere import level
 from qdsphere.criteria import residue_criterion
 from qdsphere.graph import PairingFailure, pair_zeros_by_short_trajectories
 from qdsphere.level import level_function, level_grid, verify_level
-from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import qd_from_p_over_q_squared, qd_new
+from qdsphere.polyalg import Polynomial, RootCluster
+from qdsphere.qdiff import QuadraticDifferential, qd_from_p_over_q_squared, qd_new
 from qdsphere.tracer import TraceOptions, trace_horizontal
 
 ONE = Polynomial([1.0])
@@ -148,9 +148,8 @@ def test_grid_shares_leg_with_pointwise_values():
 
 def test_residue_obstruction_detected():
     # p = z^2 - 1, q = z - 2: sqrt(p)/q carries residue sqrt(3) at 2, so
-    # the two homotopy probes must disagree by 2 pi sqrt(3)
+    # paths on either side of the pole disagree by 2 pi sqrt(3)
     qd = qd_from_p_over_q_squared(Polynomial([-1.0, 0.0, 1.0]), Polynomial([-2.0, 1.0]))
-    # aim straight through the pole's disk so the two homotopy probes fork
     with pytest.raises(ResidueObstruction) as ei:
         level_function(qd, None, 4.0 + 0j)
     gap = ei.value.gap
@@ -343,8 +342,10 @@ def test_default_segment_grid_on_the_cut():
     assert np.all(np.isnan(field.branch[32][on_cut]))
 
 
-def test_residue_obstruction_sits_at_the_pole():
-    # decided by the loop integral around the pole's disk, whatever the target
+def test_residue_obstruction_sits_at_the_pole(monkeypatch):
+    # decided by the residue of sqrt(phi) at the pole, whatever the target,
+    # with no quadrature at all
+    monkeypatch.setattr(level, "sqrt_panel_integrals", None)
     qd = qd_from_p_over_q_squared(Polynomial([-1.0, 0.0, 1.0]), Polynomial([-2.0, 1.0]))
     for z in (4.0 + 0j, -3.0 + 1j):
         with pytest.raises(ResidueObstruction) as ei:
@@ -353,6 +354,28 @@ def test_residue_obstruction_sits_at_the_pole():
         assert ei.value.gap == pytest.approx(2 * math.pi * math.sqrt(3), rel=1e-12)
     with pytest.raises(ResidueObstruction):
         level_grid(qd, None, (-3.0, -3.0, 3.0, 3.0), 5)
+
+
+def test_zero_residue_publishes_a_grid():
+    # 1/z^4: sqrt(phi) = 1/z^2 has residue 0, single-valued round the pole
+    qd = qd_from_p_over_q_squared(ONE, Polynomial([0.0, 0.0, 1.0]))
+    field = level_grid(qd, pair_zeros_by_short_trajectories(qd), (-3.0, -3.0, 3.0, 3.0), 9)
+    assert field.undefined_mask[4, 4] and not field.undefined_mask[0, 0]
+    # Im of -1/z + 1 from the base 1
+    assert field.grid[0, 0] == pytest.approx((-1 / complex(-3.0, -3.0)).imag, abs=1e-10)
+
+
+def test_odd_order_pole_is_a_branch_ambiguity_before_any_lattice(monkeypatch):
+    # a pole of order 3 at 2i beside the segment's zeros: a branch point of
+    # sqrt(phi) that no cut ends at, reached only through a forged pairing
+    seg, pairing = segment_setup()
+    qd = QuadraticDifferential(1.0, seg.zeros, [RootCluster(2.0j, 3, 0.0)], "p_over_q_squared")
+    forged = dataclasses.replace(pairing, method="forged")
+    monkeypatch.setattr(level._LevelSetup, "continue_over", None)
+    with pytest.raises(BranchAmbiguity, match=r"^the pole at 2j has odd order 3$"):
+        level_grid(qd, forged, (-3.0, -3.0, 3.0, 3.0), 8)
+    with pytest.raises(BranchAmbiguity, match=r"^the pole at 2j has odd order 3$"):
+        level_function(qd, forged, 1.5 + 1.0j)
 
 
 def test_lattice_loop_gate_catches_a_cut_that_misses_a_zero():

@@ -20,9 +20,12 @@ from qdsphere.qdiff import (
     lemniscate_qd,
     measure_density,
     measure_mass,
+    local_leading_coefficient,
     order_at_infinity,
     qd_from_p_over_q_squared,
     qd_new,
+    single_valued,
+    squared_residue,
 )
 
 
@@ -106,6 +109,75 @@ def test_classify_rejects_wrong_order():
     qd = qd_new(Polynomial([1.0]), Polynomial([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(WrongOrder):
         classify_double_pole(qd, 0.0)
+
+
+def quadrature_residue(qd, pole, n=4096):
+    """Res(sqrt(phi)) at a pole of even order by the n-point trapezoid rule
+    on the circle of half the distance to the nearest other cluster, sqrt(phi)
+    continued round it: the rule is exact to rounding for an integrand
+    analytic on an annulus that wide."""
+    b = pole.location
+    r = 0.5 * min(abs(c.location - b) for c in qd.zeros + qd.poles if c is not pole)
+    w = np.exp(2j * np.pi * np.arange(n) / n)
+    roots = continue_sqrt_along(qd.phi_array(b + r * w))
+    return complex(np.sum(roots * r * w)) / n
+
+
+def random_clusters(rng, count, orders):
+    """count clusters at least 0.4 apart in the square [-2, 2]^2, of random
+    orders from orders."""
+    locs = []
+    while len(locs) < count:
+        z = complex(*rng.uniform(-2.0, 2.0, size=2))
+        if all(abs(z - w) >= 0.4 for w in locs):
+            locs.append(z)
+    return [RootCluster(z, int(rng.choice(orders)), 0.0) for z in locs]
+
+
+@pytest.mark.parametrize("order", [2, 4, 6])
+def test_squared_residue_matches_quadrature(order):
+    rng = np.random.default_rng(order)
+    worst = 0.0
+    for _ in range(20):
+        pole, *others = random_clusters(rng, 6, [1, 2, 3])
+        pole = RootCluster(pole.location, order, 0.0)
+        zeros, poles = others[:3], [pole] + others[3:]
+        lead = complex(*rng.normal(size=2))
+        qd = QuadraticDifferential(lead, zeros, poles)
+        r2 = squared_residue(qd, pole)
+        if order == 2:
+            assert r2 == local_leading_coefficient(qd, pole.location)
+        want = quadrature_residue(qd, pole) ** 2
+        worst = max(worst, abs(r2 - want) / abs(want))
+        # the residue of the one-form sqrt(phi) dz is unmoved by a change of
+        # variable z = a w + b0, the clusters moved and lead scaled by a^(2 + d)
+        a, b0 = complex(*rng.uniform(0.5, 2.0, size=2)), complex(*rng.normal(size=2))
+        moved = lambda cs: [RootCluster((c.location - b0) / a, c.multiplicity, c.radius / abs(a))
+                            for c in cs]
+        d = sum(c.multiplicity for c in zeros) - sum(c.multiplicity for c in poles)
+        img = QuadraticDifferential(lead * a ** (2 + d), moved(zeros), moved(poles))
+        assert squared_residue(img, img.poles[0]) == pytest.approx(r2, rel=1e-13)
+    assert worst <= 1e-13
+
+
+@pytest.mark.parametrize("lead", [complex(2.0, -0.0), complex(-0.0, -2.0)])
+def test_squared_residue_of_a_double_pole_is_its_quadratic_residue_to_the_bit(lead):
+    qd = QuadraticDifferential(lead, [], [RootCluster(0j, 2, 0.0)])
+    want = local_leading_coefficient(qd, 0j)
+    got = squared_residue(qd, qd.poles[0])
+    assert [math.copysign(1.0, x) for x in (got.real, got.imag)] == \
+        [math.copysign(1.0, x) for x in (want.real, want.imag)]
+    assert got == want == critical_points(qd)[0].quadratic_residue
+
+
+def test_single_valued_at_zero_and_circular_residues():
+    # 1/z^4 has residue 0, which double_pole_kind alone would call Radial
+    qd = qd_new(Polynomial([1.0]), Polynomial([0.0, 0.0, 0.0, 0.0, 1.0]))
+    assert squared_residue(qd, qd.poles[0]) == 0
+    assert single_valued(0j)
+    for c, want in ((-1.0 + 0j, True), (1.0 + 0j, False), (2j, False),
+                    (-complex(math.cos(2e-9), math.sin(2e-9)), False)):
+        assert single_valued(c) is want
 
 
 def test_sqrt_branch_continuity_small_steps():
