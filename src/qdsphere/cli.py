@@ -216,23 +216,33 @@ def _render_lemniscate(spec, qd, canvas, win, level):
 
 
 def cmd_level(spec, qd, opts, args):
+    win = opts.window
     pairing = pair_zeros_by_short_trajectories(qd, opts)
     obstruction = residue_obstruction(qd)
     if isinstance(pairing, PairingFailure):
-        return EXIT_INCONCLUSIVE, _report(pairing_failure=vars(pairing), obstruction=obstruction,
-                                          input=spec.defaults_echo())
+        return EXIT_INCONCLUSIVE, _report(
+            pairing_failure={"unmatched": pairing.unmatched,
+                             "locations": pairing.locations,
+                             "reason": pairing.reason},
+            obstruction=obstruction,
+            input=spec.defaults_echo(),
+        )
     if obstruction is not None:
         return EXIT_INCONCLUSIVE, _report(obstruction=obstruction, input=spec.defaults_echo())
-    field = level_grid(qd, pairing, opts.window, args.grid)
-    verification = verify_level(field, _level_rays(qd, spec, opts.window, opts))
+    field = level_grid(qd, pairing, win, args.grid)
+    verification = verify_level(field, _level_rays(qd, spec, win, opts))
     return EXIT_OK, _report(
         base_point=field.base_point,
         window=field.window,
         n=field.n,
-        grid=np.where(field.undefined_mask, None, field.grid).tolist(),
+        grid=[[None if field.undefined_mask[iy, ix] else float(field.grid[iy, ix])
+               for ix in range(field.n)] for iy in range(field.n)],
         cuts=field.cuts,
         pairing={"pairs": pairing.pairs, "method": pairing.method},
-        verification=vars(verification),
+        verification={"passed_i": verification.passed_i,
+                      "passed_ii": verification.passed_ii,
+                      "passed_iii": verification.passed_iii,
+                      "details": verification.details},
         input=spec.defaults_echo(),
         tolerances=_tolerances(opts),
     )

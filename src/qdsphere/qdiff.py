@@ -288,7 +288,7 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
     for c in qd.zeros:
         pts.append(CriticalPoint(SpherePoint.finite(c.location), c.multiplicity))
     for c in qd.poles:
-        qr = squared_residue(qd, c) if c.multiplicity == 2 else None
+        qr = local_leading_coefficient(qd, c.location) if c.multiplicity == 2 else None
         pts.append(CriticalPoint(SpherePoint.finite(c.location), -c.multiplicity, qr))
     pts.sort(key=lambda p: (p.at.value.real, p.at.value.imag))
 
@@ -322,17 +322,26 @@ def squared_residue(qd: QuadraticDifferential, pole: RootCluster) -> complex:
     branch is chosen: sqrt(phi) = g(z) / (z - b)^k with g(b)^2 = c, the local
     leading coefficient, and g(b + t) / g(b) = sum h_n t^n by the exp
     recursion h_n = -(1/2n) sum_(j <= n) p_j h_(n-j) on the power sums p_j =
-    sum m / (a - b)^j over the other clusters a (m < 0 at poles). Res^2 =
-    c h_(k-1)^2, which is c itself at k = 1."""
+    sum m / (a - b)^j over the N other clusters a (m < 0 at poles). Res^2 =
+    c h_(k-1)^2, which is c itself at k = 1. It is 0 when |h_(k-1)| is within
+    the recursion's rounding: k (N + k) machine epsilons times H_(k-1), the
+    same recursion on the majorants sum |m| / |a - b|^j (a residue that
+    vanishes by symmetry, as at 0 for phi = (z^3 - 1) / z^4)."""
     b, k = pole.location, pole.multiplicity // 2
-    others = [(c.location, sign * c.multiplicity) for cs, sign in ((qd.zeros, 1), (qd.poles, -1))
-              for c in cs if c.location != b]
-    p = [sum(m / (a - b) ** j for a, m in others) for j in range(k)]
-    h = [1 + 0j]
-    for n in range(1, k):
-        h.append(-sum(p[j] * h[n - j] for j in range(1, n + 1)) / (2 * n))
     c = local_leading_coefficient(qd, b)
-    return c if k == 1 else c * h[k - 1] * h[k - 1]
+    if k == 1:
+        return c
+    others = [(cl.location, sign * cl.multiplicity) for cs, sign in ((qd.zeros, 1), (qd.poles, -1))
+              for cl in cs if cl.location != b]
+    p = [sum(m / (a - b) ** j for a, m in others) for j in range(1, k)]
+    majorant = [sum(abs(m) / abs(a - b) ** j for a, m in others) for j in range(1, k)]
+    h, bound = [1 + 0j], [1.0]
+    for n in range(1, k):
+        h.append(-sum(p[j - 1] * h[n - j] for j in range(1, n + 1)) / (2 * n))
+        bound.append(sum(majorant[j - 1] * bound[n - j] for j in range(1, n + 1)) / (2 * n))
+    if abs(h[-1]) <= k * (len(others) + k) * math.ulp(1.0) * bound[-1]:
+        return 0j
+    return c * h[-1] * h[-1]
 
 
 def single_valued(r2: complex) -> bool:

@@ -646,6 +646,22 @@ def test_level_order_four_pole_with_a_real_residue_exit_10(tmp_path):
     assert doc["obstruction"] == {"gap": pytest.approx(2 * math.pi, rel=1e-14), "at": [0.0, 0.0]}
 
 
+def test_level_order_four_pole_with_a_residue_zero_by_symmetry_publishes_a_grid(tmp_path):
+    # phi = (e^(-0.4i) z^4 + e^(0.4i)) / z^4: Res = 0 at 0, as the four zeros
+    # sum to 0, but their float locations leave Sum 1/a ~ 1e-16 with no
+    # preferred argument; that rounding is no obstruction
+    u = complex(math.cos(0.4), math.sin(0.4))
+    spec = {"format_version": 1,
+            "p_over_q_squared": {"p": [[u.real, u.imag], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                       [u.real, -u.imag]],
+                                 "q": [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}}
+    qd = build_qd(parse_obj(spec))
+    assert sum(1 / c.location for c in qd.zeros) != 0
+    doc = _report_of(tmp_path, "level", spec, ["--grid", "9"], 0)
+    assert "obstruction" not in doc and doc["grid"][4][4] is None
+    assert doc["verification"]["passed_i"] and doc["verification"]["passed_ii"]
+
+
 WIDE_SEGMENT = {
     "format_version": 1,
     "p_over_q_squared": {"p": [[-4.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[1.0, 0.0]],

@@ -180,6 +180,30 @@ def test_single_valued_at_zero_and_circular_residues():
         assert single_valued(c) is want
 
 
+def test_residue_zero_by_symmetry_is_zero_to_rounding():
+    # the power sums vanish analytically at 0 but not in floats: the roots
+    # of unity are a rounding off, and the raw Res^2 ~ 1e-32 would have a
+    # random argument
+    for p, q, k in (([-1.0, 0, 0, 0, 0, 1.0], [0, 0, 0, 1.0], 3),          # (z^5 - 1) / z^6
+                    ([1.0], [0, 0, -1.0, 0, 0, 1.0], 2),                    # 1 / (z^2 (z^3 - 1))^2
+                    ([np.exp(0.4j), 0, 0, 0, np.exp(-0.4j)], [0, 0, 1.0], 2)):
+        qd = qd_from_p_over_q_squared(Polynomial(p), Polynomial(q))
+        [pole] = [c for c in qd.poles if c.location == 0]
+        sums = [sum(sign * c.multiplicity / c.location ** j
+                    for cs, sign in ((qd.zeros, 1), (qd.poles, -1)) for c in cs if c is not pole)
+                for j in range(1, k)]
+        assert any(s != 0 for s in sums)
+        assert squared_residue(qd, pole) == 0j
+    # a residue of 1e-9 relative, far above rounding, is kept: zeros at
+    # +-1, i and -i (1 + 1e-9) give p_1 = i 1e-9 / (1 + 1e-9) at 0
+    zeros = [RootCluster(z, 1, 0.0) for z in (-1.0, 1.0, 1j, -1j * (1 + 1e-9))]
+    qd = QuadraticDifferential(1.0, zeros, [RootCluster(0j, 4, 0.0)])
+    h1 = -0.5 * sum(1 / c.location for c in zeros)
+    got = squared_residue(qd, qd.poles[0])
+    assert got != 0 and got == pytest.approx(local_leading_coefficient(qd, 0j) * h1 * h1, rel=1e-6)
+    assert not single_valued(got)
+
+
 def test_sqrt_branch_continuity_small_steps():
     rng = np.random.default_rng(31)
     qd = rand_qd(rng)
