@@ -10,10 +10,9 @@ import numpy as np
 from .errors import ConvergenceFailure, EmptyLevel
 from .contour import marching_squares
 from .polyalg import Polynomial
-from .qdiff import QuadraticDifferential, critical_points, lemniscate_qd
+from .qdiff import CIRCULAR, QuadraticDifferential, critical_points, double_pole_kind, lemniscate_qd
 from .tracer import TraceOptions, trace_horizontal
 
-QR_IMAG_TOL = 1e-8
 STREBEL_BUDGET_FACTOR = 10.0
 
 
@@ -36,8 +35,9 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
     """Critical structure and random closure samples of -(r'/r)^2, r = p/q.
 
     Finite critical points are the zeros of the logarithmic derivative
-    r'/r = sum of m_a/(z - a); every finite pole of the differential is a
-    double pole whose quadratic residue must have negative real part. qd is
+    r'/r = sum of m_a/(z - a); every pole of the differential is a double
+    pole whose quadratic residue must be negative real, Circular to
+    double_pole_kind. qd is
     lemniscate_qd(p, q) when the caller has built it already.
     """
     qd = qd if qd is not None else lemniscate_qd(p, q)
@@ -58,7 +58,7 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
             raise ConvergenceFailure(
                 f"pole of order {cp.signed_order} in a lemniscate differential")
         qr = cp.quadratic_residue
-        if qr.real >= 0.0 or abs(qr.imag) > QR_IMAG_TOL * (1.0 + abs(qr)):
+        if double_pole_kind(qr) != CIRCULAR:
             raise ConvergenceFailure(
                 f"double pole at {cp.at} has quadratic residue {qr}, "
                 "expected negative real")

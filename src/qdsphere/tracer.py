@@ -13,7 +13,9 @@ by more than BRANCH_TURN.
 A step is straight-line code generated per shape of differential (see _step_maker), each
 stage inlining phi's product lines and continuing the root of the stage before it. Stage 0
 reuses the root at the accepted point, so phi is evaluated twelve times per accepted step.
-The critical points are scanned once per accepted point, for the entry test and the clamp.
+Each accepted point is scanned once against the critical points, by straight-line code
+generated per number of them (see _scan_maker): it gives the disk the point is in, for the
+entry test, and the step clamp.
 
 A ray ends at a critical point only on entry into its disk (see _Scene); a pole
 of order >= 2 has no local model, and entering its disk ends the ray. Near a
@@ -138,6 +140,23 @@ def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
     return _compile_maker(zero_orders, pole_orders, lines, "step")
 
 
+@functools.lru_cache(maxsize=None)
+def _scan_maker(n: int):
+    """make(p0, alpha0, r0, p1, ..., inf) of scan(z) -> (k, clamp) over n rows, compiled once
+    per n: k the row whose disk |z - p_k| < r_k holds z, -1 if none, and the step clamp
+    min |z - p| * alpha, each row's c < clamp taken in row order as a loop would take it."""
+    lines = ["    def scan(z):", "        k, clamp = -1, inf"]
+    for i in range(n):
+        lines += [f"        d = abs(z - p{i})", f"        c = d * alpha{i}",
+                  "        if c < clamp:", "            clamp = c",
+                  f"        if d < r{i}:", f"            k = {i}"]
+    args = [f"{x}{i}" for i in range(n) for x in ("p", "alpha", "r")]
+    namespace = {}
+    exec("\n".join([f"def make({', '.join(args + ['inf'])}):", *lines,
+                    "        return k, clamp", "    return scan"]), namespace)
+    return namespace["make"]
+
+
 @dataclass(frozen=True)
 class TraceOptions:
     max_phi_length: float
@@ -201,7 +220,8 @@ class _Scene:
     critical_points(qd) (infinity comes last), its disk's radius and its
     local model. The disks are disjoint and each point of a disk is nearer
     to its centre than to any other critical point, so the only disk a ray
-    can enter is the nearest one's.
+    can enter is the nearest one's, and z is in it exactly when some row has
+    |z - p| < r.
 
     A pole p of order >= 2 has no model and a disk of radius
     qd.guard_radius(p). A zero or simple pole p of order n has a disk of
@@ -214,10 +234,12 @@ class _Scene:
     bounds how far sqrt(g) moves along the segment from p to z.
 
     `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
-    its DOP853 step (_step_maker), `launches` every critical launch's outcome (_launch_together).
+    its DOP853 step (_step_maker), `scan(z)` the index of the disk z is in (-1 if none) and the
+    step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker), and
+    `launches` every critical launch's outcome (_launch_together).
     """
 
-    __slots__ = ("rows", "disks", "models", "root", "step", "launches")
+    __slots__ = ("rows", "disks", "models", "root", "step", "scan", "launches")
 
     def __init__(self, qd: QuadraticDifferential):
         rows, disks, models = [], [], []
@@ -246,6 +268,8 @@ class _Scene:
         self.root = qd.root
         make = _step_maker(*(tuple(c.multiplicity for c in cs) for cs in (qd.zeros, qd.poles)))
         self.step = make(qd.lead, *(complex(c.location) for c in qd.zeros + qd.poles), cmath.sqrt)
+        self.scan = _scan_maker(len(rows))(
+            *(x for (_k, p, alpha), r in zip(rows, disks) for x in (p, alpha, r)), math.inf)
         self.launches = None
 
     @classmethod
@@ -254,20 +278,6 @@ class _Scene:
         if qd._scene is None:
             qd._scene = cls(qd)
         return qd._scene
-
-    def scan(self, z: complex) -> tuple[int, float, float]:
-        """One pass over the finite critical points: the nearest one (first
-        on ties, -1 if none), its distance, and the step clamp
-        min |z - p| * alpha."""
-        near, d_near, clamp = -1, math.inf, math.inf
-        for k, p, alpha in self.rows:
-            d = abs(z - p)
-            if d < d_near:
-                near, d_near = k, d
-            c = d * alpha
-            if c < clamp:
-                clamp = c
-        return near, d_near, clamp
 
 
 def trace_horizontal(qd: QuadraticDifferential, z0: complex, orientation: int = 1,
@@ -393,17 +403,24 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     scene = _Scene.of(qd)
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
-    disks = scene.disks
 
-    home, d_home, clamp = scene.scan(z0)
-    if launch_from is None and d_home < snap:
-        raise StartTooClose(f"{z0} is within snap radius of a critical point")
-    # the disk a ray is in is tested once, on entry; a launched ray starts in its own
-    inside = home if launch_from is not None else -1
+    clamp = scene.scan(z0)[1]
+    if launch_from is None:
+        if any(abs(z0 - p) < snap for _k, p, _alpha in scene.rows):
+            raise StartTooClose(f"{z0} is within snap radius of a critical point")
+        inside = -1
+    else:
+        # the disk a ray is in is tested once, on entry; a launched ray starts in its own
+        inside = critical_points(qd).index(launch_from)
 
-    root, step = scene.root, scene.step
+    root, step, scan, models = scene.root, scene.step, scene.scan, scene.models
+    # what the loop reads on every step
+    inf = math.inf
+    max_steps, budget, rk_tol = opts.max_steps, opts.max_phi_length, opts.rk_tol
+    budget_left = 1e-13 * max(1.0, budget)
+    snap4, seed_left = 4.0 * snap, SEED_FACTOR * snap
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
-    if not abs(w0) < math.inf:
+    if not abs(w0) < inf:
         raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
     az0 = abs(z0)
 
@@ -420,21 +437,24 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
 
     # the critical-point clamp only changes when z and w do
     cap = clamp * abs(w0)
-    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), cap, opts.max_phi_length)
+    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), cap, budget)
     h = max(h, 1e-12)
-    attempts_cap = 4 * opts.max_steps
+    attempts_cap = 4 * max_steps
 
+    # min and max as the comparisons by which they pick an operand (NaN included), not calls
     while True:
-        if accepted >= opts.max_steps or accepted + rejected >= attempts_cap:
+        if accepted >= max_steps or accepted + rejected >= attempts_cap:
             termination = Termination(STEP_BUDGET)
             break
-        remaining = opts.max_phi_length - tau
-        if remaining <= 1e-13 * max(1.0, opts.max_phi_length):
+        remaining = budget - tau
+        if remaining <= budget_left:
             termination = Termination(PHI_LENGTH_BUDGET)
             break
-        h = min(h, remaining)
-        h = min(h, cap)
-        if h <= 1e-15 * max(1.0, tau):
+        if remaining < h:
+            h = remaining
+        if cap < h:
+            h = cap
+        if h <= 1e-15 * (tau if tau > 1.0 else 1.0):
             termination = Termination(STEP_BUDGET)
             break
 
@@ -448,17 +468,18 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         # |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so that it cannot underflow
         a5 = abs(e5)
         err = a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0
-        tol = opts.rk_tol * (1.0 + abs(z8))
+        tol = rk_tol * (1.0 + abs(z8))
         if err > tol:
             rejected += 1
-            h *= max(0.2, 0.9 * (tol / err) ** 0.125)
+            shrink = 0.9 * (tol / err) ** 0.125
+            h *= shrink if shrink > 0.2 else 0.2
             continue
 
         z_prev, w_prev, tau_prev = z, w, tau
         z = z8
         try:
             w = root(z, r)
-            fresh = abs(w) < math.inf
+            fresh = abs(w) < inf
         except ZeroDivisionError:
             w, fresh = r, False
         tau = tau_prev + h
@@ -466,16 +487,17 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         pts.append(z)
         sqs.append(w)
         taus.append(tau)
-        grow = 5.0 if err == 0 else min(5.0, max(0.2, 0.9 * (tol / err) ** 0.125))
-        h = h * grow
+        grow = 0.9 * (tol / err) ** 0.125 if err else 5.0
+        grow = grow if grow > 0.2 else 0.2
+        h = h * (grow if grow < 5.0 else 5.0)
 
         # termination check: arrival on entry into a disk
-        near, d_near, clamp = scene.scan(z)
-        hit = False
-        if near >= 0 and d_near < disks[near]:
-            if near != inside:
-                inside = near
-                model = scene.models[near]
+        near, clamp = scan(z)
+        if near != inside:
+            inside = near
+            hit = False
+            if near >= 0:
+                model = models[near]
                 if model is None:         # a pole of order >= 2: its disk ends the ray
                     hit = True
                 else:
@@ -490,24 +512,23 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                             if abs(zeta.imag) <= reach:
                                 hit = True
                                 tau += abs(zeta)
-        else:
-            inside = -1
-        if hit:
-            tangent = orientation / w
-            ang = cmath.phase(tangent / abs(tangent))
-            termination = Termination(HIT_CRITICAL, cp_index=near, incoming_angle=ang)
-            break
+            if hit:
+                tangent = orientation / w
+                ang = cmath.phase(tangent / abs(tangent))
+                termination = Termination(HIT_CRITICAL, cp_index=near, incoming_angle=ang)
+                break
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
             termination = Termination(ESCAPED_WINDOW)
             break
         cap = clamp * abs(w)
 
         if not left_home:
-            if abs(z - z0) > SEED_FACTOR * snap:
+            if abs(z - z0) > seed_left:
                 left_home = True
         else:
             a_seg = abs(z - z_prev)
-            trigger = max(4.0 * snap, 0.35 * a_seg)
+            trigger = 0.35 * a_seg
+            trigger = trigger if trigger > snap4 else snap4
             # the distance from z0 to the step is at least |z - z0| - |z - z_prev|;
             # the last term is far above the rounding of both distances
             d0 = abs(z - z0)

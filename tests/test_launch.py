@@ -2,6 +2,7 @@
 form: zeta(z) = integral of sqrt(phi) from the critical point."""
 
 import cmath
+import collections
 import math
 import re
 
@@ -314,9 +315,47 @@ def test_scene_disks_are_apart_and_nearest():
             for z in pos[k] + radius * scale * np.exp(2j * np.pi * rng.uniform(size=80)):
                 d = np.abs(pos - z)
                 assert np.all(np.delete(d, k) > d[k])
-                assert scene.scan(complex(z))[0] == k
+                # scan names the disk by the loop's own test, |z - p| < r in floats
+                inside = abs(complex(z) - complex(pos[k])) < radius
+                assert scene.scan(complex(z))[0] == (k if inside else -1)
     # both kinds of disk: analytic ones, and those of poles of order >= 2
     assert kinds == {True, False}
+
+
+def reference_scan(scene, z):
+    """scan as a plain loop over the rows and the disks."""
+    k, clamp = -1, math.inf
+    for (i, p, alpha), r in zip(scene.rows, scene.disks):
+        d = abs(z - p)
+        clamp = min(clamp, d * alpha)
+        if d < r:
+            k = i
+    return k, clamp
+
+
+def test_generated_scan_is_the_loop_to_the_bit():
+    # points uniform in each disk, on its circle, just outside it and far
+    # off, and a NaN: the disk index and the clamp as the plain loop's
+    rng = np.random.default_rng(23)
+    fixtures = [f() for f in FIXTURES.values()] + _random_qds(rng, 40)
+    code, scenes = {}, collections.Counter()
+    for qd in fixtures:
+        scene = _Scene.of(qd)
+        code.setdefault(len(scene.rows), scene.scan.__code__)
+        assert scene.scan.__code__ is code[len(scene.rows)]
+        scenes[len(scene.rows)] += 1
+        zs = [complex("nan"), complex(1e300, -1e300)]
+        zs += (1e3 * (rng.normal(size=16) + 1j * rng.normal(size=16))).tolist()
+        for (_k, p, _alpha), r in zip(scene.rows, scene.disks):
+            turn = np.exp(2j * np.pi * rng.uniform(size=96))
+            scale = np.concatenate([np.sqrt(rng.uniform(size=48)), np.ones(16),
+                                    np.full(16, 1 + 1e-15), np.full(16, 1 + 1e-9)])
+            zs += (p + r * scale * turn).tolist()
+        for z in zs:
+            got, want = scene.scan(z), reference_scan(scene, z)
+            assert got[0] == want[0] and got[1].hex() == want[1].hex()
+    # several row counts occur, and some count is shared by several scenes
+    assert len(scenes) >= 4 and max(scenes.values()) >= 2
 
 
 def test_disk_model_bound_holds():

@@ -1,13 +1,14 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from qdsphere.contour import marching_squares
-from qdsphere.errors import EmptyLevel
+from qdsphere.errors import ConvergenceFailure, EmptyLevel
 from qdsphere.lemniscate import analyze_lemniscate, lemniscate_level_curve
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import lemniscate_qd
+from qdsphere.qdiff import QuadraticDifferential, lemniscate_qd
 from qdsphere.tracer import TraceOptions, trace_horizontal
 
 ONE = Polynomial([1.0])
@@ -46,6 +47,20 @@ def test_report_bernoulli():
         assert qr == pytest.approx(-1.0, rel=1e-9)
     inf = [qr for loc, qr in rep.double_poles if loc is None]
     assert inf == [pytest.approx(-4.0, rel=1e-9)]
+
+
+@pytest.mark.parametrize("turn, circular", [(5e-9, False), (5e-11, True)])
+def test_double_poles_are_circular_to_angular_tol(turn, circular):
+    # the lead of z^2 - 1's differential turned by e^(i turn) turns every
+    # quadratic residue by it: -1 and -4 read Spiral past ANGULAR_TOL (1e-9)
+    qd = lemniscate_qd(Z2M1, ONE)
+    turned = QuadraticDifferential(qd.lead * cmath.exp(1j * turn), qd.zeros, qd.poles)
+    if circular:
+        rep = analyze_lemniscate(Z2M1, ONE, 0, qd=turned)
+        assert len(rep.double_poles) == 3
+    else:
+        with pytest.raises(ConvergenceFailure, match="expected negative real"):
+            analyze_lemniscate(Z2M1, ONE, 0, qd=turned)
 
 
 def test_all_samples_close():
