@@ -125,8 +125,7 @@ def _integrate(radicand, legs: list, singular) -> list:
         pa, pb = _leaf_panels(path, singular)
         a += pa
         b += pb
-    running, hints = sqrt_panel_integrals(a, b, lambda z, _panel: radicand(z),
-                                          [hint for _path, hint in legs], starts)
+    running, hints = sqrt_panel_integrals(a, b, radicand, [hint for _path, hint in legs], starts)
     ends = starts[1:] + [len(a)]
     return [(complex(running[e - 1]) if e > s else 0j, h)
             for s, e, h in zip(starts, ends, hints)]

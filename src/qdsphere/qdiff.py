@@ -37,8 +37,10 @@ DIAM_FLOOR = 10.0
 # than this to a tie are left to the sequential rule
 FLIP_TIE_RTOL = 1e-14
 PANEL_BLOCK = 256            # panels evaluated per vectorized block
+AT_POLE = "{} is numerically at a pole: phi is not finite there"    # formatted with the point
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+GL_PAIRS = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))    # (node, weight), for scalar code
 
 CIRCULAR = "Circular"
 RADIAL = "Radial"
@@ -98,12 +100,19 @@ def _phi_lines(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...], z: st
     return body
 
 
-def _compile_maker(zero_orders, pole_orders, lines: list, made: str):
-    """make(lead, a0, a1, ..., b0, b1, ..., sqrt) of the lines, returning made."""
-    args = (["lead"] + [f"a{i}" for i in range(len(zero_orders))]
+def _phi_args(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]) -> list:
+    """The arguments lead, a0, a1, ..., b0, b1, ..., sqrt of a maker of _phi_lines."""
+    return (["lead"] + [f"a{i}" for i in range(len(zero_orders))]
             + [f"b{i}" for i in range(len(pole_orders))] + ["sqrt"])
+
+
+def _compile_maker(name: str, args: list, lines: list, made: str):
+    """make(*args) of the lines, returning made, compiled under the file name
+    <qdsphere name>: name gives the maker and the shape, so that profiles and
+    tracebacks tell the generated functions of each shape apart."""
+    source = "\n".join([f"def make({', '.join(args)}):", *lines, f"    return {made}"])
     namespace = {}
-    exec("\n".join([f"def make({', '.join(args)}):"] + lines + [f"    return {made}"]), namespace)
+    exec(compile(source, f"<qdsphere {name}>", "exec"), namespace)
     return namespace["make"]
 
 
@@ -138,7 +147,8 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
     lines = ["    def phi(z):", *body, "        return v", "    def root(z, hint):", *body,
              "        s = sqrt(v + 0j)",
              "        return s if abs(s - hint) <= abs(s + hint) else -s"]
-    return _compile_maker(zero_orders, pole_orders, lines, "phi, root")
+    return _compile_maker(f"phi {zero_orders} {pole_orders}", _phi_args(zero_orders, pole_orders),
+                          lines, "phi, root")
 
 
 class QuadraticDifferential:
@@ -179,8 +189,7 @@ class QuadraticDifferential:
             for _ in range(c.multiplicity):
                 b = b * f
         if not np.all(b):
-            at = complex(z[b == 0][0])
-            raise PoleOnPath(f"{at} is numerically at a pole: phi is not finite there")
+            raise PoleOnPath(AT_POLE.format(complex(z[b == 0][0])))
         return v / b
 
     # -- geometry of the finite critical set ---------------------------
@@ -476,11 +485,10 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
     Path j is made of the panels from starts[j] to the next start, and its
     square root starts from hints[j] (None: principal at its first node).
     The starts ascend from 0 (an empty path allowed; ValueError when there
-    are panels and the first start is not 0). radicand(nodes, panel) maps
-    an array of nodes and the index of each one's panel to values there,
-    raising what it raises (PoleOnPath for a node on a pole). The square
-    root is branch-continued through the nodes by continue_sqrt_along,
-    restarting at each start. The panels are evaluated PANEL_BLOCK at a
+    are panels and the first start is not 0). radicand maps an array of
+    nodes to the values there, raising what it raises (PoleOnPath for a
+    node on a pole). The square root is branch-continued through the nodes
+    by continue_sqrt_along, restarting at each start. The panels are evaluated PANEL_BLOCK at a
     time, and a path that runs on into the next block carries its branch
     and its running sum there, so each path's sums are added in panel order
     and it gets the floats a call on it alone would give. Returns (running
@@ -512,8 +520,7 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
         mid = 0.5 * (a[lo:hi] + b[lo:hi])
         half = 0.5 * (b[lo:hi] - a[lo:hi])
         zs = (mid[:, None] + half[:, None] * GL_NODES).ravel()
-        w = continue_sqrt_along(radicand(zs, np.arange(lo, hi).repeat(nodes)),
-                                [hints[k] for k in paths],
+        w = continue_sqrt_along(radicand(zs), [hints[k] for k in paths],
                                 [nodes * f for f in first])
         for k, h in zip(paths, w[[nodes * g - 1 for g in after]].tolist()):
             hints[k] = h
@@ -533,27 +540,29 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
 
 
 def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[complex, complex]:
-    """zeta(z) from p, and the root at z it was taken with: zetas_from's one-pair case."""
-    return zetas_from(qd, [(p, z)])[0]
-
-
-def zetas_from(qd: QuadraticDifferential, pairs) -> list[tuple[complex, complex]]:
-    """For each (p, z) of pairs, zeta(z) = integral of sqrt(phi) from the finite critical point
-    p to z along the segment, and the branch of sqrt(phi) at z it was taken with: one kernel
-    call, each pair a path that gets the floats a call on it alone gives. With z - p = t^2 the
-    integrand 2 t sqrt(phi(p + t^2)) is regular at t = 0 for every order n >= -1, and along
-    0 -> t it is t^(n+1) times a series in t^2 whose radius reaches the next critical point.
-    Two 8-node Gauss-Legendre panels in t then hold it to rounding when no other critical
-    point is within a few |z - p| of p."""
-    ts = [cmath.sqrt(z - p) for p, z in pairs]
-    centre = np.repeat([p for p, _z in pairs], 2).astype(complex)   # of each panel
-    running, lasts = sqrt_panel_integrals(
-        [x for t in ts for x in (0j, 0.5 * t)], [x for t in ts for x in (0.5 * t, t)],
-        lambda s, panel: 4.0 * s * s * qd.phi_array(centre[panel] + s * s),
-        [None] * len(ts), range(0, 2 * len(ts), 2))
-    return [(complex(running[2 * k + 1]),
-             continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t))
-            for k, ((_p, z), t, last) in enumerate(zip(pairs, ts, lasts))]
+    """zeta(z) = integral of sqrt(phi) from the finite critical point p to z along the segment,
+    and the branch of sqrt(phi) at z it was taken with. With z - p = s^2 the integrand
+    sqrt(4 s^2 phi(p + s^2)) is regular at s = 0 for every order n >= -1, and along 0 -> t =
+    sqrt(z - p) it is s^(n+1) times a series in s^2 whose radius reaches the next critical
+    point. Two 8-node Gauss-Legendre panels, [0, t/2] and [t/2, t], then hold it to rounding
+    when no other critical point is within a few |z - p| of p. The root is continued node to
+    node by continue_sqrt from the principal one at the first node, on qd.phi, the tracer's own
+    phi; PoleOnPath, naming the node p + s^2, where a pole factor vanishes there."""
+    t = cmath.sqrt(z - p)
+    w, zeta = None, 0j
+    for a, b in ((0j, 0.5 * t), (0.5 * t, t)):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        acc = 0j
+        for x, c in GL_PAIRS:
+            s = mid + half * x
+            at = p + s * s
+            try:
+                w = continue_sqrt(4.0 * s * s * qd.phi(at), w)
+            except ZeroDivisionError:
+                raise PoleOnPath(AT_POLE.format(at)) from None
+            acc += c * w
+        zeta += half * acc
+    return zeta, continue_sqrt(4.0 * t * t * qd.phi(z), w) / (2.0 * t)
 
 
 # -- constructors for the special families ------------------------------

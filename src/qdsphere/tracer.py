@@ -25,12 +25,12 @@ LOCAL_RADIUS * d (d the distance to the nearest other critical point) the
 distinguished parameter zeta(z) = integral of sqrt(phi) from p is computed
 directly (`qdiff.zeta_from`), and the critical rays are the curves Im zeta = 0.
 A critical trajectory is launched on the disk's circle where Im zeta = 0, with
-its phi-length starting at |zeta|; all launches of a differential run together,
-one quadrature per Newton round. A ray that enters a disk heading into p ends
-there as HitCritical when |Im(zeta / orientation)| is within the phi-distance
-from p to the snap circle, which is exactly when it would pass within the snap
-radius of p, and |zeta| is added to its length. The quadrature runs only when a
-bound on the local model's error leaves room for that (see _Scene).
+its phi-length starting at |zeta|; each ray finds that point by its own Newton
+iteration in the angle, one quadrature per Newton step. A ray that enters a disk
+heading into p ends there as HitCritical when |Im(zeta / orientation)| is within
+the phi-distance from p to the snap circle, which is exactly when it would pass
+within the snap radius of p, and |zeta| is added to its length. The quadrature
+runs only when a bound on the local model's error leaves room for that (see _Scene).
 
 A ray that passes back by its seed z0 is closed in the same chart at z0:
 one Gauss-Legendre panel from the step back to z0 gives zeta there, and
@@ -47,14 +47,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DriftExceeded, DirectionIndexError, QdError, StartTooClose
+from .errors import DriftExceeded, DirectionIndexError, StartTooClose
 from .geom import point_segment_distance
 from .qdiff import (
-    GL_NODES,
-    GL_WEIGHTS,
+    AT_POLE,
+    GL_PAIRS,
     CriticalPoint,
     QuadraticDifferential,
     _compile_maker,
+    _phi_args,
     _phi_lines,
     critical_directions,
     continue_sqrt,
@@ -63,7 +64,6 @@ from .qdiff import (
     principal_sqrt,
     sqrt_panel_integrals,
     zeta_from,
-    zetas_from,
 )
 
 SNAP_FACTOR = 1e-6
@@ -80,8 +80,6 @@ HIT_CRITICAL = "HitCritical"
 ESCAPED_WINDOW = "EscapedWindow"
 PHI_LENGTH_BUDGET = "PhiLengthBudget"
 STEP_BUDGET = "StepBudget"
-
-_GL = tuple(zip(GL_NODES.tolist(), GL_WEIGHTS.tolist()))
 
 
 # DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, II.10): the (j, a_ij) of each stage
@@ -137,7 +135,8 @@ def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
                   "        s = sqrt(v + 0j)", "        r = s if abs(s - r) <= abs(s + r) else -s",
                   f"        k{i} = ho / r"]
     lines.append(f"        return {total(DOP853_B)}, {total(DOP853_E5)}, {total(DOP853_E3)}, r")
-    return _compile_maker(zero_orders, pole_orders, lines, "step")
+    return _compile_maker(f"step {zero_orders} {pole_orders}", _phi_args(zero_orders, pole_orders),
+                          lines, "step")
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,11 +149,9 @@ def _scan_maker(n: int):
         lines += [f"        d = abs(z - p{i})", f"        c = d * alpha{i}",
                   "        if c < clamp:", "            clamp = c",
                   f"        if d < r{i}:", f"            k = {i}"]
+    lines.append("        return k, clamp")
     args = [f"{x}{i}" for i in range(n) for x in ("p", "alpha", "r")]
-    namespace = {}
-    exec("\n".join([f"def make({', '.join(args + ['inf'])}):", *lines,
-                    "        return k, clamp", "    return scan"]), namespace)
-    return namespace["make"]
+    return _compile_maker(f"scan {n}", [*args, "inf"], lines, "scan")
 
 
 @dataclass(frozen=True)
@@ -235,11 +232,10 @@ class _Scene:
 
     `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
     its DOP853 step (_step_maker), `scan(z)` the index of the disk z is in (-1 if none) and the
-    step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker), and
-    `launches` every critical launch's outcome (_launch_together).
+    step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker).
     """
 
-    __slots__ = ("rows", "disks", "models", "root", "step", "scan", "launches")
+    __slots__ = ("rows", "disks", "models", "root", "step", "scan")
 
     def __init__(self, qd: QuadraticDifferential):
         rows, disks, models = [], [], []
@@ -270,7 +266,6 @@ class _Scene:
         self.step = make(qd.lead, *(complex(c.location) for c in qd.zeros + qd.poles), cmath.sqrt)
         self.scan = _scan_maker(len(rows))(
             *(x for (_k, p, alpha), r in zip(rows, disks) for x in (p, alpha, r)), math.inf)
-        self.launches = None
 
     @classmethod
     def of(cls, qd: QuadraticDifferential) -> "_Scene":
@@ -316,49 +311,18 @@ def trace_from_critical(qd: QuadraticDifferential, cp: CriticalPoint,
     if not 0 <= direction_index < len(dirs):
         raise DirectionIndexError(
             f"direction {direction_index} out of range 0..{len(dirs) - 1}")
-    scene = _Scene.of(qd)
-    if scene.launches is None:
-        nodes = critical_points(qd)
-        launches = [((k, j), _launch_point(qd, nodes[k], u, r))
-                    for (k, _p, _alpha), r, model in zip(scene.rows, scene.disks, scene.models)
-                    if model is not None for j, u in enumerate(critical_directions(qd, nodes[k]))]
-        scene.launches = _launch_together(qd, {key: (g, next(g)) for key, g in launches})
-    launch = scene.launches[critical_points(qd).index(cp), direction_index]
-    if isinstance(launch, QdError):
-        raise launch
-    z0, zeta, w0 = launch
+    radius = _Scene.of(qd).disks[critical_points(qd).index(cp)]
+    z0, zeta, w0 = _launch_point(qd, cp, dirs[direction_index], radius)
     # d zeta / d tau = orientation, so |zeta| grows when they share a sign
     orientation = 1 if zeta.real > 0 else -1
     return _trace(qd, z0, orientation, opts, w0, launch_from=cp, tau0=abs(zeta))
-
-
-def _launch_together(qd, todo: dict) -> dict:
-    """Runs todo's _launch_point generators, {key: (launch, the (p, z) it waits on)}, by one
-    zetas_from call a round: each one's (z, zeta, w0), or the QdError it raised, as alone,
-    since a round that raises is rerun one launch at a time."""
-    out = {}
-    while todo:
-        try:
-            found = zetas_from(qd, [pz for _launch, pz in todo.values()])
-        except QdError as err:
-            for key, pending in todo.items():
-                out[key] = err if len(todo) == 1 else _launch_together(qd, {key: pending})[key]
-            return out
-        for (key, (launch, _pz)), zeta_w in zip(list(todo.items()), found):
-            try:
-                todo[key] = launch, launch.send(zeta_w)
-            except StopIteration as done:
-                out[key] = done.value
-                del todo[key]
-    return out
 
 
 def _launch_point(qd, cp, u, r):
     """The point z = p + r e^(i theta) with Im zeta(z) = 0 next to the
     direction u, by Newton in theta with d zeta / d theta = sqrt(phi(z))
     i (z - p). The solutions are 2 pi / (n + 2) apart, so theta is kept
-    within a quarter of that of arg u. It yields each (p, z) it needs
-    zetas_from of, is sent the answer, and returns z, zeta(z) and the
+    within a quarter of that of arg u. Returns z, zeta(z) and the
     principal sqrt(phi(z)) zeta is taken with.
 
     Newton starts from the first-order local model: with phi(p + v) =
@@ -377,7 +341,7 @@ def _launch_point(qd, cp, u, r):
     theta = min(theta0 + lim, max(theta0 - lim, theta))
     z = p + r * cmath.exp(1j * theta)
     for _ in range(12):                  # converges quadratically, in 2-3 steps
-        zeta, w = yield p, z
+        zeta, w = zeta_from(qd, p, z)
         if abs(zeta.imag) <= 1e-14 * abs(zeta):
             break
         slope = (w * (z - p)).real
@@ -421,7 +385,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     snap4, seed_left = 4.0 * snap, SEED_FACTOR * snap
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
     if not abs(w0) < inf:
-        raise StartTooClose(f"{z0} is numerically at a pole: phi is not finite there")
+        raise StartTooClose(AT_POLE.format(z0))
     az0 = abs(z0)
 
     pts = [z0]
@@ -587,7 +551,7 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     snap of z0 and the root carried to z0 is on the seed's sheet."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
     w, acc = w_a, 0j
-    for x, c in _GL:
+    for x, c in GL_PAIRS:
         w = root(mid + half * x, w)
         acc += c * w
     q = -half * acc / orientation
@@ -614,7 +578,7 @@ def imag_drift_of(qd: QuadraticDifferential, ray: TrajectoryRay) -> float:
     moved = a != b
     if not moved.any():
         return 0.0
-    running, _ = sqrt_panel_integrals(a[moved], b[moved], lambda z, _panel: qd.phi_array(z),
+    running, _ = sqrt_panel_integrals(a[moved], b[moved], qd.phi_array,
                                       hints=[complex(ray.sqrt_values[0])])
     across = running.real if ray.orientation.imag else running.imag
     return float(np.max(np.abs(across)))

@@ -14,11 +14,14 @@ from qdsphere.errors import PoleOnPath, QdError
 from qdsphere.graph import build_critical_graph
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
+    AT_POLE,
     QuadraticDifferential,
+    continue_sqrt,
     critical_directions,
     critical_points,
     qd_from_p_over_q_squared,
     qd_new,
+    sqrt_panel_integrals,
     zeta_from,
 )
 from qdsphere.tracer import (
@@ -82,100 +85,53 @@ def test_launch_point_lies_on_a_critical_ray(name):
     assert orders
 
 
-def _started_launches(qd):
-    """Every critical direction's launch, started as trace_from_critical
-    starts them: {(k, j): (launch, the (p, z) it waits on)}."""
-    scene = _Scene.of(qd)
-    nodes = critical_points(qd)
-    out = {}
-    for (k, _p, _alpha), r, model in zip(scene.rows, scene.disks, scene.models):
-        if model is None:
-            continue
-        for j, u in enumerate(critical_directions(qd, nodes[k])):
-            launch = tracer._launch_point(qd, nodes[k], u, r)
-            out[k, j] = launch, next(launch)
-    return out
-
-
 def test_launch_takes_under_two_quadratures(monkeypatch):
     # Newton starts from the first-order local model and finishes its last
-    # step by the trapezoid rule: 44 quadratured directions, over the
-    # Newton rounds, for these 24 directions. From the leading-order
-    # direction alone, or with the first-order term of the wrong sign, it
-    # takes more than 2 per direction.
-    per_round, quadratured = [], 0
-    real = tracer.zetas_from
-    monkeypatch.setattr(tracer, "zetas_from",
-                        lambda qd, pairs: per_round.append(len(pairs)) or real(qd, pairs))
-    launches = 0
+    # step by the trapezoid rule: 44 quadratures for these 24 directions.
+    # From the leading-order direction alone, or with the first-order term
+    # of the wrong sign, it takes more than 2 per direction.
+    calls = []
+    monkeypatch.setattr(tracer, "zeta_from",
+                        lambda qd, p, z: calls.append(z) or zeta_from(qd, p, z))
+    per_direction = []
     for name in FIXTURES:
         qd = FIXTURES[name]()
-        per_round.clear()
-        launched = len(tracer._launch_together(qd, _started_launches(qd)))
-        # one call per round: the first over every direction, then fewer
-        assert per_round[0] == launched and per_round == sorted(per_round, reverse=True)
-        launches += launched
-        quadratured += sum(per_round)
-    assert launches == 24 and quadratured < 2 * launches
-
-
-def _launch_bits(launch):
-    return np.asarray(launch, dtype=complex).tobytes()
-
-
-def _assert_batch_as_alone(qd):
-    batch = tracer._launch_together(qd, _started_launches(qd))
-    alone = {}
-    for key, pending in _started_launches(qd).items():
-        alone.update(tracer._launch_together(qd, {key: pending}))
-    assert batch.keys() == alone.keys() == _started_launches(qd).keys()
-    for key in batch:
-        if isinstance(alone[key], QdError):
-            assert type(batch[key]) is type(alone[key]) and str(batch[key]) == str(alone[key])
-        else:
-            assert _launch_bits(batch[key]) == _launch_bits(alone[key])
-    return batch
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_batched_launch_gives_each_direction_its_own_floats(name):
-    qd = FIXTURES[name]()
-    batch = _assert_batch_as_alone(qd)
-    # and trace_from_critical launches from the batch
-    for (k, j), (z0, _zeta, w0) in batch.items():
-        ray = trace_from_critical(qd, critical_points(qd)[k], j,
-                                  TraceOptions.for_qd(qd, max_phi_length=1.0))
-        assert _launch_bits((ray.points[0], ray.sqrt_values[0])) == _launch_bits((z0, w0))
-
-
-def test_batched_launch_of_random_differentials():
-    for qd in _random_qds(np.random.default_rng(7), 12):
-        _assert_batch_as_alone(qd)
+        disks = _Scene.of(qd).disks
+        for k, cp in enumerate(critical_points(qd)):
+            if cp.at.is_infinite or not cp.is_finite_critical:
+                continue
+            for u in critical_directions(qd, cp):
+                calls.clear()
+                tracer._launch_point(qd, cp, u, disks[k])
+                per_direction.append(len(calls))
+    assert len(per_direction) == 24 and min(per_direction) >= 1
+    assert sum(per_direction) < 2 * len(per_direction)
 
 
 def test_launch_error_stays_with_its_direction():
     # phi = -(z - P - 10) / (z - P), P = -2.04e12, where floats are 2.4e-4
     # apart: the pole launches along the real axis and its smallest
-    # quadrature nodes round onto it, so its rounds raise PoleOnPath. The
-    # zero's launches share the first round and end as they end alone.
+    # quadrature nodes round onto it, so its launch raises PoleOnPath,
+    # naming the node. The zero's three launches do not see it.
     big = -2.04e12
     qd = QuadraticDifferential(-1.0, [RootCluster(big + 10.0, 1, 0.0)],
                                [RootCluster(big, 1, 0.0)])
-    batch = _assert_batch_as_alone(qd)
-    assert isinstance(batch[0, 0], PoleOnPath)
-    assert [key for key, out in batch.items() if isinstance(out, QdError)] == [(0, 0)]
-    # each critical ray meets its own launch's outcome, as traced alone
     nodes = critical_points(qd)
     opts = TraceOptions.for_qd(qd, max_phi_length=1.0)
-    for j in range(3):
+    with pytest.raises(PoleOnPath, match=re.escape(AT_POLE.format(complex(big)))):
+        trace_from_critical(qd, nodes[0], 0, opts)
+    # the zero's launch points, pinned: the pole's failure does not move them
+    want = [-2039999999989.754 - 0.4351768569083792j, -2039999999989.754 + 0.4351768569083792j,
+            -2039999999990.5 - 1.9034603683595325e-14j]
+    radius = _Scene.of(qd).disks[1]
+    for j, u in enumerate(critical_directions(qd, nodes[1])):
+        assert tracer._launch_point(qd, nodes[1], u, radius)[0] == want[j]
         try:
             ray = trace_from_critical(qd, nodes[1], j, opts)
         except QdError as err:          # a step at |z| ~ 1e12 may break the drift bound
             assert not isinstance(err, PoleOnPath)
         else:
-            assert ray.points[0] == batch[1, j][0]
-    with pytest.raises(PoleOnPath, match=re.escape(str(batch[0, 0]))):
-        trace_from_critical(qd, nodes[0], 0, opts)
+            assert ray.points[0] == want[j]
 
 
 def test_launch_orders_covered():
@@ -383,3 +339,48 @@ def test_disk_model_bound_holds():
                 worst = max(worst, err / (slack * abs(model)))
     # the bound is not vacuous: some points come within a factor 10 of it
     assert 0.1 < worst <= 1.0
+
+
+@pytest.mark.parametrize("n", [-1, 1, 2, 3])
+def test_zeta_from_of_a_pure_power_is_its_closed_form(n):
+    # phi = a (z - p)^n: zeta = sqrt(a) (z - p)^e / e, e = (n + 2) / 2, up to
+    # the sign of the branch, and the root it was taken with gives zeta =
+    # (z - p) sqrt(phi(z)) / e with the sign as well. The nodes p + s^2 are
+    # rounded to the ulp of p, which moves the factor z - p there by ~eps |p|
+    # and zeta by up to ~60 eps |p| / |z - p|, at a simple pole, where the
+    # integrand does not vanish at p.
+    rng = np.random.default_rng(31 + n)
+    e = 0.5 * n + 1.0
+    for _ in range(200):
+        a, p, v = (complex(*rng.normal(size=2)) * 10.0 ** rng.uniform(-3, 3) for _ in range(3))
+        cluster = [RootCluster(p, abs(n), 0.0)]
+        qd = QuadraticDifferential(a, cluster if n > 0 else [], cluster if n < 0 else [])
+        z = p + v
+        zeta, w = zeta_from(qd, p, z)
+        want = cmath.sqrt(a) * cmath.sqrt(z - p) ** (n + 2) / e
+        bound = 1e-14 + 1e-13 * abs(p) / abs(z - p)
+        assert min(abs(zeta - want), abs(zeta + want)) <= bound * abs(want)
+        assert abs(zeta - (z - p) * w / e) <= bound * abs(zeta)
+
+
+def test_zeta_from_is_the_kernel_on_its_two_panels():
+    # the kernel on the same two panels in t = sqrt(z - p), from points of
+    # each launch disk of random differentials
+    rng = np.random.default_rng(37)
+    checked = 0
+    for qd in [f() for f in FIXTURES.values()] + _random_qds(rng, 30):
+        scene = _Scene.of(qd)
+        for radius, model in zip(scene.disks, scene.models):
+            if model is None:
+                continue
+            p = model[0]
+            for v in radius * np.sqrt(rng.uniform(size=4)) * np.exp(2j * np.pi * rng.uniform(size=4)):
+                z = p + complex(v)
+                t = cmath.sqrt(z - p)
+                running, [last] = sqrt_panel_integrals(
+                    [0j, 0.5 * t], [0.5 * t, t], lambda s: 4.0 * s * s * qd.phi_array(p + s * s))
+                zeta, w = zeta_from(qd, p, z)
+                assert abs(zeta - running[-1]) <= 1e-14 * abs(zeta)
+                assert w == continue_sqrt(4.0 * t * t * qd.phi(z), last) / (2.0 * t)
+                checked += 1
+    assert checked >= 200

@@ -693,6 +693,20 @@ def test_same_orders_traced_interleaved_as_alone():
     assert together == alone
 
 
+def test_generated_code_is_named_by_maker_and_shape():
+    # pstats keys a function by file name, line and name: each shape's
+    # generated code has a file name of its own, so profiles and tracebacks
+    # tell the shapes apart
+    qds = [QuadraticDifferential(1.0, [RootCluster(-1.0, 1, 0.0), RootCluster(1.0, 2, 0.0)], []),
+           QuadraticDifferential(1.0, [RootCluster(0.0, 1, 0.0)], [RootCluster(2.0, 2, 0.0)])]
+    names = [[f.__code__.co_filename for f in (qd.phi, qd.root, scene.step, scene.scan)]
+             for qd, scene in ((qd, tracer._Scene.of(qd)) for qd in qds)]
+    assert names == [["<qdsphere phi (1, 2) ()>"] * 2 + ["<qdsphere step (1, 2) ()>",
+                                                         "<qdsphere scan 2>"],
+                     ["<qdsphere phi (1,) (2,)>"] * 2 + ["<qdsphere step (1,) (2,)>",
+                                                         "<qdsphere scan 2>"]]
+
+
 def _ray_bits(ray):
     return (ray.points.tobytes(), ray.sqrt_values.tobytes(), ray.taus.tobytes(),
             ray.termination, ray.phi_length)
