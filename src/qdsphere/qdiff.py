@@ -37,6 +37,7 @@ DIAM_FLOOR = 10.0
 # than this to a tie are left to the sequential rule
 FLIP_TIE_RTOL = 1e-14
 PANEL_BLOCK = 256            # panels evaluated per vectorized block
+REAL_RTOL = 1e-6             # a Cauchy density or mass is real within this share of its modulus
 AT_POLE = "{} is numerically at a pole: phi is not finite there"    # formatted with the point
 
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -87,15 +88,18 @@ def require_form(qd: "QuadraticDifferential", what: str):
         raise WrongProvenance(f"{what} requires a p/q^2 style construction")
 
 
-def _phi_lines(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...], z: str) -> list:
-    """The lines of _evaluator_maker that leave phi at the point named z in v."""
+def _phi_lines(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...], z: str,
+               divide: bool = True) -> list:
+    """The lines of _evaluator_maker that leave phi at the point named z in
+    v; without divide, lead times the zero factors in v and the product of
+    the pole factors, if any, in b."""
     body = ["        v = lead"]
     for i, m in enumerate(zero_orders):
         body += [f"        f = {z} - a{i}"] + ["        v = v * f"] * m
     for i, n in enumerate(pole_orders):
         body += [f"        f = {z} - b{i}"] + [f"        b = {'b * f' if i or k else 'f'}"
                                                for k in range(n)]
-    if pole_orders:
+    if pole_orders and divide:
         body.append("        v = v / b")
     return body
 
@@ -118,11 +122,12 @@ def _compile_maker(name: str, args: list, lines: list, made: str):
 
 @functools.lru_cache(maxsize=None)
 def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
-    """A maker of phi(z) = lead prod (z - a_i)^m_i / prod (z - b_j)^n_j and
-    root(z, hint) = continue_sqrt(phi(z), hint) as straight-line code, for
-    zeros a_i and poles b_j of the given orders. It is compiled once per
-    pair of order tuples, as collections.namedtuple compiles a class per
-    list of field names. For a double zero and a simple pole phi reads
+    """A maker of phi(z) = lead prod (z - a_i)^m_i / prod (z - b_j)^n_j,
+    root(z, hint) = continue_sqrt(phi(z), hint) and products(z) = (lead prod
+    (z - a_i)^m_i, prod (z - b_j)^n_j or None without poles) as straight-line
+    code, for zeros a_i and poles b_j of the given orders. It is compiled
+    once per pair of order tuples, as collections.namedtuple compiles a class
+    per list of field names. For a double zero and a simple pole phi reads
 
         v = lead
         f = z - a0
@@ -133,29 +138,32 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
         v = v / b
         return v
 
-    and root runs the same lines up to the return, then continue_sqrt's.
-    lead and the locations are bound as closure cells by the call
-    make(lead, *zeros, *poles, cmath.sqrt), never written into the text:
-    the repr of a complex number loses signed zeros. Each factor is
-    multiplied in once per unit of its order, in cluster order, so root is
-    continue_sqrt of phi to the bit, and the product keeps its relative
-    accuracy next to clustered roots, where expanded coefficients lose it.
-    phi_array takes them in that order too, but numpy rounds complex
-    products apart from Python: only phi and root agree to the bit.
+    root runs the same lines up to the return, then continue_sqrt's, and
+    products the lines before the division. lead and the locations are
+    bound as closure cells by the call make(lead, *zeros, *poles,
+    cmath.sqrt), never written into the text: the repr of a complex number
+    loses signed zeros. Each factor is multiplied in once per unit of its
+    order, in cluster order, so root is continue_sqrt of phi to the bit, and
+    the product keeps its relative accuracy next to clustered roots, where
+    expanded coefficients lose it. phi_array runs products on arrays, but
+    numpy rounds complex products apart from Python: only phi and root agree
+    to the bit.
     """
     body = _phi_lines(zero_orders, pole_orders, "z")
     lines = ["    def phi(z):", *body, "        return v", "    def root(z, hint):", *body,
              "        s = sqrt(v + 0j)",
-             "        return s if abs(s - hint) <= abs(s + hint) else -s"]
+             "        return s if abs(s - hint) <= abs(s + hint) else -s",
+             "    def products(z):", *_phi_lines(zero_orders, pole_orders, "z", divide=False),
+             f"        return v, {'b' if pole_orders else 'None'}"]
     return _compile_maker(f"phi {zero_orders} {pole_orders}", _phi_args(zero_orders, pole_orders),
-                          lines, "phi, root")
+                          lines, "phi, root, products")
 
 
 class QuadraticDifferential:
     """phi = lead * prod (z - a)^m / prod (z - b)^n over the zero clusters
     a and pole clusters b, in lowest terms. form names the constructor of a
-    p/q^2 style family that built phi, and is None otherwise. phi(z) and
-    root(z, hint) are made for the clusters (see _evaluator_maker)."""
+    p/q^2 style family that built phi, and is None otherwise. phi(z), root(z,
+    hint) and phi_array's products are made for the clusters (_evaluator_maker)."""
 
     def __init__(self, lead: complex, zeros: list[RootCluster], poles: list[RootCluster],
                  form: str | None = None):
@@ -166,28 +174,19 @@ class QuadraticDifferential:
         self._critical: list[CriticalPoint] | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
         make = _evaluator_maker(*(tuple(c.multiplicity for c in cs) for cs in (zeros, poles)))
-        self.phi, self.root = make(self.lead, *(complex(c.location) for c in zeros + poles),
-                                   cmath.sqrt)
+        self.phi, self.root, self._products = make(
+            self.lead, *(complex(c.location) for c in zeros + poles), cmath.sqrt)
 
     # -- evaluation ----------------------------------------------------
 
     def phi_array(self, z):
-        """phi at an array of points to a few ulps, its factors taken as phi
-        takes them but rounded by numpy; PoleOnPath, naming the point, where
-        a pole factor vanishes, as at a node rounded onto a pole."""
+        """phi at an array of points to a few ulps, phi's own product lines
+        run on arrays and so rounded by numpy; PoleOnPath, naming the point,
+        where a pole factor vanishes, as at a node rounded onto a pole."""
         z = np.asarray(z, dtype=complex)
-        v = np.full(z.shape, self.lead)
-        for c in self.zeros:
-            f = z - c.location
-            for _ in range(c.multiplicity):
-                v = v * f
-        if not self.poles:
-            return v
-        b = np.ones(z.shape, dtype=complex)
-        for c in self.poles:
-            f = z - c.location
-            for _ in range(c.multiplicity):
-                b = b * f
+        v, b = self._products(z)
+        if b is None:
+            return v if self.zeros else np.full(z.shape, v)
         if not np.all(b):
             raise PoleOnPath(AT_POLE.format(complex(z[b == 0][0])))
         return v / b
@@ -547,22 +546,23 @@ def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[comple
     point. Two 8-node Gauss-Legendre panels, [0, t/2] and [t/2, t], then hold it to rounding
     when no other critical point is within a few |z - p| of p. The root is continued node to
     node by continue_sqrt from the principal one at the first node, on qd.phi, the tracer's own
-    phi; PoleOnPath, naming the node p + s^2, where a pole factor vanishes there."""
+    phi; PoleOnPath, naming the node p + s^2 or z, where a pole factor vanishes there."""
     t = cmath.sqrt(z - p)
-    w, zeta = None, 0j
-    for a, b in ((0j, 0.5 * t), (0.5 * t, t)):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        acc = 0j
-        for x, c in GL_PAIRS:
-            s = mid + half * x
-            at = p + s * s
-            try:
+    w, zeta, at = None, 0j, z
+    try:
+        end = 4.0 * t * t * qd.phi(z)
+        for a, b in ((0j, 0.5 * t), (0.5 * t, t)):
+            mid, half = 0.5 * (a + b), 0.5 * (b - a)
+            acc = 0j
+            for x, c in GL_PAIRS:
+                s = mid + half * x
+                at = p + s * s
                 w = continue_sqrt(4.0 * s * s * qd.phi(at), w)
-            except ZeroDivisionError:
-                raise PoleOnPath(AT_POLE.format(at)) from None
-            acc += c * w
-        zeta += half * acc
-    return zeta, continue_sqrt(4.0 * t * t * qd.phi(z), w) / (2.0 * t)
+                acc += c * w
+            zeta += half * acc
+    except ZeroDivisionError:
+        raise PoleOnPath(AT_POLE.format(at)) from None
+    return zeta, continue_sqrt(end, w) / (2.0 * t)
 
 
 # -- constructors for the special families ------------------------------
@@ -639,7 +639,7 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
 
     Branch-continuous along the points; the global sign is fixed so the
     middle value is real and nonnegative (BranchAmbiguity if neither sign
-    achieves that within 1e-6 relative).
+    achieves that within REAL_RTOL relative).
     """
     if qd.form != "cauchy":
         raise WrongProvenance("measure density requires cauchy provenance")
@@ -648,38 +648,37 @@ def measure_density(qd: QuadraticDifferential, points) -> list[complex]:
         return []
     vals = continue_sqrt_along(-qd.phi_array(pts)) / (2j * math.pi)
     mid = complex(vals[len(vals) // 2])
-    sign = None
-    for s in (1.0, -1.0):
-        v = s * mid
-        if abs(v.imag) <= 1e-6 * abs(v) and v.real >= -1e-6 * abs(v):
-            sign = s
-            break
-    if sign is None:
+    if not abs(mid.imag) <= REAL_RTOL * abs(mid):
         raise BranchAmbiguity(f"midpoint density {mid} is not real under either branch")
-    return (sign * vals).tolist()
+    return (vals if mid.real >= -REAL_RTOL * abs(mid) else -vals).tolist()
 
 
 def measure_mass(qd: QuadraticDifferential, points, max_step: float | None = None) -> float:
-    """Integral of the measure density along a polyline, by 8-node
-    Gauss-Legendre panels on its segments, split to at most max_step.
-
-    The density vanishes like a square root at the zeros that end a support
-    arc, so the first and the last panel are split geometrically toward the
-    ends of the polyline, halving once for every other bit of a float
-    mantissa (26 times): the innermost panel, 2^-26 of the first, holds a
-    share of the mass below rounding, and its nodes stay apart from the end.
-    """
+    """|integral of sqrt(phi) dz| / 2 pi, the mass of the measure along a polyline (its
+    density is +-sqrt(phi) / 2 pi on a horizontal arc), the segments first split to at most
+    max_step and repeated points dropped. zeta_from takes the first and the last segment from
+    the polyline's ends, in whose t = sqrt(z - p) chart the integrand is regular at a zero and
+    at a simple pole, so a one-segment polyline is split at its midpoint. sqrt_panel_integrals
+    takes the segments between, from the root the first zeta_from returns, and its last root
+    sets the sign of the last chart. BranchAmbiguity when the integral is not real within
+    REAL_RTOL relative."""
+    if qd.form != "cauchy":
+        raise WrongProvenance("measure mass requires cauchy provenance")
     pts = np.asarray(points, dtype=complex)
     if max_step is not None and max_step > 0:
         k = np.maximum(1, np.ceil(np.abs(np.diff(pts)) / max_step)).astype(int)
         j = np.arange(k.sum()) - np.repeat(np.cumsum(k) - k, k)
         pts = np.append(np.repeat(pts[:-1], k) + j * np.repeat(np.diff(pts) / k, k), pts[-1])
+    pts = pts[np.append(True, pts[1:] != pts[:-1])] if len(pts) else pts
     if len(pts) < 2:
         return 0.0
-    grade = 2.0 ** -np.arange(np.finfo(float).nmant // 2, 0, -1)     # 2^-26 .. 2^-1
-    pts = np.concatenate((pts[:1], pts[0] + (pts[1] - pts[0]) * grade, pts[1:-1],
-                          pts[-1] + (pts[-2] - pts[-1]) * grade[::-1], pts[-1:]))
-    half = 0.5 * np.diff(pts)
-    nodes = (0.5 * (pts[:-1] + pts[1:]))[:, None] + half[:, None] * GL_NODES
-    dens = np.asarray(measure_density(qd, nodes.ravel())).real.reshape(nodes.shape)
-    return float(np.sum(dens @ GL_WEIGHTS * np.abs(half)))
+    if len(pts) == 2:
+        pts = np.insert(pts, 1, 0.5 * (pts[0] + pts[1]))
+    head, w = zeta_from(qd, complex(pts[0]), complex(pts[1]))
+    running, [w] = sqrt_panel_integrals(pts[1:-2], pts[2:-1], qd.phi_array, hints=[w])
+    total = head + (complex(running[-1]) if len(running) else 0j)
+    tail, w_end = zeta_from(qd, complex(pts[-1]), complex(pts[-2]))
+    total += -tail if abs(w_end - w) <= abs(w_end + w) else tail
+    if not abs(total.imag) <= REAL_RTOL * abs(total):
+        raise BranchAmbiguity(f"the integral {total} of sqrt(phi) along the polyline is not real")
+    return abs(total.real) / (2.0 * math.pi)

@@ -1,10 +1,11 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
 from qdsphere import polyalg, qdiff
-from qdsphere.errors import ConstantRational, NotCoprime, WrongOrder
+from qdsphere.errors import ConstantRational, NotCoprime, PoleOnPath, WrongOrder
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     CIRCULAR,
@@ -268,6 +269,53 @@ def test_phi_array_is_phi_to_rounding_not_to_the_bit(n_zeros, n_poles):
     assert np.max(np.abs(arr - ref) / np.abs(ref)) <= bound
 
 
+def _phi_array_loops(qd, z):
+    """phi at an array of points by loops over the clusters: lead and the
+    factors multiplied in once per unit of their order, in cluster order,
+    the pole factors into a product that starts at one."""
+    z = np.asarray(z, dtype=complex)
+    v = np.full(z.shape, qd.lead)
+    for c in qd.zeros:
+        f = z - c.location
+        for _ in range(c.multiplicity):
+            v = v * f
+    if not qd.poles:
+        return v
+    b = np.ones(z.shape, dtype=complex)
+    for c in qd.poles:
+        f = z - c.location
+        for _ in range(c.multiplicity):
+            b = b * f
+    return v / b
+
+
+@pytest.mark.parametrize("n_zeros, n_poles", [(0, 0), (3, 0), (0, 2), (1, 1), (6, 2), (4, 3)])
+def test_phi_array_is_the_loop_form_to_the_bit(n_zeros, n_poles):
+    # phi_array runs phi's generated product lines on arrays; off the axes,
+    # where no imaginary part is an exact zero of either sign, that is the
+    # loop form bit for bit, at any multiplicities and array shape
+    rng = np.random.default_rng(100 + 10 * n_zeros + n_poles)
+    for _ in range(20):
+        zeros, poles = ([RootCluster(complex(*rng.normal(size=2)), int(rng.integers(1, 4)), 0.0)
+                         for _ in range(n)] for n in (n_zeros, n_poles))
+        qd = QuadraticDifferential(complex(*rng.normal(size=2)), zeros, poles)
+        zs = 2.0 * (rng.normal(size=(4, 64)) + 1j * rng.normal(size=(4, 64)))
+        got, want = qd.phi_array(zs), _phi_array_loops(qd, zs)
+        assert got.shape == zs.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_phi_array_of_a_constant_is_a_fresh_array_shaped_like_z():
+    lead = complex(-0.0, 2.5)
+    qd = QuadraticDifferential(lead, [], [])
+    zs = np.zeros((3, 2), dtype=complex)
+    out = qd.phi_array(zs)
+    assert out.shape == zs.shape and out.dtype == complex and out.flags.writeable
+    np.testing.assert_array_equal(out.view(np.uint64), np.full(zs.shape, lead).view(np.uint64))
+    out[0, 0] = 7.0
+    assert qd.phi_array(zs)[0, 0] == lead and qd.phi_array(zs[0, 0]) == lead
+
+
 def test_measure_density_semicircle():
     # p=1, q=-z, r=1: density along the real segment is sqrt(4-x^2)/(2 pi)
     qd = cauchy_qd(Polynomial([1.0]), Polynomial([0.0, -1.0]), Polynomial([1.0]))
@@ -290,19 +338,62 @@ def test_measure_mass_semicircle():
     assert measure_mass(qd, coarse, max_step=1e-3) == pytest.approx(1.0, abs=2e-5)
 
 
-@pytest.mark.parametrize("shift, scale", [(0.0, 1.0), (0.3, 1.0), (-1.7, 0.6), (0.5, 1.9)])
-def test_measure_mass_resolves_square_root_ends(shift, scale):
-    # p = 1, q = -(z - shift) / scale, r = 1: the support is the segment of
-    # half-length 2 scale about shift, of mass scale; graded end panels give
-    # it to rounding, where the trapezoid rule lost 4.65e-5 at the ends
+def _compose(p, a, b):
+    """p(a z + b), by Horner's rule over polynomials."""
+    acc = Polynomial()
+    for c in reversed(p.coeffs):
+        acc = acc * Polynomial([b, a]) + Polynomial([c])
+    return acc
+
+
+def _semicircle(shift, scale):
+    """p = 1, q = -(z - shift) / scale, r = 1: the semicircle law on the
+    segment of half-length 2 scale about shift, of mass scale."""
+    return (Polynomial([1.0]), Polynomial([shift / scale, -1.0 / scale]), Polynomial([1.0])), scale
+
+
+def _moved(triple, a, b=0.0):
+    """p C^2 + q C + r = 0 in w, z = a w + b: p(a w + b), a q(a w + b) and
+    a^2 r(a w + b), whose measure is the image of p, q, r's, of equal mass."""
+    p, q, r = (_compose(f, a, b) for f in triple)
+    return p, q * a, r * (a * a)
+
+
+# p = z^2 - 4, q = -2 p, r = p - 1: phi = -4 / (z^2 - 4), the arcsine law on
+# [-2, 2], of mass 1, whose support ends at simple poles
+ARCSINE = (Polynomial([-4.0, 0.0, 1.0]), Polynomial([8.0, 0.0, -2.0]), Polynomial([-5.0, 0.0, 1.0]))
+
+
+@pytest.mark.parametrize("triple, mass", [
+    *(pytest.param(*_semicircle(shift, scale), id=f"{shift}-{scale}")
+      for shift, scale in [(0.0, 1.0), (0.3, 1.0), (-1.7, 0.6), (0.5, 1.9)]),
+    *(pytest.param(_moved(_semicircle(0.0, 1.0)[0], 1.3 * cmath.exp(1j * t), 0.4 - 0.2j), 1.0,
+                   id=f"semicircle-turned-{t:.3g}") for t in (0.3, 1.0, math.pi / 2, 2.5)),
+    pytest.param(ARCSINE, 1.0, id="arcsine"),
+    pytest.param(_moved(ARCSINE, cmath.exp(0.7j)), 1.0, id="arcsine-turned-0.7"),
+])
+def test_measure_mass_resolves_square_root_ends(triple, mass):
+    # the ends of a support arc, zeros or simple poles, are taken in the
+    # charts of zeta_from, so the mass is exact to rounding there; it does
+    # not depend on the support's direction, and reversing the polyline
+    # keeps it
     from qdsphere.graph import find_short_trajectories
-    q = Polynomial([shift / scale, -1.0 / scale])
-    qd = cauchy_qd(Polynomial([1.0]), q, Polynomial([1.0]))
+    qd = cauchy_qd(*triple)
     (edge,) = find_short_trajectories(qd)
     for step in (None, qd.diameter() / 2000):
-        mass = measure_mass(qd, edge.polyline, max_step=step)
-        assert mass == pytest.approx(scale, abs=1e-10)
-        assert mass == pytest.approx(edge.phi_length / (2 * math.pi), abs=1e-9)
+        for polyline in (edge.polyline, edge.polyline[::-1]):
+            got = measure_mass(qd, polyline, max_step=step)
+            assert got == pytest.approx(mass, abs=1e-12)
+            assert got == pytest.approx(edge.phi_length / (2 * math.pi), abs=1e-9)
+
+
+def test_measure_mass_at_a_vertex_on_a_pole_is_pole_on_path():
+    # the charts of the end segments evaluate phi at the polyline's second
+    # and second-to-last points, not only at quadrature nodes
+    qd = cauchy_qd(*ARCSINE)
+    for pts in ([0j, 2 + 0j, 3 + 0j], [3 + 0j, 2 + 0j, 0j]):
+        with pytest.raises(PoleOnPath, match=r"^\(2\+0j\) is numerically at a pole"):
+            measure_mass(qd, pts)
 
 
 def test_provenance_round_trip():

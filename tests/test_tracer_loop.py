@@ -582,7 +582,7 @@ def generated_stages(step):
 
 
 def make_generated(clusters, sqrt=cmath.sqrt):
-    """The (phi, root) and the step generated for the clusters of
+    """The (phi, root, products) and the step generated for the clusters of
     reference_root, made with the given sqrt."""
     lead, zeros, poles = clusters
     orders = (tuple(m for _a, m in zeros), tuple(n for _b, n in poles))
@@ -647,7 +647,7 @@ def test_dop853_stops_at_the_same_stage(stage):
                 raise ZeroDivisionError
             return cmath.sqrt(v)
 
-        (_phi, root), step = make_generated(clusters_of(winding_qd()), sqrt)
+        (_phi, root, _products), step = make_generated(clusters_of(winding_qd()), sqrt)
         stages = generated_stages(step) if generated else dop853_stages
         assert _stages_outcome(stages, root, 1, 1.0, base(1.0, 1.0), 0.01) is ZeroDivisionError
         counts.append(calls)
@@ -745,7 +745,7 @@ def _root_outcome(root, z, hint):
 def test_generated_root_is_the_loop_form(lead, zeros, poles, z, hint, sheet):
     ref = reference_root(lead, zeros, poles)
     make = qdiff._evaluator_maker(tuple(m for _a, m in zeros), tuple(n for _b, n in poles))
-    phi, root = make(lead, *(a for a, _m in zeros + poles), cmath.sqrt)
+    phi, root, _products = make(lead, *(a for a, _m in zeros + poles), cmath.sqrt)
     # a hint near either root, and an arbitrary one
     try:
         near = sheet * ref(z, None) + 1e-3 * hint
