@@ -8,7 +8,7 @@ and Im(zeta / orientation) stays constant. The integrator is the embedded
 Dormand-Prince 8(5,3) pair (DOP853) with the branch threaded through every
 stage evaluation; its error estimate keeps the steps accurate, and a clamp
 keeps a single step from jumping over a critical point or moving arg(phi)
-by more than BRANCH_TURN.
+by more than BRANCH_TURN (see clamp_factor).
 
 A step is straight-line code generated per shape of differential (see _step_maker), each
 stage inlining phi's product lines and continuing the root of the stage before it. Stage 0
@@ -70,6 +70,8 @@ SNAP_FACTOR = 1e-6
 SEED_FACTOR = 10.0           # a ray has left its start beyond 10 * snap_radius
 LOCAL_RADIUS = 0.05          # analytic disks: radius / distance to the next critical point
 BRANCH_TURN = 0.7            # a step moves arg(phi) by less than this, in radians
+CLOSE_TRIGGER = 0.35         # the closure is tried when z0 is within this share of a step of it
+CHORD_ALPHA = 0.675 / (1.0 + CLOSE_TRIGGER)    # = 0.5, the largest clamp the closure allows
 DEFAULT_RK_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10 ** 6
 LENGTH_FACTOR = 100.0
@@ -211,6 +213,15 @@ class TrajectoryRay:
     work: dict = field(default_factory=dict)
 
 
+def clamp_factor(order: int) -> float:
+    """The step clamp alpha at a critical point p of order n != 0: a step of |dz| <= alpha
+    |z - p| moves arg(phi) by about |n| alpha <= BRANCH_TURN, and alpha <= CHORD_ALPHA keeps
+    the closure's chord clear of the critical points (see _close_at_seed). So a simple zero
+    or pole has 0.5 and an order n with |n| >= 2 has 0.7 / |n|. The error estimate, not the
+    clamp, sees to accuracy."""
+    return min(BRANCH_TURN / abs(order), CHORD_ALPHA)
+
+
 class _Scene:
     """Critical-point geometry of a differential: a row (k, position, clamp
     factor alpha) per finite critical point, k its index in
@@ -242,11 +253,7 @@ class _Scene:
         finite = [cp for cp in critical_points(qd) if not cp.at.is_infinite]
         for k, cp in enumerate(finite):
             z = cp.at.value
-            # step clamp: a step of |dz| <= alpha |z - p| moves arg(phi) by
-            # about |n| alpha <= BRANCH_TURN for p of order n; alpha <= 0.35
-            # keeps the closure's chord off the critical points (see
-            # _close_at_seed). The error estimate, not the clamp, sees to accuracy.
-            rows.append((k, z, BRANCH_TURN / max(2, abs(cp.signed_order))))
+            rows.append((k, z, clamp_factor(cp.signed_order)))
             if not cp.is_finite_critical:
                 disks.append(qd.guard_radius(z))
                 models.append(None)
@@ -491,7 +498,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                 left_home = True
         else:
             a_seg = abs(z - z_prev)
-            trigger = 0.35 * a_seg
+            trigger = CLOSE_TRIGGER * a_seg
             trigger = trigger if trigger > snap4 else snap4
             # the distance from z0 to the step is at least |z - z0| - |z - z_prev|;
             # the last term is far above the rounding of both distances
@@ -542,11 +549,16 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     Re q, at zeta = i orientation Im q, that is z* = z0 + i orientation Im q
     / sqrt(phi(z0)) to first order in z* - z0, which is below snap when it
     matters. zeta(z_a) is one 8-node Gauss-Legendre panel on the chord from
-    z_a to z0, the root continued from w_a. The trigger has z0 within 0.35
-    |z_b - z_a| of the step, so the chord is at most 1.35 times the step,
-    which the clamp holds to about 0.35 d, d the distance from z_a to the
-    nearest critical point: the chord, about 0.47 d at most, stays in the
-    disk about z_a that is free of them. A crossing off the step falls back
+    z_a to z0, the root continued from w_a. The trigger has z0 within
+    T |z_b - z_a| of the step, T = CLOSE_TRIGGER = 0.35, so the chord is at
+    most (1 + T) alpha d long, the clamp holding the step to about alpha d, d
+    the distance from z_a to the nearest critical point. A critical point is
+    at least d - c from z0 when the chord is c long, so the panel's error falls
+    as rho^-16, with rho + 1/rho = 4 d / c - 2 the Bernstein ellipse about the
+    chord through the nearest place it can be. Holding that to 1e-9 needs
+    rho >= 10^(9/16) = 3.65, c <= 0.675 d, and so alpha <= CHORD_ALPHA =
+    0.675 / (1 + T) = 0.5: the chord stays in the disk about z_a that is free
+    of critical points, with that margin. A crossing off the step falls back
     to the step's end nearer z0. The ray is closed when that point is within
     snap of z0 and the root carried to z0 is on the seed's sheet."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
