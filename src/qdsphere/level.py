@@ -88,44 +88,41 @@ def _lattice(window, n: int) -> np.ndarray:
     return zs
 
 
-def _leaf_panels(path: list[complex], singular) -> tuple[list, list]:
-    """Quadrature panels of a polyline, in path order: each segment is
-    bisected until a panel is no longer than PANEL_RATIO times the distance
-    from its midpoint to the nearest pole or zero, or MAX_SPLIT_DEPTH deep.
-    Returns the panel start and end points."""
+def _leaf_panels(a: complex, b: complex, singular) -> tuple[list, list]:
+    """Quadrature panels of the segment a -> b, in order (none when a == b):
+    it is bisected until a panel is no longer than PANEL_RATIO times the
+    distance from its midpoint to the nearest pole or zero, or
+    MAX_SPLIT_DEPTH deep. Returns the panel start and end points."""
     starts, ends = [], []
-    for i in range(len(path) - 1):
-        if path[i] == path[i + 1]:
-            continue
-        stack = [(path[i], path[i + 1], 0)]
-        while stack:
-            a, b, depth = stack.pop()
-            mid = 0.5 * (a + b)
-            d = math.inf
-            for s in singular:
-                e = abs(mid - s)
-                if e < d:
-                    d = e
-            if abs(b - a) <= PANEL_RATIO * d or depth >= MAX_SPLIT_DEPTH:
-                starts.append(a)
-                ends.append(b)
-            else:
-                stack.append((mid, b, depth + 1))
-                stack.append((a, mid, depth + 1))
+    stack = [(a, b, 0)] if a != b else []
+    while stack:
+        a, b, depth = stack.pop()
+        mid = 0.5 * (a + b)
+        d = math.inf
+        for s in singular:
+            e = abs(mid - s)
+            if e < d:
+                d = e
+        if abs(b - a) <= PANEL_RATIO * d or depth >= MAX_SPLIT_DEPTH:
+            starts.append(a)
+            ends.append(b)
+        else:
+            stack.append((mid, b, depth + 1))
+            stack.append((a, mid, depth + 1))
     return starts, ends
 
 
 def _integrate(radicand, legs: list, singular) -> list:
     """Gauss-Legendre integrals of branch-continued sqrt(radicand) along the
-    paths of legs, a list of (path, start hint) pairs, all in one kernel
-    call. Returns one (integral, final branch hint) pair per leg."""
+    segments of legs, a list of (start, end, start hint) triples, all in one
+    kernel call. Returns one (integral, final branch hint) pair per leg."""
     a, b, starts = [], [], []
-    for path, _hint in legs:
+    for p, q, _hint in legs:
         starts.append(len(a))
-        pa, pb = _leaf_panels(path, singular)
+        pa, pb = _leaf_panels(p, q, singular)
         a += pa
         b += pb
-    running, hints = sqrt_panel_integrals(a, b, radicand, [hint for _path, hint in legs], starts)
+    running, hints = sqrt_panel_integrals(a, b, radicand, [hint for *_, hint in legs], starts)
     ends = starts[1:] + [len(a)]
     return [(complex(running[e - 1]) if e > s else 0j, h)
             for s, e, h in zip(starts, ends, hints)]
@@ -229,8 +226,8 @@ class _LevelSetup:
 
         pts = flat.tolist()
         root = int(self.nearest_clear(flat, passes, np.array([self.probe]))[0])
-        [(leg, hint)] = _integrate(self.phi, [([self.base, self.probe], None)], self.singular)
-        [(step, hint)] = _integrate(self.phi, [([self.probe, pts[root]], hint)], self.singular)
+        [(leg, hint)] = _integrate(self.phi, [(self.base, self.probe, None)], self.singular)
+        [(step, hint)] = _integrate(self.phi, [(self.probe, pts[root], hint)], self.singular)
         value = [complex(math.nan, math.nan)] * len(pts)
         branch = list(value)
         value[root], branch[root] = leg + step, hint
@@ -247,7 +244,7 @@ class _LevelSetup:
                     if not seen[w]:
                         seen[w] = in_tree[e] = True
                         found.append((u, w))
-            steps = _integrate(self.phi, [([pts[u], pts[w]], branch[u]) for u, w in found],
+            steps = _integrate(self.phi, [(pts[u], pts[w], branch[u]) for u, w in found],
                                self.singular)
             layer = []
             for (u, w), (step, hint) in zip(found, steps):
@@ -260,7 +257,7 @@ class _LevelSetup:
             raise PathBlocked(f"no lattice path from the seed probe {self.probe} "
                               f"reaches {lost[0]}")
         loops = [(t, h) for t, h, used in zip(tail, head, in_tree) if not used]
-        steps = _integrate(self.phi, [([pts[t], pts[h]], branch[t]) for t, h in loops],
+        steps = _integrate(self.phi, [(pts[t], pts[h], branch[t]) for t, h in loops],
                            self.singular)
         for (t, h), (step, _) in zip(loops, steps):
             want = value[h].imag
@@ -297,7 +294,7 @@ class _LevelSetup:
         lattice node, all links integrated in one kernel call."""
         ks = self.nearest_clear(nodes, ~np.isnan(branch), zs).tolist()
         steps = _integrate(self.phi,
-                           [([complex(nodes[k]), z], complex(branch[k]))
+                           [(complex(nodes[k]), z, complex(branch[k]))
                             for k, z in zip(ks, zs.tolist())], self.singular)
         return np.array([level[k] + step.imag for k, (step, _) in zip(ks, steps)])
 

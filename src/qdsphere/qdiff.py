@@ -489,8 +489,8 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
     node on a pole). The square root is branch-continued through the nodes
     by continue_sqrt_along, restarting at each start. The panels are evaluated PANEL_BLOCK at a
     time, and a path that runs on into the next block carries its branch
-    and its running sum there, so each path's sums are added in panel order
-    and it gets the floats a call on it alone would give. Returns (running
+    there; after the blocks each path's panels are added in panel order from
+    0j, so it gets the floats a call on it alone would give. Returns (running
     sum at the end of each panel, restarting at each start; the last square
     root of each path as a list, an empty path's being its hint).
     """
@@ -501,10 +501,9 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
         raise ValueError("the first path must start at panel 0")
     ends = [*starts[1:], len(a)]
     hints = list(hints)
-    running = np.empty(len(a), dtype=complex)
+    panels = []
     nodes = len(GL_NODES)
     j = 0                                  # the path that holds panel lo
-    carry = 0j                             # and its running sum before lo
     for lo in range(0, len(a), PANEL_BLOCK):
         hi = min(lo + PANEL_BLOCK, len(a))
         # the paths with panels in the block, and where each begins in it
@@ -527,15 +526,11 @@ def sqrt_panel_integrals(a, b, radicand, hints=(None,), starts=(0,)):
         seg = terms[:, 0].copy()           # summed node by node, in the loop's order
         for k in range(1, nodes):
             seg += terms[:, k]
-        # each path's sums added one by one in panel order, from the sum it
-        # carries in or from 0
-        sums = (seg * half).tolist()
-        acc = []
-        for k, f, g in zip(paths, first, after):
-            acc += islice(accumulate(sums[f:g], initial=carry if starts[k] < lo else 0j), 1, None)
-        carry = acc[-1]
-        running[lo:hi] = acc
-    return running, hints
+        panels += (seg * half).tolist()
+    running = []
+    for s, e in zip(starts, ends):
+        running += islice(accumulate(panels[s:e], initial=0j), 1, None)
+    return np.array(running, dtype=complex), hints
 
 
 def zeta_from(qd: QuadraticDifferential, p: complex, z: complex) -> tuple[complex, complex]:

@@ -465,7 +465,7 @@ def test_mirror_image_from_coefficients():
 
 
 @pytest.mark.xfail(strict=True, reason="two rays to infinity end on the phi-length budget "
-                   "inside the default window: the window and budget rule of ROADMAP item 1")
+                   "inside the default window: the window and budget rule of ROADMAP items 2 and 3")
 def test_mirror_rays_to_infinity_race_the_budget():
     a, b = 1.9465676292551062 * cmath.exp(1.9465676292551062j), 1.9465676292551062 * cmath.exp(
         1.5922624817599005j)

@@ -119,7 +119,7 @@ def panel_integrals_one_path(a, b, radicand, hint=None):
 
 def integrate_per_edge(setup, path, hint):
     """One path through the one-path kernel, as level integrated every edge."""
-    a, b = level._leaf_panels(path, setup.singular)
+    a, b = level._leaf_panels(*path, setup.singular)
     if not a:
         return 0j, hint
     running, hint = panel_integrals_one_path(a, b, setup.phi, hint)
@@ -382,6 +382,27 @@ def test_panel_integrals_node_on_pole_raises():
         sqrt_panel_integrals([-1.0], [1.0], qd.phi_array)
 
 
+@pytest.mark.parametrize("count, n", [(1, 2 * PANEL_BLOCK + 3), (PANEL_BLOCK + 5, 3)],
+                         ids=["one_long_path", "many_short_paths"])
+def test_panel_integrals_hand_the_radicand_one_block_at_a_time(count, n):
+    # the numpy temporaries of a call stay bounded by PANEL_BLOCK, however
+    # many panels its paths hold in all
+    arcs = [_arc(n, 1.5, 0.01 * k, 1.0) for k in range(count)]
+    a = np.concatenate([pa for pa, _pb in arcs])
+    b = np.concatenate([pb for _pa, pb in arcs])
+    sizes = []
+
+    def radicand(z):
+        sizes.append(len(z))
+        return INV_Z.phi_array(z)
+
+    running, lasts = sqrt_panel_integrals(a, b, radicand, [None] * count,
+                                          list(range(0, count * n, n)))
+    assert len(running) == len(lasts) * n == count * n
+    assert max(sizes) <= len(GL_NODES) * PANEL_BLOCK
+    assert sum(sizes) == len(GL_NODES) * count * n
+
+
 # ---------------------------------------------------------------- callers
 
 
@@ -413,7 +434,7 @@ def test_level_grid_matches_scalar_panels(p, monkeypatch):
     got = level.level_grid(qd, pairing, window, 6).grid
     # every leg of every batch, lattice edges included, by the scalar panels
     monkeypatch.setattr(level, "_integrate", lambda radicand, legs, singular: [
-        integrate_reference(qd.phi_array, path, hint, singular) for path, hint in legs])
+        integrate_reference(qd.phi_array, [a, b], hint, singular) for a, b, hint in legs])
     want = level.level_grid(qd, pairing, window, 6).grid
     assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
 
@@ -476,3 +497,23 @@ def test_links_of_many_points_match_one_link_each():
         step, _ = integrate_per_edge(setup, [complex(nodes[k]), z], complex(branch[k]))
         want.append(float(level_values[k] + step.imag))
     assert setup.linked(nodes, level_values, branch, zs).tobytes() == np.array(want).tobytes()
+
+
+def test_zero_length_leg_keeps_its_hint():
+    qd = qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), ONE)
+    setup = level._setup(qd, pair_zeros_by_short_trajectories(qd))
+    z, hint = 0.5 + 0.5j, 0.3 - 0.7j
+    assert level._leaf_panels(z, z, setup.singular) == ([], [])
+    legs = [(z, z, hint), (z, 1.5 + 0.5j, hint), (1.5 + 0.5j, 1.5 + 0.5j, None)]
+    got = level._integrate(setup.phi, legs, setup.singular)
+    assert got[0] == (0j, hint) and got[2] == (0j, None)
+    assert got[1] == integrate_per_edge(setup, [z, 1.5 + 0.5j], hint)
+
+
+def test_link_from_a_lattice_node_to_itself_reads_its_level():
+    qd = qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), ONE)
+    field = level.level_grid(qd, pair_zeros_by_short_trajectories(qd), (-3.0, -2.2, 3.0, 2.8), 6)
+    nodes, level_values, branch = field.lattice.ravel(), field.grid.ravel(), field.branch.ravel()
+    usable = ~np.isnan(branch)
+    got = field.setup.linked(nodes, level_values, branch, nodes[usable])
+    assert got.tobytes() == level_values[usable].tobytes()
