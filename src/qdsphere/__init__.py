@@ -5,7 +5,7 @@ criteria, level functions, lemniscates and Cauchy-transform measures."""
 __version__ = "0.1.0"
 
 from .polyalg import Polynomial, poly_roots
-from .qdiff import (QuadraticDifferential, SpherePoint, CriticalPoint,
+from .qdiff import (QuadraticDifferential, CriticalPoint,
                     qd_new, qd_from_p_over_q_squared, lemniscate_qd, cauchy_qd,
                     critical_points, critical_directions, classify_double_pole,
                     order_at_infinity, local_leading_coefficient,
@@ -30,7 +30,7 @@ from . import errors
 
 __all__ = [
     "Polynomial", "poly_roots",
-    "QuadraticDifferential", "SpherePoint", "CriticalPoint",
+    "QuadraticDifferential", "CriticalPoint",
     "qd_new", "qd_from_p_over_q_squared", "lemniscate_qd", "cauchy_qd",
     "critical_points", "critical_directions", "classify_double_pole",
     "order_at_infinity", "local_leading_coefficient",

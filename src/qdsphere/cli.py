@@ -27,7 +27,7 @@ from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
                     pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
 from .level import level_grid, residue_obstruction, verify_level
 from .lemniscate import analyze_lemniscate, lemniscate_level_curve
-from .qdiff import SpherePoint, critical_points, measure_mass, order_at_infinity
+from .qdiff import critical_points, measure_mass, order_at_infinity
 from .specfile import build_qd, parse_input, parse_point, parse_positive
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
@@ -42,10 +42,8 @@ EXIT_RECURRENT = 20
 
 
 def _jsonable(v):
-    """v for json.dumps: complex as [re, im], a SpherePoint as its value
-    (infinity as null), arrays and tuples as lists, an infinite float as "inf"."""
-    if isinstance(v, SpherePoint):
-        v = v.value
+    """v for json.dumps: complex as [re, im], arrays and tuples as lists, an
+    infinite float as "inf"."""
     if isinstance(v, dict):
         return {str(k): _jsonable(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):
@@ -274,7 +272,7 @@ def cmd_cauchy(spec, qd, opts, args):
         mass = measure_mass(qd, e.polyline)
         total += mass
         components.append({
-            "endpoints": [graph.nodes[e.from_node].at.value, graph.nodes[e.to_node].at.value],
+            "endpoints": [graph.nodes[e.from_node].at, graph.nodes[e.to_node].at],
             "mass": mass,
             "phi_length": e.phi_length,
         })

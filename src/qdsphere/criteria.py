@@ -35,7 +35,7 @@ poly_roots = polyalg.poly_roots
 class CriterionVerdict:
     criterion: str
     verdict: str
-    evidence: dict               # may hold complex and SpherePoint values
+    evidence: dict               # may hold complex values, and None for infinity
 
 
 def stronger(a: str, b: str) -> str:
@@ -105,11 +105,11 @@ def residue_criterion(qd: QuadraticDifferential, pairing) -> CriterionVerdict:
     infinity is not tested."""
     require_form(qd, "criterion")
     ev = _pairing_evidence(pairing)
-    poles = [cp for cp in critical_points(qd) if cp.signed_order < 0 and not cp.at.is_infinite]
+    poles = [cp for cp in critical_points(qd) if cp.signed_order < 0 and cp.at is not None]
     if any(cp.signed_order != -2 for cp in poles):
         ev["note"] = "a finite pole is not double; the simple-pole residue test does not apply"
         return CriterionVerdict("ResidueCriterion", INCONCLUSIVE, ev)
-    residues = [[cp.at.value, principal_sqrt(cp.quadratic_residue)] for cp in poles]
+    residues = [[cp.at, principal_sqrt(cp.quadratic_residue)] for cp in poles]
     ev["residues"] = residues
     ev["max_real_ratio"] = max([0.0] + [abs(r.real) / max(abs(r), 1e-300) if r != 0 else 0.0
                                         for _b, r in residues])

@@ -79,25 +79,25 @@ def build_critical_graph(qd: QuadraticDifferential,
     """
     opts = opts or TraceOptions.for_qd(qd)
     nodes = critical_points(qd)
-    inf_id = next((i for i, cp in enumerate(nodes) if cp.at.is_infinite), None)
+    inf_id = next((i for i, cp in enumerate(nodes) if cp.at is None), None)
 
     edges: list[CriticalEdge] = []
     unresolved: list[TrajectoryRay] = []
     launched = 0
     keys = set()
     for i, cp in enumerate(nodes):
-        if cp.at.is_infinite or not cp.is_finite_critical:
+        if cp.at is None or not cp.is_finite_critical:
             continue
         for k in range(cp.signed_order + 2):
             ray = trace_from_critical(qd, cp, k, opts)
             launched += 1
             t = ray.termination
-            poly = np.concatenate(([cp.at.value], ray.points))
+            poly = np.concatenate(([cp.at], ray.points))
             if t.kind == HIT_CRITICAL and nodes[t.cp_index].signed_order <= -2:
                 edges.append(CriticalEdge(i, t.cp_index, poly, math.inf, False, ray))
             elif t.kind in (HIT_CRITICAL, CLOSED):
                 j = i if t.kind == CLOSED else t.cp_index
-                p = nodes[j].at.value
+                p = nodes[j].at
                 end = ray.points[-1]
                 if t.kind == CLOSED:
                     # a loop that missed p arrives where it re-enters the launch circle
@@ -170,8 +170,7 @@ def pair_zeros_by_short_trajectories(qd: QuadraticDifferential,
     g = graph if graph is not None else build_critical_graph(qd, opts)
     # critical_points builds the finite nodes from the same zero clusters
     zero_at = {c.location: zi for zi, c in enumerate(zeros)}
-    node_to_zero = {ni: zero_at[cp.at.value] for ni, cp in enumerate(g.nodes)
-                    if cp.at.value in zero_at}
+    node_to_zero = {ni: zero_at[cp.at] for ni, cp in enumerate(g.nodes) if cp.at in zero_at}
 
     cand: dict[tuple[int, int], CriticalEdge] = {}
     for e in g.edges:

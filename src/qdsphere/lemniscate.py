@@ -60,10 +60,9 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
         qr = cp.quadratic_residue
         if double_pole_kind(qr) != CIRCULAR:
             raise ConvergenceFailure(
-                f"double pole at {cp.at} has quadratic residue {qr}, "
-                "expected negative real")
-        loc = None if cp.at.is_infinite else cp.at.value
-        double_poles.append((loc, qr))
+                f"double pole at {'infinity' if cp.at is None else cp.at} has quadratic "
+                f"residue {qr}, expected negative real")
+        double_poles.append((cp.at, qr))
 
     levels = [float(abs(p(z) / q(z))) for z in finite_cps]
 

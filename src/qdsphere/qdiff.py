@@ -49,30 +49,8 @@ SPIRAL = "Spiral"
 
 
 @dataclass(frozen=True)
-class SpherePoint:
-    """A point of the Riemann sphere; value None encodes infinity."""
-
-    value: complex | None = None
-
-    @classmethod
-    def finite(cls, z) -> "SpherePoint":
-        return cls(complex(z))
-
-    @classmethod
-    def infinity(cls) -> "SpherePoint":
-        return cls(None)
-
-    @property
-    def is_infinite(self) -> bool:
-        return self.value is None
-
-    def __repr__(self):
-        return "SpherePoint(inf)" if self.is_infinite else f"SpherePoint({self.value!r})"
-
-
-@dataclass(frozen=True)
 class CriticalPoint:
-    at: SpherePoint
+    at: complex | None         # None at infinity
     signed_order: int          # > 0 zero, < 0 pole; never 0
     quadratic_residue: complex | None = None   # only for order -2 poles
 
@@ -194,7 +172,7 @@ class QuadraticDifferential:
     # -- geometry of the finite critical set ---------------------------
 
     def finite_critical_positions(self) -> list[complex]:
-        return [c.at.value for c in critical_points(self) if not c.at.is_infinite]
+        return [c.at for c in critical_points(self) if c.at is not None]
 
     def diameter(self) -> float:
         """Diameter of the finite critical set, floored for degenerate sets."""
@@ -294,24 +272,22 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
         return qd._critical
     pts: list[CriticalPoint] = []
     for c in qd.zeros:
-        pts.append(CriticalPoint(SpherePoint.finite(c.location), c.multiplicity))
+        pts.append(CriticalPoint(complex(c.location), c.multiplicity))
     for c in qd.poles:
         qr = local_leading_coefficient(qd, c.location) if c.multiplicity == 2 else None
-        pts.append(CriticalPoint(SpherePoint.finite(c.location), -c.multiplicity, qr))
-    pts.sort(key=lambda p: (p.at.value.real, p.at.value.imag))
+        pts.append(CriticalPoint(complex(c.location), -c.multiplicity, qr))
+    pts.sort(key=lambda p: (p.at.real, p.at.imag))
 
     n_inf = order_at_infinity(qd)
     if n_inf != 0:
         # at an order -2 infinity phi(1/u) / u^4 ~ lead u^-2
-        pts.append(CriticalPoint(SpherePoint.infinity(), n_inf, qd.lead if n_inf == -2 else None))
+        pts.append(CriticalPoint(None, n_inf, qd.lead if n_inf == -2 else None))
     qd._critical = pts
     return pts
 
 
-def classify_double_pole(qd: QuadraticDifferential, at: SpherePoint | complex) -> str:
-    """Circular, Radial or Spiral, from the quadratic residue's argument."""
-    if not isinstance(at, SpherePoint):
-        at = SpherePoint.finite(at)
+def classify_double_pole(qd: QuadraticDifferential, at: complex | None) -> str:
+    """Circular, Radial or Spiral, from the quadratic residue's argument; at None is infinity."""
     cp = _find_critical(qd, at)
     if cp.signed_order != -2:
         raise WrongOrder(f"point has order {cp.signed_order}, need a double pole")
@@ -358,23 +334,23 @@ def single_valued(r2: complex) -> bool:
     return r2 == 0 or double_pole_kind(r2) == CIRCULAR
 
 
-def _find_critical(qd: QuadraticDifferential, at: SpherePoint) -> CriticalPoint:
+def _find_critical(qd: QuadraticDifferential, at: complex | None) -> CriticalPoint:
     pts = critical_points(qd)
-    if at.is_infinite:
+    if at is None:
         for p in pts:
-            if p.at.is_infinite:
+            if p.at is None:
                 return p
         raise WrongOrder("infinity is a regular point here")
-    tol = ROOT_TOL * max(1.0, abs(at.value))
+    tol = ROOT_TOL * max(1.0, abs(at))
     best, bd = None, math.inf
     for p in pts:
-        if p.at.is_infinite:
+        if p.at is None:
             continue
-        d = abs(p.at.value - at.value)
+        d = abs(p.at - at)
         if d < bd:
             best, bd = p, d
     if best is None or bd > max(tol, 1e-6):
-        raise WrongOrder(f"no critical point at {at.value}")
+        raise WrongOrder(f"no critical point at {at}")
     return best
 
 
@@ -399,9 +375,10 @@ def local_leading_coefficient(qd: QuadraticDifferential, at: complex) -> complex
 def critical_directions(qd: QuadraticDifferential, cp: CriticalPoint) -> list[complex]:
     """The n + 2 unit directions of trajectories emanating from a finite
     critical point of signed order n: theta_k = (2 pi k - arg a) / (n + 2)."""
-    if cp.at.is_infinite or not cp.is_finite_critical:
-        raise NotFiniteCritical(f"signed order {cp.signed_order} at {cp.at}")
-    a = local_leading_coefficient(qd, cp.at.value)
+    if cp.at is None or not cp.is_finite_critical:
+        raise NotFiniteCritical(
+            f"signed order {cp.signed_order} at {'infinity' if cp.at is None else cp.at}")
+    a = local_leading_coefficient(qd, cp.at)
     n = cp.signed_order
     arg_a = cmath.phase(a)
     out = []

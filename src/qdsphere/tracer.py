@@ -250,9 +250,9 @@ class _Scene:
 
     def __init__(self, qd: QuadraticDifferential):
         rows, disks, models = [], [], []
-        finite = [cp for cp in critical_points(qd) if not cp.at.is_infinite]
+        finite = [cp for cp in critical_points(qd) if cp.at is not None]
         for k, cp in enumerate(finite):
-            z = cp.at.value
+            z = cp.at
             rows.append((k, z, clamp_factor(cp.signed_order)))
             if not cp.is_finite_critical:
                 disks.append(qd.guard_radius(z))
@@ -260,8 +260,8 @@ class _Scene:
                 continue
             r = LOCAL_RADIUS * qd.local_scale(z)
             e = 0.5 * cp.signed_order + 1.0
-            kappa = r * sum(abs(q.signed_order) / (abs(q.at.value - z) - r)
-                            for q in finite if q.at.value != z)
+            kappa = r * sum(abs(q.signed_order) / (abs(q.at - z) - r)
+                            for q in finite if q.at != z)
             disks.append(r)
             models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, z))) / e,
                            math.expm1(0.5 * kappa)))
@@ -338,10 +338,10 @@ def _launch_point(qd, cp, u, r):
     e = (n + 2) / 2 and g = b e / (2 (e + 1)), so arg zeta moves by
     Im(g v) off the leading term's direction u.
     """
-    p = cp.at.value
+    p = cp.at
     e = 0.5 * cp.signed_order + 1.0
-    b = sum(c.signed_order / (p - c.at.value) for c in critical_points(qd)
-            if not c.at.is_infinite and c.at.value != p)
+    b = sum(c.signed_order / (p - c.at) for c in critical_points(qd)
+            if c.at is not None and c.at != p)
     theta0 = cmath.phase(u)
     lim = 0.5 * math.pi / (cp.signed_order + 2)
     theta = theta0 - (b * e / (2.0 * (e + 1.0)) * r * u).imag / e

@@ -17,7 +17,6 @@ from qdsphere.criteria import (
     teichmuller_check,
     three_pole,
 )
-from qdsphere.errors import WrongProvenance
 from qdsphere.graph import build_critical_graph, detect_recurrence
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import (CIRCULAR, SPIRAL, classify_double_pole, qd_from_p_over_q_squared,

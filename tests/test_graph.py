@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdsphere.criteria import run_all
+from qdsphere.criteria import INCONCLUSIVE, overall_verdict, run_all
 from qdsphere.graph import (
     NOT_RECURRENT,
     SUSPECTED_RECURRENT,
@@ -46,7 +46,7 @@ def test_launch_count_matches_orders():
     qd = qd_new(Polynomial([-1.0, 0.0, 1.0]), Polynomial([0.0, 1.0]))
     graph = build_critical_graph(qd)
     want = sum(c.signed_order + 2 for c in critical_points(qd)
-               if not c.at.is_infinite and c.signed_order >= -1)
+               if c.at is not None and c.signed_order >= -1)
     assert graph.work["launched_rays"] == want == 7
     # zeros keep all three outgoing edges; the pole's single ray may merge
     # with an incoming zero edge during dedup
@@ -54,7 +54,7 @@ def test_launch_count_matches_orders():
     for e in graph.edges:
         per_node[e.from_node] = per_node.get(e.from_node, 0) + 1
     for i, c in enumerate(graph.nodes):
-        if not c.at.is_infinite and c.signed_order >= 1:
+        if c.at is not None and c.signed_order >= 1:
             assert per_node.get(i, 0) == c.signed_order + 2
 
 
@@ -103,7 +103,7 @@ def test_two_short_edges_between_the_same_zeros():
     shorts = [e for e in graph.edges if e.is_short]
     assert graph.work["launched_rays"] == 6
     assert len(shorts) == 2
-    ends = {frozenset((graph.nodes[e.from_node].at.value, graph.nodes[e.to_node].at.value))
+    ends = {frozenset((graph.nodes[e.from_node].at, graph.nodes[e.to_node].at))
             for e in shorts}
     assert ends == {frozenset((-1.0, 1.0))}
     sides = [np.sign(e.polyline[1:-1].imag) for e in shorts]
@@ -259,7 +259,7 @@ def _synthetic_graph(qd, ends):
     """A critical graph on qd's critical points whose short edges join the
     given pairs of zero locations."""
     nodes = critical_points(qd)
-    at = {cp.at.value: i for i, cp in enumerate(nodes)}
+    at = {cp.at: i for i, cp in enumerate(nodes)}
     edges = [CriticalEdge(at[a], at[b], np.array([a, b]), 1.0, True, None)
              for a, b in ends]
     return CriticalGraph(nodes, edges, [])
@@ -341,7 +341,7 @@ MIRROR_P = Polynomial([
 
 def _short_edges(graph):
     """(start, end, phi-length) of each short edge."""
-    return [(graph.nodes[e.from_node].at.value, graph.nodes[e.to_node].at.value, e.phi_length)
+    return [(graph.nodes[e.from_node].at, graph.nodes[e.to_node].at, e.phi_length)
             for e in graph.edges if e.is_short]
 
 
@@ -471,3 +471,29 @@ def test_mirror_rays_to_infinity_race_the_budget():
         1.5922624817599005j)
     graph = build_critical_graph(_affine_image("mirror", a, b))
     assert len(graph.edges) == 22 and not graph.unresolved
+
+
+@pytest.mark.xfail(strict=True, reason="rays that pass by the simple pole at infinity leave the "
+                   "default window and are filed as infinite edges, so the short edge 1 -> -1 "
+                   "is lost: infinity as a point of the sphere, ROADMAP item 2")
+def test_simple_pole_at_infinity_keeps_the_wide_window_verdict():
+    # phi = e^{3i} (z - 1) / (z^2 (z + 1) (z - 2)): infinity is a simple pole,
+    # and at +-1e6 the graph holds one short edge, of phi-length 24.55
+    qd = qd_new(Polynomial([-1.0, 1.0]) * cmath.exp(3j), Polynomial.from_roots([0.0, 0.0, -1.0, 2.0]))
+    opts = TraceOptions.for_qd(qd)
+    seen = []
+    for o in (opts.replace(window=(-1e6, -1e6, 1e6, 1e6)), opts):
+        graph = build_critical_graph(qd, o)
+        seen.append((len(_short_edges(graph)), overall_verdict(run_all(qd, o, graph=graph))))
+    assert seen == [(1, INCONCLUSIVE)] * 2
+
+
+@pytest.mark.xfail(strict=True, reason="the dense ray comes within the arrival reach of a simple "
+                   "pole and is read as ending there: the arrival reach of ROADMAP item 5")
+@pytest.mark.parametrize("seed", [0.2 + 0.3j, -2.0 + 1.0j], ids=["0.2+0.3i", "-2+i"])
+def test_dense_winding_probe_is_suspected_recurrent(seed):
+    # the winding figure is a pillowcase of irrational period ratio, so every
+    # non-critical trajectory is dense; these two end at a pole after 3 and 18 crossings
+    qd = fig_winding_qd()
+    opts = TraceOptions.for_qd(qd).replace(max_phi_length=200.0)
+    assert detect_recurrence(qd, seed, opts).verdict == SUSPECTED_RECURRENT

@@ -1,6 +1,6 @@
-"""Every module-level import in the package is used, and so is every
-module-level private name: an AST scan, since no linter is part of the
-test dependencies."""
+"""Every module-level import in the package, its tests and its tools is
+used, and so is every module-level private name of the package: an AST
+scan, since no linter is part of the test dependencies."""
 
 import ast
 from pathlib import Path
@@ -10,6 +10,8 @@ import pytest
 import qdsphere
 
 MODULES = sorted(Path(qdsphere.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
+SCRIPTS = sorted(REPO.glob("tests/*.py")) + sorted(REPO.glob("tools/*.py"))
 
 
 def _imported_names(tree):
@@ -33,7 +35,8 @@ def _used_names(tree):
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+@pytest.mark.parametrize("path", MODULES + SCRIPTS,
+                         ids=[p.name for p in MODULES] + [str(p.relative_to(REPO)) for p in SCRIPTS])
 def test_no_unused_module_level_imports(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     used = _used_names(tree)

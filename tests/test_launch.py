@@ -57,7 +57,7 @@ FIXTURES = {
 def _launches(qd):
     opts = TraceOptions.for_qd(qd, max_phi_length=5.0)
     for cp in critical_points(qd):
-        if cp.at.is_infinite or not cp.is_finite_critical:
+        if cp.at is None or not cp.is_finite_critical:
             continue
         for k in range(cp.signed_order + 2):
             yield cp, k, trace_from_critical(qd, cp, k, opts)
@@ -68,7 +68,7 @@ def test_launch_point_lies_on_a_critical_ray(name):
     qd = FIXTURES[name]()
     orders = set()
     for cp, k, ray in _launches(qd):
-        p, n = cp.at.value, cp.signed_order
+        p, n = cp.at, cp.signed_order
         orders.add(n)
         z = complex(ray.points[0])
         zeta, _w = zeta_from(qd, p, z)
@@ -98,7 +98,7 @@ def test_launch_takes_under_two_quadratures(monkeypatch):
         qd = FIXTURES[name]()
         disks = _Scene.of(qd).disks
         for k, cp in enumerate(critical_points(qd)):
-            if cp.at.is_infinite or not cp.is_finite_critical:
+            if cp.at is None or not cp.is_finite_critical:
                 continue
             for u in critical_directions(qd, cp):
                 calls.clear()
@@ -136,7 +136,7 @@ def test_launch_error_stays_with_its_direction():
 
 def test_launch_orders_covered():
     orders = {cp.signed_order for name in FIXTURES for cp in critical_points(FIXTURES[name]())
-              if not cp.at.is_infinite and cp.is_finite_critical}
+              if cp.at is not None and cp.is_finite_critical}
     assert {-1, 1, 2} <= orders
 
 
@@ -168,7 +168,7 @@ def test_ray_leaving_a_disk_is_not_called_back():
         if abs(ray.points[1] - 1.0) > 0.03:
             break
     assert ray.termination.kind == HIT_CRITICAL
-    assert nodes[ray.termination.cp_index].at.value == -1.0
+    assert nodes[ray.termination.cp_index].at == -1.0
     x = 0.97
     want = 0.5 * (x * math.sqrt(1 - x * x) + math.asin(x)) + math.pi / 4
     assert ray.phi_length == pytest.approx(want, abs=1e-9)
@@ -182,7 +182,7 @@ def test_critical_loop_returns_to_its_own_point():
     qd = qd_new(Polynomial([0.0, -1.0]), den)
     loops = [e for e in build_critical_graph(qd).edges if e.from_node == e.to_node]
     assert len(loops) == 1 and loops[0].is_short
-    assert critical_points(qd)[loops[0].from_node].at.value == 0.0
+    assert critical_points(qd)[loops[0].from_node].at == 0.0
     assert loops[0].ray.termination.kind == HIT_CRITICAL
     assert abs(loops[0].phi_length - 2 * math.pi) <= 1e-9
 
@@ -217,7 +217,7 @@ def test_short_edge_phi_length_between_simple_poles():
     # with g = 1 / sqrt(z - 1) analytic there, so Gauss-Chebyshev is exact
     qd = three_poles_qd()
     (edge,) = _short_edges(qd)
-    p, q = (critical_points(qd)[i].at.value for i in (edge.from_node, edge.to_node))
+    p, q = (critical_points(qd)[i].at for i in (edge.from_node, edge.to_node))
     ref = _chebyshev_edge_integral(lambda z: 1.0 / np.sqrt(1.0 - z), p, q)
     assert ref == pytest.approx(2.4286506478875, abs=1e-12)
     assert abs(edge.phi_length - ref) <= 1e-10
@@ -228,9 +228,9 @@ def test_edge_polylines_run_from_their_critical_points(name):
     qd = FIXTURES[name]()
     nodes = critical_points(qd)
     for e in build_critical_graph(qd).edges:
-        assert e.polyline[0] == nodes[e.from_node].at.value
+        assert e.polyline[0] == nodes[e.from_node].at
         if e.is_short:
-            assert e.polyline[-1] == nodes[e.to_node].at.value
+            assert e.polyline[-1] == nodes[e.to_node].at
             assert e.ray.taus[0] > 0.0 and e.phi_length > e.ray.taus[-1]
 
 
@@ -258,8 +258,8 @@ def test_scene_disks_are_apart_and_nearest():
     kinds = set()
     for qd in fixtures:
         scene = _Scene.of(qd)
-        finite = [c for c in critical_points(qd) if not c.at.is_infinite]
-        pos = np.array([c.at.value for c in finite])
+        finite = [c for c in critical_points(qd) if c.at is not None]
+        pos = np.array([c.at for c in finite])
         assert [row[:2] for row in scene.rows] == list(enumerate(pos.tolist()))
         for k, (c, radius) in enumerate(zip(finite, scene.disks)):
             kinds.add(c.is_finite_critical)

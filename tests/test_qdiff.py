@@ -5,14 +5,13 @@ import numpy as np
 import pytest
 
 from qdsphere import polyalg, qdiff
-from qdsphere.errors import ConstantRational, NotCoprime, PoleOnPath, WrongOrder
+from qdsphere.errors import ConstantRational, NotCoprime, NotFiniteCritical, PoleOnPath, WrongOrder
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     CIRCULAR,
     RADIAL,
     SPIRAL,
     QuadraticDifferential,
-    SpherePoint,
     cauchy_qd,
     classify_double_pole,
     continue_sqrt_along,
@@ -110,6 +109,32 @@ def test_classify_rejects_wrong_order():
     qd = qd_new(Polynomial([1.0]), Polynomial([0.0, 0.0, 0.0, 1.0]))
     with pytest.raises(WrongOrder):
         classify_double_pole(qd, 0.0)
+
+
+@pytest.mark.parametrize("c, kind", [(-1.0, CIRCULAR), (1.0, RADIAL), (cmath.exp(0.5j), SPIRAL)])
+def test_double_pole_at_infinity_classified_like_the_origin(c, kind):
+    # phi = c/z^2 is c/w^2 in w = 1/z: the same residue at 0 and at infinity
+    qd = qd_from_p_over_q_squared(Polynomial([c]), Polynomial([0.0, 1.0]))
+    assert order_at_infinity(qd) == -2
+    assert classify_double_pole(qd, None) == classify_double_pole(qd, 0.0) == kind
+
+
+def test_classify_at_infinity_rejects_a_regular_point_and_a_higher_pole():
+    winding = qd_new(Polynomial([-1.0]), Polynomial([0.5j, 0.0, -0.25 - 2.0j, 0.0, 1.0]))
+    with pytest.raises(WrongOrder, match="regular"):
+        classify_double_pole(winding, None)
+    segment = qd_from_p_over_q_squared(Polynomial([1.0, 0.0, -1.0]), Polynomial([1.0]))
+    with pytest.raises(WrongOrder, match="order -6"):
+        classify_double_pole(segment, None)
+
+
+def test_critical_directions_at_a_double_pole_names_where():
+    qd = qd_from_p_over_q_squared(Polynomial([1.0]), Polynomial([0.0, 1.0]), sign=-1)
+    origin, infinity = critical_points(qd)
+    with pytest.raises(NotFiniteCritical, match="at infinity"):
+        critical_directions(qd, infinity)
+    with pytest.raises(NotFiniteCritical, match=r"at 0j$"):
+        critical_directions(qd, origin)
 
 
 def quadrature_residue(qd, pole, n=4096):
@@ -413,14 +438,14 @@ def test_critical_point_at_infinity_reported():
     qd = qd_new(Polynomial([2.0]), Polynomial([1.0]))
     cps = critical_points(qd)
     assert len(cps) == 1
-    assert cps[0].at.is_infinite
+    assert cps[0].at is None
     assert cps[0].signed_order == -4
 
 
 def test_double_pole_at_infinity_quadratic_residue():
     # phi = 1/(z^2-1): order at infinity is -2, residue recorded
     qd = qd_new(Polynomial([1.0]), Polynomial([-1.0, 0.0, 1.0]))
-    inf = [c for c in critical_points(qd) if c.at.is_infinite]
+    inf = [c for c in critical_points(qd) if c.at is None]
     assert len(inf) == 1
     assert inf[0].signed_order == -2
     assert inf[0].quadratic_residue is not None
@@ -454,8 +479,8 @@ def test_lemniscate_sweep_one_double_pole_per_root():
         assert len(qd.poles) == 3 and all(pc.multiplicity == 2 for pc in qd.poles)
         cps = critical_points(qd)
         assert sum(cp.signed_order for cp in cps) == -4
-        residues = {round(cp.at.value.real): cp.quadratic_residue
-                    for cp in cps if cp.signed_order == -2 and not cp.at.is_infinite}
+        residues = {round(cp.at.real): cp.quadratic_residue
+                    for cp in cps if cp.signed_order == -2 and cp.at is not None}
         assert set(residues) == {a, b, c}
         for at, want in ((a, m * m), (b, 1), (c, k * k)):
             assert residues[at] == pytest.approx(-want, rel=1e-9)

@@ -110,7 +110,7 @@ def test_hits_critical_point_and_snaps():
     ray = trace_horizontal(qd, 0.0 + 0.0j)
     assert ray.termination.kind == HIT_CRITICAL
     assert ray.termination.cp_index is not None
-    target = critical_points(qd)[ray.termination.cp_index].at.value
+    target = critical_points(qd)[ray.termination.cp_index].at
     assert abs(ray.points[-1] - target) < LOCAL_RADIUS * 2.0
     assert ray.phi_length == pytest.approx(math.pi / 4, abs=1e-9)
 
@@ -241,7 +241,7 @@ def test_vertical_arrives_at_a_zero():
     assert step.real > 0 and abs(step.imag) <= 1e-12 * abs(step)
     ray = trace_vertical(qd, 2.0, -1)
     assert ray.termination.kind == HIT_CRITICAL
-    assert critical_points(qd)[ray.termination.cp_index].at.value == pytest.approx(1.0)
+    assert critical_points(qd)[ray.termination.cp_index].at == pytest.approx(1.0)
     want = math.sqrt(3.0) - math.log(2.0 + math.sqrt(3.0)) / 2
     assert ray.phi_length == pytest.approx(want, abs=1e-9)
     assert ray.orientation == -1j and ray.imag_drift < 1e-9

@@ -173,9 +173,9 @@ CASH_KARP = Pair(cash_karp_step, 0.2, lambda n: min(0.1, 0.7 / max(1, abs(n))))
 def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair=DOP853):
     # (position, clamp factor, pole-guard radius) per finite critical point;
     # infinity comes last in critical_points, so row k is critical point k
-    rows = [(c.at.value, pair.alpha(c.signed_order),
-             qd.guard_radius(c.at.value) if c.signed_order <= -2 else 0.0)
-            for c in critical_points(qd) if not c.at.is_infinite]
+    rows = [(c.at, pair.alpha(c.signed_order),
+             qd.guard_radius(c.at) if c.signed_order <= -2 else 0.0)
+            for c in critical_points(qd) if c.at is not None]
     snap = opts.snap_radius
     x0, y0, x1, y1 = opts.window
 
@@ -469,7 +469,7 @@ def test_trace_from_critical_every_direction(monkeypatch):
     qd = winding_qd()
     opts = TraceOptions.for_qd(qd, max_phi_length=30.0)
     for cp in critical_points(qd):
-        if cp.at.is_infinite:
+        if cp.at is None:
             continue
         for k in range(cp.signed_order + 2):
             same_ray(monkeypatch, trace_from_critical, qd, cp, k, opts)
@@ -505,7 +505,7 @@ def _fixture(name):
 
 
 def _finite_cps(qd):
-    return [c for c in critical_points(qd) if not c.at.is_infinite]
+    return [c for c in critical_points(qd) if c.at is not None]
 
 
 FIXTURE_RAYS = [
@@ -541,7 +541,7 @@ def test_cash_karp_reference_agrees(monkeypatch, name, fn, args):
     if new.termination.kind == CLOSED:
         assert abs(new.phi_length - ref.phi_length) <= 1e-8
     elif _arrived(qd, new):
-        p = critical_points(qd)[ref.termination.cp_index].at.value
+        p = critical_points(qd)[ref.termination.cp_index].at
         tail = abs(zeta_from(qd, p, ref.points[-1])[0])
         assert abs(new.phi_length - (ref.phi_length + tail)) <= 1e-8
 
@@ -823,7 +823,7 @@ def test_random_differentials(seed):
                                rk_tol=float(10.0 ** rng.uniform(-11, -5)))
     z0 = complex(box(1)[0])
     orientation = int(rng.choice([-1, 1]))
-    finite_cps = [c for c in critical_points(qd) if not c.at.is_infinite]
+    finite_cps = [c for c in critical_points(qd) if c.at is not None]
     with pytest.MonkeyPatch.context() as mp:
         assert_same_up_to_arrival(qd, *_both(mp, trace_horizontal, qd, z0, orientation, opts))
         assert_same_up_to_arrival(qd, *_both(mp, trace_vertical, qd, z0, orientation, opts))
