@@ -262,6 +262,32 @@ def order_at_infinity(qd: QuadraticDifferential) -> int:
     return -(sum(c.multiplicity for c in qd.zeros) - sum(c.multiplicity for c in qd.poles) + 4)
 
 
+def inverted(qd: QuadraticDifferential, c: complex) -> QuadraticDifferential:
+    """phi(c + 1/u) / u^4, the differential in the chart u = 1/(z - c), from the clusters: a
+    zero a of order m goes to 1/(a - c) and multiplies the lead by (-(a - c))^m, a pole b of
+    order n goes to 1/(b - c) and divides it by (-(b - c))^n, in cluster order as
+    local_leading_coefficient takes its factors, and a cluster at c goes to the image's
+    infinity. u = 0 takes infinity's order, as a last cluster when it is not 0."""
+
+    def image(clusters, product):
+        out = []
+        for cl in clusters:
+            if cl.location != c:
+                d = cl.location - c
+                f = -d
+                for _ in range(cl.multiplicity):
+                    product = product * f
+                out.append(RootCluster(1 / d, cl.multiplicity, cl.radius / abs(d) ** 2))
+        return product, out
+
+    num, zeros = image(qd.zeros, qd.lead)
+    den, poles = image(qd.poles, 1 + 0j)
+    n_inf = order_at_infinity(qd)
+    if n_inf:
+        (zeros if n_inf > 0 else poles).append(RootCluster(0j, abs(n_inf), 0.0))
+    return QuadraticDifferential(num / den, zeros, poles)
+
+
 def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
     """Zeros and poles with signed orders; infinity included when critical.
 

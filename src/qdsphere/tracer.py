@@ -35,6 +35,16 @@ runs only when a bound on the local model's error leaves room for that (see _Sce
 A ray that passes back by its seed z0 is closed in the same chart at z0:
 one Gauss-Legendre panel from the step back to z0 gives zeta there, and
 with it the crossing's phi-length and point (see _close_at_seed).
+
+When infinity is a regular point, a ray far from the critical set steps in
+the chart u = 1/(z - c), in which it passes infinity as any regular point;
+in z, a pole of z(tau) at a nearby complex tau would force tiny steps. It
+switches to u beyond FAR_OUT * rho of c and back to z within FAR_BACK * rho,
+c and rho the centre and radius of the finite critical set (see _Scene),
+carrying (z, w) to (u, -w (z - c)^2) and back by w = -w_u u^2, since
+zeta is the same in both. The ray records z and w in either chart, and the
+window, the seed and the snap radius are those of z; a closure runs in the
+chart of the step that triggers it, at the seed's image.
 """
 
 from __future__ import annotations
@@ -60,7 +70,9 @@ from .qdiff import (
     critical_directions,
     continue_sqrt,
     critical_points,
+    inverted,
     local_leading_coefficient,
+    order_at_infinity,
     principal_sqrt,
     sqrt_panel_integrals,
     zeta_from,
@@ -76,6 +88,8 @@ DEFAULT_RK_TOL = 1e-10
 DEFAULT_MAX_STEPS = 10 ** 6
 LENGTH_FACTOR = 100.0
 DRIFT_PER_100 = 1e-5
+FAR_OUT = 2.0                # past a regular infinity a ray steps in u = 1/(z - c) beyond
+FAR_BACK = 1.6               # FAR_OUT * rho of c, and in z again within FAR_BACK * rho (_Scene)
 
 CLOSED = "Closed"
 HIT_CRITICAL = "HitCritical"
@@ -126,17 +140,24 @@ def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
     ho = h * orientation, r the root at z, to the 8th-order increment, the 5th- and 3rd-order
     error estimates and the last stage's root. Stage i, at x = z + (0j + a_i0 k0 + ...) over
     row i of DOP853_A, inlines qdiff._evaluator_maker's phi lines at x and continues the root
-    of the stage before; k_i = ho / r_i: a loop's float operations in order, so its bits."""
+    of the stage before; k_i = ho / r_i: a loop's float operations in order, so its bits.
+    Each a is written as the complex (a + 0j) that a float times a complex is promoted to, so
+    a product skips the failed float dispatch, and a product that DOP853_B shares with an
+    error estimate is taken once."""
+    shared = set(DOP853_B) & (set(DOP853_E5) | set(DOP853_E3))
 
-    def total(row):
-        return "0j" + "".join(f" + {a!r} * k{j}" for j, a in row)
+    def total(row, named=frozenset()):
+        return "0j" + "".join(f" + p{j}" if (j, a) in named else f" + {complex(a)!r} * k{j}"
+                              for j, a in row)
 
     lines = ["    def step(z, r, ho):", "        k0 = ho / r"]
     for i, row in enumerate(DOP853_A, 1):
         lines += [f"        x = z + ({total(row)})", *_phi_lines(zero_orders, pole_orders, "x"),
                   "        s = sqrt(v + 0j)", "        r = s if abs(s - r) <= abs(s + r) else -s",
                   f"        k{i} = ho / r"]
-    lines.append(f"        return {total(DOP853_B)}, {total(DOP853_E5)}, {total(DOP853_E3)}, r")
+    lines += [f"        p{j} = {complex(a)!r} * k{j}" for j, a in sorted(shared)]
+    ends = ", ".join(total(t, shared) for t in (DOP853_B, DOP853_E5, DOP853_E3))
+    lines.append(f"        return {ends}, r")
     return _compile_maker(f"step {zero_orders} {pole_orders}", _phi_args(zero_orders, pole_orders),
                           lines, "step")
 
@@ -172,11 +193,9 @@ class TraceOptions:
         diam = qd.diameter()
         pos = qd.finite_critical_positions()
         if pos:
-            xs = [p.real for p in pos]
-            ys = [p.imag for p in pos]
-            cx, cy = (min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2
-            hx = max(1.0, (max(xs) - min(xs)) / 2)
-            hy = max(1.0, (max(ys) - min(ys)) / 2)
+            c, hx, hy = _box(pos)
+            cx, cy = c.real, c.imag
+            hx, hy = max(1.0, hx), max(1.0, hy)
         else:
             cx = cy = 0.0
             hx = hy = 1.0
@@ -192,6 +211,14 @@ class TraceOptions:
 
     def replace(self, **kw) -> "TraceOptions":
         return dataclasses.replace(self, **kw)
+
+
+def _box(pos) -> tuple[complex, float, float]:
+    """The centre and the half-width and half-height of the bounding box of the points pos."""
+    xs = [p.real for p in pos]
+    ys = [p.imag for p in pos]
+    return (complex((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2),
+            (max(xs) - min(xs)) / 2, (max(ys) - min(ys)) / 2)
 
 
 @dataclass(frozen=True)
@@ -244,27 +271,49 @@ class _Scene:
     `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
     its DOP853 step (_step_maker), `scan(z)` the index of the disk z is in (-1 if none) and the
     step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker).
+
+    When infinity is a regular point, `centre` is the centre c of the bounding box of the
+    finite critical set (the centre of TraceOptions.for_qd's window) and `rho` the largest
+    distance from c to that set; otherwise both are None. Near infinity z(tau) has a pole at
+    a nearby complex tau, which forces tiny steps in z, so a ray steps in the chart u = 1/(z -
+    c) beyond FAR_OUT * rho of c and in z again within FAR_BACK * rho. That chart's scene,
+    `far_chart`, is made for phi(c + 1/u) / u^4 (qdiff.inverted), regular at u = 0. Its rows
+    clamp steps at the images of the critical points and at u = 0 by CHORD_ALPHA |u|, so the
+    two ends of a u step lie within 30 degrees of each other as seen from c, and the z chord
+    between them, which the drift certificate and the crossing count read, stays as far from
+    the critical set as its ends. It has no disk and no model: no critical point lies beyond
+    FAR_BACK * rho, so no ray arrives in u.
     """
 
-    __slots__ = ("rows", "disks", "models", "root", "step", "scan")
+    __slots__ = ("rows", "disks", "models", "root", "step", "scan", "centre", "rho", "far")
 
-    def __init__(self, qd: QuadraticDifferential):
-        rows, disks, models = [], [], []
-        finite = [cp for cp in critical_points(qd) if cp.at is not None]
-        for k, cp in enumerate(finite):
-            z = cp.at
-            rows.append((k, z, clamp_factor(cp.signed_order)))
-            if not cp.is_finite_critical:
-                disks.append(qd.guard_radius(z))
-                models.append(None)
-                continue
-            r = LOCAL_RADIUS * qd.local_scale(z)
-            e = 0.5 * cp.signed_order + 1.0
-            kappa = r * sum(abs(q.signed_order) / (abs(q.at - z) - r)
-                            for q in finite if q.at != z)
-            disks.append(r)
-            models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, z))) / e,
-                           math.expm1(0.5 * kappa)))
+    def __init__(self, qd: QuadraticDifferential, rows=None):
+        """The scene of qd; with rows, of a chart far out: those clamp rows, no disk, no model."""
+        self.centre = self.rho = self.far = None
+        if rows is not None:
+            disks, models = [0.0] * len(rows), [None] * len(rows)
+        else:
+            rows, disks, models = [], [], []
+            finite = [cp for cp in critical_points(qd) if cp.at is not None]
+            for k, cp in enumerate(finite):
+                z = cp.at
+                rows.append((k, z, clamp_factor(cp.signed_order)))
+                if not cp.is_finite_critical:
+                    disks.append(qd.guard_radius(z))
+                    models.append(None)
+                    continue
+                r = LOCAL_RADIUS * qd.local_scale(z)
+                e = 0.5 * cp.signed_order + 1.0
+                kappa = r * sum(abs(q.signed_order) / (abs(q.at - z) - r)
+                                for q in finite if q.at != z)
+                disks.append(r)
+                models.append((z, e, math.sqrt(abs(local_leading_coefficient(qd, z))) / e,
+                               math.expm1(0.5 * kappa)))
+            if order_at_infinity(qd) == 0:
+                c = _box([cp.at for cp in finite])[0]
+                rho = max(abs(cp.at - c) for cp in finite)
+                if rho > 0.0:
+                    self.centre, self.rho = c, rho
         self.rows = tuple(rows)
         self.disks = tuple(disks)
         self.models = tuple(models)
@@ -273,6 +322,16 @@ class _Scene:
         self.step = make(qd.lead, *(complex(c.location) for c in qd.zeros + qd.poles), cmath.sqrt)
         self.scan = _scan_maker(len(rows))(
             *(x for (_k, p, alpha), r in zip(rows, disks) for x in (p, alpha, r)), math.inf)
+
+    def far_chart(self, qd: QuadraticDifferential) -> "_Scene":
+        """The scene of the chart u = 1/(z - centre), built on the first switch into it and
+        kept: a clamp row per critical point of inverted(qd, centre), then u = 0's."""
+        if self.far is None:
+            qu = inverted(qd, self.centre)
+            rows = [(k, cp.at, clamp_factor(cp.signed_order))
+                    for k, cp in enumerate(critical_points(qu)) if cp.at is not None]
+            self.far = _Scene(qu, [*rows, (len(rows), 0j, CHORD_ALPHA)])
+        return self.far
 
     @classmethod
     def of(cls, qd: QuadraticDifferential) -> "_Scene":
@@ -389,11 +448,10 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     inf = math.inf
     max_steps, budget, rk_tol = opts.max_steps, opts.max_phi_length, opts.rk_tol
     budget_left = 1e-13 * max(1.0, budget)
-    snap4, seed_left = 4.0 * snap, SEED_FACTOR * snap
+    seed_left = SEED_FACTOR * snap
     w0 = seed_sqrt if seed_sqrt is not None else principal_sqrt(qd.phi(z0))
     if not abs(w0) < inf:
         raise StartTooClose(AT_POLE.format(z0))
-    az0 = abs(z0)
 
     pts = [z0]
     sqs = [w0]
@@ -412,8 +470,37 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     h = max(h, 1e-12)
     attempts_cap = 4 * max_steps
 
+    # The loop steps x, with the root wx, in z or, past a regular infinity, in u = 1/(z - c)
+    # (see _Scene), and records z and w. The closure looks for the seed's image in the chart;
+    # in u its trigger's floor is 4 snap |u0|^2, to first order a z distance of 4 snap.
+    x, wx = z, w
+    xs, ws, axs, snap4 = seed = z0, w0, abs(z0), 4.0 * snap
+    c = scene.centre
+    far = False
+    if c is not None:
+        out, back = FAR_OUT * scene.rho, FAR_BACK * scene.rho
+        d = z0 - c
+        u0 = 1 / d
+        far_seed = u0, -w0 * (d * d), abs(u0), 4.0 * snap * (abs(u0) * abs(u0))
+        outside = _far_window(opts.window, c)
+
     # min and max as the comparisons by which they pick an operand (NaN included), not calls
     while True:
+        if c is not None:
+            d = abs(z - c)
+            if (d < back) if far else (d > out):
+                far = not far
+                chart = scene.far_chart(qd) if far else scene
+                root, step, scan = chart.root, chart.step, chart.scan
+                if far:
+                    d = z - c
+                    x, wx = 1 / d, -w * (d * d)
+                    xs, ws, axs, snap4 = far_seed
+                else:
+                    x, wx = z, w
+                    xs, ws, axs, snap4 = seed
+                fresh = False
+                cap = scan(x)[1] * abs(wx)
         if accepted >= max_steps or accepted + rejected >= attempts_cap:
             termination = Termination(STEP_BUDGET)
             break
@@ -430,31 +517,35 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             break
 
         try:
-            dz, e5, e3, r = step(z, w if fresh else root(z, w), h * orientation)
+            dx, e5, e3, r = step(x, wx if fresh else root(x, wx), h * orientation)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        z8 = z + dz
+        x8 = x + dx
         # |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so that it cannot underflow
         a5 = abs(e5)
         err = a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0
-        tol = rk_tol * (1.0 + abs(z8))
+        tol = rk_tol * (1.0 + abs(x8))
         if err > tol:
             rejected += 1
             shrink = 0.9 * (tol / err) ** 0.125
             h *= shrink if shrink > 0.2 else 0.2
             continue
 
-        z_prev, w_prev, tau_prev = z, w, tau
-        z = z8
+        x_prev, wx_prev, tau_prev = x, wx, tau
+        x = x8
         try:
-            w = root(z, r)
-            fresh = abs(w) < inf
+            wx = root(x, r)
+            fresh = abs(wx) < inf
         except ZeroDivisionError:
-            w, fresh = r, False
+            wx, fresh = r, False
         tau = tau_prev + h
         accepted += 1
+        if far:
+            z, w = c + 1 / x, -wx * (x * x)
+        else:
+            z, w = x, wx
         pts.append(z)
         sqs.append(w)
         taus.append(tau)
@@ -462,8 +553,8 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         grow = grow if grow > 0.2 else 0.2
         h = h * (grow if grow < 5.0 else 5.0)
 
-        # termination check: arrival on entry into a disk
-        near, clamp = scan(z)
+        # termination check: arrival on entry into a disk, which only z has
+        near, clamp = scan(x)
         if near != inside:
             inside = near
             hit = False
@@ -472,11 +563,11 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                 if model is None:         # a pole of order >= 2: its disk ends the ray
                     hit = True
                 else:
-                    p, e, c, slack = model
+                    p, e, c_model, slack = model
                     v = z - p
                     # heading into p, and by the model's bound maybe onto it
                     if (v * (orientation / w).conjugate()).real < 0.0:
-                        reach = c * snap ** e
+                        reach = c_model * snap ** e
                         zeta = v * w / e / orientation
                         if abs(zeta.imag) - slack * abs(zeta) <= reach:
                             zeta = zeta_from(qd, p, z)[0] / orientation
@@ -488,28 +579,31 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                 ang = cmath.phase(tangent / abs(tangent))
                 termination = Termination(HIT_CRITICAL, cp_index=near, incoming_angle=ang)
                 break
-        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1) or (
+                far and any(point_segment_distance(p, x_prev, x) < r for p, r in outside)):
             termination = Termination(ESCAPED_WINDOW)
             break
-        cap = clamp * abs(w)
+        cap = clamp * abs(wx)
 
         if not left_home:
             if abs(z - z0) > seed_left:
                 left_home = True
         else:
-            a_seg = abs(z - z_prev)
+            a_seg = abs(x - x_prev)
             trigger = CLOSE_TRIGGER * a_seg
             trigger = trigger if trigger > snap4 else snap4
-            # the distance from z0 to the step is at least |z - z0| - |z - z_prev|;
+            # the distance from the seed to the step is at least |x - xs| - |x - x_prev|;
             # the last term is far above the rounding of both distances
-            d0 = abs(z - z0)
-            if (d0 - a_seg <= trigger + 1e-12 * (az0 + d0 + a_seg)
-                    and point_segment_distance(z0, z_prev, z) <= trigger):
-                closed = _close_at_seed(root, z0, w0, orientation, tau_prev, z_prev,
-                                        w_prev, tau, z, w, snap)
+            d0 = abs(x - xs)
+            if (d0 - a_seg <= trigger + 1e-12 * (axs + d0 + a_seg)
+                    and point_segment_distance(xs, x_prev, x) <= trigger):
+                closed = _close_at_seed(root, xs, ws, orientation, tau_prev, x_prev,
+                                        wx_prev, tau, x, wx, snap, far)
                 if closed is not None:
-                    tau_star, z_star, w_star = closed
-                    pts[-1] = z_star
+                    tau_star, x_star, w_star = closed
+                    if far:
+                        x_star, w_star = c + 1 / x_star, -w_star * (x_star * x_star)
+                    pts[-1] = x_star
                     sqs[-1] = w_star
                     taus[-1] = tau_star
                     tau = tau_star
@@ -528,6 +622,18 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     return ray
 
 
+def _far_window(window, c):
+    """The outside of the window in u = 1/(z - c): the half-plane beyond a side at distance
+    X > 0 from c along the outward normal n is the disk |u - conj(n) / 2X| < 1 / 2X, which
+    holds u = 0 on its circle: (centre, radius) per side with X > 0. A u chord meets that
+    disk exactly when the arc it maps to in z leaves the window past that side. Within a
+    side with X <= 0 lies a closed disk or half-plane of u, which is convex, so a chord
+    whose ends are within it stays there."""
+    x0, y0, x1, y1 = window
+    sides = ((x1 - c.real, 1), (c.real - x0, -1), (y1 - c.imag, 1j), (c.imag - y0, -1j))
+    return [(n.conjugate() / (2 * dist), 1 / (2 * dist)) for dist, n in sides if dist > 0]
+
+
 def certify_drift(qd: QuadraticDifferential, ray: TrajectoryRay, opts: TraceOptions) -> None:
     """Record the ray's imaginary drift and raise DriftExceeded when it is
     above the bound for its phi-length and tolerance, or not finite."""
@@ -539,7 +645,8 @@ def certify_drift(qd: QuadraticDifferential, ray: TrajectoryRay, opts: TraceOpti
             f"over phi-length {ray.phi_length:.3f}")
 
 
-def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap):
+def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, snap,
+                   far=False):
     """Where the accepted step [tau_a, tau_b] passes z0, in the chart
     zeta(z) = integral of sqrt(phi) from z0; returns (tau*, z*, w*) if the
     ray closes there, else None.
@@ -560,7 +667,9 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     0.675 / (1 + T) = 0.5: the chord stays in the disk about z_a that is free
     of critical points, with that margin. A crossing off the step falls back
     to the step's end nearer z0. The ray is closed when that point is within
-    snap of z0 and the root carried to z0 is on the seed's sheet."""
+    snap of z0 and the root carried to z0 is on the seed's sheet. With far, the
+    points are u = 1/(z - c) and root is that chart's: the distance to z0 is
+    still taken in z, |u* - u0| / |u* u0|."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
     w, acc = w_a, 0j
     for x, c in GL_PAIRS:
@@ -576,7 +685,8 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
         tau_s, z_s, w_s = tau_a, z_a, w_a
     else:
         tau_s, z_s, w_s = tau_b, z_b, w_b
-    if abs(z_s - z0) < snap and abs(w - w0) <= abs(w + w0):
+    gap = abs(z_s - z0) / abs(z_s * z0) if far else abs(z_s - z0)
+    if gap < snap and abs(w - w0) <= abs(w + w0):
         return tau_s, z_s, w_s
     return None
 

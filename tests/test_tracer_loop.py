@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from qdsphere import qdiff, tracer
 from qdsphere.errors import QdError, StartTooClose
 from qdsphere.geom import point_segment_distance
+from qdsphere.graph import detect_recurrence
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     QuadraticDifferential,
@@ -38,6 +39,7 @@ from qdsphere.qdiff import (
     zeta_from,
 )
 from qdsphere.tracer import (
+    CHORD_ALPHA,
     CLOSE_TRIGGER,
     CLOSED,
     DOP853_A,
@@ -45,6 +47,8 @@ from qdsphere.tracer import (
     DOP853_E3,
     DOP853_E5,
     ESCAPED_WINDOW,
+    FAR_BACK,
+    FAR_OUT,
     HIT_CRITICAL,
     PHI_LENGTH_BUDGET,
     SEED_FACTOR,
@@ -170,7 +174,41 @@ DOP853 = Pair(dop853_step, 1 / 8, clamp_factor)
 CASH_KARP = Pair(cash_karp_step, 0.2, lambda n: min(0.1, 0.7 / max(1, abs(n))))
 
 
-def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair=DOP853):
+def far_chart_of(qd):
+    """(c, rho, the clusters of reference_root in u = 1/(z - c), the (position, clamp factor)
+    rows there) when infinity is a regular point of qd and its finite critical points are not
+    all at c, else None: c the centre of their bounding box, rho their largest distance from
+    c. A zero a of order m goes to 1/(a - c) and multiplies the lead by (-(a - c))^m, a pole b
+    of order n goes to 1/(b - c) and divides it by (-(b - c))^n, a cluster at c leaves, and
+    u = 0 clamps by CHORD_ALPHA."""
+    lead, zeros, poles = clusters_of(qd)
+    if sum(m for _a, m in zeros) - sum(n for _b, n in poles) + 4 != 0:
+        return None
+    cps = [cp for cp in critical_points(qd) if cp.at is not None]
+    xs, ys = [cp.at.real for cp in cps], [cp.at.imag for cp in cps]
+    c = complex((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2)
+    rho = max(abs(cp.at - c) for cp in cps)
+    if rho == 0.0:
+        return None
+
+    def image(clusters, product):
+        out = []
+        for a, m in clusters:
+            if a != c:
+                f = -(a - c)
+                for _ in range(m):
+                    product = product * f
+                out.append((1 / (a - c), m))
+        return product, out
+
+    num, u_zeros = image(zeros, lead)
+    den, u_poles = image(poles, 1 + 0j)
+    rows = [(1 / (cp.at - c), cp.signed_order) for cp in cps if cp.at != c]
+    return c, rho, (num / den, u_zeros, u_poles), rows
+
+
+def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair=DOP853,
+                    charts=True):
     # (position, clamp factor, pole-guard radius) per finite critical point;
     # infinity comes last in critical_points, so row k is critical point k
     rows = [(c.at, pair.alpha(c.signed_order),
@@ -187,7 +225,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
                 best, bd = k, d
         return best, bd
 
-    def max_step(z):
+    def max_step(z, rows):
         best = math.inf
         for p, a, _g in rows:
             d = abs(z - p) * a
@@ -211,12 +249,40 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     left_home = False
     termination = None
 
-    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), max_step(z0) * abs(w0),
+    h = min(0.01 * (1.0 + abs(z0)) * abs(w0), max_step(z0, rows) * abs(w0),
             opts.max_phi_length)
     h = max(h, 1e-12)
     attempts_cap = 4 * opts.max_steps
 
+    # the chart stepped in: z, or u = 1/(z - c) beyond FAR_OUT * rho of c until
+    # within FAR_BACK * rho; x is the chart's variable, wx its root there, and
+    # the closure looks for the seed's image in the chart
+    chart = far_chart_of(qd) if charts else None
+    far = False
+    near_chart = (root, rows, z0, w0, 4.0 * snap)
+    if chart is not None:
+        c, rho, u_clusters, u_rows = chart
+        d = z0 - c
+        u0 = 1 / d
+        far_chart = (reference_root(*u_clusters),
+                     [(p, pair.alpha(n), 0.0) for p, n in u_rows] + [(0j, CHORD_ALPHA, 0.0)],
+                     u0, -w0 * (d * d), 4.0 * snap * (abs(u0) * abs(u0)))
+        # beyond a window side at distance X > 0 from c, with outward normal n: a disk in u
+        sides = ((x1 - c.real, 1), (c.real - x0, -1), (y1 - c.imag, 1j), (c.imag - y0, -1j))
+        outside = [(n.conjugate() / (2 * dist), 1 / (2 * dist)) for dist, n in sides if dist > 0]
+    step_root, step_rows, xs, ws, snap4 = near_chart
+    x, wx = z, w
+
     while termination is None:
+        if chart is not None:
+            if (abs(z - c) < FAR_BACK * rho) if far else (abs(z - c) > FAR_OUT * rho):
+                far = not far
+                if far:
+                    d = z - c
+                    x, wx = 1 / d, -w * (d * d)
+                else:
+                    x, wx = z, w
+                step_root, step_rows, xs, ws, snap4 = far_chart if far else near_chart
         if accepted >= opts.max_steps or accepted + rejected >= attempts_cap:
             termination = Termination(STEP_BUDGET)
             break
@@ -225,29 +291,30 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
             termination = Termination(PHI_LENGTH_BUDGET)
             break
         h = min(h, remaining)
-        h = min(h, max_step(z) * abs(w))
+        h = min(h, max_step(x, step_rows) * abs(wx))
         if h <= 1e-15 * max(1.0, tau):
             termination = Termination(STEP_BUDGET)
             break
 
         try:
-            z_new, err, hint = pair.step(root, orientation, z, w, h)
+            x_new, err, hint = pair.step(step_root, orientation, x, wx, h)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
             continue
-        tol = opts.rk_tol * (1.0 + abs(z_new))
+        tol = opts.rk_tol * (1.0 + abs(x_new))
         if err > tol:
             rejected += 1
             h *= max(0.2, 0.9 * (tol / err) ** pair.exponent)
             continue
 
-        z_prev, w_prev, tau_prev = z, w, tau
-        z = z_new
+        x_prev, wx_prev, tau_prev = x, wx, tau
+        x = x_new
         try:
-            w = root(z, hint)
+            wx = step_root(x, hint)
         except ZeroDivisionError:
-            w = hint
+            wx = hint
+        z, w = (c + 1 / x, -wx * (x * x)) if far else (x, wx)
         tau = tau_prev + h
         accepted += 1
         pts.append(z)
@@ -264,7 +331,8 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
             ang = cmath.phase(tangent / abs(tangent))
             termination = Termination(HIT_CRITICAL, cp_index=k, incoming_angle=ang)
             break
-        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1):
+        if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1) or (
+                far and any(point_segment_distance(p, x_prev, x) < r for p, r in outside)):
             termination = Termination(ESCAPED_WINDOW)
             break
 
@@ -272,16 +340,15 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
             if abs(z - z0) > SEED_FACTOR * snap:
                 left_home = True
         else:
-            seg = z - z_prev
-            d_seg = point_segment_distance(z0, z_prev, z)
-            if d_seg <= max(4.0 * snap, CLOSE_TRIGGER * abs(seg)):
+            d_seg = point_segment_distance(xs, x_prev, x)
+            if d_seg <= max(snap4, CLOSE_TRIGGER * abs(x - x_prev)):
                 # the package's closure, checked on its own below
-                hit = tracer._close_at_seed(root, z0, w0, orientation, tau_prev, z_prev,
-                                            w_prev, tau, z, w, snap)
+                hit = tracer._close_at_seed(step_root, xs, ws, orientation, tau_prev, x_prev,
+                                            wx_prev, tau, x, wx, snap, far)
                 if hit is not None:
-                    tau_star, z_star, w_star = hit
-                    pts[-1] = z_star
-                    sqs[-1] = w_star
+                    tau_star, x_star, w_star = hit
+                    pts[-1], sqs[-1] = ((c + 1 / x_star, -w_star * (x_star * x_star)) if far
+                                        else (x_star, w_star))
                     taus[-1] = tau_star
                     tau = tau_star
                     termination = Termination(CLOSED)
@@ -309,13 +376,13 @@ def _outcome(fn, *args, **kw):
 
 
 def _reference_from(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0,
-                    pair=DOP853):
+                    pair=DOP853, charts=True):
     """The reference loop from the tracer's start point. A launched ray's
     taus start at tau0; the reference counts from 0 against a budget
     shortened by tau0, and its taus are shifted afterwards."""
     ray = trace_reference(qd, z0, orientation,
                           opts.replace(max_phi_length=opts.max_phi_length - tau0),
-                          seed_sqrt, launch_from, pair)
+                          seed_sqrt, launch_from, pair, charts)
     ray.taus = ray.taus + tau0
     ray.phi_length += tau0
     return ray
@@ -444,6 +511,24 @@ def test_phi_length_budget_winding(monkeypatch):
     ray = same_ray(monkeypatch, trace_horizontal, qd, 1.0, 1, opts)
     assert ray.termination.kind == PHI_LENGTH_BUDGET
     assert ray.work["accepted_steps"] > 1000
+
+
+@pytest.mark.parametrize("seed", [1.0, 1.0 + 1e-3j])
+def test_winding_probe_through_the_far_chart_matches_z_alone(monkeypatch, seed):
+    # the recurrence probe of the winding figure to phi-length 200, whose
+    # infinity is regular, against the reference loop stepping in z alone: the
+    # far chart moves the ray's end by rounding and keeps its crossings
+    qd = winding_qd()
+    opts = TraceOptions.for_qd(qd, max_phi_length=200.0)
+    new = detect_recurrence(qd, seed, opts)
+    with monkeypatch.context() as m:
+        m.setattr(tracer, "_trace", lambda *a, **k: _reference_from(*a, **k, charts=False))
+        ref = detect_recurrence(qd, seed, opts)
+    assert new.ray.termination == ref.ray.termination
+    assert abs(new.ray.points[-1] - ref.ray.points[-1]) <= 1e-9
+    assert new.crossings == ref.crossings
+    # the far chart takes fewer steps
+    assert sum(new.ray.work.values()) < sum(ref.ray.work.values())
 
 
 def test_step_budget(monkeypatch):
@@ -659,7 +744,7 @@ def test_dop853_stops_at_the_same_stage(stage):
 def test_generated_step_binds_its_locations_as_values():
     # the step's closure cells are the differential's lead and locations,
     # signed zeros included, and its code holds no number but the tableau's
-    # entries and the 0j its sums start from
+    # entries and the 0j its sums start from, each a complex number
     qd = QuadraticDifferential(complex(-0.0, 1.25), [RootCluster(complex(3.5, -0.0), 2, 0.0)],
                                [RootCluster(complex(-0.0, 0.75), 1, 0.0)])
     step = tracer._Scene(qd).step
@@ -670,8 +755,8 @@ def test_generated_step_binds_its_locations_as_values():
         _bits(c) for c in (complex(-0.0, 1.25), complex(3.5, -0.0), complex(-0.0, 0.75))]
     tableau = {a for table in (*DOP853_A, DOP853_B, DOP853_E5, DOP853_E3) for _j, a in table}
     numbers = {c for c in step.__code__.co_consts if isinstance(c, (int, float, complex))}
-    assert numbers - tableau == {0j} and type(next(iter(numbers - tableau))) is complex
-    assert tableau <= numbers
+    assert numbers - tableau == {0j} and tableau <= numbers
+    assert all(type(c) is complex for c in numbers)
 
 
 def test_same_orders_traced_interleaved_as_alone():
