@@ -44,7 +44,9 @@ c and rho the centre and radius of the finite critical set (see _Scene),
 carrying (z, w) to (u, -w (z - c)^2) and back by w = -w_u u^2, since
 zeta is the same in both. The ray records z and w in either chart, and the
 window, the seed and the snap radius are those of z; a closure runs in the
-chart of the step that triggers it, at the seed's image.
+chart of the step that triggers it, at the seed's image. No u step comes
+within FAR_SEED * rho of c, so a seed there, c itself included, is looked
+for in z alone.
 """
 
 from __future__ import annotations
@@ -90,6 +92,7 @@ LENGTH_FACTOR = 100.0
 DRIFT_PER_100 = 1e-5
 FAR_OUT = 2.0                # past a regular infinity a ray steps in u = 1/(z - c) beyond
 FAR_BACK = 1.6               # FAR_OUT * rho of c, and in z again within FAR_BACK * rho (_Scene)
+FAR_SEED = 0.5               # no u step's closure trigger reaches within FAR_SEED * rho of c
 
 CLOSED = "Closed"
 HIT_CRITICAL = "HitCritical"
@@ -472,7 +475,11 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
 
     # The loop steps x, with the root wx, in z or, past a regular infinity, in u = 1/(z - c)
     # (see _Scene), and records z and w. The closure looks for the seed's image in the chart;
-    # in u its trigger's floor is 4 snap |u0|^2, to first order a z distance of 4 snap.
+    # in u its trigger's floor is 4 snap |u0|^2, to first order a z distance of 4 snap. A u
+    # step starts beyond FAR_BACK * rho of c and moves u by about CHORD_ALPHA |u|, so with
+    # the trigger's CLOSE_TRIGGER share of it the ray looks no nearer c than about
+    # FAR_BACK / (1 + CHORD_ALPHA (1 + CLOSE_TRIGGER)) rho = 0.96 rho in u: a seed within
+    # FAR_SEED * rho, which may be c itself, is looked for in z alone.
     x, wx = z, w
     xs, ws, axs, snap4 = seed = z0, w0, abs(z0), 4.0 * snap
     c = scene.centre
@@ -480,8 +487,12 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     if c is not None:
         out, back = FAR_OUT * scene.rho, FAR_BACK * scene.rho
         d = z0 - c
-        u0 = 1 / d
-        far_seed = u0, -w0 * (d * d), abs(u0), 4.0 * snap * (abs(u0) * abs(u0))
+        if abs(d) > FAR_SEED * scene.rho:
+            u0 = 1 / d
+            far_seed = u0, -w0 * (d * d), abs(u0), 4.0 * snap * (abs(u0) * abs(u0))
+        else:
+            # out of reach of every u step (see FAR_SEED); a NaN seed fails the trigger's test
+            far_seed = complex(math.nan, math.nan), w0, math.nan, 0.0
         outside = _far_window(opts.window, c)
 
     # min and max as the comparisons by which they pick an operand (NaN included), not calls

@@ -3,9 +3,10 @@
 qdiff.inverted builds phi(c + 1/u) / u^4 from the root clusters, and a ray
 carries (z, w) to (u, -w (z - c)^2) and back by w = -w_u u^2. On the
 rectangular pillowcase 1/((z^2 - 1)(z^2 - 4)), whose four simple poles are
-real and whose infinity is regular, every horizontal trajectory is closed
-at the real period 2 K(1/2) of its elliptic curve, inside the circle
-through the poles and beyond it alike.
+real and whose infinity is regular, every horizontal trajectory off the
+real axis is closed at the real period 2 K(1/2) of its elliptic curve,
+inside the circle through the poles and beyond it alike, and every vertical
+one off the imaginary axis at the imaginary period K(sqrt(3)/2).
 """
 
 import math
@@ -16,15 +17,27 @@ import pytest
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     QuadraticDifferential,
+    critical_points,
     inverted,
     order_at_infinity,
     principal_sqrt,
     qd_new,
 )
-from qdsphere.tracer import CLOSED, TraceOptions, _Scene, trace_horizontal
+from qdsphere import tracer
+from qdsphere.tracer import (
+    CLOSED,
+    HIT_CRITICAL,
+    TraceOptions,
+    _Scene,
+    trace_horizontal,
+    trace_vertical,
+)
 
 # 2 K(1/2) = pi / AGM(1, sqrt(3) / 2), Legendre's complete elliptic integral
 PILLOWCASE_PERIOD = 3.371500709625192
+# K(sqrt(3)/2) = pi / (2 AGM(1, 1/2)), the integral of |dy| / sqrt((y^2 + 1)(y^2 + 4))
+# along the imaginary axis
+PILLOWCASE_VERTICAL_PERIOD = 2.1565156474996434
 
 
 def winding_qd():
@@ -109,11 +122,13 @@ def test_only_a_regular_infinity_has_a_far_chart():
     assert scene.centre == 0j and scene.rho == 2.0
 
 
-def test_pillowcase_period_is_the_agm_form():
-    a, b = 1.0, math.sqrt(3.0) / 2.0
-    for _ in range(8):
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-    assert abs(math.pi / a - PILLOWCASE_PERIOD) <= 1e-15
+def test_pillowcase_periods_are_the_agm_forms():
+    for b, form, period in ((math.sqrt(3.0) / 2.0, 1.0, PILLOWCASE_PERIOD),
+                            (0.5, 0.5, PILLOWCASE_VERTICAL_PERIOD)):
+        a = 1.0
+        for _ in range(8):
+            a, b = 0.5 * (a + b), math.sqrt(a * b)
+        assert abs(form * math.pi / a - period) <= 1e-15
 
 
 @pytest.mark.parametrize("orientation", [1, -1])
@@ -126,3 +141,35 @@ def test_pillowcase_rays_close_at_the_period(seed, orientation):
     ray = trace_horizontal(qd, seed, orientation, opts)
     assert ray.termination.kind == CLOSED
     assert abs(ray.phi_length - PILLOWCASE_PERIOD) <= 1e-9
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+def test_pillowcase_ray_from_the_centre_runs_into_a_pole(orientation):
+    # c = 0 is a regular point, with no image in the far chart: the horizontal
+    # trajectory through it is the segment between the simple poles -1 and 1,
+    # a quarter of the period from 0
+    qd = pillowcase_qd()
+    opts = TraceOptions.for_qd(qd, window=(-1e6, -1e6, 1e6, 1e6))
+    ray = trace_horizontal(qd, 0j, orientation, opts)
+    assert ray.termination.kind == HIT_CRITICAL
+    assert critical_points(qd)[ray.termination.cp_index].at == orientation
+    assert abs(ray.phi_length - PILLOWCASE_PERIOD / 4) <= 1e-9
+
+
+@pytest.mark.parametrize("orientation", [1, -1])
+@pytest.mark.parametrize("seed", [1e-5, 1e-3 + 1e-3j, 0.3])
+def test_pillowcase_vertical_rays_from_near_the_centre_close(monkeypatch, seed, orientation):
+    # the vertical trajectory through a point near 0 runs out to |z| ~ 2 / |seed|
+    # in the far chart and closes in z: a seed within FAR_SEED * rho of c is
+    # not looked for in u (1e-5 is within the trigger's floor 4 snap of c)
+    far_closures = []
+    real = tracer._close_at_seed
+    monkeypatch.setattr(tracer, "_close_at_seed",
+                        lambda *a: far_closures.append(a[-1]) or real(*a))
+    qd = pillowcase_qd()
+    opts = TraceOptions.for_qd(qd, window=(-1e6, -1e6, 1e6, 1e6))
+    ray = trace_vertical(qd, seed, orientation, opts)
+    assert np.abs(ray.points).max() > 1.0 / abs(seed)
+    assert ray.termination.kind == CLOSED
+    assert abs(ray.phi_length - PILLOWCASE_VERTICAL_PERIOD) <= 1e-9
+    assert not any(far_closures)
