@@ -320,10 +320,11 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
     opts = opts or TraceOptions.for_qd(qd)
     if order_at_infinity(qd) == 0:
         # infinity is a regular point, so leaving any finite window is never
-        # dynamically terminal: the ray passes the far region at phi-cost
-        # ~ 1/R and returns. The tracer steps there in the chart u = 1/(z - c),
-        # where infinity costs no more steps than any regular point, but the
-        # window is still tested in z: widen it so the probe survives that.
+        # dynamically terminal: the ray passes the far region at phi-cost ~ 1/R and
+        # returns, stepping in the tracer's chart u = 1/(z - c). The window is still
+        # tested in z: widen it so the probe survives that, but keep it finite, since a
+        # ray aimed straight at infinity stalls there (the clamp CHORD_ALPHA |u| at u = 0
+        # shrinks its steps geometrically) and the window ends it before the step budget.
         x0, y0, x1, y1 = opts.window
         w = WINDOW_WIDEN * max(x1 - x0, y1 - y0, 1.0)
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)

@@ -264,28 +264,20 @@ def order_at_infinity(qd: QuadraticDifferential) -> int:
 
 def inverted(qd: QuadraticDifferential, c: complex) -> QuadraticDifferential:
     """phi(c + 1/u) / u^4, the differential in the chart u = 1/(z - c), from the clusters: a
-    zero a of order m goes to 1/(a - c) and multiplies the lead by (-(a - c))^m, a pole b of
-    order n goes to 1/(b - c) and divides it by (-(b - c))^n, in cluster order as
-    local_leading_coefficient takes its factors, and a cluster at c goes to the image's
-    infinity. u = 0 takes infinity's order, as a last cluster when it is not 0."""
+    cluster at a goes to 1/(a - c) and one at c to the image's infinity. The lead is
+    local_leading_coefficient(qd, c), with (c - a)^m = (-(a - c))^m per cluster a of order m,
+    a pole's in the denominator. u = 0 takes infinity's order, as a last cluster when not 0."""
 
-    def image(clusters, product):
-        out = []
-        for cl in clusters:
-            if cl.location != c:
-                d = cl.location - c
-                f = -d
-                for _ in range(cl.multiplicity):
-                    product = product * f
-                out.append(RootCluster(1 / d, cl.multiplicity, cl.radius / abs(d) ** 2))
-        return product, out
+    def image(clusters):
+        return [RootCluster(1 / (cl.location - c), cl.multiplicity,
+                            cl.radius / abs(cl.location - c) ** 2)
+                for cl in clusters if cl.location != c]
 
-    num, zeros = image(qd.zeros, qd.lead)
-    den, poles = image(qd.poles, 1 + 0j)
+    zeros, poles = image(qd.zeros), image(qd.poles)
     n_inf = order_at_infinity(qd)
     if n_inf:
         (zeros if n_inf > 0 else poles).append(RootCluster(0j, abs(n_inf), 0.0))
-    return QuadraticDifferential(num / den, zeros, poles)
+    return QuadraticDifferential(local_leading_coefficient(qd, c), zeros, poles)
 
 
 def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:

@@ -43,10 +43,8 @@ switches to u beyond FAR_OUT * rho of c and back to z within FAR_BACK * rho,
 c and rho the centre and radius of the finite critical set (see _Scene),
 carrying (z, w) to (u, -w (z - c)^2) and back by w = -w_u u^2, since
 zeta is the same in both. The ray records z and w in either chart, and the
-window, the seed and the snap radius are those of z; a closure runs in the
-chart of the step that triggers it, at the seed's image. No u step comes
-within FAR_SEED * rho of c, so a seed there, c itself included, is looked
-for in z alone.
+window, the seed, the snap radius and the closure's trigger are those of z;
+a closure runs in the chart of the step that triggers it, at the seed's image.
 """
 
 from __future__ import annotations
@@ -92,7 +90,6 @@ LENGTH_FACTOR = 100.0
 DRIFT_PER_100 = 1e-5
 FAR_OUT = 2.0                # past a regular infinity a ray steps in u = 1/(z - c) beyond
 FAR_BACK = 1.6               # FAR_OUT * rho of c, and in z again within FAR_BACK * rho (_Scene)
-FAR_SEED = 0.5               # no u step's closure trigger reaches within FAR_SEED * rho of c
 
 CLOSED = "Closed"
 HIT_CRITICAL = "HitCritical"
@@ -474,25 +471,17 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
     attempts_cap = 4 * max_steps
 
     # The loop steps x, with the root wx, in z or, past a regular infinity, in u = 1/(z - c)
-    # (see _Scene), and records z and w. The closure looks for the seed's image in the chart;
-    # in u its trigger's floor is 4 snap |u0|^2, to first order a z distance of 4 snap. A u
-    # step starts beyond FAR_BACK * rho of c and moves u by about CHORD_ALPHA |u|, so with
-    # the trigger's CLOSE_TRIGGER share of it the ray looks no nearer c than about
-    # FAR_BACK / (1 + CHORD_ALPHA (1 + CLOSE_TRIGGER)) rho = 0.96 rho in u: a seed within
-    # FAR_SEED * rho, which may be c itself, is looked for in z alone.
+    # (see _Scene), and records z and w; the closure's trigger reads z in either chart. A far
+    # step starts beyond FAR_BACK * rho = 1.6 rho of c and, u moving by about CHORD_ALPHA |u|
+    # at most, ends beyond ~1.07 rho within 30 degrees of its start as seen from c: its z chord
+    # stays ~0.93 rho from c, and its trigger reaches at most ~0.19 rho nearer. So a seed at or
+    # near c is never looked for in u, and the seed's image 1/(z0 - c) is finite when taken.
     x, wx = z, w
-    xs, ws, axs, snap4 = seed = z0, w0, abs(z0), 4.0 * snap
+    az0, snap4 = abs(z0), 4.0 * snap
     c = scene.centre
     far = False
     if c is not None:
         out, back = FAR_OUT * scene.rho, FAR_BACK * scene.rho
-        d = z0 - c
-        if abs(d) > FAR_SEED * scene.rho:
-            u0 = 1 / d
-            far_seed = u0, -w0 * (d * d), abs(u0), 4.0 * snap * (abs(u0) * abs(u0))
-        else:
-            # out of reach of every u step (see FAR_SEED); a NaN seed fails the trigger's test
-            far_seed = complex(math.nan, math.nan), w0, math.nan, 0.0
         outside = _far_window(opts.window, c)
 
     # min and max as the comparisons by which they pick an operand (NaN included), not calls
@@ -506,10 +495,8 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                 if far:
                     d = z - c
                     x, wx = 1 / d, -w * (d * d)
-                    xs, ws, axs, snap4 = far_seed
                 else:
                     x, wx = z, w
-                    xs, ws, axs, snap4 = seed
                 fresh = False
                 cap = scan(x)[1] * abs(wx)
         if accepted >= max_steps or accepted + rejected >= attempts_cap:
@@ -554,9 +541,9 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         tau = tau_prev + h
         accepted += 1
         if far:
-            z, w = c + 1 / x, -wx * (x * x)
+            z_prev, z, w = z, c + 1 / x, -wx * (x * x)
         else:
-            z, w = x, wx
+            z_prev, z, w = z, x, wx
         pts.append(z)
         sqs.append(w)
         taus.append(tau)
@@ -600,14 +587,17 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             if abs(z - z0) > seed_left:
                 left_home = True
         else:
-            a_seg = abs(x - x_prev)
+            a_seg = abs(z - z_prev)
             trigger = CLOSE_TRIGGER * a_seg
             trigger = trigger if trigger > snap4 else snap4
-            # the distance from the seed to the step is at least |x - xs| - |x - x_prev|;
+            # the distance from the seed to the step is at least |z - z0| - |z - z_prev|;
             # the last term is far above the rounding of both distances
-            d0 = abs(x - xs)
-            if (d0 - a_seg <= trigger + 1e-12 * (axs + d0 + a_seg)
-                    and point_segment_distance(xs, x_prev, x) <= trigger):
+            d0 = abs(z - z0)
+            if (d0 - a_seg <= trigger + 1e-12 * (az0 + d0 + a_seg)
+                    and point_segment_distance(z0, z_prev, z) <= trigger):
+                xs, ws = z0, w0
+                if far:
+                    xs, ws = 1 / (z0 - c), -w0 * ((z0 - c) * (z0 - c))
                 closed = _close_at_seed(root, xs, ws, orientation, tau_prev, x_prev,
                                         wx_prev, tau, x, wx, snap, far)
                 if closed is not None:
@@ -680,7 +670,9 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     to the step's end nearer z0. The ray is closed when that point is within
     snap of z0 and the root carried to z0 is on the seed's sheet. With far, the
     points are u = 1/(z - c) and root is that chart's: the distance to z0 is
-    still taken in z, |u* - u0| / |u* u0|."""
+    still taken in z, |u* - u0| / |u* u0|. The trigger then reads z, not u, but a closure
+    succeeds only when the ray passes within snap of z0, where the trigger in u fires too:
+    the bound holds for every closure that succeeds."""
     mid, half = 0.5 * (z_a + z0), 0.5 * (z0 - z_a)
     w, acc = w_a, 0j
     for x, c in GL_PAIRS:

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from qdsphere.graph import detect_recurrence
 from qdsphere.polyalg import Polynomial, RootCluster
 from qdsphere.qdiff import (
     QuadraticDifferential,
@@ -38,6 +39,21 @@ PILLOWCASE_PERIOD = 3.371500709625192
 # K(sqrt(3)/2) = pi / (2 AGM(1, 1/2)), the integral of |dy| / sqrt((y^2 + 1)(y^2 + 4))
 # along the imaginary axis
 PILLOWCASE_VERTICAL_PERIOD = 2.1565156474996434
+
+
+def pillowcase_length_through_infinity(x0):
+    """The phi-length of the pillowcase's real axis from x0 > 2 out through infinity and in
+    to the pole -2: the integrals from x0 and from 2 to infinity of
+    dx / sqrt((x^2 - 1)(x^2 - 4)). With x = 1 / y and y = sin(t) / 2, each is half the
+    integral of dt / sqrt(1 - sin(t)^2 / 4) from 0 to arcsin(2 / x0) or pi / 2, whose
+    integrand is smooth: 40-node Gauss-Legendre."""
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+
+    def half_elliptic(b):
+        t = 0.5 * b * (nodes + 1.0)
+        return 0.25 * b * np.sum(weights / np.sqrt(1.0 - 0.25 * np.sin(t) ** 2))
+
+    return float(half_elliptic(math.asin(2.0 / x0)) + half_elliptic(0.5 * math.pi))
 
 
 def winding_qd():
@@ -131,6 +147,26 @@ def test_pillowcase_periods_are_the_agm_forms():
         assert abs(form * math.pi / a - period) <= 1e-15
 
 
+def test_pillowcase_length_through_infinity_is_the_quadrature():
+    # from 2 alone the quadrature is a quarter of the period, K(1/2)
+    assert abs(4.0 * pillowcase_length_through_infinity(2.0) - 2.0 * PILLOWCASE_PERIOD) <= 1e-14
+    assert abs(pillowcase_length_through_infinity(3.0) - 1.2154184) <= 1e-7
+
+
+@pytest.mark.xfail(strict=True, reason="a ray aimed straight at a regular infinity stalls: the "
+                   "clamp CHORD_ALPHA |u| at u = 0 shrinks its steps geometrically, and the "
+                   "widened window ends it EscapedWindow at |z| ~ 1.6e5 (ROADMAP item 2, "
+                   "infinity is a point of the sphere)")
+def test_pillowcase_probe_along_the_real_axis_passes_infinity():
+    # the horizontal trajectory through 3 is the real axis beyond 2: it runs out
+    # through the regular infinity and in from -infinity to the simple pole -2
+    qd = pillowcase_qd()
+    ray = detect_recurrence(qd, 3.0).ray
+    assert ray.termination.kind == HIT_CRITICAL
+    assert critical_points(qd)[ray.termination.cp_index].at == -2
+    assert abs(ray.phi_length - pillowcase_length_through_infinity(3.0)) <= 1e-9
+
+
 @pytest.mark.parametrize("orientation", [1, -1])
 @pytest.mark.parametrize("seed", [0.3j, 3j, 6 + 1j, 20j, -7 - 2j])
 def test_pillowcase_rays_close_at_the_period(seed, orientation):
@@ -160,8 +196,8 @@ def test_pillowcase_ray_from_the_centre_runs_into_a_pole(orientation):
 @pytest.mark.parametrize("seed", [1e-5, 1e-3 + 1e-3j, 0.3])
 def test_pillowcase_vertical_rays_from_near_the_centre_close(monkeypatch, seed, orientation):
     # the vertical trajectory through a point near 0 runs out to |z| ~ 2 / |seed|
-    # in the far chart and closes in z: a seed within FAR_SEED * rho of c is
-    # not looked for in u (1e-5 is within the trigger's floor 4 snap of c)
+    # in the far chart and closes in z: the closure's trigger reads z, and a far
+    # step's stays ~0.74 rho from c, so a seed near c is never looked for in u
     far_closures = []
     real = tracer._close_at_seed
     monkeypatch.setattr(tracer, "_close_at_seed",

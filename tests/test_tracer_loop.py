@@ -49,7 +49,6 @@ from qdsphere.tracer import (
     ESCAPED_WINDOW,
     FAR_BACK,
     FAR_OUT,
-    FAR_SEED,
     HIT_CRITICAL,
     PHI_LENGTH_BUDGET,
     SEED_FACTOR,
@@ -256,27 +255,20 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
     attempts_cap = 4 * opts.max_steps
 
     # the chart stepped in: z, or u = 1/(z - c) beyond FAR_OUT * rho of c until
-    # within FAR_BACK * rho; x is the chart's variable, wx its root there, and
-    # the closure looks for the seed's image in the chart
+    # within FAR_BACK * rho; x is the chart's variable, wx its root there. The
+    # closure's trigger reads z in either chart, and the closure looks for the
+    # seed's image in the chart of the step
     chart = far_chart_of(qd) if charts else None
     far = False
-    near_chart = (root, rows, z0, w0, 4.0 * snap)
+    near_chart = (root, rows)
     if chart is not None:
         c, rho, u_clusters, u_rows = chart
-        d = z0 - c
-        # no u step comes within FAR_SEED * rho of c: a seed there is looked for in z alone
-        if abs(d) > FAR_SEED * rho:
-            u0 = 1 / d
-            seed_u = u0, -w0 * (d * d), 4.0 * snap * (abs(u0) * abs(u0))
-        else:
-            seed_u = None, None, 0.0
         far_chart = (reference_root(*u_clusters),
-                     [(p, pair.alpha(n), 0.0) for p, n in u_rows] + [(0j, CHORD_ALPHA, 0.0)],
-                     *seed_u)
+                     [(p, pair.alpha(n), 0.0) for p, n in u_rows] + [(0j, CHORD_ALPHA, 0.0)])
         # beyond a window side at distance X > 0 from c, with outward normal n: a disk in u
         sides = ((x1 - c.real, 1), (c.real - x0, -1), (y1 - c.imag, 1j), (c.imag - y0, -1j))
         outside = [(n.conjugate() / (2 * dist), 1 / (2 * dist)) for dist, n in sides if dist > 0]
-    step_root, step_rows, xs, ws, snap4 = near_chart
+    step_root, step_rows = near_chart
     x, wx = z, w
 
     while termination is None:
@@ -288,7 +280,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
                     x, wx = 1 / d, -w * (d * d)
                 else:
                     x, wx = z, w
-                step_root, step_rows, xs, ws, snap4 = far_chart if far else near_chart
+                step_root, step_rows = far_chart if far else near_chart
         if accepted >= opts.max_steps or accepted + rejected >= attempts_cap:
             termination = Termination(STEP_BUDGET)
             break
@@ -314,7 +306,7 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
             h *= max(0.2, 0.9 * (tol / err) ** pair.exponent)
             continue
 
-        x_prev, wx_prev, tau_prev = x, wx, tau
+        x_prev, wx_prev, z_prev, tau_prev = x, wx, z, tau
         x = x_new
         try:
             wx = step_root(x, hint)
@@ -345,9 +337,10 @@ def trace_reference(qd, z0, orientation, opts, seed_sqrt, launch_from=None, pair
         if not left_home:
             if abs(z - z0) > SEED_FACTOR * snap:
                 left_home = True
-        elif xs is not None:
-            d_seg = point_segment_distance(xs, x_prev, x)
-            if d_seg <= max(snap4, CLOSE_TRIGGER * abs(x - x_prev)):
+        else:
+            d_seg = point_segment_distance(z0, z_prev, z)
+            if d_seg <= max(4.0 * snap, CLOSE_TRIGGER * abs(z - z_prev)):
+                xs, ws = (1 / (z0 - c), -w0 * ((z0 - c) * (z0 - c))) if far else (z0, w0)
                 # the package's closure, checked on its own below
                 hit = tracer._close_at_seed(step_root, xs, ws, orientation, tau_prev, x_prev,
                                             wx_prev, tau, x, wx, snap, far)
@@ -563,13 +556,19 @@ def pillowcase_qd():
                                       (trace_horizontal, 6.0 + 1.0j)])
 @pytest.mark.parametrize("orientation", [1, -1])
 def test_pillowcase_rays_from_near_the_centre(monkeypatch, fn, seed, orientation):
-    # the centre c = 0 of the pillowcase's poles is a regular point; a seed
-    # within FAR_SEED * rho of it is looked for in z alone, one beyond it in
-    # the far chart too
+    # the centre c = 0 of the pillowcase's poles is a regular point. The closure's
+    # trigger reads z in either chart, and a far step's stays ~0.74 rho from c, so a
+    # seed near c is looked for in z alone and one beyond FAR_OUT * rho (rho = 2),
+    # where the ray starts in the far chart, in that chart too
+    far_attempts = []
+    real = tracer._close_at_seed
+    monkeypatch.setattr(tracer, "_close_at_seed",
+                        lambda *a: far_attempts.append(a[-1]) or real(*a))
     qd = pillowcase_qd()
     opts = TraceOptions.for_qd(qd, window=(-1e6, -1e6, 1e6, 1e6))
     ray = same_ray(monkeypatch, fn, qd, seed, orientation, opts)
     assert ray.termination.kind == (HIT_CRITICAL if seed == 0j else CLOSED)
+    assert any(far_attempts) == (abs(seed) > FAR_OUT * 2.0)
 
 
 def test_step_budget(monkeypatch):
