@@ -200,11 +200,11 @@ def _render_lemniscate(spec, qd, canvas, win, level):
         max(rep.critical_levels) if rep.critical_levels else 1.0)
     for c in sorted({0.45 * main, 0.75 * main, 1.6 * main, 2.6 * main}):
         try:
-            for poly in lemniscate_level_curve(p, q, c, win, 192):
+            for poly in lemniscate_level_curve(p, q, c, win, qd):
                 canvas.polyline(poly, "bg")
         except EmptyLevel:
             pass
-    for poly in lemniscate_level_curve(p, q, main, win, 256):
+    for poly in lemniscate_level_curve(p, q, main, win, qd):
         canvas.polyline(poly, "level")
     for z in rep.finite_critical_points:
         canvas.dot(z, "zero")

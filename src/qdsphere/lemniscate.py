@@ -3,17 +3,28 @@ of the differential -(r'/r)^2 dz^2."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import contour
 from .errors import ConvergenceFailure, EmptyLevel
-from .contour import marching_squares
+from .geom import segment_distances
+from .graph import build_critical_graph
 from .polyalg import Polynomial
 from .qdiff import CIRCULAR, QuadraticDifferential, critical_points, double_pole_kind, lemniscate_qd
-from .tracer import TraceOptions, trace_horizontal
+from .tracer import CLOSED, TraceOptions, trace_horizontal
 
 STREBEL_BUDGET_FACTOR = 10.0
+LEVEL_RTOL = 1e-9      # a level within this share of |r| at a critical point is its level
+SEED_SAMPLES = 64      # sign tests of |r| - c along each seed segment
+# A seed within this share of a chord's length of a drawn curve lies on it: a step turns the
+# tangent by about BRANCH_TURN / 2 at most, so its chord is within ~0.045 of its length of the arc.
+ON_CURVE = 0.1
+
+# the renderer calls marching_squares no more; perfbench/tracing.py (TARGETS) wraps it here by name
+marching_squares = contour.marching_squares
 
 
 @dataclass
@@ -22,11 +33,6 @@ class LemniscateReport:
     double_poles: list          # (location, quadratic residue)
     critical_levels: list       # |r| at each finite critical point
     strebel_samples: list       # (sample point, closed flag)
-
-
-def _abs_r(p: Polynomial, q: Polynomial, z: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.abs(p.eval_array(z) / q.eval_array(z))
 
 
 def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
@@ -86,20 +92,84 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
     return LemniscateReport(finite_cps, double_poles, levels, out)
 
 
-def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float,
-                           window, n: int) -> list[np.ndarray]:
-    """Polylines of |r| = c, r = p/q, in the window (x0, y0, x1, y1), from
-    an n x n marching-squares grid. Raises ValueError for c <= 0 and
-    EmptyLevel when the window holds no such curve."""
+def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
+                           qd: QuadraticDifferential | None = None) -> list[np.ndarray]:
+    """Polylines of |r| = c, r = p/q, in the window (x0, y0, x1, y1), each
+    component once: horizontal trajectories of qd = lemniscate_qd(p, q),
+    along which log|r| = Im zeta is constant. Raises ValueError for c <= 0
+    and EmptyLevel when the window holds no such curve.
+
+    At the level of a finite critical point the curves through it are the
+    critical graph's edges from there. Every other curve is traced from a
+    seed where |r| - c changes sign (_level_seeds): until it closes, or both
+    ways out of the window. A seed on a curve already drawn is skipped. A
+    closed component encloses zeros and poles of r whose net count k gives
+    its phi-length, 2 pi |k|, so the budget is 2 pi (max(deg p, deg q) + 1).
+    """
     if not c > 0.0:
         raise ValueError("level must be positive")
-    x0, y0, x1, y1 = (float(v) for v in window)
-    xs = np.linspace(x0, x1, int(n))
-    ys = np.linspace(y0, y1, int(n))
-    zx, zy = np.meshgrid(xs, ys)
-    field = _abs_r(p, q, zx + 1j * zy)
-    polylines = marching_squares(xs, ys, field, float(c))
-    if not polylines:
+    qd = qd if qd is not None else lemniscate_qd(p, q)
+    opts = TraceOptions.for_qd(qd, window=window,
+                               max_phi_length=2 * math.pi * (max(p.degree, q.degree) + 1))
+    on_level = [cp.location for cp in qd.zeros
+                if abs(abs(p(cp.location) / q(cp.location)) - c) <= LEVEL_RTOL * c]
+    curves = []
+    if on_level:
+        graph = build_critical_graph(qd, opts)
+        for e in graph.edges:
+            if graph.nodes[e.from_node].at in on_level:
+                curves.append(e.polyline)
+        for ray in graph.unresolved:         # only where infinity is regular
+            at = min((cp.location for cp in qd.zeros), key=lambda a: abs(a - ray.points[0]))
+            if at in on_level:
+                curves.append(np.concatenate(([at], ray.points)))
+    for z in qd.clear_of_critical(_level_seeds(p, q, c, qd, window)):
+        if any(np.any(segment_distances(z, v[:-1], v[1:]) <= ON_CURVE * np.abs(np.diff(v)))
+               for v in curves):
+            continue
+        ray = trace_horizontal(qd, z, 1, opts)
+        if ray.termination.kind == CLOSED:
+            curves.append(ray.points)
+        else:
+            back = trace_horizontal(qd, z, -1, opts)
+            curves.append(np.concatenate((back.points[:0:-1], ray.points)))
+    if not curves:
         raise EmptyLevel(f"no |r| = {c} contour inside {window}")
-    return polylines
+    return curves
 
+
+def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferential,
+                 window) -> list[complex]:
+    """Points of |r| = c where |r| - c changes sign along the segments from
+    each zero and pole of r in the window to its right edge and along the
+    window's four edges, SEED_SAMPLES samples to a segment, each sign change
+    refined by bisection. A bounded component of |r| = c encloses a zero or
+    a pole of r (log|r| is harmonic elsewhere), so the first segments cross
+    every component inside the window; the edges cross every one it cuts."""
+    x0, y0, x1, y1 = window
+    corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
+    # the double poles of qd are the zeros and poles of r
+    segments = [(a, complex(x1, a.imag)) for a in (cp.location for cp in qd.poles)
+                if x0 <= a.real < x1 and y0 <= a.imag <= y1]
+    segments += zip(corners, corners[1:] + corners[:1])
+
+    def above(z):
+        return abs(p(z)) > c * abs(q(z))
+
+    ts = np.linspace(0.0, 1.0, SEED_SAMPLES + 1)
+    seeds = []
+    for a, b in segments:
+        zs = a + ts * (b - a)
+        up = np.abs(p.eval_array(zs)) > c * np.abs(q.eval_array(zs))
+        for i in np.flatnonzero(up[1:] != up[:-1]).tolist():
+            lo, hi, up_lo = ts[i], ts[i + 1], up[i]
+            while True:
+                mid = 0.5 * (lo + hi)
+                if not lo < mid < hi:
+                    break
+                if above(a + mid * (b - a)) == up_lo:
+                    lo = mid
+                else:
+                    hi = mid
+            seeds.append(a + mid * (b - a))
+    return seeds

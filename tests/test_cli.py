@@ -537,6 +537,21 @@ def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 2
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: poly_roots' tolerance clustering merges "
+                   "the simple poles at 2 and 2 + eps into one double pole, and ThreePole and "
+                   "OddMultiplicity then certify a differential with four simple poles")
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_criteria_close_simple_poles_are_not_certified(tmp_path, capsys, eps):
+    # phi = e^(0.3 i) / (z (z - 1) (z - 2) (z - 2 - eps)): four simple poles, so
+    # neither ThreePole nor OddMultiplicity certifies it
+    den = P.polyfromroots([0.0, 1.0, 2.0, 2.0 + eps])
+    spec = write_spec(tmp_path, {"format_version": 1, "general": {
+        "numerator": [[math.cos(0.3), math.sin(0.3)]],
+        "denominator": [[float(c), 0.0] for c in den]}})
+    assert run(["criteria", spec]) == 10
+    assert json.loads(capsys.readouterr().out)["overall"] == "Inconclusive"
+
+
 # ---------------------------------------------------------------- trace
 
 
@@ -760,6 +775,23 @@ def test_lemniscate_high_multiplicity_svg(tmp_path, capsys):
                 "--out", out]) == 0
     assert capsys.readouterr().err == ""
     assert ET.parse(out).getroot().tag.endswith("svg")
+
+
+@pytest.mark.parametrize("flags, code", [(["--level", "5000"], 0), (["--level", "1e30"], 1)])
+def test_lemniscate_high_multiplicity_levels(tmp_path, capsys, flags, code):
+    # a level between the two critical levels (27.5 and 18092.6) is drawn as
+    # level curves; one no curve in the window reaches is EmptyLevel, exit 1
+    out = tmp_path / "lem.svg"
+    assert run(["lemniscate", write_spec(tmp_path, HIGH_MULTIPLICITY_LEMNISCATE),
+                "--out", str(out)] + flags) == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == ""
+        assert any(el.get("class") == "level" for el in ET.parse(out).getroot().iter())
+    else:
+        assert err.startswith("error: no |r| = 1e+30 contour inside")
+        assert not out.exists()
 
 
 def test_lemniscate_builds_the_differential_once(tmp_path, monkeypatch):

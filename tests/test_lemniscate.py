@@ -9,28 +9,40 @@ from qdsphere.errors import ConvergenceFailure, EmptyLevel
 from qdsphere.lemniscate import analyze_lemniscate, lemniscate_level_curve
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import QuadraticDifferential, lemniscate_qd
-from qdsphere.tracer import TraceOptions, trace_horizontal
+from qdsphere.svg import WIDTH
 
 ONE = Polynomial([1.0])
 Z2M1 = Polynomial([-1.0, 0.0, 1.0])     # z^2 - 1
 
 
-def assert_contours_are_trajectories(p, q, polylines, window, n, points=5):
-    """Trajectories of -(r'/r)^2 dz^2 traced from a few points of the
-    longest contour stay within a grid cell or two of the contours: the
-    curves are the same object seen two ways."""
-    qd = lemniscate_qd(p, q)
-    x0, y0, x1, y1 = window
-    cell = math.hypot((x1 - x0) / max(n - 1, 1), (y1 - y0) / max(n - 1, 1))
-    tol = max(1e-3 * qd.diameter(), 2.0 * cell)
-    flat = np.concatenate(polylines)
-    longest = max(polylines, key=len)
-    opts = TraceOptions.for_qd(qd)
-    opts = opts.replace(max_phi_length=min(opts.max_phi_length, 40.0))
-    for i in np.linspace(0, len(longest) - 2, points).astype(int):
-        ray = trace_horizontal(qd, complex(longest[i]), opts=opts)
-        for w in ray.points[np.linspace(0, len(ray.points) - 1, 24).astype(int)]:
-            assert np.abs(flat - w).min() <= tol
+def r_of(p, q, z):
+    return p.eval_array(z) / q.eval_array(z)
+
+
+def turns(values) -> float:
+    """Net turns of a polyline of nonzero complex values about 0."""
+    return float(np.angle(values[1:] / values[:-1]).sum() / (2 * math.pi))
+
+
+def assert_on_level(p, q, c, curves):
+    # the oracle: |r| at every vertex, by polynomial evaluation alone
+    for poly in curves:
+        assert np.max(np.abs(np.abs(r_of(p, q, poly)) - c)) <= 1e-8 * c
+
+
+def assert_closed_components(p, q, curves, sites, enclosed):
+    """Each polyline is closed, its phi-length |d arg r| summed over it is
+    2 pi k with k the net count of zeros (+) and poles (-) of r it encloses,
+    by the polygon's own winding about each site, and the sets of sites the
+    polylines enclose are the expected ones, each once."""
+    got = []
+    for poly in curves:
+        assert abs(poly[0] - poly[-1]) < 1e-8
+        inside = [a for a, m in sites if abs(turns(poly - a)) > 0.5]
+        k = sum(m for a, m in sites if a in inside)
+        assert abs(turns(r_of(p, q, poly))) == pytest.approx(abs(k), abs=1e-9)
+        got.append(sorted(inside))
+    assert sorted(got) == sorted(sorted(e) for e in enclosed)
 
 
 def test_report_bernoulli():
@@ -95,32 +107,94 @@ def test_rational_ratio_poles():
         assert qr == pytest.approx(-1.0, rel=1e-9)
 
 
+WIN = (-2.5, -2.0, 2.5, 2.0)
+
+
 def test_level_curve_tracks_modulus():
-    win = (-2.5, -2.0, 2.5, 2.0)
-    curves = lemniscate_level_curve(Z2M1, ONE, 1.3, win, 160)
-    assert curves
-    assert_contours_are_trajectories(Z2M1, ONE, curves, win, 160)
-    for poly in curves:
-        for z in poly[:: max(1, len(poly) // 50)]:
-            assert abs(abs(z * z - 1) - 1.3) < 2e-2
+    for c in [0.3, 0.5, 1.0, 1.3, 1.7, 2.6]:
+        curves = lemniscate_level_curve(Z2M1, ONE, c, WIN)
+        assert curves
+        assert_on_level(Z2M1, ONE, c, curves)
 
 
 def test_level_curve_component_counts():
-    # |z^2 - 1| = c: two ovals below the critical level, one curve above
-    win = (-2.5, -2.0, 2.5, 2.0)
-    low = lemniscate_level_curve(Z2M1, ONE, 0.5, win, 220)
-    assert len(low) == 2
-    high = lemniscate_level_curve(Z2M1, ONE, 1.7, win, 220)
-    assert len(high) == 1
-    for poly in low + high:
-        assert abs(poly[0] - poly[-1]) < 1e-9      # closed loops
-    assert_contours_are_trajectories(Z2M1, ONE, low, win, 220)
-    assert_contours_are_trajectories(Z2M1, ONE, high, win, 220)
+    # |z^2 - 1| = c: two ovals below the critical level, one curve about
+    # both zeros above it, and at it the two saddle loops through 0
+    sites = [(-1.0, 1), (1.0, 1)]
+    for c, enclosed in [(0.5, [[-1.0], [1.0]]), (1.7, [[-1.0, 1.0]]),
+                        (1.0, [[-1.0], [1.0]])]:
+        curves = lemniscate_level_curve(Z2M1, ONE, c, WIN)
+        assert_closed_components(Z2M1, ONE, curves, sites, enclosed)
+    for loop in lemniscate_level_curve(Z2M1, ONE, 1.0, WIN):
+        assert loop[0] == loop[-1] == 0j
+
+
+def test_level_curves_of_a_ratio_with_poles():
+    # r = z (z - 1) / ((z + 1)(z + 2)): infinity is a regular point, and the
+    # saddle at -1.366 makes loops about the poles -1 and -2
+    p, q = Polynomial.from_roots([0.0, 1.0]), Polynomial.from_roots([-1.0, -2.0])
+    sites = [(0.0, 1), (1.0, 1), (-1.0, -1), (-2.0, -1)]
+    saddle = -(1.0 + math.sqrt(3.0)) / 2.0
+    c = abs(saddle * (saddle - 1.0) / ((saddle + 1.0) * (saddle + 2.0)))
+    curves = lemniscate_level_curve(p, q, c, (-4.0, -3.0, 3.0, 3.0))
+    assert_on_level(p, q, c, curves)
+    assert_closed_components(p, q, curves, sites, [[-1.0], [-2.0]])
+    curves = lemniscate_level_curve(p, q, 0.2, (-4.0, -3.0, 3.0, 3.0))
+    assert_on_level(p, q, 0.2, curves)
+    assert_closed_components(p, q, curves, sites, [[0.0, 1.0]])
+
+
+@pytest.mark.parametrize("window, pieces", [
+    ((1.5, -0.5, 2.5, 0.5), 1),            # holds no zero of r: found on its edges
+    ((-1.5, -2.5, 1.5, 2.5), 2),           # cut into an upper and a lower arc
+])
+def test_level_curve_cut_by_the_window(window, pieces):
+    # |z^2 - 1| = 2.6 crosses the real axis at +-1.897: each piece inside the
+    # window is drawn once, and runs out of the window at both ends
+    x0, y0, x1, y1 = window
+    curves = lemniscate_level_curve(Z2M1, ONE, 2.6, window)
+    assert len(curves) == pieces
+    assert_on_level(Z2M1, ONE, 2.6, curves)
+    for poly in curves:
+        inside = (x0 <= poly.real) & (poly.real <= x1) & (y0 <= poly.imag) & (poly.imag <= y1)
+        assert not inside[0] and not inside[-1] and inside[1:-1].all()
+
+
+def test_level_curve_cut_at_the_saddle_level():
+    # r = z (z - 1) / ((z + 1)(z + 2)) in a window that cuts the saddle loop
+    # about -2: its rays leave the window, and infinity is regular, so the
+    # critical graph files them unresolved; they are drawn from the saddle
+    p, q = Polynomial.from_roots([0.0, 1.0]), Polynomial.from_roots([-1.0, -2.0])
+    saddle = -(1.0 + math.sqrt(3.0)) / 2.0
+    c = abs(saddle * (saddle - 1.0) / ((saddle + 1.0) * (saddle + 2.0)))
+    curves = lemniscate_level_curve(p, q, c, (-2.2, -0.6, 1.5, 0.6))
+    assert len(curves) == 3
+    assert_on_level(p, q, c, curves)
+    assert all(abs(poly[0] - saddle) < 1e-12 for poly in curves)
+    assert sum(abs(poly[-1] - poly[0]) < 1e-12 for poly in curves) == 1
+
+
+@pytest.mark.parametrize("c", [0.45, 0.75, 1.0, 1.6, 2.6])
+def test_level_curve_chords_stay_within_two_pixels(c):
+    # the renderer's levels on its canvas: the midpoint m of each chord is
+    # |log|r(m)| - log c| / |r'/r(m)| from the curve to first order, which
+    # must stay below 2 px at the canvas scale
+    scale = WIDTH / 5.0
+    for poly in lemniscate_level_curve(Z2M1, ONE, c, (-2.5, -2.5, 2.5, 2.5)):
+        m = 0.5 * (poly[1:] + poly[:-1])
+        off = np.abs(np.log(np.abs(m * m - 1.0) / c)) / np.abs(2.0 * m / (m * m - 1.0))
+        assert off.max() * scale <= 2.0
 
 
 def test_level_curve_empty_raises():
     with pytest.raises(EmptyLevel):
-        lemniscate_level_curve(Z2M1, ONE, 9.0, (-2.0, -2.0, 2.0, 2.0), 64)
+        lemniscate_level_curve(Z2M1, ONE, 9.0, (-2.0, -2.0, 2.0, 2.0))
+
+
+@pytest.mark.parametrize("c", [0.0, -1.0, math.nan])
+def test_level_curve_nonpositive_level_raises(c):
+    with pytest.raises(ValueError, match="positive"):
+        lemniscate_level_curve(Z2M1, ONE, c, (-2.0, -2.0, 2.0, 2.0))
 
 
 def test_marching_squares_circle():
