@@ -19,8 +19,10 @@ from .tracer import CLOSED, TraceOptions, trace_horizontal
 STREBEL_BUDGET_FACTOR = 10.0
 LEVEL_RTOL = 1e-9      # a level within this share of |r| at a critical point is its level
 SEED_SAMPLES = 64      # sign tests of |r| - c along each seed segment
-# A seed within this share of a chord's length of a drawn curve lies on it: a step turns the
-# tangent by about BRANCH_TURN / 2 at most, so its chord is within ~0.045 of its length of the arc.
+TURN_MAX = 0.1         # a drawn chord turns the curve's tangent by at most this, in radians
+NEWTON_STEPS = 6       # Newton steps that move a point inserted on a chord onto the curve
+# A point within this share of a chord's length of a drawn chord lies on its curve: a chord
+# turning by TURN_MAX is within TURN_MAX / 8 of its length of the arc.
 ON_CURVE = 0.1
 
 # the renderer calls marching_squares no more; perfbench/tracing.py (TARGETS) wraps it here by name
@@ -102,9 +104,13 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
     At the level of a finite critical point the curves through it are the
     critical graph's edges from there. Every other curve is traced from a
     seed where |r| - c changes sign (_level_seeds): until it closes, or both
-    ways out of the window. A seed on a curve already drawn is skipped. A
-    closed component encloses zeros and poles of r whose net count k gives
-    its phi-length, 2 pi |k|, so the budget is 2 pi (max(deg p, deg q) + 1).
+    ways out of the window. A seed on a curve already drawn is skipped, as is
+    a critical ray that only runs along curves already drawn. A closed
+    component encloses zeros and poles of r whose net count k gives its
+    phi-length, 2 pi |k|, so the budget is 2 pi (max(deg p, deg q) + 1). The
+    tracer's steps can turn the curve by up to a radian, so each polyline gets
+    points of the curve inserted until no chord turns by more than TURN_MAX
+    (_refined).
     """
     if not c > 0.0:
         raise ValueError("level must be positive")
@@ -116,26 +122,64 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
     curves = []
     if on_level:
         graph = build_critical_graph(qd, opts)
-        for e in graph.edges:
-            if graph.nodes[e.from_node].at in on_level:
-                curves.append(e.polyline)
+        rays = [e.polyline for e in graph.edges if graph.nodes[e.from_node].at in on_level]
         for ray in graph.unresolved:         # only where infinity is regular
             at = min((cp.location for cp in qd.zeros), key=lambda a: abs(a - ray.points[0]))
             if at in on_level:
-                curves.append(np.concatenate(([at], ray.points)))
+                rays.append(np.concatenate(([at], ray.points)))
+        # a ray that passes by a critical point instead of arriving there runs on along
+        # curves that other rays draw: longest first, a ray is kept where it draws something new
+        for poly in sorted(rays, key=lambda v: -np.abs(np.diff(v)).sum()):
+            if not _on_curves(poly[1:-1], curves).all():
+                curves.append(_refined(p, q, c, poly))
     for z in qd.clear_of_critical(_level_seeds(p, q, c, qd, window)):
-        if any(np.any(segment_distances(z, v[:-1], v[1:]) <= ON_CURVE * np.abs(np.diff(v)))
-               for v in curves):
+        if _on_curves(np.array([z]), curves)[0]:
             continue
         ray = trace_horizontal(qd, z, 1, opts)
-        if ray.termination.kind == CLOSED:
-            curves.append(ray.points)
-        else:
+        poly = ray.points
+        if ray.termination.kind != CLOSED:
             back = trace_horizontal(qd, z, -1, opts)
-            curves.append(np.concatenate((back.points[:0:-1], ray.points)))
+            poly = np.concatenate((back.points[:0:-1], poly))
+        curves.append(_refined(p, q, c, poly))
     if not curves:
         raise EmptyLevel(f"no |r| = {c} contour inside {window}")
     return curves
+
+
+def _refined(p: Polynomial, q: Polynomial, c: float, v: np.ndarray) -> np.ndarray:
+    """The polyline v of |r| = c with points of the curve inserted where a chord
+    turns by more than TURN_MAX. With g = r'/r the normal of the curve at z is
+    conj(g(z)), so the chord from a to b turns by |arg(g(a) conj(g(b)))|; it is
+    cut into equal parts, and each new point moves onto the curve by Newton's
+    method along the normal, z - (log|r(z)| - log c) / g(z)."""
+    dp, dq = p.derivative(), q.derivative()
+
+    def g(z):
+        return dp.eval_array(z) / p.eval_array(z) - dq.eval_array(z) / q.eval_array(z)
+
+    gv = g(v)
+    k = np.maximum(1, np.ceil(np.abs(np.angle(gv[:-1] * gv[1:].conj())) / TURN_MAX)).astype(int)
+    if (k == 1).all():
+        return v
+    chord = np.repeat(np.arange(len(k)), k)
+    t = (np.arange(len(chord)) - np.repeat(np.cumsum(k) - k, k)) / k[chord]
+    z = v[chord] + t * (v[chord + 1] - v[chord])
+    new = t > 0
+    zs = z[new]
+    for _ in range(NEWTON_STEPS):
+        zs = zs - np.log(np.abs(p.eval_array(zs) / q.eval_array(zs)) / c) / g(zs)
+    z[new] = zs
+    return np.append(z, v[-1])
+
+
+def _on_curves(zs: np.ndarray, curves) -> np.ndarray:
+    """Whether each point of zs lies on one of the polylines in curves: within
+    ON_CURVE of a chord's length of that chord."""
+    on = np.zeros(len(zs), dtype=bool)
+    for v in curves:
+        a, b = v[:-1], v[1:]
+        on |= np.any(segment_distances(zs[:, None], a, b) <= ON_CURVE * np.abs(b - a), axis=1)
+    return on
 
 
 def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferential,

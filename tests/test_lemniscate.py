@@ -157,7 +157,8 @@ def test_level_curve_cut_by_the_window(window, pieces):
     assert_on_level(Z2M1, ONE, 2.6, curves)
     for poly in curves:
         inside = (x0 <= poly.real) & (poly.real <= x1) & (y0 <= poly.imag) & (poly.imag <= y1)
-        assert not inside[0] and not inside[-1] and inside[1:-1].all()
+        assert not inside[0] and not inside[-1]
+        assert np.count_nonzero(inside[1:] != inside[:-1]) == 2      # one run inside
 
 
 def test_level_curve_cut_at_the_saddle_level():
@@ -174,15 +175,24 @@ def test_level_curve_cut_at_the_saddle_level():
     assert sum(abs(poly[-1] - poly[0]) < 1e-12 for poly in curves) == 1
 
 
-@pytest.mark.parametrize("c", [0.45, 0.75, 1.0, 1.6, 2.6])
-def test_level_curve_chords_stay_within_two_pixels(c):
-    # the renderer's levels on its canvas: the midpoint m of each chord is
-    # |log|r(m)| - log c| / |r'/r(m)| from the curve to first order, which
-    # must stay below 2 px at the canvas scale
-    scale = WIDTH / 5.0
-    for poly in lemniscate_level_curve(Z2M1, ONE, c, (-2.5, -2.5, 2.5, 2.5)):
+MOBIUS = (Polynomial([0.0, 1.0]), Polynomial([1.0, 1.0]))      # r = z / (z + 1)
+
+
+@pytest.mark.parametrize("pq, c, window", [
+    *[((Z2M1, ONE), c, (-2.5, -2.5, 2.5, 2.5)) for c in (0.45, 0.75, 1.0, 1.6, 2.6)],
+    # circles of Apollonius, which the tracer crosses in steps of up to a radian
+    *[(MOBIUS, c, (-3.0, -3.0, 3.0, 3.0)) for c in (0.5, 0.75, 1.5)],
+], ids=[f"z2m1-{c}" for c in (0.45, 0.75, 1.0, 1.6, 2.6)] + [f"mobius-{c}" for c in (0.5, 0.75, 1.5)])
+def test_level_curve_chords_stay_within_two_pixels(pq, c, window):
+    # the midpoint m of each chord is |log|r(m)| - log c| / |r'/r(m)| from the
+    # curve to first order, which must stay below 2 px at the canvas scale
+    p, q = pq
+    dp, dq = p.derivative(), q.derivative()
+    scale = WIDTH / (window[2] - window[0])
+    for poly in lemniscate_level_curve(p, q, c, window):
         m = 0.5 * (poly[1:] + poly[:-1])
-        off = np.abs(np.log(np.abs(m * m - 1.0) / c)) / np.abs(2.0 * m / (m * m - 1.0))
+        g = dp.eval_array(m) / p.eval_array(m) - dq.eval_array(m) / q.eval_array(m)
+        off = np.abs(np.log(np.abs(r_of(p, q, m)) / c)) / np.abs(g)
         assert off.max() * scale <= 2.0
 
 
