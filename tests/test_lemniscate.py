@@ -108,6 +108,13 @@ def test_rational_ratio_poles():
 
 
 WIN = (-2.5, -2.0, 2.5, 2.0)
+# r = z (z - 1) / ((z + 1)(z + 2)): infinity is a regular point, and |r| has a
+# saddle at -(1 + sqrt 3) / 2, between the poles -1 and -2
+RATIO = (Polynomial.from_roots([0.0, 1.0]), Polynomial.from_roots([-1.0, -2.0]))
+RATIO_SITES = [(0.0, 1), (1.0, 1), (-1.0, -1), (-2.0, -1)]
+RATIO_SADDLE = -(1.0 + math.sqrt(3.0)) / 2.0
+RATIO_SADDLE_LEVEL = float(abs(r_of(*RATIO, np.array([RATIO_SADDLE]))[0]))
+MOBIUS = (Polynomial([0.0, 1.0]), Polynomial([1.0, 1.0]))      # r = z / (z + 1)
 
 
 def test_level_curve_tracks_modulus():
@@ -130,18 +137,13 @@ def test_level_curve_component_counts():
 
 
 def test_level_curves_of_a_ratio_with_poles():
-    # r = z (z - 1) / ((z + 1)(z + 2)): infinity is a regular point, and the
-    # saddle at -1.366 makes loops about the poles -1 and -2
-    p, q = Polynomial.from_roots([0.0, 1.0]), Polynomial.from_roots([-1.0, -2.0])
-    sites = [(0.0, 1), (1.0, 1), (-1.0, -1), (-2.0, -1)]
-    saddle = -(1.0 + math.sqrt(3.0)) / 2.0
-    c = abs(saddle * (saddle - 1.0) / ((saddle + 1.0) * (saddle + 2.0)))
-    curves = lemniscate_level_curve(p, q, c, (-4.0, -3.0, 3.0, 3.0))
-    assert_on_level(p, q, c, curves)
-    assert_closed_components(p, q, curves, sites, [[-1.0], [-2.0]])
-    curves = lemniscate_level_curve(p, q, 0.2, (-4.0, -3.0, 3.0, 3.0))
-    assert_on_level(p, q, 0.2, curves)
-    assert_closed_components(p, q, curves, sites, [[0.0, 1.0]])
+    # the saddle level makes loops about the poles -1 and -2; 0.2 one curve
+    # about both zeros
+    p, q = RATIO
+    for c, enclosed in [(RATIO_SADDLE_LEVEL, [[-1.0], [-2.0]]), (0.2, [[0.0, 1.0]])]:
+        curves = lemniscate_level_curve(p, q, c, (-4.0, -3.0, 3.0, 3.0))
+        assert_on_level(p, q, c, curves)
+        assert_closed_components(p, q, curves, RATIO_SITES, enclosed)
 
 
 @pytest.mark.parametrize("window, pieces", [
@@ -162,20 +164,15 @@ def test_level_curve_cut_by_the_window(window, pieces):
 
 
 def test_level_curve_cut_at_the_saddle_level():
-    # r = z (z - 1) / ((z + 1)(z + 2)) in a window that cuts the saddle loop
-    # about -2: its rays leave the window, and infinity is regular, so the
-    # critical graph files them unresolved; they are drawn from the saddle
-    p, q = Polynomial.from_roots([0.0, 1.0]), Polynomial.from_roots([-1.0, -2.0])
-    saddle = -(1.0 + math.sqrt(3.0)) / 2.0
-    c = abs(saddle * (saddle - 1.0) / ((saddle + 1.0) * (saddle + 2.0)))
-    curves = lemniscate_level_curve(p, q, c, (-2.2, -0.6, 1.5, 0.6))
+    # a window that cuts the ratio's saddle loop about -2: its rays leave the
+    # window, and infinity is regular, so the critical graph files them
+    # unresolved; they are drawn from the saddle
+    p, q = RATIO
+    curves = lemniscate_level_curve(p, q, RATIO_SADDLE_LEVEL, (-2.2, -0.6, 1.5, 0.6))
     assert len(curves) == 3
-    assert_on_level(p, q, c, curves)
-    assert all(abs(poly[0] - saddle) < 1e-12 for poly in curves)
+    assert_on_level(p, q, RATIO_SADDLE_LEVEL, curves)
+    assert all(abs(poly[0] - RATIO_SADDLE) < 1e-12 for poly in curves)
     assert sum(abs(poly[-1] - poly[0]) < 1e-12 for poly in curves) == 1
-
-
-MOBIUS = (Polynomial([0.0, 1.0]), Polynomial([1.0, 1.0]))      # r = z / (z + 1)
 
 
 @pytest.mark.parametrize("pq, c, window", [
