@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, level
-from .errors import QdError, SchemaError
+from .errors import EmptyLevel, QdError, SchemaError
 from .criteria import overall_verdict, run_all, CERTIFIED, SUPPORTED
 from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
                     pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
@@ -31,7 +31,6 @@ from .qdiff import critical_points, measure_mass, order_at_infinity
 from .specfile import build_qd, parse_input, parse_point, parse_positive
 from .svg import SvgCanvas
 from .tracer import TraceOptions, trace_horizontal
-from .errors import EmptyLevel
 
 # cli calls level_function no more; perfbench/tracing.py (TARGETS) wraps it here by name
 level_function = level.level_function

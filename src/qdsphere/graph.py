@@ -26,7 +26,6 @@ from .tracer import (
     CLOSED,
     ESCAPED_WINDOW,
     HIT_CRITICAL,
-    SEED_FACTOR,
     TraceOptions,
     TrajectoryRay,
     trace_from_critical,
@@ -330,14 +329,15 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
         cx, cy = 0.5 * (x0 + x1), 0.5 * (y0 + y1)
         opts = opts.replace(window=(cx - w, cy - w, cx + w, cy + w))
     topts = opts.replace(max_phi_length=TRANSVERSAL_FACTOR * qd.diameter())
-    up = trace_vertical(qd, z0, +1, topts)
-    dn = trace_vertical(qd, z0, -1, topts)
+    up, dn = (trace_vertical(qd, z0, o, topts) for o in (1, -1))
     transversal = np.concatenate([dn.points[::-1], up.points[1:]])
 
     ray = trace_horizontal(qd, complex(z0), +1, opts)
-    crossings = _count_crossings(ray.points, transversal, complex(z0),
-                                 SEED_FACTOR * opts.snap_radius)
     closed = ray.termination.kind == CLOSED
+    # a closed ray's last chord is its closure, which ends on the transversal within snap of
+    # z0; the first chord starts at z0, a vertex of the transversal, so it crosses no chord
+    path = ray.points[:-1] if closed else ray.points
+    crossings = int(crossing_counts(path[:-1], path[1:], transversal).sum())
     if closed:
         verdict, reason = NOT_RECURRENT, CLOSED
     elif crossings >= K_MIN_DEFAULT:
@@ -348,18 +348,3 @@ def detect_recurrence(qd: QuadraticDifferential, z0: complex,
         verdict, reason = UNDETERMINED, ray.termination.kind
     return RecurrenceReport(crossings, closed, verdict, reason, ray)
 
-
-def _count_crossings(path: np.ndarray, transversal: np.ndarray,
-                     z0: complex, exclude_radius: float) -> int:
-    """Proper segment crossings of path with transversal, skipping path
-    segments inside the exclusion disk around z0 (the shared start point)."""
-    if len(path) < 2 or len(transversal) < 2:
-        return 0
-    A, B = path[:-1], path[1:]
-    keep = np.minimum(np.abs(A - z0), np.abs(B - z0)) > exclude_radius
-    # transversal bounding box prefilter
-    tx0, tx1 = transversal.real.min(), transversal.real.max()
-    ty0, ty1 = transversal.imag.min(), transversal.imag.max()
-    keep &= (np.minimum(A.real, B.real) <= tx1) & (np.maximum(A.real, B.real) >= tx0)
-    keep &= (np.minimum(A.imag, B.imag) <= ty1) & (np.maximum(A.imag, B.imag) >= ty0)
-    return int(crossing_counts(A[keep], B[keep], transversal).sum())

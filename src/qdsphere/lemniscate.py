@@ -132,7 +132,8 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
         for poly in sorted(rays, key=lambda v: -np.abs(np.diff(v)).sum()):
             if not _on_curves(poly[1:-1], curves).all():
                 curves.append(_refined(p, q, c, poly))
-    for z in qd.clear_of_critical(_level_seeds(p, q, c, qd, window)):
+    seeds = _level_seeds(p, q, c, qd, window)
+    for z in qd.clear_of_critical(seeds):
         if _on_curves(np.array([z]), curves)[0]:
             continue
         ray = trace_horizontal(qd, z, 1, opts)
@@ -142,8 +143,21 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
             poly = np.concatenate((back.points[:0:-1], poly))
         curves.append(_refined(p, q, c, poly))
     if not curves:
-        raise EmptyLevel(f"no |r| = {c} contour inside {window}")
+        why = _too_close(p, q, qd, seeds[0]) if seeds else ""
+        raise EmptyLevel(f"no |r| = {c} contour inside {window}{why}")
     return curves
+
+
+def _too_close(p: Polynomial, q: Polynomial, qd: QuadraticDifferential, seed: complex) -> str:
+    """Why no seed gave a curve: each lay too close to a critical point, zero or pole of r.
+    Names the one nearest the seed; a zero of r is a root of p, not of q, so p's value
+    there is the smaller share of its magnitude bound."""
+    at = min((cp.location for cp in qd.zeros + qd.poles), key=lambda a: abs(seed - a))
+    share = [abs(f(at)) / f.magnitude_bound(at) for f in (p, q)]
+    what = ("critical point" if at in [cp.location for cp in qd.zeros]
+            else "zero" if share[0] <= share[1] else "pole")
+    return (f": the curves found lie within {10 * qd.guard_radius(at):.3g} of the {what} of r "
+            f"at {complex(round(at.real, 6) + 0.0, round(at.imag, 6) + 0.0)}, too close to trace")
 
 
 def _refined(p: Polynomial, q: Polynomial, c: float, v: np.ndarray) -> np.ndarray:
@@ -197,9 +211,6 @@ def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferenti
                 if x0 <= a.real < x1 and y0 <= a.imag <= y1]
     segments += zip(corners, corners[1:] + corners[:1])
 
-    def above(z):
-        return abs(p(z)) > c * abs(q(z))
-
     ts = np.linspace(0.0, 1.0, SEED_SAMPLES + 1)
     seeds = []
     for a, b in segments:
@@ -207,13 +218,8 @@ def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferenti
         up = np.abs(p.eval_array(zs)) > c * np.abs(q.eval_array(zs))
         for i in np.flatnonzero(up[1:] != up[:-1]).tolist():
             lo, hi, up_lo = ts[i], ts[i + 1], up[i]
-            while True:
-                mid = 0.5 * (lo + hi)
-                if not lo < mid < hi:
-                    break
-                if above(a + mid * (b - a)) == up_lo:
-                    lo = mid
-                else:
-                    hi = mid
+            while lo < (mid := 0.5 * (lo + hi)) < hi:
+                z = a + mid * (b - a)
+                lo, hi = (mid, hi) if (abs(p(z)) > c * abs(q(z))) == up_lo else (lo, mid)
             seeds.append(a + mid * (b - a))
     return seeds

@@ -577,8 +577,10 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
                 ang = cmath.phase(tangent / abs(tangent))
                 termination = Termination(HIT_CRITICAL, cp_index=near, incoming_angle=ang)
                 break
+        # leaving: within r of p and nearer p than its start, which a seed may round inside
         if not (x0 <= z.real <= x1 and y0 <= z.imag <= y1) or (
-                far and any(point_segment_distance(p, x_prev, x) < r for p, r in outside)):
+                far and any(r > point_segment_distance(p, x_prev, x) < abs(x_prev - p)
+                            for p, r in outside)):
             termination = Termination(ESCAPED_WINDOW)
             break
         cap = clamp * abs(wx)

@@ -20,6 +20,7 @@ from qdsphere.qdiff import (
     QuadraticDifferential,
     critical_points,
     inverted,
+    lemniscate_qd,
     order_at_infinity,
     principal_sqrt,
     qd_new,
@@ -27,6 +28,7 @@ from qdsphere.qdiff import (
 from qdsphere import tracer
 from qdsphere.tracer import (
     CLOSED,
+    ESCAPED_WINDOW,
     HIT_CRITICAL,
     TraceOptions,
     _Scene,
@@ -209,3 +211,22 @@ def test_pillowcase_vertical_rays_from_near_the_centre_close(monkeypatch, seed, 
     assert ray.termination.kind == CLOSED
     assert abs(ray.phi_length - PILLOWCASE_VERTICAL_PERIOD) <= 1e-9
     assert not any(far_closures)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_far_ray_from_a_window_side_crosses_the_window(side):
+    # |z - a| = |z - b| is a line through the regular infinity of the lemniscate
+    # differential of (z - a)/(z - b). Seeded on a side of the default window, its u lies
+    # on that side's far disk, or just inside it: the ray heading in must cross the window
+    a, b = 0.22 - 0.446j, 0.185 - 1.039j
+    qd = lemniscate_qd(Polynomial([-a, 1.0]), Polynomial([-b, 1.0]))
+    opts = TraceOptions.for_qd(qd)
+    x = opts.window[2 * side]
+    y = ((abs(b) ** 2 - abs(a) ** 2) / 2 - x * (b - a).real) / (b - a).imag
+    inward = 1 if side == 0 else -1
+    ray = trace_horizontal(qd, complex(x, y), inward, opts)
+    assert ray.termination.kind == ESCAPED_WINDOW
+    assert len(ray.points) == 29
+    assert abs(ray.points[-1].real - opts.window[2 - 2 * side]) < 1.0
+    out = trace_horizontal(qd, complex(x, y), -inward, opts)
+    assert out.termination.kind == ESCAPED_WINDOW and len(out.points) == 2

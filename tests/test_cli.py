@@ -794,6 +794,22 @@ def test_lemniscate_high_multiplicity_levels(tmp_path, capsys, flags, code):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("level, what", [("1e-30", "zero of r at (1+0j)"),
+                                         ("1e30", "pole of r at (-1+0j)")])
+def test_lemniscate_level_too_close_to_a_root_says_so(tmp_path, capsys, level, what):
+    # |r| = 1e-30 is a circle of radius ~4e-33 about the simple zero 1 of r, and
+    # |r| = 1e30 one of radius ~6e-7 about the pole -1: their seeds are found, and
+    # dropped as too close to trace
+    out = tmp_path / "lem.svg"
+    assert run(["lemniscate", write_spec(tmp_path, HIGH_MULTIPLICITY_LEMNISCATE),
+                "--out", str(out), "--level", level]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: no |r| = {float(level)} contour inside")
+    assert f"of the {what}, too close to trace" in err
+    assert not out.exists()
+
+
 def test_lemniscate_builds_the_differential_once(tmp_path, monkeypatch):
     # p, q and the reduced numerator are root-found once each: the render
     # checks the critical points and residues of the differential main built

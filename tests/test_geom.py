@@ -236,6 +236,41 @@ def test_meets_across_blocks(monkeypatch):
     assert np.array_equal(geom.meets(a, b, poly), whole)
 
 
+# ---------------------------------------------------------------- reach test
+
+# the polyline's box is [0, 2] x [-1, 1]; the segments lie wholly beyond each of its
+# sides, touch it only at the extreme vertex 2 - i, or cross it
+REACH_POLY = [0j, 1 + 1j, 2 - 1j]
+REACH_SEGMENTS = [(3 + 0j, 4 + 1j), (-1 + 0j, -2 - 1j), (1 + 2j, 2 + 3j), (1 - 2j, 0 - 3j),
+                  (3 - 3j, -1 - 2j), (2 - 1j, 3 - 2j), (-1 + 0.5j, 3 + 0.5j)]
+ZERO_LENGTH = [(z, z) for z in (0j, 1 + 1j, 1.5 + 0j, 0.5 + 0.5j, 1 + 0j, 5 + 5j)]
+
+
+@pytest.mark.parametrize("segments, poly", [
+    (REACH_SEGMENTS, REACH_POLY),
+    (REACH_SEGMENTS, []),
+    (REACH_SEGMENTS, [2 - 1j, 2 - 1j]),
+    (ZERO_LENGTH, REACH_POLY),
+    (ZERO_LENGTH, [1 + 1j, 1 + 1j]),
+], ids=["outside-and-touching", "empty", "one-point", "zero-length", "zero-length-one-point"])
+def test_reach_test_matches_scalar_references(segments, poly):
+    a = np.asarray([s[0] for s in segments], dtype=complex)
+    b = np.asarray([s[1] for s in segments], dtype=complex)
+    poly = np.asarray(poly, dtype=complex)
+    assert np.array_equal(geom.crossing_counts(a, b, poly), crossing_counts_loop(a, b, poly))
+    assert geom.meets(a, b, poly).tolist() == [meets_exact(complex(p), complex(q), poly)
+                                               for p, q in zip(a, b)]
+
+
+def test_reach_test_skips_only_what_cannot_meet():
+    # the segment from the vertex 2 - i meets the polyline there, where its box
+    # touches the polyline's, and crosses nothing
+    a, b = (np.asarray(v) for v in zip(*REACH_SEGMENTS))
+    poly = np.asarray(REACH_POLY)
+    assert geom.meets(a, b, poly).tolist() == [False] * 5 + [True, True]
+    assert geom.crossing_counts(a, b, poly).tolist() == [0] * 6 + [2]
+
+
 # ---------------------------------------------------------------- callers
 
 
@@ -254,7 +289,6 @@ def test_count_crossings_matches_reference_on_fixture_rays():
         transversal = np.concatenate([dn.points[::-1], up.points[1:]])
         r = SEED_FACTOR * opts.snap_radius
         want = count_crossings_reference(rep.ray.points, transversal, z0, r)
-        assert graph._count_crossings(rep.ray.points, transversal, z0, r) == want
         assert rep.crossings == want
 
 

@@ -308,6 +308,21 @@ def test_detect_recurrence_closed_circle():
     assert report.crossings <= 2
 
 
+@pytest.mark.parametrize("name, z0, budget", [("circle", 1.0 + 0j, None),
+                                               ("fig1_right", -1.0 + 0.5j, 200.0)])
+def test_closed_probe_counts_no_crossing_at_its_closure(name, z0, budget):
+    # the closure chord ends on the transversal within snap of z0, the first chord starts
+    # at z0: the probe counts neither
+    qd = {"circle": qd_from_p_over_q_squared(ONE, Polynomial([0.0, 1.0]), sign=-1),
+          "fig1_right": qd_new(Polynomial([0.0, -1.0]),
+                               Polynomial.from_roots([0.5, 1 + 1j, 2 - 1j]))}[name]
+    opts = TraceOptions.for_qd(qd, max_phi_length=budget)
+    report = detect_recurrence(qd, z0, opts)
+    assert report.ray.termination.kind == CLOSED
+    assert abs(report.ray.points[-1] - z0) < opts.snap_radius
+    assert report.crossings == 0
+
+
 def test_graph_work_counter():
     qd = qd_new(Polynomial([1.0, 0.0, -1.0]), ONE)
     g1 = build_critical_graph(qd)

@@ -530,7 +530,7 @@ def test_winding_probe_through_the_far_chart_matches_z_alone(monkeypatch, seed):
     assert sum(new.ray.work.values()) < sum(ref.ray.work.values())
 
 
-@pytest.mark.xfail(strict=True, reason="graph._count_crossings counts a shallow crossing near the "
+@pytest.mark.xfail(strict=True, reason="detect_recurrence counts a shallow crossing near the "
                    "transversal's end by the ray's sampling: 137 crossings with the far chart, "
                    "136 in z alone (ROADMAP, crossings counted by the polyline)")
 def test_winding_probe_through_the_far_chart_keeps_its_crossings_at_the_default_length(
