@@ -168,8 +168,7 @@ def cmd_render(spec, qd, opts, args):
         if not e.is_short:
             canvas.polyline(e.polyline, "traj")
     for ray in graph.unresolved:
-        take = max(1, len(ray.points) // 4000)
-        canvas.polyline(np.asarray(ray.points)[::take], "traj")
+        canvas.polyline(_thinned(ray.points, 4000), "traj")
     for e in graph.edges:
         if e.is_short:
             canvas.polyline(e.polyline, "short")
@@ -188,8 +187,15 @@ def _render_background(qd, canvas, win, n, opts):
     for z in qd.clear_of_critical(grid):
         for orientation in (1, -1):
             ray = trace_horizontal(qd, z, orientation, bg_opts)
-            take = max(1, len(ray.points) // 400)
-            canvas.polyline(np.asarray(ray.points)[::take], "bg")
+            canvas.polyline(_thinned(ray.points, 400), "bg")
+
+
+def _thinned(points, most):
+    """Every take-th point of a polyline from the first, take = max(1, len // most), and its
+    last point, where the ray closed or left the window."""
+    points = np.asarray(points)
+    take = max(1, len(points) // most)
+    return np.concatenate((points[:-1:take], points[-1:]))
 
 
 def _render_lemniscate(spec, qd, canvas, win, level):

@@ -70,15 +70,28 @@ def _phi_lines(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...], z: st
                divide: bool = True) -> list:
     """The lines of _evaluator_maker that leave phi at the point named z in
     v; without divide, lead times the zero factors in v and the product of
-    the pole factors, if any, in b."""
-    body = ["        v = lead"]
+    the pole factors, if any, in b. Each product is the loop's v = v * f (b
+    = b * f) in order, with a factor of order 1 taken inline instead of
+    stored in f, and lead the first product's left operand (the division's,
+    when there are no zeros)."""
+    body = []
+
+    def product(target, first, factor, n):
+        # target = first * factor^n, or factor^n without first, by the loop's products in order
+        if n > 1:
+            body.append(f"        f = {factor}")
+        operands = ([first] if first else []) + ["f" if n > 1 else f"({factor})"] * n
+        body.append(f"        {target} = {' * '.join(operands[:2])}")
+        body.extend(f"        {target} = {target} * {x}" for x in operands[2:])
+
     for i, m in enumerate(zero_orders):
-        body += [f"        f = {z} - a{i}"] + ["        v = v * f"] * m
+        product("v", "v" if i else "lead", f"{z} - a{i}", m)
     for i, n in enumerate(pole_orders):
-        body += [f"        f = {z} - b{i}"] + [f"        b = {'b * f' if i or k else 'f'}"
-                                               for k in range(n)]
+        product("b", "b" if i else "", f"{z} - b{i}", n)
     if pole_orders and divide:
-        body.append("        v = v / b")
+        body.append(f"        v = {'v' if zero_orders else 'lead'} / b")
+    elif not zero_orders:
+        body.append("        v = lead")
     return body
 
 
@@ -107,20 +120,18 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
     once per pair of order tuples, as collections.namedtuple compiles a class
     per list of field names. For a double zero and a simple pole phi reads
 
-        v = lead
         f = z - a0
+        v = lead * f
         v = v * f
-        v = v * f
-        f = z - b0
-        b = f
+        b = (z - b0)
         v = v / b
         return v
 
-    root runs the same lines up to the return, then continue_sqrt's, and
-    products the lines before the division. lead and the locations are
-    bound as closure cells by the call make(lead, *zeros, *poles,
-    cmath.sqrt), never written into the text: the repr of a complex number
-    loses signed zeros. Each factor is multiplied in once per unit of its
+    root runs the same lines up to the return, then continue_sqrt's, with
+    its one-product sheet test, and products the lines before the division.
+    lead and the locations are bound as closure cells by the call make(lead,
+    *zeros, *poles, cmath.sqrt), never written into the text: the repr of a
+    complex number loses signed zeros. Each factor is multiplied in once per unit of its
     order, in cluster order, so root is continue_sqrt of phi to the bit, and
     the product keeps its relative accuracy next to clustered roots, where
     expanded coefficients lose it. phi_array runs products on arrays, but
@@ -130,7 +141,7 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
     body = _phi_lines(zero_orders, pole_orders, "z")
     lines = ["    def phi(z):", *body, "        return v", "    def root(z, hint):", *body,
              "        s = sqrt(v + 0j)",
-             "        return s if abs(s - hint) <= abs(s + hint) else -s",
+             "        return s if (s * hint.conjugate()).real >= 0.0 else -s",
              "    def products(z):", *_phi_lines(zero_orders, pole_orders, "z", divide=False),
              f"        return v, {'b' if pole_orders else 'None'}"]
     return _compile_maker(f"phi {zero_orders} {pole_orders}", _phi_args(zero_orders, pole_orders),
@@ -413,10 +424,21 @@ def principal_sqrt(v: complex) -> complex:
 
 
 def continue_sqrt(v: complex, hint: complex | None) -> complex:
+    """The square root of v on the sheet of hint: the principal root s if
+    Re(s conj(hint)) >= 0, else -s (None: s). Since |s - h|^2 - |s + h|^2 =
+    -4 Re(s conj(h)), this is the root nearer the hint, abs(s - h) <= abs(s +
+    h), decided by the sign of one product. The two rules differ only where
+    Re(s conj(h)) is within rounding: the product's, ~1e-16 |s| |h|, near a
+    right angle, or the distances', ~1e-16 (|s| + |h|)^2, which is larger
+    when |s| and |h| are far apart. An exact tie, h = 0 included, keeps s.
+    Every scalar sheet test of the package is this product. The kernel
+    continue_sqrt_along keeps the distances: it takes a flip from them only
+    with a margin (FLIP_TIE_RTOL) far above either rounding, where the two
+    rules agree, so it still equals the loop of continue_sqrt."""
     s = principal_sqrt(v)
     if hint is None:
         return s
-    return s if abs(s - hint) <= abs(s + hint) else -s
+    return s if (s * hint.conjugate()).real >= 0.0 else -s
 
 
 def continue_sqrt_along(values, hint=None, starts=None) -> np.ndarray:
@@ -668,7 +690,7 @@ def measure_mass(qd: QuadraticDifferential, points, max_step: float | None = Non
     running, [w] = sqrt_panel_integrals(pts[1:-2], pts[2:-1], qd.phi_array, hints=[w])
     total = head + (complex(running[-1]) if len(running) else 0j)
     tail, w_end = zeta_from(qd, complex(pts[-1]), complex(pts[-2]))
-    total += -tail if abs(w_end - w) <= abs(w_end + w) else tail
+    total += -tail if (w_end * w.conjugate()).real >= 0.0 else tail
     if not abs(total.imag) <= REAL_RTOL * abs(total):
         raise BranchAmbiguity(f"the integral {total} of sqrt(phi) along the polyline is not real")
     return abs(total.real) / (2.0 * math.pi)

@@ -8,6 +8,8 @@ with three decimals, which keeps output byte-stable across runs.
 
 from __future__ import annotations
 
+import numpy as np
+
 WIDTH = 640
 _STYLE = """
   polyline { fill: none; }
@@ -35,7 +37,12 @@ class SvgCanvas:
     def polyline(self, points, cls: str):
         if len(points) < 2:
             return
-        coords = " ".join(f"{x:.3f},{y:.3f}" for x, y in map(self._xy, points))
+        # _xy's operations on all points at once, formatted in one pass
+        z = np.asarray(points, dtype=complex)
+        xy = np.empty((len(z), 2))
+        xy[:, 0] = (z.real - self.x0) * self.scale
+        xy[:, 1] = (self.y1 - z.imag) * self.scale
+        coords = ("%.3f,%.3f " * len(z) % tuple(xy.ravel().tolist()))[:-1]
         self._body.append(f'<polyline class="{cls}" points="{coords}"/>')
 
     def dot(self, z: complex, cls: str, r: float = 3.0):

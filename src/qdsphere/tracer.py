@@ -140,7 +140,9 @@ def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
     ho = h * orientation, r the root at z, to the 8th-order increment, the 5th- and 3rd-order
     error estimates and the last stage's root. Stage i, at x = z + (0j + a_i0 k0 + ...) over
     row i of DOP853_A, inlines qdiff._evaluator_maker's phi lines at x and continues the root
-    of the stage before; k_i = ho / r_i: a loop's float operations in order, so its bits.
+    of the stage before by continue_sqrt's one-product sheet test, s if Re(s conj(r)) >= 0 else
+    -s; k_i = ho / r_i: a loop's float operations in order, so its bits. ho is complex, so the
+    twelve divisions take no float operand.
     Each a is written as the complex (a + 0j) that a float times a complex is promoted to, so
     a product skips the failed float dispatch, and a product that DOP853_B shares with an
     error estimate is taken once."""
@@ -153,8 +155,8 @@ def _step_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...]):
     lines = ["    def step(z, r, ho):", "        k0 = ho / r"]
     for i, row in enumerate(DOP853_A, 1):
         lines += [f"        x = z + ({total(row)})", *_phi_lines(zero_orders, pole_orders, "x"),
-                  "        s = sqrt(v + 0j)", "        r = s if abs(s - r) <= abs(s + r) else -s",
-                  f"        k{i} = ho / r"]
+                  "        s = sqrt(v + 0j)",
+                  "        r = s if (s * r.conjugate()).real >= 0.0 else -s", f"        k{i} = ho / r"]
     lines += [f"        p{j} = {complex(a)!r} * k{j}" for j, a in sorted(shared)]
     ends = ", ".join(total(t, shared) for t in (DOP853_B, DOP853_E5, DOP853_E3))
     lines.append(f"        return {ends}, r")
@@ -270,7 +272,11 @@ class _Scene:
 
     `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
     its DOP853 step (_step_maker), `scan(z)` the index of the disk z is in (-1 if none) and the
-    step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker).
+    step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker). root, the
+    step's stages, the launch's and the closure's sheet tests all keep the root s against a
+    hint h when Re(s conj(h)) >= 0, one product where two distances decide the same; the
+    certificate's kernel, continue_sqrt_along, keeps its distances, which equal the loop
+    wherever they decide a flip (see qdiff.continue_sqrt).
 
     When infinity is a regular point, `centre` is the centre c of the bounding box of the
     finite critical set (the centre of TraceOptions.for_qd's window) and `rho` the largest
@@ -424,7 +430,7 @@ def _launch_point(qd, cp, u, r):
             break
         z = z_next
     s = principal_sqrt(qd.phi(z))
-    if abs(s - w) > abs(s + w):
+    if (s * w.conjugate()).real < 0.0:
         zeta = -zeta
     return z, zeta, s
 
@@ -444,8 +450,9 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         inside = critical_points(qd).index(launch_from)
 
     root, step, scan, models = scene.root, scene.step, scene.scan, scene.models
-    # what the loop reads on every step
-    inf = math.inf
+    # what the loop reads on every step; the orientation as a complex, so that the step's
+    # divisions ho / r take no float
+    inf, hypot, unit = math.inf, math.hypot, complex(orientation)
     max_steps, budget, rk_tol = opts.max_steps, opts.max_phi_length, opts.rk_tol
     budget_left = 1e-13 * max(1.0, budget)
     seed_left = SEED_FACTOR * snap
@@ -515,7 +522,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
             break
 
         try:
-            dx, e5, e3, r = step(x, wx if fresh else root(x, wx), h * orientation)
+            dx, e5, e3, r = step(x, wx if fresh else root(x, wx), h * unit)
         except ZeroDivisionError:
             h *= 0.25
             rejected += 1
@@ -523,7 +530,7 @@ def _trace(qd, z0, orientation, opts, seed_sqrt, launch_from=None, tau0=0.0):
         x8 = x + dx
         # |e5|^2 / sqrt(|e5|^2 + 0.01 |e3|^2), written so that it cannot underflow
         a5 = abs(e5)
-        err = a5 / math.hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0
+        err = a5 / hypot(1.0, 0.1 * abs(e3) / a5) if a5 else 0.0
         tol = rk_tol * (1.0 + abs(x8))
         if err > tol:
             rejected += 1
@@ -691,7 +698,7 @@ def _close_at_seed(root, z0, w0, orientation, tau_a, z_a, w_a, tau_b, z_b, w_b, 
     else:
         tau_s, z_s, w_s = tau_b, z_b, w_b
     gap = abs(z_s - z0) / abs(z_s * z0) if far else abs(z_s - z0)
-    if gap < snap and abs(w - w0) <= abs(w + w0):
+    if gap < snap and (w * w0.conjugate()).real >= 0.0:
         return tau_s, z_s, w_s
     return None
 

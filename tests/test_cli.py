@@ -2,6 +2,7 @@ import json
 import math
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 from numpy.polynomial import polynomial as P
 
@@ -892,6 +893,21 @@ def test_render_svg_well_formed(tmp_path):
     crosses = [el for el in root.iter()
                if el.tag.endswith("line") and el.get("class") == "pole"]
     assert len(crosses) == 8        # two strokes per pole cross
+
+
+@pytest.mark.parametrize("n, most", [(804, 400), (805, 400), (1203, 400), (400, 400),
+                                     (399, 400), (2, 400), (1, 400), (12002, 4000)])
+def test_thinned_polyline_keeps_its_last_point(n, most):
+    # a synthetic polyline whose points are their indices: every take-th
+    # point from the first, take = n // most, and the last, where a ray
+    # closes or leaves the window, even when (n - 1) % take != 0
+    points = np.arange(n) + 0j
+    take = max(1, n // most)
+    kept = qdsphere.cli._thinned(points, most).real.astype(int).tolist()
+    assert kept == [*range(0, n - 1, take), n - 1]
+    if (n - 1) % take == 0:
+        # the case the plain stride already ended on the last point
+        assert kept == list(range(0, n, take))
 
 
 def test_render_short_trajectory_highlighted(tmp_path):

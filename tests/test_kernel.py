@@ -204,6 +204,60 @@ def measure_density_reference(p, q, r, points):
     return [sign * v for v in vals]
 
 
+# ---------------------------------------------------------------- the sheet test
+
+
+def nearer_root(v, hint):
+    """The distance rule that continue_sqrt's product replaced: the principal
+    root unless its negative is strictly nearer the hint."""
+    s = principal_sqrt(v)
+    return s if abs(s - hint) <= abs(s + hint) else -s
+
+
+_log_magnitude = st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e)
+# the hint's angle from the root: anywhere, or within 10^-16 .. 1 of a right angle
+_turn = st.one_of(
+    st.floats(-math.pi, math.pi),
+    st.builds(lambda side, sign, e: side * 0.5 * math.pi + sign * 10.0 ** e,
+              st.sampled_from([1.0, -1.0]), st.sampled_from([1.0, -1.0]), st.floats(-16.0, 0.0)))
+
+
+@settings(max_examples=3000, deadline=None)
+@given(_log_magnitude, st.floats(-math.pi, math.pi), _log_magnitude, _turn)
+def test_product_rule_is_the_distance_rule_off_right_angles(r, arg_v, rh, turn):
+    # |s - h|^2 - |s + h|^2 = -4 Re(s conj(h)): both rules pick the same
+    # root wherever the product is clear of the distances' rounding, which is
+    # ~1e-16 (|s| + |h|)^2, not |s| |h|: with |h| >> |s| the distances lose s
+    # (s = 1, h = -3.16 + 3.16e8 i: the product is -3.16, and both distances
+    # round to |h|, so the distance rule keeps s though -s is nearer)
+    v = r * complex(math.cos(arg_v), math.sin(arg_v))
+    s = principal_sqrt(v)
+    h = rh * s / abs(s) * complex(math.cos(turn), math.sin(turn))
+    product = (s * h.conjugate()).real
+    if abs(product) > 1e-14 * (abs(s) + abs(h)) ** 2:
+        assert continue_sqrt(v, h) == nearer_root(v, h)
+    if abs(product) > 1e-14 * abs(s) * abs(h):
+        # the product's own rounding is ~1e-16 |s| |h|, so its sign is that of
+        # the exact Re(s conj(h)), the side of the right angle h lies on
+        assert continue_sqrt(v, h) == (s if math.cos(turn) > 0.0 else -s)
+
+
+lattice = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 3.0])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.builds(complex, lattice, lattice), st.sampled_from([0.25, -0.5, 1.0, -1.0, 2.0]))
+def test_product_rule_keeps_the_principal_root_on_exact_ties(v, t):
+    # a zero hint and a hint at an exact right angle, i t s with t a power of
+    # two, are ties, where the product is exactly 0 and the principal root
+    # stays, as the distance rule keeps it on a zero hint
+    s = principal_sqrt(v)
+    assert continue_sqrt(v, 0j) == s == nearer_root(v, 0j)
+    h = 1j * t * s
+    assert (s * h.conjugate()).real == 0.0
+    assert continue_sqrt(v, h) == s
+
+
 # ---------------------------------------------------------------- kernel
 
 # magnitudes bounded so no square root lands in the subnormal range
