@@ -38,6 +38,7 @@ level_function = level.level_function
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 10
 EXIT_RECURRENT = 20
+MAX_GRID = 1024             # --grid of render and level: at most MAX_GRID^2 rays or samples
 
 
 def _jsonable(v):
@@ -304,8 +305,9 @@ def _check_flags(args) -> None:
         parse_positive(args.level, "--level")
     if getattr(args, "from_", None) is not None:
         parse_point([args.from_.real, args.from_.imag], "--from")
-    if getattr(args, "grid", args.min_grid) < args.min_grid:
-        raise SchemaError("--grid", f"expected an integer of at least {args.min_grid}, got {args.grid}")
+    if not args.min_grid <= getattr(args, "grid", args.min_grid) <= MAX_GRID:
+        raise SchemaError("--grid", f"expected an integer from {args.min_grid} to {MAX_GRID}, "
+                                    f"got {args.grid}")
 
 
 @functools.cache

@@ -33,9 +33,6 @@ from .polyalg import ROOT_TOL, Polynomial, RootCluster, poly_roots
 ANGULAR_TOL = 1e-9
 GUARD_FACTOR = 1e-3
 DIAM_FLOOR = 10.0
-# numpy's complex abs can differ from cmath's by a few ulps; flip tests closer
-# than this to a tie are left to the sequential rule
-FLIP_TIE_RTOL = 1e-14
 PANEL_BLOCK = 256            # panels evaluated per vectorized block
 REAL_RTOL = 1e-6             # a Cauchy density or mass is real within this share of its modulus
 AT_POLE = "{} is numerically at a pole: phi is not finite there"    # formatted with the point
@@ -426,15 +423,10 @@ def principal_sqrt(v: complex) -> complex:
 def continue_sqrt(v: complex, hint: complex | None) -> complex:
     """The square root of v on the sheet of hint: the principal root s if
     Re(s conj(hint)) >= 0, else -s (None: s). Since |s - h|^2 - |s + h|^2 =
-    -4 Re(s conj(h)), this is the root nearer the hint, abs(s - h) <= abs(s +
-    h), decided by the sign of one product. The two rules differ only where
-    Re(s conj(h)) is within rounding: the product's, ~1e-16 |s| |h|, near a
-    right angle, or the distances', ~1e-16 (|s| + |h|)^2, which is larger
-    when |s| and |h| are far apart. An exact tie, h = 0 included, keeps s.
-    Every scalar sheet test of the package is this product. The kernel
-    continue_sqrt_along keeps the distances: it takes a flip from them only
-    with a margin (FLIP_TIE_RTOL) far above either rounding, where the two
-    rules agree, so it still equals the loop of continue_sqrt."""
+    -4 Re(s conj(h)), this is the root nearer the hint, decided by the sign
+    of one product. An exact tie, h = 0 included, keeps s. Every sheet test
+    of the package is this product; continue_sqrt_along takes it over arrays
+    by the same float work."""
     s = principal_sqrt(v)
     if hint is None:
         return s
@@ -447,18 +439,19 @@ def continue_sqrt_along(values, hint=None, starts=None) -> np.ndarray:
 
     Equal to the sequential loop w_k = continue_sqrt(values[k], w_{k-1})
     with w_{-1} = hint (None: the first root is principal). Each w_k is the
-    principal root s_k times a sign, and the sign flips exactly where s_k is
-    closer to -s_{k-1} than to s_{k-1}, so it is the running parity of those
-    flips. The first flip test is against the hint itself. A flip test
-    within rounding of a tie, or on a non-finite value, depends on more than
-    the parity, and the whole sequence is then continued by the loop.
+    principal root s_k times a sign, which flips exactly where Re(s_k
+    conj(s_{k-1})) < 0: negating the hint negates continue_sqrt's product
+    exactly, so the sign is the running parity of those flips. The first
+    flip test is against the hint itself. An exact tie, which keeps s_k
+    whatever the sign before it, or a non-finite product depends on more
+    than the parity, and the whole sequence is then continued by the loop.
 
     With starts, sequence j runs from values[starts[j]] to the next start
     and hint holds one hint per sequence. The starts ascend from 0 (an
     empty sequence allowed; ValueError when the first start is not 0). The
-    parity restarts at each start, and only a sequence with a tie goes
-    through the loop. Each sequence gets the roots a call on it alone
-    would give.
+    parity restarts at each start, and only a sequence the parity cannot
+    decide goes through the loop. Each sequence gets the roots a call on it
+    alone would give.
     """
     v = np.asarray(values, dtype=complex)
     s = np.sqrt(v + 0.0)
@@ -477,17 +470,17 @@ def continue_sqrt_along(values, hint=None, starts=None) -> np.ndarray:
     for lo, hi, h in zip(starts, ends, hint):
         if lo < hi:
             prev[lo] = s[lo] if h is None else h
-    d_same = np.abs(s - prev)
-    d_flip = np.abs(s + prev)
-    flips = np.cumsum(d_same > d_flip)
+    # Re(s conj(prev)) by the float work of continue_sqrt's product, so its sign is the loop's
+    product = s.real * prev.real + s.imag * prev.imag
+    flips = np.cumsum(product < 0.0)
     if len(starts) > 1:
         # each sequence counts its flips from its own start
         before = np.concatenate(([0], flips))[starts]
         flips -= np.repeat(before, np.subtract(ends, starts))
     out = np.where(flips & 1, -s, s)
-    decided = np.abs(d_same - d_flip) > FLIP_TIE_RTOL * (d_same + d_flip)
-    if not np.all(decided):
-        for j in np.unique(np.searchsorted(starts, np.flatnonzero(~decided), "right") - 1).tolist():
+    undecided = np.flatnonzero((product == 0.0) | ~np.isfinite(product))
+    if len(undecided):
+        for j in np.unique(np.searchsorted(starts, undecided, "right") - 1).tolist():
             h = hint[j]
             for k in range(starts[j], ends[j]):
                 h = out[k] = continue_sqrt(complex(v[k]), h)

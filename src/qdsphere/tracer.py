@@ -273,10 +273,8 @@ class _Scene:
     `root` is the differential's root(z, hint), continue_sqrt(phi(z), hint) to the bit, `step`
     its DOP853 step (_step_maker), `scan(z)` the index of the disk z is in (-1 if none) and the
     step clamp min |z - p| * alpha, straight-line code over the rows (_scan_maker). root, the
-    step's stages, the launch's and the closure's sheet tests all keep the root s against a
-    hint h when Re(s conj(h)) >= 0, one product where two distances decide the same; the
-    certificate's kernel, continue_sqrt_along, keeps its distances, which equal the loop
-    wherever they decide a flip (see qdiff.continue_sqrt).
+    step's stages, the launch's and the closure's sheet tests and the certificate's kernel,
+    continue_sqrt_along, all keep the root s against a hint h when Re(s conj(h)) >= 0.
 
     When infinity is a regular point, `centre` is the centre c of the bounding box of the
     finite critical set (the centre of TraceOptions.for_qd's window) and `rho` the largest

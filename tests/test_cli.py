@@ -247,6 +247,16 @@ def test_level_one_point_grid_rejected(tmp_path, capsys):
     _run_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1"], "--grid")
 
 
+def test_level_huge_grid_rejected(tmp_path, capsys):
+    # rejected before the lattice of grid^2 samples is allocated
+    _run_rejected(tmp_path, capsys, "level", SEGMENT, ["--grid", "1000000"], "--grid")
+
+
+def test_render_huge_grid_rejected(tmp_path, capsys):
+    # rejected before grid^2 background rays are traced
+    _run_rejected(tmp_path, capsys, "render", CIRCLE, ["--grid", "1000000"], "--grid")
+
+
 # a step budget keeps a run that wrongly accepts the value short
 SHORT_BUDGET = {"max_steps": 2000}
 

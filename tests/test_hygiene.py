@@ -1,6 +1,6 @@
 """Every module-level import in the package, its tests and its tools is
-used, and so is every module-level private name of the package: an AST
-scan, since no linter is part of the test dependencies."""
+used, and so is every module-level private name and upper-case constant of
+the package: an AST scan, since no linter is part of the test dependencies."""
 
 import ast
 from pathlib import Path
@@ -45,8 +45,8 @@ def test_no_unused_module_level_imports(path):
     assert not unused, "unused imports: " + ", ".join(unused)
 
 
-def _private_definitions(tree):
-    """Module-level _private functions, classes and constants, with lines."""
+def _module_definitions(tree):
+    """Module-level functions, classes and assigned names, with lines."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             yield node.name, node.lineno
@@ -72,13 +72,18 @@ def _package_references():
     return refs
 
 
+def _checked(name):
+    """A _private name, or an UPPER_CASE constant that a deleted rule could leave behind."""
+    return (name.startswith("_") and not name.startswith("__")) or name.isupper()
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unreferenced_private_names(path):
     refs = _package_references()
     tree = ast.parse(path.read_text(), filename=str(path))
-    unused = [f"{path.name}:{line} {name}" for name, line in _private_definitions(tree)
-              if name.startswith("_") and not name.startswith("__") and name not in refs]
-    assert not unused, "unreferenced private names: " + ", ".join(unused)
+    unused = [f"{path.name}:{line} {name}" for name, line in _module_definitions(tree)
+              if _checked(name) and name not in refs]
+    assert not unused, "unreferenced private names or constants: " + ", ".join(unused)
 
 
 def test_every_error_class_is_raised():

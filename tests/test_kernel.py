@@ -266,27 +266,65 @@ _coord = st.one_of(st.just(0.0), st.floats(min_value=1e-100, max_value=1e100),
 _value = st.builds(complex, _coord, _coord)
 
 
+# a turn nearly at a right angle, i r (1 + i d), with r = 10^-12 .. 10^12 and
+# |d| = 10^-17 .. 10^-6: the distances |s -+ h| may both round to the larger
+# of |s| and |h| (s = 1, h = -3.16 + 3.16e8 i), the product keeps its sign
+_quarter = st.builds(lambda r, sign, e: 1j * r * complex(1.0, sign * 10.0 ** e),
+                     _log_magnitude, st.sampled_from([1.0, -1.0]), st.floats(-17.0, -6.0))
+# an exact right turn i t: the flip test is an exact tie, its product 0
+_right_scale = st.sampled_from([0.25, 0.5, 1.0, 2.0, 4.0])
+
+
 @st.composite
 def _walks(draw):
-    """Sequences mixing random values, small steps and near-antipodal jumps."""
+    """Sequences mixing random values, small steps, near-antipodal jumps and
+    roots turned nearly or exactly through a right angle."""
     n = draw(st.integers(min_value=0, max_value=40))
     vals = []
     for _ in range(n):
-        move = draw(st.sampled_from(("fresh", "step", "antipode")))
+        move = draw(st.sampled_from(("fresh", "step", "antipode", "quarter", "tie")))
         if move == "fresh" or not vals:
             vals.append(draw(_value))
         elif move == "step":
             vals.append(vals[-1] * complex(1.0, draw(st.floats(-0.3, 0.3))))
-        else:
+        elif move == "antipode":
             vals.append(-vals[-1] * complex(1.0, draw(st.floats(-1e-12, 1e-12))))
+        elif move == "quarter":
+            turn = draw(_quarter)
+            if (abs(vals[-1]) > 1.0) == (abs(turn) > 1.0):
+                turn = 1.0 / turn          # toward |v| = 1, so no run of turns overflows
+            vals.append((principal_sqrt(vals[-1]) * turn) ** 2)
+        else:
+            # s_k = i t s_{k-1}, to the bit
+            t = draw(_right_scale)
+            vals.append(-t * t * vals[-1])
     return vals
 
 
+@st.composite
+def _hinted_walks(draw):
+    """A walk and its hint: none, a random value, or the first root turned
+    nearly or exactly through a right angle."""
+    vals = draw(_walks())
+    kind = draw(st.sampled_from(("none", "value", "quarter", "tie")))
+    if kind == "none":
+        return vals, None
+    if kind == "value":
+        return vals, draw(_value)
+    s = principal_sqrt(vals[0]) if vals else 1 + 0j
+    return vals, s * (draw(_quarter) if kind == "quarter" else 1j * draw(_right_scale))
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=complex).tobytes()
+
+
 @settings(max_examples=200, deadline=None)
-@given(_walks(), st.one_of(st.none(), _value))
-def test_continue_sqrt_along_matches_loop(values, hint):
+@given(_hinted_walks())
+def test_continue_sqrt_along_matches_loop(walk):
+    values, hint = walk
     got = continue_sqrt_along(np.asarray(values, dtype=complex), hint)
-    assert got.tolist() == continue_sqrt_loop(values, hint)
+    assert _bits(got) == _bits(continue_sqrt_loop(values, hint))
 
 
 @pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 2049])
@@ -308,6 +346,26 @@ def test_continue_sqrt_along_exact_tie_uses_sequential_rule():
     assert continue_sqrt_along(values, -1.0).tolist() == continue_sqrt_loop(values, -1.0)
 
 
+def test_continue_sqrt_along_loops_a_non_finite_sequence_only(monkeypatch):
+    # inf and nan parts decide no flip: their sequence, and only it, goes
+    # through continue_sqrt, and every sequence still gets the loop's bits
+    seqs = [([1.0, 2.0j, -1.0 + 1e-3j, -1.0 - 1e-3j], None),
+            ([1.0, complex(math.inf, 1.0), complex(math.nan, 0.0), -1.0 + 1e-3j,
+              complex(-math.inf, math.nan), -1.0 - 1e-3j], 0.5 - 1j),
+            ([-1.0 - 1e-3j, 3.0, -2.0 + 1e-3j], -1.0)]
+    values = [v for walk, _hint in seqs for v in walk]
+    starts = np.cumsum([0] + [len(walk) for walk, _hint in seqs])[:-1].tolist()
+    want = [w for walk, hint in seqs for w in continue_sqrt_loop(walk, hint)]
+    looped = []
+    sequential = qdiff.continue_sqrt
+    monkeypatch.setattr(qdiff, "continue_sqrt",
+                        lambda v, hint: looped.append(v) or sequential(v, hint))
+    with np.errstate(invalid="ignore"):
+        got = continue_sqrt_along(values, [hint for _walk, hint in seqs], starts)
+    assert _bits(got) == _bits(want)
+    assert len(looped) == len(seqs[1][0])
+
+
 def test_panel_integrals_cross_block_edges():
     # sqrt(1/z) once around |z| = 1.5: the branch flips sign past the
     # negative axis, in the second block, and must stay flipped in the third
@@ -325,12 +383,8 @@ def test_panel_integrals_cross_block_edges():
     assert running[-1] == pytest.approx(-4.0 * math.sqrt(1.5), rel=1e-12)
 
 
-def _bits(x) -> bytes:
-    return np.asarray(x, dtype=complex).tobytes()
-
-
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(_walks(), st.one_of(st.none(), _value)), max_size=5))
+@given(st.lists(_hinted_walks(), max_size=5))
 def test_continue_sqrt_along_of_many_sequences_matches_one_call_each(seqs):
     values = np.asarray([v for walk, _hint in seqs for v in walk], dtype=complex)
     starts = np.cumsum([0] + [len(walk) for walk, _hint in seqs])[:-1].tolist()
