@@ -45,8 +45,7 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
     Finite critical points are the zeros of the logarithmic derivative
     r'/r = sum of m_a/(z - a); every pole of the differential is a double
     pole whose quadratic residue must be negative real, Circular to
-    double_pole_kind. qd is
-    lemniscate_qd(p, q) when the caller has built it already.
+    double_pole_kind. qd is lemniscate_qd(p, q) when the caller has built it already.
     """
     qd = qd if qd is not None else lemniscate_qd(p, q)
     finite_cps = [c.location for c in qd.zeros]
@@ -72,7 +71,7 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
                 f"residue {qr}, expected negative real")
         double_poles.append((cp.at, qr))
 
-    levels = [float(abs(p(z) / q(z))) for z in finite_cps]
+    levels = np.exp(_log_r(qd, finite_cps)[0]).tolist()
 
     out = []
     if samples > 0:
@@ -117,8 +116,8 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
     qd = qd if qd is not None else lemniscate_qd(p, q)
     opts = TraceOptions.for_qd(qd, window=window,
                                max_phi_length=2 * math.pi * (max(p.degree, q.degree) + 1))
-    on_level = [cp.location for cp in qd.zeros
-                if abs(abs(p(cp.location) / q(cp.location)) - c) <= LEVEL_RTOL * c]
+    cps = [cp.location for cp in qd.zeros]
+    on_level = [z for z, v in zip(cps, _log_r(qd, cps)[0]) if abs(v - math.log(c)) <= LEVEL_RTOL]
     curves = []
     if on_level:
         graph = build_critical_graph(qd, opts)
@@ -131,8 +130,8 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
         # curves that other rays draw: longest first, a ray is kept where it draws something new
         for poly in sorted(rays, key=lambda v: -np.abs(np.diff(v)).sum()):
             if not _on_curves(poly[1:-1], curves).all():
-                curves.append(_refined(p, q, c, poly))
-    seeds = _level_seeds(p, q, c, qd, window)
+                curves.append(_refined(qd, c, poly))
+    seeds = _level_seeds(qd, c, window)
     for z in qd.clear_of_critical(seeds):
         if _on_curves(np.array([z]), curves)[0]:
             continue
@@ -141,37 +140,38 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
         if ray.termination.kind != CLOSED:
             back = trace_horizontal(qd, z, -1, opts)
             poly = np.concatenate((back.points[:0:-1], poly))
-        curves.append(_refined(p, q, c, poly))
+        curves.append(_refined(qd, c, poly))
     if not curves:
-        why = _too_close(p, q, qd, seeds[0]) if seeds else ""
+        why = _too_close(qd, seeds[0]) if seeds else ""
         raise EmptyLevel(f"no |r| = {c} contour inside {window}{why}")
     return curves
 
 
-def _too_close(p: Polynomial, q: Polynomial, qd: QuadraticDifferential, seed: complex) -> str:
+def _log_r(qd: QuadraticDifferential, z) -> tuple[np.ndarray, np.ndarray]:
+    """log|r| = log|lead| + sum m_a log|z - a| and r'/r = sum m_a / (z - a) at the points z,
+    from qd.r: r's lead and signed sites (a, m_a). A zero or pole of r reads -inf or inf."""
+    a, m = (np.array(v) for v in zip(*qd.r[1]))
+    d = np.asarray(z, dtype=complex)[..., None] - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return math.log(abs(qd.r[0])) + np.log(np.abs(d)) @ m, (m / d).sum(axis=-1)
+
+
+def _too_close(qd: QuadraticDifferential, seed: complex) -> str:
     """Why no seed gave a curve: each lay too close to a critical point, zero or pole of r.
-    Names the one nearest the seed; a zero of r is a root of p, not of q, so p's value
-    there is the smaller share of its magnitude bound."""
-    at = min((cp.location for cp in qd.zeros + qd.poles), key=lambda a: abs(seed - a))
-    share = [abs(f(at)) / f.magnitude_bound(at) for f in (p, q)]
-    what = ("critical point" if at in [cp.location for cp in qd.zeros]
-            else "zero" if share[0] <= share[1] else "pole")
+    Names the one nearest the seed, a site of r by the sign of its m_a."""
+    at, m = min(qd.r[1] + [(cp.location, 0) for cp in qd.zeros], key=lambda s: abs(seed - s[0]))
+    what = "critical point" if m == 0 else "zero" if m > 0 else "pole"
     return (f": the curves found lie within {10 * qd.guard_radius(at):.3g} of the {what} of r "
             f"at {complex(round(at.real, 6) + 0.0, round(at.imag, 6) + 0.0)}, too close to trace")
 
 
-def _refined(p: Polynomial, q: Polynomial, c: float, v: np.ndarray) -> np.ndarray:
+def _refined(qd: QuadraticDifferential, c: float, v: np.ndarray) -> np.ndarray:
     """The polyline v of |r| = c with points of the curve inserted where a chord
     turns by more than TURN_MAX. With g = r'/r the normal of the curve at z is
     conj(g(z)), so the chord from a to b turns by |arg(g(a) conj(g(b)))|; it is
     cut into equal parts, and each new point moves onto the curve by Newton's
     method along the normal, z - (log|r(z)| - log c) / g(z)."""
-    dp, dq = p.derivative(), q.derivative()
-
-    def g(z):
-        return dp.eval_array(z) / p.eval_array(z) - dq.eval_array(z) / q.eval_array(z)
-
-    gv = g(v)
+    gv = _log_r(qd, v)[1]
     k = np.maximum(1, np.ceil(np.abs(np.angle(gv[:-1] * gv[1:].conj())) / TURN_MAX)).astype(int)
     if (k == 1).all():
         return v
@@ -181,7 +181,8 @@ def _refined(p: Polynomial, q: Polynomial, c: float, v: np.ndarray) -> np.ndarra
     new = t > 0
     zs = z[new]
     for _ in range(NEWTON_STEPS):
-        zs = zs - np.log(np.abs(p.eval_array(zs) / q.eval_array(zs)) / c) / g(zs)
+        log_r, g = _log_r(qd, zs)
+        zs = zs - (log_r - math.log(c)) / g
     z[new] = zs
     return np.append(z, v[-1])
 
@@ -196,14 +197,13 @@ def _on_curves(zs: np.ndarray, curves) -> np.ndarray:
     return on
 
 
-def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferential,
-                 window) -> list[complex]:
-    """Points of |r| = c where |r| - c changes sign along the segments from
-    each zero and pole of r in the window to its right edge and along the
-    window's four edges, SEED_SAMPLES samples to a segment, each sign change
-    refined by bisection. A bounded component of |r| = c encloses a zero or
-    a pole of r (log|r| is harmonic elsewhere), so the first segments cross
-    every component inside the window; the edges cross every one it cuts."""
+def _level_seeds(qd: QuadraticDifferential, c: float, window) -> list[complex]:
+    """Points of |r| = c where log|r| - log c changes sign along the segments from each
+    zero and pole of r in the window to its right edge and along the window's four
+    edges, SEED_SAMPLES samples to a segment, all sign changes refined by one bisection.
+    A bounded component of |r| = c encloses a zero or a pole of r (log|r| is harmonic
+    elsewhere), so the first segments cross every component inside the window; the
+    edges cross every one it cuts."""
     x0, y0, x1, y1 = window
     corners = [complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)]
     # the double poles of qd are the zeros and poles of r
@@ -211,15 +211,13 @@ def _level_seeds(p: Polynomial, q: Polynomial, c: float, qd: QuadraticDifferenti
                 if x0 <= a.real < x1 and y0 <= a.imag <= y1]
     segments += zip(corners, corners[1:] + corners[:1])
 
+    a, b = (np.array(ends)[:, None] for ends in zip(*segments))
     ts = np.linspace(0.0, 1.0, SEED_SAMPLES + 1)
-    seeds = []
-    for a, b in segments:
-        zs = a + ts * (b - a)
-        up = np.abs(p.eval_array(zs)) > c * np.abs(q.eval_array(zs))
-        for i in np.flatnonzero(up[1:] != up[:-1]).tolist():
-            lo, hi, up_lo = ts[i], ts[i + 1], up[i]
-            while lo < (mid := 0.5 * (lo + hi)) < hi:
-                z = a + mid * (b - a)
-                lo, hi = (mid, hi) if (abs(p(z)) > c * abs(q(z))) == up_lo else (lo, mid)
-            seeds.append(a + mid * (b - a))
-    return seeds
+    up = _log_r(qd, a + ts * (b - a))[0] > math.log(c)
+    seg, i = np.nonzero(up[:, 1:] != up[:, :-1])
+    a, b, lo, hi, up_lo = a[seg, 0], b[seg, 0], ts[i], ts[i + 1], up[seg, i]
+    # a bracket is done once its mid is lo or hi: the updates below keep that mid
+    while ((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
+        same = (_log_r(qd, a + mid * (b - a))[0] > math.log(c)) == up_lo
+        lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
+    return (a + mid * (b - a)).tolist()

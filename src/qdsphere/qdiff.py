@@ -604,7 +604,7 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
     distinct roots of p (m_a > 0, its multiplicity) and of q (m_a < 0), with
     d = prod_a (z - a) and n = sum_a m_a d / (z - a); so phi = -n^2/d^2. Its
     poles are the roots of p and q, each of order -2, and its zeros the
-    roots of n, each doubled.
+    roots of n, each doubled. qd.r keeps r = lead * prod_a (z - a)^m_a as (lead, sites).
     """
     if p.is_zero() or q.is_zero():
         raise ZeroPolynomial("p and q must be nonzero")
@@ -622,7 +622,9 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
     poles = [RootCluster(c.location, 2, c.radius) for c in proots + qroots]
     poles.sort(key=lambda c: (c.location.real, c.location.imag))
     lead = -(n.coeffs[-1] * n.coeffs[-1])          # d is monic
-    return QuadraticDifferential(lead, zeros, poles, "lemniscate")
+    qd = QuadraticDifferential(lead, zeros, poles, "lemniscate")
+    qd.r = (p.coeffs[-1] / q.coeffs[-1], sites)
+    return qd
 
 
 def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferential:

@@ -805,12 +805,14 @@ def test_lemniscate_high_multiplicity_levels(tmp_path, capsys, flags, code):
         assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("level, what", [("1e-30", "zero of r at (1+0j)"),
                                          ("1e30", "pole of r at (-1+0j)")])
 def test_lemniscate_level_too_close_to_a_root_says_so(tmp_path, capsys, level, what):
     # |r| = 1e-30 is a circle of radius ~4e-33 about the simple zero 1 of r, and
     # |r| = 1e30 one of radius ~6e-7 about the pole -1: their seeds are found, and
-    # dropped as too close to trace
+    # dropped as too close to trace. A seed sample lands on the site 1 itself, where
+    # log|r| is -inf without a warning
     out = tmp_path / "lem.svg"
     assert run(["lemniscate", write_spec(tmp_path, HIGH_MULTIPLICITY_LEMNISCATE),
                 "--out", str(out), "--level", level]) == 1

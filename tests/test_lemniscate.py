@@ -6,10 +6,11 @@ import pytest
 
 from qdsphere.contour import marching_squares
 from qdsphere.errors import ConvergenceFailure, EmptyLevel
-from qdsphere.lemniscate import analyze_lemniscate, lemniscate_level_curve
+from qdsphere.lemniscate import _level_seeds, analyze_lemniscate, lemniscate_level_curve
 from qdsphere.polyalg import Polynomial
 from qdsphere.qdiff import QuadraticDifferential, lemniscate_qd
 from qdsphere.svg import WIDTH
+from qdsphere.tracer import TraceOptions
 
 ONE = Polynomial([1.0])
 Z2M1 = Polynomial([-1.0, 0.0, 1.0])     # z^2 - 1
@@ -64,9 +65,11 @@ def test_report_bernoulli():
 @pytest.mark.parametrize("turn, circular", [(5e-9, False), (5e-11, True)])
 def test_double_poles_are_circular_to_angular_tol(turn, circular):
     # the lead of z^2 - 1's differential turned by e^(i turn) turns every
-    # quadratic residue by it: -1 and -4 read Spiral past ANGULAR_TOL (1e-9)
+    # quadratic residue by it: -1 and -4 read Spiral past ANGULAR_TOL (1e-9).
+    # r itself is not turned, so the turned differential keeps its sites
     qd = lemniscate_qd(Z2M1, ONE)
     turned = QuadraticDifferential(qd.lead * cmath.exp(1j * turn), qd.zeros, qd.poles)
+    turned.r = qd.r
     if circular:
         rep = analyze_lemniscate(Z2M1, ONE, 0, qd=turned)
         assert len(rep.double_poles) == 3
@@ -191,6 +194,45 @@ def test_level_curve_chords_stay_within_two_pixels(pq, c, window):
         g = dp.eval_array(m) / p.eval_array(m) - dq.eval_array(m) / q.eval_array(m)
         off = np.abs(np.log(np.abs(r_of(p, q, m)) / c)) / np.abs(g)
         assert off.max() * scale <= 2.0
+
+
+# r = (z - 5)^6 (z - 1) / (z + 1)^4, expanded exactly as in CI's lem.json; near the
+# sixfold root 5 the rounding of the expanded p exceeds |p| on small levels
+SIXFOLD = (Polynomial.from_roots([5.0] * 6 + [1.0]), Polynomial.from_roots([-1.0] * 4))
+SIXFOLD_WIN = TraceOptions.for_qd(lemniscate_qd(*SIXFOLD)).window
+
+
+def sixfold_log_r(z):
+    """log|r| of SIXFOLD in factored form, the oracle its expanded p and q cannot be."""
+    return 6 * np.log(np.abs(z - 5)) + np.log(np.abs(z - 1)) - 4 * np.log(np.abs(z + 1))
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e-3])
+def test_level_curve_about_a_multiple_root_is_on_the_level(c):
+    # the curve about 5 is read from r's sites: the expanded p put it 1.4e-7 off at 1e-6
+    curves = lemniscate_level_curve(*SIXFOLD, c, SIXFOLD_WIN)
+    assert curves
+    for poly in curves:
+        assert np.abs(sixfold_log_r(poly) - math.log(c)).max() <= 1e-8
+
+
+def test_level_seeds_reach_a_tiny_level_about_a_multiple_root():
+    # |r| = 1e-30 is a circle of radius ~2.6e-5 about 5, seeded from 5's own segment
+    seeds = np.array(_level_seeds(lemniscate_qd(*SIXFOLD), 1e-30, SIXFOLD_WIN))
+    near = seeds[np.abs(seeds - 5) <= 1e-4]
+    assert len(near) >= 1
+    assert np.abs(sixfold_log_r(near) - math.log(1e-30)).max() <= 1e-8
+
+
+@pytest.mark.xfail(strict=True, raises=EmptyLevel, reason=(
+    "the circle about 5 lies within the tracer's guard scale there, and a local-model "
+    "circle |A| |z - 5|^6 = c below the guard scale is not drawn yet"))
+@pytest.mark.parametrize("c", [1e-30, 1e-12])
+def test_level_curve_closes_about_a_multiple_root_at_tiny_levels(c):
+    curves = lemniscate_level_curve(*SIXFOLD, c, SIXFOLD_WIN)
+    about = [poly for poly in curves if abs(turns(poly - 5)) > 0.5]
+    assert len(about) == 1 and abs(about[0][0] - about[0][-1]) < 1e-8
+    assert np.abs(sixfold_log_r(about[0]) - math.log(c)).max() <= 1e-8
 
 
 def test_level_curve_empty_raises():
