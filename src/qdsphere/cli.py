@@ -22,7 +22,7 @@ import numpy as np
 
 from . import __version__, level
 from .errors import EmptyLevel, QdError, SchemaError
-from .criteria import overall_verdict, run_all, CERTIFIED, SUPPORTED
+from .criteria import count_rows, overall_verdict, run_all, traced_rows, CERTIFIED, SUPPORTED
 from .graph import (PairingFailure, build_critical_graph, detect_recurrence,
                     pair_zeros_by_short_trajectories, K_MIN_DEFAULT)
 from .level import level_grid, residue_obstruction, verify_level
@@ -132,10 +132,18 @@ def cmd_analyze(spec, qd, opts, args):
 
 
 def cmd_criteria(spec, qd, opts, args):
-    verdicts = run_all(qd, opts)
+    """The count rows first: when one certifies, no traced row can change the
+    verdict, so the critical graph is not built and the report names the rows
+    not run and the row that decided. Otherwise every row, as run_all gives them."""
+    verdicts, extra = count_rows(qd), {}
+    decided = [v.criterion for v in verdicts if v.verdict == CERTIFIED]
+    if decided:
+        extra["not_run"] = {"criteria": traced_rows(qd), "decided_by": decided[0]}
+    else:
+        verdicts = run_all(qd, opts)
     overall = overall_verdict(verdicts)
     code = EXIT_OK if overall in (CERTIFIED, SUPPORTED) else EXIT_INCONCLUSIVE
-    return code, _report(criteria=_criteria_rows(verdicts), overall=overall)
+    return code, _report(criteria=_criteria_rows(verdicts), overall=overall, **extra)
 
 
 def cmd_trace(spec, qd, opts, args):

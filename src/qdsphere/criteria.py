@@ -1,13 +1,15 @@
 """Certificates for the absence of recurrent trajectories.
 
 Two exact counting criteria (pole count, odd-order count) can outright
-certify; the remaining three rest on traced short trajectories and are
-capped at NumericallySupported. The Teichmuller polygon identity is checked
-in exact rational arithmetic.
+certify, on orders that exact algebra confirms; the remaining three rest on
+traced short trajectories and are capped at NumericallySupported, so no
+traced row can overturn a count's certificate. The Teichmuller polygon
+identity is checked in exact rational arithmetic.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,8 +20,8 @@ from .graph import (
     build_critical_graph,
     pair_zeros_by_short_trajectories,
 )
-from .qdiff import (QuadraticDifferential, critical_points, principal_sqrt, require_form,
-                    single_valued)
+from .qdiff import (QuadraticDifferential, critical_points, exact_orders, principal_sqrt,
+                    require_form, single_valued)
 
 CERTIFIED = "CertifiedNoRecurrence"
 SUPPORTED = "NumericallySupported"
@@ -46,6 +48,25 @@ def _pole_list(qd: QuadraticDifferential):
     return [cp for cp in critical_points(qd) if cp.signed_order < 0]
 
 
+def _exactly(qd: QuadraticDifferential, row: CriterionVerdict, reads) -> CriterionVerdict:
+    """row, a count of the critical points whose orders n have reads(n), when those
+    orders are the exact ones (qdiff.exact_orders) or qd was given by its clusters.
+    Otherwise row turned Inconclusive: its evidence adds the exact orders it reads,
+    and, as merged_clusters, the critical points of an order that the exact orders
+    hold fewer of than the clusters do."""
+    exact = exact_orders(qd)
+    if exact is None:
+        return row
+    cps = critical_points(qd)
+    want = [n for n in exact if reads(n)]
+    if sorted(cp.signed_order for cp in cps if reads(cp.signed_order)) == want:
+        return row
+    excess = Counter(cp.signed_order for cp in cps) - Counter(exact)
+    ev = {**row.evidence, "exact_orders": want,
+          "merged_clusters": [[cp.at, cp.signed_order] for cp in cps if cp.signed_order in excess]}
+    return CriterionVerdict(row.criterion, INCONCLUSIVE, ev)
+
+
 def three_pole(qd: QuadraticDifferential) -> CriterionVerdict:
     """At most three distinct poles leave no room for a recurrent
     trajectory; the count includes the point at infinity."""
@@ -53,7 +74,7 @@ def three_pole(qd: QuadraticDifferential) -> CriterionVerdict:
     ev = {"poles": [[cp.at, cp.signed_order] for cp in poles],
           "count": len(poles)}
     verdict = CERTIFIED if len(poles) <= 3 else INCONCLUSIVE
-    return CriterionVerdict("ThreePole", verdict, ev)
+    return _exactly(qd, CriterionVerdict("ThreePole", verdict, ev), lambda n: n < 0)
 
 
 def odd_multiplicity(qd: QuadraticDifferential) -> CriterionVerdict:
@@ -63,7 +84,7 @@ def odd_multiplicity(qd: QuadraticDifferential) -> CriterionVerdict:
     ev = {"odd_points": [[cp.at, cp.signed_order] for cp in odd],
           "count": len(odd)}
     verdict = CERTIFIED if len(odd) <= 3 else INCONCLUSIVE
-    return CriterionVerdict("OddMultiplicity", verdict, ev)
+    return _exactly(qd, CriterionVerdict("OddMultiplicity", verdict, ev), lambda n: n % 2 != 0)
 
 
 def no_short_trajectory_criterion(qd: QuadraticDifferential,
@@ -147,19 +168,34 @@ def teichmuller_check(polygon: QdPolygon) -> Fraction:
     return lhs - rhs
 
 
+def _strongest_first(rows: list[CriterionVerdict]) -> list[CriterionVerdict]:
+    return sorted(rows, key=lambda v: -_STRENGTH[v.verdict])     # stable: ties keep their order
+
+
+def count_rows(qd: QuadraticDifferential) -> list[CriterionVerdict]:
+    """ThreePole and OddMultiplicity, strongest first: the rows that read the
+    critical points alone. A certificate from either stands whatever the
+    traced rows read, since those are capped at NumericallySupported."""
+    return _strongest_first([three_pole(qd), odd_multiplicity(qd)])
+
+
+def traced_rows(qd: QuadraticDifferential) -> list[str]:
+    """The names of the rows of run_all that read the critical graph."""
+    pairing_rows = ["ParityPairs", "ResidueCriterion"] if qd.form is not None else []
+    return ["NoShortTrajectory"] + pairing_rows
+
+
 def run_all(qd: QuadraticDifferential, opts=None,
             graph: CriticalGraph | None = None) -> list[CriterionVerdict]:
     """Every applicable criterion, strongest verdict first; the graph is
     built once and shared."""
     g = graph if graph is not None else build_critical_graph(qd, opts)
-    out = [three_pole(qd), odd_multiplicity(qd),
-           no_short_trajectory_criterion(qd, g)]
+    out = count_rows(qd) + [no_short_trajectory_criterion(qd, g)]
     if qd.form is not None:
         pairing = pair_zeros_by_short_trajectories(qd, opts, graph=g)
         out.append(parity_pairs(qd, pairing))
         out.append(residue_criterion(qd, pairing))
-    out.sort(key=lambda v: -_STRENGTH[v.verdict])     # stable: ties keep the order above
-    return out
+    return _strongest_first(out)
 
 
 def overall_verdict(verdicts: list[CriterionVerdict]) -> str:

@@ -71,7 +71,7 @@ def analyze_lemniscate(p: Polynomial, q: Polynomial, samples: int,
                 f"residue {qr}, expected negative real")
         double_poles.append((cp.at, qr))
 
-    levels = np.exp(_log_r(qd, finite_cps)[0]).tolist()
+    levels = np.exp(_log_r(qd, finite_cps)).tolist()
 
     out = []
     if samples > 0:
@@ -117,7 +117,7 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
     opts = TraceOptions.for_qd(qd, window=window,
                                max_phi_length=2 * math.pi * (max(p.degree, q.degree) + 1))
     cps = [cp.location for cp in qd.zeros]
-    on_level = [z for z, v in zip(cps, _log_r(qd, cps)[0]) if abs(v - math.log(c)) <= LEVEL_RTOL]
+    on_level = [z for z, v in zip(cps, _log_r(qd, cps)) if abs(v - math.log(c)) <= LEVEL_RTOL]
     curves = []
     if on_level:
         graph = build_critical_graph(qd, opts)
@@ -147,13 +147,19 @@ def lemniscate_level_curve(p: Polynomial, q: Polynomial, c: float, window,
     return curves
 
 
-def _log_r(qd: QuadraticDifferential, z) -> tuple[np.ndarray, np.ndarray]:
-    """log|r| = log|lead| + sum m_a log|z - a| and r'/r = sum m_a / (z - a) at the points z,
-    from qd.r: r's lead and signed sites (a, m_a). A zero or pole of r reads -inf or inf."""
+def _log_r(qd: QuadraticDifferential, z) -> np.ndarray:
+    """log|r| = log|lead| + sum m_a log|z - a| at the points z, from qd.r: r's lead and
+    signed sites (a, m_a). A zero or pole of r reads -inf or inf."""
     a, m = (np.array(v) for v in zip(*qd.r[1]))
     d = np.asarray(z, dtype=complex)[..., None] - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return math.log(abs(qd.r[0])) + np.log(np.abs(d)) @ m, (m / d).sum(axis=-1)
+    with np.errstate(divide="ignore"):
+        return math.log(abs(qd.r[0])) + np.log(np.abs(d)) @ m
+
+
+def _dlog_r(qd: QuadraticDifferential, z) -> np.ndarray:
+    """r'/r = sum m_a / (z - a) at the points z, from r's signed sites (a, m_a) in qd.r."""
+    a, m = (np.array(v) for v in zip(*qd.r[1]))
+    return (m / (np.asarray(z, dtype=complex)[..., None] - a)).sum(axis=-1)
 
 
 def _too_close(qd: QuadraticDifferential, seed: complex) -> str:
@@ -171,7 +177,7 @@ def _refined(qd: QuadraticDifferential, c: float, v: np.ndarray) -> np.ndarray:
     conj(g(z)), so the chord from a to b turns by |arg(g(a) conj(g(b)))|; it is
     cut into equal parts, and each new point moves onto the curve by Newton's
     method along the normal, z - (log|r(z)| - log c) / g(z)."""
-    gv = _log_r(qd, v)[1]
+    gv = _dlog_r(qd, v)
     k = np.maximum(1, np.ceil(np.abs(np.angle(gv[:-1] * gv[1:].conj())) / TURN_MAX)).astype(int)
     if (k == 1).all():
         return v
@@ -181,8 +187,7 @@ def _refined(qd: QuadraticDifferential, c: float, v: np.ndarray) -> np.ndarray:
     new = t > 0
     zs = z[new]
     for _ in range(NEWTON_STEPS):
-        log_r, g = _log_r(qd, zs)
-        zs = zs - (log_r - math.log(c)) / g
+        zs = zs - (_log_r(qd, zs) - math.log(c)) / _dlog_r(qd, zs)
     z[new] = zs
     return np.append(z, v[-1])
 
@@ -213,11 +218,11 @@ def _level_seeds(qd: QuadraticDifferential, c: float, window) -> list[complex]:
 
     a, b = (np.array(ends)[:, None] for ends in zip(*segments))
     ts = np.linspace(0.0, 1.0, SEED_SAMPLES + 1)
-    up = _log_r(qd, a + ts * (b - a))[0] > math.log(c)
+    up = _log_r(qd, a + ts * (b - a)) > math.log(c)
     seg, i = np.nonzero(up[:, 1:] != up[:, :-1])
     a, b, lo, hi, up_lo = a[seg, 0], b[seg, 0], ts[i], ts[i + 1], up[seg, i]
     # a bracket is done once its mid is lo or hi: the updates below keep that mid
     while ((lo < (mid := 0.5 * (lo + hi))) & (mid < hi)).any():
-        same = (_log_r(qd, a + mid * (b - a))[0] > math.log(c)) == up_lo
+        same = (_log_r(qd, a + mid * (b - a)) > math.log(c)) == up_lo
         lo, hi = np.where(same, mid, lo), np.where(same, hi, mid)
     return (a + mid * (b - a)).tolist()

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -285,3 +286,158 @@ def poly_roots(p: Polynomial) -> list[RootCluster]:
         clusters.append(RootCluster(loc, tot, rad))
     clusters.sort(key=lambda c: (c.location.real, c.location.imag))
     return clusters
+
+
+# -- exact multiplicities over Q(i) -------------------------------------------
+# A float is a dyadic rational, so typed coefficients are exact Gaussian rationals,
+# and whether their roots repeat is decidable (Yun, "On square-free decomposition
+# algorithms", 1976).
+
+P = 2 ** 62 + 13 ** 2            # a prime = 1 mod 4: a + bi -> a + b I_P maps Z[i][1/2] onto Z/P
+I_P = 2 ** 31 * pow(13, -1, P) % P   # (2^31 / 13)^2 = 2^62 / 13^2 = -1 mod P
+
+
+def gaussian(*polys: Polynomial) -> list[list[tuple[int, int]]]:
+    """The polynomials times the one power of 2 that makes every coefficient a
+    Gaussian integer (re, im), exactly; their roots are the typed ones, as are those
+    of any sum of products of them in which every term has the same number of factors."""
+    ratios = [[(c.real.as_integer_ratio(), c.imag.as_integer_ratio()) for c in p.coeffs]
+              for p in polys]
+    scale = max([d for rs in ratios for pair in rs for _n, d in pair], default=1)
+    return [[(a * (scale // s), b * (scale // t)) for (a, s), (b, t) in rs] for rs in ratios]
+
+
+def gmul(f: list, g: list) -> list:
+    """f g for Gaussian-integer polynomials, lists of (re, im) ascending in degree."""
+    out = [[0, 0] for _ in range(len(f) + len(g) - 1)]
+    for i, (a, b) in enumerate(f):
+        for j, (c, d) in enumerate(g):
+            o = out[i + j]
+            o[0] += a * c - b * d
+            o[1] += a * d + b * c
+    return [tuple(o) for o in out]
+
+
+def gsub(f: list, g: list) -> list:
+    """f - g for Gaussian-integer polynomials, without trailing zeros."""
+    n = max(len(f), len(g))
+    f, g = f + [(0, 0)] * (n - len(f)), g + [(0, 0)] * (n - len(g))
+    out = [(a - c, b - d) for (a, b), (c, d) in zip(f, g)]
+    while out and out[-1] == (0, 0):
+        out.pop()
+    return out
+
+
+def _mod_p(f: list) -> list[int]:
+    return [(a + b * I_P) % P for a, b in f]
+
+
+def _square_free_mod_p(f: list, g: list) -> bool:
+    """Whether h = f g has a lead nonzero mod P and deg gcd(h, h') mod P = 0. The map to
+    Z/P is then a ring map that keeps h's degree, so h is square-free over Q(i)."""
+    h = [0] * (len(f) + len(g) - 1)
+    b = _mod_p(g)
+    for i, x in enumerate(_mod_p(f)):
+        h[i:i + len(b)] = [c + x * y for c, y in zip(h[i:i + len(b)], b)]
+    a = [c % P for c in h]
+    if not a[-1]:
+        return False
+    b = [k * c % P for k, c in enumerate(a)][1:]
+    while b:
+        # a, b = b, a pseudo-remainder of a by b: lead(b) a - t z^lo b takes a's top term t
+        # z^(lo + n - 1) off with no inverse mod P, and leaves the gcd's degree as it is
+        lead, n = b[-1], len(b)
+        for lo in range(len(a) - n, -1, -1):
+            t = a.pop()
+            a = [lead * c % P for c in a[:lo]] + [(lead * c - t * y) % P
+                                                   for c, y in zip(a[lo:], b)]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+class _Qi:
+    """A Gaussian rational re + i im, re and im Fractions."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __sub__(self, o):
+        return _Qi(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return _Qi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        n = o.re * o.re + o.im * o.im
+        return _Qi((self.re * o.re + self.im * o.im) / n, (self.im * o.re - self.re * o.im) / n)
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+
+def _qdivmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder of polynomials over Q(i), lists of _Qi ascending; b has no
+    trailing zero, and the remainder none either."""
+    a, n = a[:], len(b)
+    q = [_Qi(0)] * max(len(a) - n + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        q[k] = c = a[k + n - 1] / b[-1]
+        if c:
+            for i in range(n):
+                a[k + i] = a[k + i] - c * b[i]
+    return q, _qtrim(a[:n - 1])
+
+
+def _qtrim(a: list) -> list:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _qgcd(a: list, b: list) -> list:
+    """A gcd of a and b over Q(i) by Euclid's algorithm, each remainder made monic so
+    that its rationals stay small."""
+    while b:
+        r = _qdivmod(a, b)[1]
+        a, b = b, [c / r[-1] for c in r]
+    return a
+
+
+def _qderiv(a: list) -> list:
+    return [c * _Qi(k) for k, c in enumerate(a)][1:]
+
+
+def _yun(f: list) -> list[int]:
+    """The multiplicities of the distinct roots of f over Q(i), sorted, by Yun's
+    square-free decomposition: the factor found at the k-th step holds the roots of
+    multiplicity k."""
+    df = _qderiv(f)
+    g = _qgcd(f, df)
+    b, c = _qdivmod(f, g)[0], _qdivmod(df, g)[0]
+    out, k = [], 1
+    while len(b) > 1:
+        d = _qtrim([x - y for x, y in zip(c, _qderiv(b))])
+        g = _qgcd(b, d)
+        out += [k] * (len(g) - 1)
+        b, c = _qdivmod(b, g)[0], _qdivmod(d, g)[0]
+        k += 1
+    return out
+
+
+def exact_multiplicities(num: list, den: list, k: int = 1) -> tuple[list[int], list[int]]:
+    """The multiplicities of the distinct roots of num and of den^k, each sorted, once
+    gcd(num, den^k) is cancelled: exact for Gaussian-integer polynomials (gaussian).
+    When the typed product num den is square-free mod P, each root of num is simple
+    and each of den has multiplicity k; otherwise Yun's decomposition decides."""
+    if _square_free_mod_p(num, den):
+        return [1] * (len(num) - 1), [k] * (len(den) - 1)
+    power = den
+    for _ in range(k - 1):
+        power = gmul(power, den)
+    num, den = ([_Qi(a, b) for a, b in f] for f in (num, power))
+    g = _qgcd(num, den)
+    return _yun(_qdivmod(num, g)[0]), _yun(_qdivmod(den, g)[0])

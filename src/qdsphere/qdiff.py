@@ -28,7 +28,8 @@ from .errors import (
     WrongProvenance,
     ZeroPolynomial,
 )
-from .polyalg import ROOT_TOL, Polynomial, RootCluster, poly_roots
+from .polyalg import (ROOT_TOL, Polynomial, RootCluster, exact_multiplicities, gaussian, gmul,
+                      gsub, poly_roots)
 
 ANGULAR_TOL = 1e-9
 GUARD_FACTOR = 1e-3
@@ -148,8 +149,10 @@ def _evaluator_maker(zero_orders: tuple[int, ...], pole_orders: tuple[int, ...])
 class QuadraticDifferential:
     """phi = lead * prod (z - a)^m / prod (z - b)^n over the zero clusters
     a and pole clusters b, in lowest terms. form names the constructor of a
-    p/q^2 style family that built phi, and is None otherwise. phi(z), root(z,
-    hint) and phi_array's products are made for the clusters (_evaluator_maker)."""
+    p/q^2 style family that built phi, and is None otherwise; typed holds the
+    coefficients a constructor root-found, and is None for clusters given as
+    they are. phi(z), root(z, hint) and phi_array's products are made for the
+    clusters (_evaluator_maker)."""
 
     def __init__(self, lead: complex, zeros: list[RootCluster], poles: list[RootCluster],
                  form: str | None = None):
@@ -159,6 +162,8 @@ class QuadraticDifferential:
         self.form = form
         self._critical: list[CriticalPoint] | None = None
         self._scene = None        # the tracer's critical-point geometry, built on first use
+        self.typed = None
+        self._exact = None        # exact_orders, found on first use
         make = _evaluator_maker(*(tuple(c.multiplicity for c in cs) for cs in (zeros, poles)))
         self.phi, self.root, self._products = make(
             self.lead, *(complex(c.location) for c in zeros + poles), cmath.sqrt)
@@ -261,7 +266,9 @@ def qd_new(num: Polynomial, den: Polynomial) -> QuadraticDifferential:
 
     new_zeros.sort(key=lambda c: (c.location.real, c.location.imag))
     new_poles.sort(key=lambda c: (c.location.real, c.location.imag))
-    return QuadraticDifferential(num.coeffs[-1] / den.coeffs[-1], new_zeros, new_poles)
+    qd = QuadraticDifferential(num.coeffs[-1] / den.coeffs[-1], new_zeros, new_poles)
+    qd.typed = (num, den)
+    return qd
 
 
 def order_at_infinity(qd: QuadraticDifferential) -> int:
@@ -310,6 +317,37 @@ def critical_points(qd: QuadraticDifferential) -> list[CriticalPoint]:
         pts.append(CriticalPoint(None, n_inf, qd.lead if n_inf == -2 else None))
     qd._critical = pts
     return pts
+
+
+def exact_orders(qd: QuadraticDifferential) -> list[int] | None:
+    """The signed orders of qd's critical points, infinity included, sorted, exactly
+    for the coefficients that its constructor root-found (qd.typed): those whose
+    roots the zeros and poles are, with the distinct roots of num den (p q for p/q^2,
+    (q^2 - 4 p r) p for cauchy) found by polyalg.exact_multiplicities. A lemniscate's
+    poles are the distinct roots of p and q, and infinity when deg p != deg q; its
+    zeros, all even by construction, are its clusters'. None for a differential given
+    by its clusters."""
+    if qd.typed is None:
+        return None
+    if qd._exact is None:
+        polys = gaussian(*qd.typed)
+        if qd.form == "lemniscate":
+            p, q = qd.typed
+            poles = sum(map(len, exact_multiplicities(*polys))) + (p.degree != q.degree)
+            orders = [-2] * poles + [cp.signed_order for cp in critical_points(qd)
+                                     if cp.signed_order > 0]
+        else:
+            if qd.form == "cauchy":
+                p, q, r = polys
+                num, den, k = gsub(gmul(q, q), gmul(gmul(p, r), [(4, 0)])), p, 2
+            else:
+                num, den = polys
+                k = 2 if qd.form == "p_over_q_squared" else 1
+            zeros, poles = exact_multiplicities(num, den, k)
+            n_inf = -(sum(zeros) - sum(poles) + 4)
+            orders = zeros + [-m for m in poles] + ([n_inf] if n_inf else [])
+        qd._exact = sorted(orders)
+    return qd._exact
 
 
 def classify_double_pole(qd: QuadraticDifferential, at: complex | None) -> str:
@@ -593,7 +631,9 @@ def qd_from_p_over_q_squared(p: Polynomial, q: Polynomial, sign: int = 1) -> Qua
     zeros, qroots = _roots_apart(p, q)
     poles = [RootCluster(c.location, 2 * c.multiplicity, c.radius) for c in qroots]
     lead = sign * p.coeffs[-1] / (q.coeffs[-1] * q.coeffs[-1])
-    return QuadraticDifferential(lead, zeros, poles, "p_over_q_squared")
+    qd = QuadraticDifferential(lead, zeros, poles, "p_over_q_squared")
+    qd.typed = (p, q)
+    return qd
 
 
 def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
@@ -624,6 +664,7 @@ def lemniscate_qd(p: Polynomial, q: Polynomial) -> QuadraticDifferential:
     lead = -(n.coeffs[-1] * n.coeffs[-1])          # d is monic
     qd = QuadraticDifferential(lead, zeros, poles, "lemniscate")
     qd.r = (p.coeffs[-1] / q.coeffs[-1], sites)
+    qd.typed = (p, q)
     return qd
 
 
@@ -636,7 +677,7 @@ def cauchy_qd(p: Polynomial, q: Polynomial, r: Polynomial) -> QuadraticDifferent
     if disc.is_zero():
         raise ZeroPolynomial("q^2 - 4 p r vanishes identically")
     qd = qd_new(disc * -1.0, p * p)
-    qd.form = "cauchy"
+    qd.form, qd.typed = "cauchy", (p, q, r)
     return qd
 
 

@@ -386,10 +386,16 @@ def test_report_keys_and_exit_code(tmp_path, name):
 
 
 def test_criteria_report_keys_and_exit_code(tmp_path, capsys):
+    # a count certifies the circle, so the traced rows are named as not run;
+    # the winding figure's counts certify nothing, and every row runs
     assert run(["criteria", write_spec(tmp_path, CIRCLE)]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert set(doc) == ENVELOPE | {"criteria", "overall"}
+    assert set(doc) == ENVELOPE | {"criteria", "overall", "not_run"}
     assert doc["format_version"] == 1 and doc["tool_version"] == __version__
+    assert doc["not_run"] == {"criteria": ["NoShortTrajectory", "ParityPairs", "ResidueCriterion"],
+                              "decided_by": "ThreePole"}
+    assert run(["criteria", write_spec(tmp_path, FIG_WINDING)]) == 10
+    assert set(json.loads(capsys.readouterr().out)) == ENVELOPE | {"criteria", "overall"}
 
 
 def test_level_grid_obstruction_report(tmp_path, monkeypatch):
@@ -514,8 +520,39 @@ def test_criteria_stdout(tmp_path, capsys):
     assert run(["criteria", spec]) == 0
     doc = json.loads(capsys.readouterr().out)
     by_name = {c["criterion"]: c["verdict"] for c in doc["criteria"]}
-    assert by_name["ThreePole"] == "CertifiedNoRecurrence"
+    assert by_name == {"ThreePole": "CertifiedNoRecurrence",
+                       "OddMultiplicity": "CertifiedNoRecurrence"}
+    assert "ResidueCriterion" in doc["not_run"]["criteria"]
+    # analyze runs every row
+    out = str(tmp_path / "analyze.json")
+    assert run(["analyze", spec, "--out", out]) == 0
+    by_name = {c["criterion"]: c["verdict"] for c in load(out)["criteria"]}
     assert by_name["ResidueCriterion"] == "NumericallySupported"
+
+
+def test_criteria_builds_no_graph_when_a_count_certifies(tmp_path, capsys, monkeypatch):
+    # the circle is certified by ThreePole, so criteria traces nothing; analyze
+    # still builds the graph and lists every row
+    from qdsphere import criteria
+
+    calls = []
+    real = criteria.build_critical_graph
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    for module in (criteria, qdsphere.cli):
+        monkeypatch.setattr(module, "build_critical_graph", counted)
+    spec = write_spec(tmp_path, CIRCLE)
+    assert run(["criteria", spec]) == 0
+    assert not calls
+    assert json.loads(capsys.readouterr().out)["not_run"]["decided_by"] == "ThreePole"
+    out = str(tmp_path / "analyze.json")
+    assert run(["analyze", spec, "--out", out]) == 0
+    assert len(calls) == 1
+    assert sorted(c["criterion"] for c in load(out)["criteria"]) == [
+        "NoShortTrajectory", "OddMultiplicity", "ParityPairs", "ResidueCriterion", "ThreePole"]
 
 
 def test_criteria_inconclusive_exit_10(tmp_path, capsys):
@@ -525,7 +562,7 @@ def test_criteria_inconclusive_exit_10(tmp_path, capsys):
     assert doc["overall"] == "Inconclusive"
 
 
-def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
+def test_criteria_root_finds_p_and_q_once(tmp_path, monkeypatch):
     # the residue criterion reads the double poles of phi = p / q^2 from its
     # critical points and root-finds nothing itself
     from qdsphere import polyalg, qdiff
@@ -541,26 +578,32 @@ def test_criteria_root_finds_p_and_q_once(tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(module, "poly_roots", counted)
     spec = write_spec(tmp_path, {"format_version": 1, "p_over_q_squared": {
         "p": [[-4.0, 0.0], [0.0, 0.0], [1.0, 0.0]], "q": [[-0.5, 0.0], [1.0, 0.0]]}})
-    assert run(["criteria", spec]) in (0, 10)
-    doc = json.loads(capsys.readouterr().out)
-    residue = next(c for c in doc["criteria"] if c["criterion"] == "ResidueCriterion")
+    out = str(tmp_path / "analyze.json")
+    assert run(["analyze", spec, "--out", out]) in (0, 10)
+    residue = next(c for c in load(out)["criteria"] if c["criterion"] == "ResidueCriterion")
     assert [r[0] for r in residue["evidence"]["residues"]] == [[0.5, 0.0]]
     assert len(calls) == 2
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 12: poly_roots' tolerance clustering merges "
-                   "the simple poles at 2 and 2 + eps into one double pole, and ThreePole and "
-                   "OddMultiplicity then certify a differential with four simple poles")
 @pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
 def test_criteria_close_simple_poles_are_not_certified(tmp_path, capsys, eps):
     # phi = e^(0.3 i) / (z (z - 1) (z - 2) (z - 2 - eps)): four simple poles, so
-    # neither ThreePole nor OddMultiplicity certifies it
+    # neither ThreePole nor OddMultiplicity certifies it, though poly_roots merges
+    # the two near 2 into one double pole, which both rows name
     den = P.polyfromroots([0.0, 1.0, 2.0, 2.0 + eps])
     spec = write_spec(tmp_path, {"format_version": 1, "general": {
         "numerator": [[math.cos(0.3), math.sin(0.3)]],
         "denominator": [[float(c), 0.0] for c in den]}})
     assert run(["criteria", spec]) == 10
-    assert json.loads(capsys.readouterr().out)["overall"] == "Inconclusive"
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["overall"] == "Inconclusive" and "not_run" not in doc
+    rows = [c for c in doc["criteria"] if c["criterion"] in ("ThreePole", "OddMultiplicity")]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["verdict"] == "Inconclusive"
+        assert row["evidence"]["exact_orders"] == [-1] * 4
+        (at, order), = row["evidence"]["merged_clusters"]
+        assert abs(complex(*at) - 2) <= 2 * eps and order == -2
 
 
 # ---------------------------------------------------------------- trace
@@ -735,10 +778,11 @@ EIGHT_ZEROS = {
 }
 
 
-def test_eight_zeros_pairing_fails_without_equal_parity(tmp_path, capsys):
+def test_eight_zeros_pairing_fails_without_equal_parity(tmp_path):
     spec = write_spec(tmp_path, EIGHT_ZEROS)
-    assert run(["criteria", spec]) == 0
-    doc = json.loads(capsys.readouterr().out)
+    out = str(tmp_path / "analyze.json")
+    assert run(["analyze", spec, "--out", out]) == 0
+    doc = load(out)
     by_name = {c["criterion"]: c for c in doc["criteria"]}
     assert by_name["ParityPairs"]["verdict"] == "Inconclusive"
     assert by_name["ResidueCriterion"]["verdict"] == "Inconclusive"

@@ -9,6 +9,7 @@ from qdsphere.criteria import (
     INCONCLUSIVE,
     SUPPORTED,
     QdPolygon,
+    count_rows,
     no_short_trajectory_criterion,
     odd_multiplicity,
     overall_verdict,
@@ -19,7 +20,8 @@ from qdsphere.criteria import (
 )
 from qdsphere.graph import build_critical_graph, detect_recurrence
 from qdsphere.polyalg import Polynomial
-from qdsphere.qdiff import (CIRCULAR, SPIRAL, classify_double_pole, qd_from_p_over_q_squared,
+from qdsphere.qdiff import (CIRCULAR, SPIRAL, cauchy_qd, classify_double_pole, critical_points,
+                            exact_orders, inverted, lemniscate_qd, qd_from_p_over_q_squared,
                             qd_new)
 from qdsphere.tracer import TraceOptions
 
@@ -170,3 +172,50 @@ def test_soundness_on_winding_example():
     assert overall_verdict(vs) == INCONCLUSIVE
     report = detect_recurrence(qd, 1.0 + 0.0j, opts=opts)
     assert report.verdict == "SuspectedRecurrent"
+
+
+def _orders(qd):
+    return sorted(cp.signed_order for cp in critical_points(qd))
+
+
+def test_exact_orders_of_every_form():
+    # typed coefficients with exact roots: the exact orders are the clusters'
+    from_roots = Polynomial.from_roots
+    general = qd_new(from_roots([1.0, 1.0, -1.0]), from_roots([2j]))
+    assert exact_orders(general) == _orders(general) == [-6, -1, 1, 2]
+    pq = qd_from_p_over_q_squared(Polynomial([-4.0, 0.0, 1.0]), Polynomial([-0.5, 1.0]))
+    assert exact_orders(pq) == _orders(pq) == [-4, -2, 1, 1]
+    semicircle = cauchy_qd(ONE, Polynomial([0.0, -1.0]), ONE)
+    assert exact_orders(semicircle) == _orders(semicircle) == [-6, 1, 1]
+    # r = (z - 5)^6 (z - 1) / (z + 1)^4: poles at 5, 1, -1 and infinity, as deg p != deg q
+    lem = lemniscate_qd(from_roots([5.0] * 6 + [1.0]), from_roots([-1.0] * 4))
+    assert [n for n in exact_orders(lem) if n < 0] == [-2] * 4
+    assert exact_orders(lem) == _orders(lem)
+    # clusters state their orders, and a cancelled root cancels exactly
+    assert exact_orders(inverted(general, 3.0)) is None
+    cancelled = qd_new(from_roots([1.0, 2.0]), from_roots([1.0, 3.0, 4.0]))
+    assert exact_orders(cancelled) == _orders(cancelled) == [-3, -1, -1, 1]
+
+
+def test_count_rows_read_only_the_orders_they_count():
+    # phi = z (z - 1e-9) / (z^2 - 1): poly_roots merges the two zeros into a double
+    # one. The poles 1, -1 and infinity (order -4) are exact, so ThreePole still
+    # certifies; OddMultiplicity, which would count 2 odd points for 4, does not
+    qd = qd_new(Polynomial.from_roots([0.0, 1e-9]), Polynomial([-1.0, 0.0, 1.0]))
+    assert [c.multiplicity for c in qd.zeros] == [2]
+    pole, odd = count_rows(qd)
+    assert (pole.criterion, pole.verdict) == ("ThreePole", CERTIFIED)
+    assert set(pole.evidence) == {"poles", "count"}
+    assert (odd.criterion, odd.verdict) == ("OddMultiplicity", INCONCLUSIVE)
+    assert odd.evidence["count"] == 2 and odd.evidence["exact_orders"] == [-1, -1, 1, 1]
+    assert odd.evidence["merged_clusters"] == [[qd.zeros[0].location, 2]]
+
+
+def test_lemniscate_of_merged_roots_is_not_certified_by_three_pole():
+    # r = (z - 1)(z - 1 - 1e-10) / z has three distinct zeros and poles, and infinity
+    # is a pole too: four poles of -(r'/r)^2, which poly_roots reads as three
+    qd = lemniscate_qd(Polynomial.from_roots([1.0, 1.0 + 1e-10]), Polynomial([0.0, 1.0]))
+    assert len(qd.poles) == 2
+    pole = count_rows(qd)[-1]
+    assert (pole.criterion, pole.verdict) == ("ThreePole", INCONCLUSIVE)
+    assert pole.evidence["count"] == 3 and pole.evidence["exact_orders"] == [-2] * 4

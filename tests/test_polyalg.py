@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdsphere import polyalg
 from qdsphere.errors import ZeroPolynomial
-from qdsphere.polyalg import Polynomial, poly_roots
+from qdsphere.polyalg import P, I_P, Polynomial, exact_multiplicities, gaussian, poly_roots
 
 
 def from_roots(roots, lead=1.0):
@@ -173,3 +175,58 @@ def test_companion_roots_match_aberth_reference(p, rel, monkeypatch):
     assert [c.multiplicity for c in got] == [c.multiplicity for c in want]
     for g, w in zip(got, want):
         assert abs(g.location - w.location) <= rel * max(1.0, abs(w.location))
+
+
+# ---------------------------------------------------------------- exact multiplicities
+
+ONE = Polynomial([1.0])
+# distinct small Gaussian integers with multiplicities: their expansion is exact in floats
+_SITES = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 3),
+                         max_size=3)
+
+
+def _expanded(sites, lead=1.0):
+    """lead prod (z - a)^m, exactly: the monic coefficients are at most (1 + 3 sqrt 2)^9 <
+    3e6 in modulus, so times a lead whose parts are at most 2^31 they stay below 2^53."""
+    monic = Polynomial.from_roots([complex(*a) for a, m in sites.items() for _ in range(m)])
+    return Polynomial([c * lead for c in monic.coeffs])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_SITES, _SITES, st.sampled_from([1, 2]),
+       st.sampled_from([1.0, -0.75 + 2.5j, 13 + 2.0 ** 31 * 1j]))
+def test_exact_multiplicities_of_gaussian_integer_roots(zeros, poles, k, lead):
+    # num / den^k in lowest terms: a root shared by num and den^k cancels down to the
+    # difference of its multiplicities. The lead 13 + 2^31 i vanishes mod P = 2^62 + 13^2,
+    # so it takes the exact path whatever the roots
+    num, den = _expanded(zeros, lead), _expanded(poles)
+    left = {a: m - k * poles.get(a, 0) for a, m in zeros.items()}
+    left.update({a: -k * m for a, m in poles.items() if a not in zeros})
+    want = (sorted(m for m in left.values() if m > 0), sorted(-m for m in left.values() if m < 0))
+    assert exact_multiplicities(*gaussian(num, den), k) == want
+
+
+def test_exact_multiplicities_read_a_square_as_a_square():
+    assert exact_multiplicities(*gaussian(Polynomial([0.0, 0.0, 1.0]), ONE)) == ([2], [])
+    cubic = _expanded({(1, 0): 2, (-1, 0): 1})                # (z - 1)^2 (z + 1)
+    assert exact_multiplicities(*gaussian(cubic, ONE)) == ([1, 2], [])
+    assert (13 + 2 ** 31 * I_P) % P == 0      # the lead that takes the exact path above
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([16, 64]))
+def test_float_rounded_squares_read_square_free(seed, degree):
+    # np.polymul rounds each product of full-mantissa coefficients, so the typed
+    # polynomial is no longer a square, and the modular test alone says so
+    rng = np.random.default_rng(seed)
+    f = rng.normal(size=degree // 2 + 1) + 1j * rng.normal(size=degree // 2 + 1)
+    square, one = gaussian(Polynomial(np.polymul(f, f)), ONE)
+    assert len(square) == degree + 1
+    assert polyalg._square_free_mod_p(square, one)
+
+
+def test_exact_multiplicities_of_the_close_pole_family():
+    for eps in (1e-3, 1e-6, 1e-9, 1e-12):
+        den = Polynomial(np.polynomial.polynomial.polyfromroots([0.0, 1.0, 2.0, 2.0 + eps]))
+        num = Polynomial([np.exp(0.3j)])
+        assert exact_multiplicities(*gaussian(num, den)) == ([], [1, 1, 1, 1])
